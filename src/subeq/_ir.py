@@ -1,209 +1,129 @@
-"""Lowering of subequation trees to a flat program for the sweep kernels.
+"""Lowering of subequation trees to the line evaluator of the sweep engine.
 
-On radial grids (and 1-D boxes) a discrete jet is determined by the triple
-(value, radial first derivative, radial second derivative) plus the warp
-ratio g'/g, so every catalog member reduces to a closed-form expression of
-those scalars; min/max combinators become a small postfix program.  Trees
-containing jet-equivalences, table-valued quasilinear coefficients or other
-non-catalog members do not lower; the solver falls back to the generic
-vectorized engine in that case.
+On radial grids (and 1-D boxes) a discrete jet is determined by the node
+value v, the radial first and second differences du and d2, and the
+angular Hessian eigenvalue aa = du g'/g, so every catalog member reduces
+to a closed-form expression of those scalars and min/max combinators
+reduce their parts.  Trees containing jet-equivalences, quasilinear
+coefficients outside the stock profiles, other non-catalog members, or
+per-node rows of another grid's length do not lower; the solver runs the
+generic vectorized engine on them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from . import subequations as SU
 
-# opcodes
-OP_CONST = 0
-OP_EIKONAL = 1
-OP_EIKONAL_DUAL = 2
-OP_LAPLACE = 3
-OP_HESSIAN = 4
-OP_PLURI_BOTTOM = 5
-OP_PLURI_TOP = 6
-OP_SIGMA = 7
-OP_QUASI = 8
-OP_INFLAP = 9
-OP_HALFSPACE = 10
-OP_MIN = 20
-OP_MAX = 21
 
-PROF_LINEAR = 0
-PROF_CONST = 1
-PROF_TABLE = 2
+def lower(F: SU.Subequation, n_nodes: int):
+    """Vectorized line evaluator ``g(nodes, v, du, aa, d2, gdn)`` for F.
 
-AP_CONST = 0
-AP_POWER = 1
-AP_MEANCURV = 2
-
-MAX_STACK = 16
-
-
-@dataclass
-class Program:
-    m: int
-    ops: np.ndarray      # (n_ops,) int32
-    ipar: np.ndarray     # (n_ops, 4) int32: k, j, prof_f, prof_aux/g-row/aprof
-    fpar: np.ndarray     # (n_ops, 4) float64
-    pk: np.ndarray       # profile kinds
-    pa: np.ndarray       # profile linear slope / constant value
-    toff: np.ndarray
-    tlen: np.ndarray
-    tx: np.ndarray
-    ty: np.ndarray
-    apk: np.ndarray      # aprofile kinds
-    app: np.ndarray      # aprofile parameter
-    gstack: np.ndarray   # (n_g, N) per-node value rows for halfspaces
-    depth: int
-
-    def as_tuple(self):
-        return (self.ops, self.ipar, self.fpar, self.pk, self.pa, self.toff,
-                self.tlen, self.tx, self.ty, self.apk, self.app, self.gstack,
-                np.int64(self.m))
-
-
-class _Builder:
-    def __init__(self, m, n_nodes):
-        self.m = m
-        self.n_nodes = n_nodes
-        self.ops, self.ipar, self.fpar = [], [], []
-        self.pk, self.pa, self.tables = [], [], []
-        self.apk, self.app = [], []
-        self.grows = []
-
-    def add_profile(self, prof) -> int:
-        if prof.kind == "linear":
-            self.pk.append(PROF_LINEAR)
-            self.pa.append(prof.slope)
-            self.tables.append((np.zeros(0), np.zeros(0)))
-        elif prof.kind == "constant":
-            self.pk.append(PROF_CONST)
-            self.pa.append(prof.value)
-            self.tables.append((np.zeros(0), np.zeros(0)))
-        else:
-            self.pk.append(PROF_TABLE)
-            self.pa.append(0.0)
-            self.tables.append((prof.xs.astype(float), prof.ys.astype(float)))
-        return len(self.pk) - 1
-
-    def add_aprofile(self, ap) -> int | None:
-        kinds = {"const": AP_CONST, "power": AP_POWER, "mean_curvature": AP_MEANCURV}
-        if ap.kind not in kinds:
-            return None
-        self.apk.append(kinds[ap.kind])
-        self.app.append(ap.param if ap.kind != "mean_curvature" else 0.0)
-        return len(self.apk) - 1
-
-    def add_grow(self, vals) -> int:
-        vals = np.asarray(vals, dtype=float)
-        if vals.ndim == 0:
-            vals = np.full(self.n_nodes, float(vals))
-        self.grows.append(vals)
-        return len(self.grows) - 1
-
-    def emit(self, op, k=0, j=0, pf=-1, aux=-1, f0=0.0, f1=0.0, f2=0.0, f3=0.0):
-        self.ops.append(op)
-        self.ipar.append((k, j, pf, aux))
-        self.fpar.append((f0, f1, f2, f3))
-
-
-def lower(F: SU.Subequation, n_nodes: int) -> Program | None:
-    """Flatten a subequation tree; None when the tree is not kernel-expressible."""
-    b = _Builder(F.m, n_nodes)
-    depth = _walk(F, b, 0)
-    if depth is None:
-        return None
-    tx = np.concatenate([t[0] for t in b.tables]) if b.tables else np.zeros(0)
-    ty = np.concatenate([t[1] for t in b.tables]) if b.tables else np.zeros(0)
-    toff, tlen, off = [], [], 0
-    for xs, _ in b.tables:
-        toff.append(off)
-        tlen.append(xs.size)
-        off += xs.size
-    gstack = (np.stack(b.grows) if b.grows
-              else np.zeros((1, n_nodes)))
-    return Program(
-        m=F.m,
-        ops=np.asarray(b.ops, dtype=np.int32),
-        ipar=np.asarray(b.ipar, dtype=np.int32).reshape(len(b.ops), 4),
-        fpar=np.asarray(b.fpar, dtype=np.float64).reshape(len(b.ops), 4),
-        pk=np.asarray(b.pk or [0], dtype=np.int32),
-        pa=np.asarray(b.pa or [0.0], dtype=np.float64),
-        toff=np.asarray(toff or [0], dtype=np.int32),
-        tlen=np.asarray(tlen or [0], dtype=np.int32),
-        tx=tx, ty=ty,
-        apk=np.asarray(b.apk or [0], dtype=np.int32),
-        app=np.asarray(b.app or [0.0], dtype=np.float64),
-        gstack=gstack,
-        depth=depth,
-    )
-
-
-def _walk(F, b: _Builder, depth: int) -> int | None:
-    if depth >= MAX_STACK:
-        return None
-    m = F.m
-    if isinstance(F, SU._Const):
-        b.emit(OP_CONST, f0=F.c)
-        return depth + 1
-    if isinstance(F, SU._Eikonal):
-        b.emit(OP_EIKONAL, pf=b.add_profile(F.xi))
-        return depth + 1
-    if isinstance(F, SU._EikonalDual):
-        b.emit(OP_EIKONAL_DUAL, pf=b.add_profile(F.eta))
-        return depth + 1
-    if isinstance(F, SU._EikonalRelaxed):
-        if F.eta_vals.shape[0] != b.n_nodes:
-            return None
-        b.emit(OP_EIKONAL, pf=b.add_profile(F.xi), aux=b.add_grow(F.eta_vals))
-        return depth + 1
-    if isinstance(F, SU._EikonalDualRelaxed):
-        if F.eta_vals.shape[0] != b.n_nodes:
-            return None
-        b.emit(OP_EIKONAL_DUAL, pf=b.add_profile(F.eta_prof), aux=b.add_grow(F.eta_vals))
-        return depth + 1
-    if isinstance(F, SU._Laplace):
-        b.emit(OP_LAPLACE, pf=b.add_profile(F.f))
-        return depth + 1
-    if isinstance(F, SU._Hessian):
-        b.emit(OP_HESSIAN, k=F.k, pf=b.add_profile(F.f))
-        return depth + 1
-    if isinstance(F, SU._PlurisubBottom):
-        b.emit(OP_PLURI_BOTTOM, k=F.k, pf=b.add_profile(F.f))
-        return depth + 1
-    if isinstance(F, SU._PlurisubTop):
-        b.emit(OP_PLURI_TOP, k=F.k, pf=b.add_profile(F.f))
-        return depth + 1
-    if isinstance(F, SU._Sigma):
-        b.emit(OP_SIGMA, k=F.k, j=F.j, pf=b.add_profile(F.f),
-               f0=float(comb(m - 1, F.k)), f1=float(comb(m - 1, F.k - 1)),
-               f2=float(comb(m, F.k)))
-        return depth + 1
-    if isinstance(F, SU._Quasilinear):
-        ap = b.add_aprofile(F.aprof)
-        if ap is None:
-            return None
-        b.emit(OP_QUASI, pf=b.add_profile(F.f), aux=ap,
-               f0=F.aprof.lam1_0, f1=F.aprof.lam2_0)
-        return depth + 1
-    if isinstance(F, SU._InfLaplacian):
-        b.emit(OP_INFLAP, pf=b.add_profile(F.f))
-        return depth + 1
-    if isinstance(F, SU._HalfspaceR):
-        if F.gvals.ndim > 0 and F.gvals.shape[0] != b.n_nodes:
-            return None
-        b.emit(OP_HALFSPACE, aux=b.add_grow(F.gvals), f0=float(F.sign))
-        return depth + 1
+    ``gdn`` is the gradient magnitude seen by the gradient-constraint
+    members (the eikonal family); the remaining members read |du|.  Returns
+    None when the tree does not lower.
+    """
     if isinstance(F, (SU._Min, SU._Max)):
-        top = depth
-        for q in F.parts:
-            top = _walk(q, b, top)
-            if top is None:
-                return None
-        b.emit(OP_MIN if isinstance(F, SU._Min) else OP_MAX, k=len(F.parts))
-        return depth + 1
+        parts = [lower(q, n_nodes) for q in F.parts]
+        if any(q is None for q in parts):
+            return None
+        reduce = np.minimum.reduce if isinstance(F, SU._Min) else np.maximum.reduce
+        return lambda *jet: reduce([q(*jet) for q in parts])
+    if isinstance(F, SU._Const):
+        c = F.c
+        return lambda nodes, v, du, aa, d2, gdn: np.full_like(v, c)
+    if isinstance(F, SU._Eikonal):
+        xi = F.xi
+        return lambda nodes, v, du, aa, d2, gdn: xi(v) - gdn
+    if isinstance(F, SU._EikonalDual):
+        eta = F.eta
+        return lambda nodes, v, du, aa, d2, gdn: np.abs(du) - eta(v)
+    if isinstance(F, SU._EikonalRelaxed):
+        xi, rows = F.xi, F.eta_vals
+        if rows.shape[0] != n_nodes:
+            return None
+        return lambda nodes, v, du, aa, d2, gdn: xi(v) + rows[nodes] - gdn
+    if isinstance(F, SU._EikonalDualRelaxed):
+        eta, rows = F.eta_prof, F.eta_vals
+        if rows.shape[0] != n_nodes:
+            return None
+        return lambda nodes, v, du, aa, d2, gdn: np.abs(du) - eta(v) - rows[nodes]
+    if isinstance(F, SU._HalfspaceR):
+        if F.gvals.ndim > 0 and F.gvals.shape[0] != n_nodes:
+            return None
+        rows = F.gvals if F.gvals.ndim > 0 else np.full(n_nodes, float(F.gvals))
+        sign = float(F.sign)
+        return lambda nodes, v, du, aa, d2, gdn: sign * rows[nodes] - v
+    radial = _radial(F, F.m)
+    if radial is None:
+        return None
+    f = F.f
+    return lambda nodes, v, du, aa, d2, gdn: radial(du, aa, d2) - f(v)
+
+
+def _radial(F, m):
+    """Operator part of an f-member at the radial jet, as ``fn(du, aa, d2)``.
+
+    The Hessian has eigenvalue d2 once and aa with multiplicity m - 1.
+    """
+    if isinstance(F, SU._Laplace):
+        return lambda du, aa, d2: d2 + (m - 1) * aa
+    if isinstance(F, SU._Hessian):
+        k = F.k
+        if m == 1:
+            return lambda du, aa, d2: d2
+        return lambda du, aa, d2: np.where(d2 <= aa, d2 if k == 1 else aa,
+                                           aa if k <= m - 1 else d2)
+    if isinstance(F, (SU._PlurisubBottom, SU._PlurisubTop)):
+        k = F.k
+        bottom = isinstance(F, SU._PlurisubBottom)
+
+        def sum_k(du, aa, d2):
+            with_d2 = d2 <= aa if bottom else d2 >= aa
+            exc = min(k, m - 1) * aa + (d2 if k == m else 0.0)
+            return np.where(with_d2, d2 + (k - 1) * aa, exc)
+
+        return sum_k
+    if isinstance(F, SU._Sigma):
+        j, k = F.j, F.k
+        if m == 1:
+            return lambda du, aa, d2: d2
+        c_aa, c_d2, c = float(comb(m - 1, k)), float(comb(m - 1, k - 1)), float(comb(m, k))
+
+        def branch(du, aa, d2):
+            # sigma_k(A + t I) has the root -aa (k - 1 times) and one linear root
+            mu_star = (c_aa * aa + c_d2 * d2) / c
+            return np.where(mu_star <= aa, mu_star if j == 1 else aa,
+                            aa if j <= k - 1 else mu_star)
+
+        return branch
+    if isinstance(F, SU._Quasilinear):
+        ap = F.aprof
+        if ap.kind not in ("const", "power", "mean_curvature"):
+            return None
+        l1_0, l2_0 = ap.lam1_0, ap.lam2_0
+        extremal = np.maximum if l1_0 >= l2_0 else np.minimum
+
+        def trace_T(du, aa, d2):
+            t = np.abs(du)
+            nz = t > 0
+            out = np.empty_like(d2)
+            if np.any(nz):
+                tt = t[nz]
+                out[nz] = ap.lam1(tt) * d2[nz] + ap.lam2(tt) * (m - 1) * aa[nz]
+            if not np.all(nz):
+                # p = 0 fiber: limsup of tr(T(p)A) along p -> 0
+                z = ~nz
+                tr = d2[z] + (m - 1) * aa[z]
+                ext = extremal(d2[z], aa[z]) if m > 1 else d2[z]
+                out[z] = l2_0 * tr + (l1_0 - l2_0) * ext
+            return out
+
+        return trace_T
+    if isinstance(F, SU._InfLaplacian):
+        if m == 1:
+            return lambda du, aa, d2: d2
+        return lambda du, aa, d2: np.where(np.abs(du) > 0, d2, np.maximum(d2, aa))
     return None

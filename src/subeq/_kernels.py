@@ -1,445 +1,19 @@
-"""Sweep kernels for the Perron iteration on line (radial / 1-D) grids.
+"""Sweep kernels for the Perron iteration.
 
-Hot path: numba @njit Gauss-Seidel sweeps over a lowered subequation
-program (see _ir.py), one scalar bisection per node exploiting the
-monotonicity of the defining value in the node value.  A pure-numpy twin
-performs the same node solves in red-black order, vectorized per color;
-the two agree node-wise within the solver's 10*tol reproducibility
-contract.  Selection: environment variable SUBEQ_NUMBA=0 (or numba being
-unimportable) picks the numpy path; the benchmark in benchmarks/ compares
-both.
+``vector_node_solve`` solves the scalar node equations of a batch of nodes
+at once: one bracket and bisection per node, exploiting the monotonicity
+of the defining value in the node value.  The generic engine calls it on
+every interior node with the tree evaluator (a Jacobi sweep); on line
+(radial / 1-D) grids ``sweep_line_numpy`` calls it per color of a
+red-black ordering with the lowered line evaluator of ``_ir.lower``.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-from ._ir import (
-    AP_CONST, AP_POWER,
-    OP_CONST, OP_EIKONAL, OP_EIKONAL_DUAL, OP_HALFSPACE, OP_HESSIAN,
-    OP_INFLAP, OP_LAPLACE, OP_MAX, OP_MIN, OP_PLURI_BOTTOM, OP_PLURI_TOP,
-    OP_QUASI, OP_SIGMA,
-    PROF_CONST, PROF_LINEAR,
-    MAX_STACK,
-)
-
-_env = os.environ.get("SUBEQ_NUMBA", "auto").lower()
-if _env in ("0", "false", "no", "off"):
-    NUMBA_ENABLED = False
-else:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - environment dependent
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-    def njit(*args, **kwargs):  # no-op decorator for the fallback path
-        def wrap(fn):
-            return fn
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-# ---------------------------------------------------------------------------
-# scalar program evaluation (numba-compiled when available)
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _prof_eval(pid, r, pk, pa, toff, tlen, tx, ty):
-    kind = pk[pid]
-    if kind == PROF_LINEAR:
-        return pa[pid] * r
-    if kind == PROF_CONST:
-        return pa[pid]
-    off = toff[pid]
-    n = tlen[pid]
-    if r <= tx[off]:
-        return ty[off]
-    if r >= tx[off + n - 1]:
-        return ty[off + n - 1]
-    lo, hi = off, off + n - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if tx[mid] <= r:
-            lo = mid
-        else:
-            hi = mid
-    w = (r - tx[lo]) / (tx[lo + 1] - tx[lo])
-    return ty[lo] + w * (ty[lo + 1] - ty[lo])
-
-
-@njit(cache=True)
-def _aprof_eval(aid, t, apk, app):
-    """Returns (lam1, lam2) at gradient magnitude t > 0."""
-    kind = apk[aid]
-    if kind == AP_CONST:
-        c = app[aid]
-        return c, c
-    if kind == AP_POWER:
-        k = app[aid]
-        a = t ** (k - 2.0)
-        return (k - 1.0) * a, a
-    s = 1.0 + t * t
-    return s ** -1.5, s ** -0.5
-
-
-@njit(cache=True)
-def _eval_G(ops, ipar, fpar, pk, pa, toff, tlen, tx, ty, apk, app, gstack,
-            node, m, v, du, angc, d2, uL, uR, hl, hr, stack):
-    """Defining value at the radial jet (v, du, diag(d2, du*angc,...)).
-
-    Gradient-constraint members (the eikonal family) see the Godunov upwind
-    gradient max((v-uL)/hl, (v-uR)/hr, 0): the monotone evaluation for
-    subsolution sweeps (centered lagged gradients cycle).  Certificates are
-    checked elsewhere against centered jets.
-    """
-    aa = du * angc  # angular Hessian eigenvalue (m > 1)
-    absp = abs(du)
-    gdn = max(max((v - uL) / hl, (v - uR) / hr), 0.0)
-    sp = 0
-    for i in range(ops.shape[0]):
-        op = ops[i]
-        if op == OP_MIN or op == OP_MAX:
-            arity = ipar[i, 0]
-            acc = stack[sp - arity]
-            for a in range(sp - arity + 1, sp):
-                if op == OP_MIN:
-                    acc = min(acc, stack[a])
-                else:
-                    acc = max(acc, stack[a])
-            sp -= arity
-            stack[sp] = acc
-            sp += 1
-            continue
-        val = 0.0
-        if op == OP_CONST:
-            val = fpar[i, 0]
-        elif op == OP_EIKONAL:
-            eta = gstack[ipar[i, 3], node] if ipar[i, 3] >= 0 else 0.0
-            val = _prof_eval(ipar[i, 2], v, pk, pa, toff, tlen, tx, ty) + eta - gdn
-        elif op == OP_EIKONAL_DUAL:
-            eta = gstack[ipar[i, 3], node] if ipar[i, 3] >= 0 else 0.0
-            val = absp - _prof_eval(ipar[i, 2], v, pk, pa, toff, tlen, tx, ty) - eta
-        elif op == OP_HALFSPACE:
-            val = fpar[i, 0] * gstack[ipar[i, 3], node] - v
-        else:
-            f = _prof_eval(ipar[i, 2], v, pk, pa, toff, tlen, tx, ty)
-            if op == OP_LAPLACE:
-                val = d2 + (m - 1) * aa - f
-            elif op == OP_HESSIAN:
-                k = ipar[i, 0]
-                if m == 1:
-                    val = d2 - f
-                elif d2 <= aa:
-                    val = (d2 if k == 1 else aa) - f
-                else:
-                    val = (aa if k <= m - 1 else d2) - f
-            elif op == OP_PLURI_BOTTOM:
-                k = ipar[i, 0]
-                if d2 <= aa:
-                    val = d2 + (k - 1) * aa - f
-                else:
-                    val = (min(k, m - 1) * aa + (d2 if k == m else 0.0)) - f
-            elif op == OP_PLURI_TOP:
-                k = ipar[i, 0]
-                if d2 >= aa:
-                    val = d2 + (k - 1) * aa - f
-                else:
-                    val = (min(k, m - 1) * aa + (d2 if k == m else 0.0)) - f
-            elif op == OP_SIGMA:
-                k = ipar[i, 0]
-                j = ipar[i, 1]
-                if m == 1:
-                    val = d2 - f
-                else:
-                    # sigma_k of (d2, aa x (m-1)) shifted: roots -aa (k-1 times)
-                    # and the explicit linear root; branch values in closed form
-                    mu_star = (fpar[i, 0] * aa + fpar[i, 1] * d2) / fpar[i, 2]
-                    if mu_star <= aa:
-                        val = (mu_star if j == 1 else aa) - f
-                    else:
-                        val = (aa if j <= k - 1 else mu_star) - f
-            elif op == OP_QUASI:
-                t = absp
-                if t > 0.0:
-                    l1, l2 = _aprof_eval(ipar[i, 3], t, apk, app)
-                    val = l1 * d2 + l2 * (m - 1) * aa - f
-                else:
-                    l1 = fpar[i, 0]
-                    l2 = fpar[i, 1]
-                    tr = d2 + (m - 1) * aa
-                    ext = max(d2, aa) if l1 >= l2 else min(d2, aa)
-                    if m == 1:
-                        ext = d2
-                    val = l2 * tr + (l1 - l2) * ext - f
-            elif op == OP_INFLAP:
-                if absp > 0.0:
-                    val = d2 - f
-                else:
-                    val = (max(d2, aa) if m > 1 else d2) - f
-        stack[sp] = val
-        sp += 1
-    return stack[0]
-
-
-@njit(cache=True)
-def _node_solve(ops, ipar, fpar, pk, pa, toff, tlen, tx, ty, apk, app, gstack,
-                node, m, v0, du, angc, b0, bC, uL, uR, hl, hr,
-                cap, step0, gtol, veps, stack):
-    """Largest v in (-inf, cap] with G(v) >= 0; G(v) uses d2 = b0 - bC*v.
-
-    G is non-increasing in v for (P)+(N) members (the lagged gradient du is
-    frozen), so a doubling bracket plus bisection is exact.  Returns the
-    feasible-side endpoint.
-    """
-    g0 = _eval_G(ops, ipar, fpar, pk, pa, toff, tlen, tx, ty, apk, app,
-                 gstack, node, m, v0, du, angc, b0 - bC * v0, uL, uR, hl, hr, stack)
-    step = step0
-    span = 1e9 * (1.0 + abs(v0))  # guard for ill-posed (value-insensitive) members
-    if g0 >= 0.0:
-        if v0 >= cap:
-            return cap if v0 > cap else v0
-        lo = v0
-        hi = v0
-        found = False
-        for _ in range(120):
-            hi = min(hi + step, cap)
-            if hi > v0 + span:
-                hi = v0 + span
-            step *= 4.0
-            gh = _eval_G(ops, ipar, fpar, pk, pa, toff, tlen, tx, ty, apk, app,
-                 gstack, node, m, hi, du, angc, b0 - bC * hi, uL, uR, hl, hr, stack)
-            if gh < 0.0:
-                found = True
-                break
-            lo = hi
-            if hi >= cap or hi >= v0 + span:
-                break
-        if not found:
-            return hi  # feasible all the way to the cap / guard
-    else:
-        hi = v0
-        lo = v0
-        found = False
-        for _ in range(120):
-            lo = lo - step
-            step *= 4.0
-            gl = _eval_G(ops, ipar, fpar, pk, pa, toff, tlen, tx, ty, apk, app,
-                 gstack, node, m, lo, du, angc, b0 - bC * lo, uL, uR, hl, hr, stack)
-            if gl >= 0.0:
-                found = True
-                break
-            if lo < v0 - span:
-                break
-        if not found:
-            return v0  # no feasible value in reach; leave unchanged
-    # bracketed root refinement: alternate false-position (fast on the
-    # near-linear members) with plain bisection (guaranteed shrink)
-    glo = _eval_G(ops, ipar, fpar, pk, pa, toff, tlen, tx, ty, apk, app,
-                 gstack, node, m, lo, du, angc, b0 - bC * lo, uL, uR, hl, hr, stack)
-    ghi = _eval_G(ops, ipar, fpar, pk, pa, toff, tlen, tx, ty, apk, app,
-                 gstack, node, m, hi, du, angc, b0 - bC * hi, uL, uR, hl, hr, stack)
-    if glo <= gtol:
-        return lo
-    for it in range(200):
-        width = hi - lo
-        mid = 0.5 * (lo + hi)
-        if it % 2 == 0 and glo > ghi:
-            fp = lo + width * glo / (glo - ghi)
-            if lo + 1e-3 * width < fp < hi - 1e-3 * width:
-                mid = fp
-        gm = _eval_G(ops, ipar, fpar, pk, pa, toff, tlen, tx, ty, apk, app,
-                 gstack, node, m, mid, du, angc, b0 - bC * mid, uL, uR, hl, hr, stack)
-        if gm >= 0.0:
-            lo = mid
-            glo = gm
-            if gm <= gtol:
-                break
-        else:
-            hi = mid
-            ghi = gm
-        if hi - lo <= veps * (1.0 + abs(mid)):
-            break
-    return lo
-
-
-@njit(cache=True)
-def sweep_line(u, order, hL, hR, angc, caps, steps, damping,
-               ops, ipar, fpar, pk, pa, toff, tlen, tx, ty, apk, app, gstack, m,
-               gtol, veps):
-    """One Gauss-Seidel sweep over `order`; returns (max |change|, min change)."""
-    stack = np.empty(MAX_STACK)
-    max_ch = 0.0
-    min_ch = 0.0
-    for oi in range(order.shape[0]):
-        i = order[oi]
-        hl = hL[i]
-        hr = hR[i]
-        den = hl * hr * (hl + hr)
-        uL = u[i - 1]
-        uR = u[i + 1]
-        v0 = u[i]
-        du = (hl * hl * uR - hr * hr * uL + (hr * hr - hl * hl) * v0) / den
-        b0 = 2.0 * (hl * uR + hr * uL) / den
-        bC = 2.0 * (hl + hr) / den
-        v = _node_solve(ops, ipar, fpar, pk, pa, toff, tlen, tx, ty, apk, app,
-                        gstack, i, m, v0, du, angc[i], b0, bC, uL, uR, hl, hr,
-                        caps[i], steps[i], gtol, veps, stack)
-        if damping != 1.0:
-            v = v0 + damping * (v - v0)
-            if v > caps[i]:
-                v = caps[i]
-        ch = v - v0
-        if ch < min_ch:
-            min_ch = ch
-        ach = abs(ch)
-        if ach > max_ch:
-            max_ch = ach
-        steps[i] = max(4.0 * ach, 1e-9)
-        u[i] = v
-    return max_ch, min_ch
-
-
-@njit(cache=True)
-def residual_line(u, order, hL, hR, angc,
-                  ops, ipar, fpar, pk, pa, toff, tlen, tx, ty, apk, app,
-                  gstack, m, out):
-    """Defining value at every node of `order` from the current u."""
-    stack = np.empty(MAX_STACK)
-    for oi in range(order.shape[0]):
-        i = order[oi]
-        hl = hL[i]
-        hr = hR[i]
-        den = hl * hr * (hl + hr)
-        uL = u[i - 1]
-        uR = u[i + 1]
-        v0 = u[i]
-        du = (hl * hl * uR - hr * hr * uL + (hr * hr - hl * hl) * v0) / den
-        d2 = 2.0 * (hl * uR + hr * uL - (hl + hr) * v0) / den
-        out[oi] = _eval_G(ops, ipar, fpar, pk, pa, toff, tlen, tx, ty, apk,
-                          app, gstack, i, m, v0, du, angc[i], d2,
-                          uL, uR, hl, hr, stack)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy red-black twin (fallback / parallel variant)
-# ---------------------------------------------------------------------------
-
-
-def _eval_G_numpy(prog_tuple, nodes, m, v, du, angc, d2, uL=None, uR=None,
-                  hl=None, hr=None):
-    (ops, ipar, fpar, pk, pa, toff, tlen, tx, ty, apk, app, gstack, _m) = prog_tuple
-    aa = du * angc
-    absp = np.abs(du)
-    if uL is None:
-        gdn = absp  # centered evaluation (residual reporting outside sweeps)
-    else:
-        gdn = np.maximum(np.maximum((v - uL) / hl, (v - uR) / hr), 0.0)
-    stack = []
-
-    def prof(pid, r):
-        if pk[pid] == PROF_LINEAR:
-            return pa[pid] * r
-        if pk[pid] == PROF_CONST:
-            return np.full_like(r, pa[pid])
-        o, n = toff[pid], tlen[pid]
-        return np.interp(r, tx[o:o + n], ty[o:o + n])
-
-    for i in range(ops.shape[0]):
-        op = int(ops[i])
-        if op in (OP_MIN, OP_MAX):
-            arity = int(ipar[i, 0])
-            parts = stack[-arity:]
-            del stack[-arity:]
-            red = np.minimum.reduce(parts) if op == OP_MIN else np.maximum.reduce(parts)
-            stack.append(red)
-            continue
-        if op == OP_CONST:
-            stack.append(np.full_like(v, fpar[i, 0]))
-            continue
-        if op == OP_EIKONAL:
-            eta = gstack[ipar[i, 3]][nodes] if ipar[i, 3] >= 0 else 0.0
-            stack.append(prof(ipar[i, 2], v) + eta - gdn)
-            continue
-        if op == OP_EIKONAL_DUAL:
-            eta = gstack[ipar[i, 3]][nodes] if ipar[i, 3] >= 0 else 0.0
-            stack.append(absp - prof(ipar[i, 2], v) - eta)
-            continue
-        if op == OP_HALFSPACE:
-            stack.append(fpar[i, 0] * gstack[ipar[i, 3]][nodes] - v)
-            continue
-        f = prof(ipar[i, 2], v)
-        if op == OP_LAPLACE:
-            stack.append(d2 + (m - 1) * aa - f)
-        elif op == OP_HESSIAN:
-            k = int(ipar[i, 0])
-            if m == 1:
-                stack.append(d2 - f)
-            else:
-                low = d2 <= aa
-                pick_low = d2 if k == 1 else aa
-                pick_high = aa if k <= m - 1 else d2
-                stack.append(np.where(low, pick_low, pick_high) - f)
-        elif op in (OP_PLURI_BOTTOM, OP_PLURI_TOP):
-            k = int(ipar[i, 0])
-            first = d2 <= aa if op == OP_PLURI_BOTTOM else d2 >= aa
-            inc = d2 + (k - 1) * aa
-            exc = min(k, m - 1) * aa + (d2 if k == m else 0.0)
-            stack.append(np.where(first, inc, exc) - f)
-        elif op == OP_SIGMA:
-            k, j = int(ipar[i, 0]), int(ipar[i, 1])
-            if m == 1:
-                stack.append(d2 - f)
-            else:
-                mu_star = (fpar[i, 0] * aa + fpar[i, 1] * d2) / fpar[i, 2]
-                low = mu_star <= aa
-                pick_low = mu_star if j == 1 else aa
-                pick_high = aa if j <= k - 1 else mu_star
-                stack.append(np.where(low, pick_low, pick_high) - f)
-        elif op == OP_QUASI:
-            t = absp
-            nz = t > 0
-            val = np.empty_like(v)
-            if np.any(nz):
-                kind = int(apk[ipar[i, 3]])
-                par = app[ipar[i, 3]]
-                tt = t[nz]
-                if kind == AP_CONST:
-                    l1 = np.full_like(tt, par)
-                    l2 = l1
-                elif kind == AP_POWER:
-                    a = tt ** (par - 2.0)
-                    l1, l2 = (par - 1.0) * a, a
-                else:
-                    s = 1.0 + tt * tt
-                    l1, l2 = s ** -1.5, s ** -0.5
-                val[nz] = l1 * _at(d2, nz) + l2 * (m - 1) * _at(aa, nz)
-            if np.any(~nz):
-                l1, l2 = fpar[i, 0], fpar[i, 1]
-                tr = _at(d2, ~nz) + (m - 1) * _at(aa, ~nz)
-                lohi = (np.maximum if l1 >= l2 else np.minimum)
-                ext = lohi(_at(d2, ~nz), _at(aa, ~nz)) if m > 1 else _at(d2, ~nz)
-                val[~nz] = l2 * tr + (l1 - l2) * ext
-            stack.append(val - f)
-        elif op == OP_INFLAP:
-            nz = absp > 0
-            base = np.where(nz, d2, np.maximum(d2, aa) if m > 1 else d2)
-            stack.append(base - f)
-        else:  # pragma: no cover - lowering guarantees coverage
-            raise RuntimeError(f"bad opcode {op}")
-    return stack[0]
-
-
-def _at(arr, mask):
-    return arr[mask] if isinstance(arr, np.ndarray) else arr
 
 
 def vector_node_solve(G, v0, cap, step0, gtol, veps):
-    """Vectorized twin of _node_solve: largest v <= cap with G(v) >= 0.
+    """Largest v <= cap with G(v) >= 0, node-wise.
 
     ``G`` maps a value array to the defining values at the same nodes.
     """
@@ -481,24 +55,42 @@ def vector_node_solve(G, v0, cap, step0, gtol, veps):
     return np.minimum(lo, cap)
 
 
-def sweep_line_numpy(u, colors, hL, hR, angc, caps, steps, damping,
-                     prog_tuple, m, gtol, veps):
-    """Red-black sweep: per color, vectorized bracket + bisection node solves."""
+def _line_stencil(u, ids, hL, hR):
+    """Neighbour values, spacings and the centred first difference at ids."""
+    hl, hr = hL[ids], hR[ids]
+    den = hl * hr * (hl + hr)
+    uL, uR, v0 = u[ids - 1], u[ids + 1], u[ids]
+    du = (hl**2 * uR - hr**2 * uL + (hr**2 - hl**2) * v0) / den
+    return hl, hr, den, uL, uR, v0, du
+
+
+def _upwind(v, uL, uR, hl, hr):
+    """Godunov upwind gradient max((v-uL)/hl, (v-uR)/hr, 0).
+
+    The gradient-constraint members see it in place of |du|: the monotone
+    evaluation for subsolution sweeps (centred lagged gradients cycle).
+    Certificates are checked elsewhere against centred jets.
+    """
+    return np.maximum(np.maximum((v - uL) / hl, (v - uR) / hr), 0.0)
+
+
+def sweep_line_numpy(u, colors, hL, hR, angc, caps, steps, damping, g, gtol, veps):
+    """Red-black sweep: per color, vectorized bracket + bisection node solves.
+
+    The second difference is affine in the node value, d2 = b0 - bC v, and
+    the first difference is lagged.  Returns (max |change|, min change).
+    """
     max_ch = 0.0
     min_ch = 0.0
     for ids in colors:
-        hl, hr = hL[ids], hR[ids]
-        den = hl * hr * (hl + hr)
-        uL, uR = u[ids - 1], u[ids + 1]
-        v0 = u[ids]
-        du = (hl**2 * uR - hr**2 * uL + (hr**2 - hl**2) * v0) / den
+        hl, hr, den, uL, uR, v0, du = _line_stencil(u, ids, hL, hR)
+        aa = du * angc[ids]
         b0 = 2.0 * (hl * uR + hr * uL) / den
         bC = 2.0 * (hl + hr) / den
         cap = caps[ids]
 
         def G(v):
-            return _eval_G_numpy(prog_tuple, ids, m, v, du, angc[ids], b0 - bC * v,
-                                 uL, uR, hl, hr)
+            return g(ids, v, du, aa, b0 - bC * v, _upwind(v, uL, uR, hl, hr))
 
         v = vector_node_solve(G, v0, cap, steps[ids], gtol, veps)
         if damping != 1.0:
@@ -511,11 +103,8 @@ def sweep_line_numpy(u, colors, hL, hR, angc, caps, steps, damping,
     return max_ch, min_ch
 
 
-def residual_line_numpy(u, order, hL, hR, angc, prog_tuple, m):
-    hl, hr = hL[order], hR[order]
-    den = hl * hr * (hl + hr)
-    uL, uR, v0 = u[order - 1], u[order + 1], u[order]
-    du = (hl**2 * uR - hr**2 * uL + (hr**2 - hl**2) * v0) / den
+def residual_line_numpy(u, order, hL, hR, angc, g):
+    """Defining value at every node of ``order`` from the current u."""
+    hl, hr, den, uL, uR, v0, du = _line_stencil(u, order, hL, hR)
     d2 = 2.0 * (hl * uR + hr * uL - (hl + hr) * v0) / den
-    return _eval_G_numpy(prog_tuple, order, m, v0, du, angc[order], d2,
-                         uL, uR, hl, hr)
+    return g(order, v0, du, du * angc[order], d2, _upwind(v0, uL, uR, hl, hr))

@@ -1,7 +1,7 @@
 """Configuration-driven scenario runner and audit suite.
 
-    subeq run <scenario.json> [--out DIR] [--tol X] [--seed N] [--threads N] [--no-plots]
-    subeq audit [--out DIR] [--seed N] [--threads N] [--no-plots]
+    subeq run <scenario.json> [--out DIR] [--tol X] [--seed N] [--no-plots]
+    subeq audit [--out DIR] [--seed N] [--no-plots]
 
 Exit codes: 0 pass; 2 certified property failure (witness written);
 3 numerical non-convergence; 4 input error; audit: 1 on any suite failure.
@@ -368,7 +368,7 @@ _TASKS = {
 }
 
 
-def run_scenario(path, out_dir=None, tol=None, seed=None, threads=1, plots=True):
+def run_scenario(path, out_dir=None, tol=None, seed=None, plots=True):
     sc = json.loads(Path(path).read_text())
     _validate(sc, _load_schema())
     if seed is not None:
@@ -390,7 +390,6 @@ def run_scenario(path, out_dir=None, tol=None, seed=None, threads=1, plots=True)
         sc, M, F, params, out_dir, plots)
     payload["scenario"] = {k: v for k, v in sc.items() if k not in ("out", "_policy")}
     payload["version"] = __version__
-    payload["threads"] = threads
     if tol is not None:
         payload["tol_override"] = tol
     write_report(out_dir, payload, certs, arrays, plot_specs,
@@ -546,7 +545,7 @@ def solver_oracle_suite(seed=0) -> Certificate:
     return cert
 
 
-def run_audit(out_dir="out_audit", seed=0, threads=1, plots=True):
+def run_audit(out_dir="out_audit", seed=0, plots=True):
     suites = [
         duality_involution_suite(seed=seed),
         garding_identity_suite(seed=seed),
@@ -578,18 +577,13 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--no-plots", action="store_true")
     args = ap.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 4
     try:
         if args.cmd == "run":
             return run_scenario(args.scenario, args.out, args.tol, args.seed,
-                                args.threads, not args.no_plots)
-        return run_audit(args.out or "out_audit", args.seed or 0,
-                         args.threads, not args.no_plots)
+                                not args.no_plots)
+        return run_audit(args.out or "out_audit", args.seed or 0, not args.no_plots)
     except (InputError, FileNotFoundError, json.JSONDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 4

@@ -3,8 +3,8 @@
 The discrete scheme: at every interior node, solve the scalar equation
 G(x, r, p(u), A(u)) = 0 for the node value r by bisection (G is monotone
 in the node value through (N) and the negative center coefficient of the
-second difference; the gradient entry is lagged), sweeping nodes in
-lexicographic order alternating with its reverse.  Iterates started from
+second difference; the gradient entry is lagged), in red-black order on
+line grids and all at once (Jacobi) elsewhere.  Iterates started from
 a verified discrete subsolution increase monotonically, mirroring the
 Perron supremum.  Obstacle problems clamp each node update at the
 obstacle value.
@@ -15,10 +15,12 @@ a direct tridiagonal presolve is admitted as a warm start after an honest
 verification that it is a discrete subsolution.  The pointwise max of all
 verified candidates is used when it verifies itself.
 
-Engines: numba-jitted Gauss-Seidel sweeps on line (radial / 1-D) grids
-with a lowered program; a vectorized red-black numpy twin (env flag
-SUBEQ_NUMBA=0); and a generic Jacobi engine driven by the subequation
-tree for box grids and non-catalog members.
+Solve core: perron_dirichlet and solve_obstacle share one set-up and one
+iteration loop (_solve, _iterate) and differ only in their caps and
+certificate.  Two engines supply the sweeps: on line (radial / 1-D) grids
+with a subequation that lowers (_ir.lower), vectorized red-black node
+solves over the closed-form line evaluator ("numpy"); otherwise Jacobi
+node solves driven by the subequation tree ("generic").
 """
 from __future__ import annotations
 
@@ -27,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _ir
 from . import _kernels as K
-from ._ir import lower
 from .certificates import Certificate
 from .errors import (
     ConvergenceError,
@@ -71,7 +73,7 @@ class SchemeParams:
     init: object = "auto"              # "auto" | "constant" | ndarray (strict)
     warm_starts: tuple = ()            # extra candidate arrays, verified non-strictly
     residual_every: int = 64
-    force_engine: str | None = None    # "numba" | "numpy" | "generic"
+    force_engine: str | None = None    # None (automatic) | "numpy" | "generic"
 
 
 @dataclass
@@ -294,144 +296,120 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
 # ---------------------------------------------------------------------------
 
 
-def _pick_engine(spec: ProblemSpec, program):
+def _pick_engine(spec: ProblemSpec, g):
+    """The line engine when the grid is a line and F lowers, else generic."""
     forced = spec.scheme.force_engine
-    if forced is not None:
-        return forced
-    if _is_line(spec.M) and program is not None:
-        return "numba" if K.NUMBA_ENABLED else "numpy"
-    return "generic"
+    if forced not in (None, "numpy", "generic"):
+        raise InputError(f"unknown engine {forced!r}: use None, 'numpy' or 'generic'")
+    line = _is_line(spec.M) and g is not None
+    if forced == "numpy" and not line:
+        raise InputError("the numpy engine needs a radial or 1-D grid and a "
+                         "subequation that lowers to the line evaluator")
+    return forced or ("numpy" if line else "generic")
 
 
-def _iterate(spec: ProblemSpec, u, caps, engine, program):
-    M = spec.M
+def _iterate(spec: ProblemSpec, u, caps, engine, g):
+    """Monotone sweeps from the subsolution u up to the discrete fixed point.
+
+    The engine supplies one sweep and the scheme residual at its nodes;
+    convergence and acceptance are decided here for both engines.
+    """
     conv_tol = spec.conv_tol()
     band = 0.45 * spec.membership_tol()
     gtol = min(band, 1e-9)
     veps = spec.policy.root_value_tol
-    damping = spec.scheme.damping
-    order = M.interior_ids.astype(np.int64)
-    steps = np.full(M.n_nodes, 1e-3 * (1.0 + float(np.abs(u).max())))
+    if engine == "numpy":
+        ids, sweep, residual = _line_engine(spec, u, caps, g, gtol, veps)
+    else:
+        ids, sweep, residual = _generic_engine(spec, u, caps, gtol, veps)
     trace = []
     min_signed = 0.0
-    res_worst = np.inf
+    max_ch = res_worst = np.inf
     sweeps = 0
     check_every = max(1, spec.scheme.residual_every)
-
-    if engine in ("numba", "numpy") and program is None:
-        raise InputError("line engines need a lowerable subequation")
-
-    if engine == "generic":
-        return _iterate_generic(spec, u, caps, trace)
-
-    hL, hR, ang, m = _line_ctx(M)
-    P = program
-    args = (P.ops, P.ipar, P.fpar, P.pk, P.pa, P.toff, P.tlen, P.tx, P.ty,
-            P.apk, P.app, P.gstack)
-    colors = [order[0::2], order[1::2]]
     free_band = 10 * conv_tol
     zero_streak = 0
     while sweeps < spec.scheme.max_sweeps:
-        if engine == "numba":
-            cur_order = order if sweeps % 2 == 0 else order[::-1]
-            max_ch, min_ch = K.sweep_line(u, cur_order, hL, hR, ang, caps, steps,
-                                          damping, *args, m, gtol, veps)
-        else:
-            max_ch, min_ch = K.sweep_line_numpy(u, colors, hL, hR, ang, caps, steps,
-                                                damping, P.as_tuple(), m, gtol, veps)
+        max_ch, min_ch = sweep()
         sweeps += 1
         min_signed = min(min_signed, min_ch)
         zero_streak = zero_streak + 1 if max_ch == 0.0 else 0
         if sweeps % check_every == 0 or (max_ch <= conv_tol and zero_streak >= 3):
-            if engine == "numba":
-                res = np.empty(order.size)
-                K.residual_line(u, order, hL, hR, ang, *args, m, res)
-            else:
-                res = K.residual_line_numpy(u, order, hL, hR, ang, P.as_tuple(), m)
-            free = u[order] < caps[order] - free_band
+            res = residual()
+            free = u[ids] < caps[ids] - free_band
             res_worst = float(np.abs(res[free]).max(initial=0.0))
             res_worst = max(res_worst, float(np.maximum(-res[~free], 0.0).max(initial=0.0)))
             trace.append({"sweep": sweeps, "max_change": max_ch, "residual": res_worst})
-            if max_ch <= conv_tol and res_worst <= band:
-                return u, {"sweeps": sweeps, "engine": engine, "trace": trace,
-                           "min_signed_change": min_signed, "residual_worst": res_worst,
-                           "scheme_residuals": (order, res)}
-            if zero_streak >= 3:
+            if not (max_ch <= conv_tol and res_worst <= band):
+                if zero_streak < 3:
+                    continue
                 # exact sweep-invariance: the discrete fixed point at the
-                # root-resolution floor; accept within the full band
-                if res_worst <= spec.membership_tol():
-                    trace.append({"sweep": sweeps, "note": "fixed point at roundoff floor"})
-                    return u, {"sweeps": sweeps, "engine": engine, "trace": trace,
-                               "min_signed_change": min_signed, "residual_worst": res_worst,
-                               "scheme_residuals": (order, res)}
-                break
+                # root-resolution floor; accept within the full band (a NaN
+                # residual is not accepted)
+                if not res_worst <= spec.membership_tol():
+                    break
+                trace.append({"sweep": sweeps, "note": "fixed point at roundoff floor"})
+            return u, {"sweeps": sweeps, "engine": engine, "trace": trace,
+                       "min_signed_change": min_signed, "residual_worst": res_worst,
+                       "scheme_residuals": (ids, res)}
     raise ConvergenceError(
-        f"no convergence in {sweeps} sweeps "
-        f"(last max_change={max_ch:.3e}, residual={res_worst:.3e})",
+        f"no convergence in {sweeps} sweeps ({engine} engine, "
+        f"last max_change={max_ch:.3e}, residual={res_worst:.3e})",
         diagnostics={"trace": trace[-20:]},
     )
 
 
-def _iterate_generic(spec: ProblemSpec, u, caps, trace):
-    M, F = spec.M, spec.F
-    conv_tol = spec.conv_tol()
-    band = 0.45 * spec.membership_tol()
-    gtol = min(band, 1e-9)
-    veps = spec.policy.root_value_tol
-    damping = spec.scheme.damping
-    scheme = _jet_scheme(M, spec.scheme)
+def _line_engine(spec: ProblemSpec, u, caps, g, gtol, veps):
+    """Red-black node solves over the interior of a line grid, lowered F."""
+    hL, hR, ang, _ = _line_ctx(spec.M)
+    order = spec.M.interior_ids.astype(np.int64)
+    colors = [order[0::2], order[1::2]]
+    steps = np.full(spec.M.n_nodes, 1e-3 * (1.0 + float(np.abs(u).max())))
+
+    def sweep():
+        return K.sweep_line_numpy(u, colors, hL, hR, ang, caps, steps,
+                                  spec.scheme.damping, g, gtol, veps)
+
+    def residual():
+        return K.residual_line_numpy(u, order, hL, hR, ang, g)
+
+    return order, sweep, residual
+
+
+def _generic_engine(spec: ProblemSpec, u, caps, gtol, veps):
+    """Jacobi node solves on any grid, driven by the subequation tree."""
+    M, F, sp = spec.M, spec.F, spec.scheme
+    scheme = _jet_scheme(M, sp)
     if isinstance(M, FlatBox) and scheme == "monotone-wide":
-        ids = M.interior_ids_depth(spec.scheme.stencil_radius)
+        ids = M.interior_ids_depth(sp.stencil_radius)
     else:
         ids = M.interior_ids
-    dA = _center_sensitivity(M, ids, scheme, spec.scheme)
+    dA = _center_sensitivity(M, ids, scheme, sp)
     gf = GridFunction(M, u)  # shares the array; jets follow in-place updates
     steps = np.full(ids.size, 1e-3 * (1.0 + float(np.abs(u).max())))
-    min_signed = 0.0
-    sweeps = 0
-    check_every = max(1, spec.scheme.residual_every)
-    free_band = 10 * conv_tol
-    zero_streak = 0
-    res_worst = np.inf
-    while sweeps < spec.scheme.max_sweeps:
-        _, r0, p0, A0 = batch_jets(gf, ids, scheme, spec.scheme.stencil_radius,
-                                   spec.scheme.directions)
+
+    def jets():
+        _, r, p, A = batch_jets(gf, ids, scheme, sp.stencil_radius, sp.directions)
+        return r, p, A
+
+    def sweep():
+        r0, p0, A0 = jets()
 
         def G(v):
             return F.value(ids, v, p0, A0 + (v - r0)[:, None, None] * dA)
 
         v = K.vector_node_solve(G, r0, caps[ids], steps, gtol, veps)
-        if damping != 1.0:
-            v = np.minimum(r0 + damping * (v - r0), caps[ids])
+        if sp.damping != 1.0:
+            v = np.minimum(r0 + sp.damping * (v - r0), caps[ids])
         ch = v - r0
-        steps = np.maximum(4.0 * np.abs(ch), 1e-9)
-        min_signed = min(min_signed, float(ch.min(initial=0.0)))
+        steps[:] = np.maximum(4.0 * np.abs(ch), 1e-9)
         u[ids] = v
-        sweeps += 1
-        max_ch = float(np.abs(ch).max(initial=0.0))
-        zero_streak = zero_streak + 1 if max_ch == 0.0 else 0
-        if sweeps % check_every == 0 or (max_ch <= conv_tol and zero_streak >= 3):
-            _, r1, p1, A1 = batch_jets(gf, ids, scheme, spec.scheme.stencil_radius,
-                                       spec.scheme.directions)
-            res = F.value(ids, r1, p1, A1)
-            free = u[ids] < caps[ids] - free_band
-            res_worst = float(np.abs(res[free]).max(initial=0.0))
-            res_worst = max(res_worst, float(np.maximum(-res[~free], 0.0).max(initial=0.0)))
-            trace.append({"sweep": sweeps, "max_change": max_ch, "residual": res_worst})
-            if max_ch <= conv_tol and res_worst <= band:
-                return u, {"sweeps": sweeps, "engine": "generic", "trace": trace,
-                           "min_signed_change": min_signed, "residual_worst": res_worst,
-                           "scheme_residuals": (ids, res)}
-            if zero_streak >= 3:
-                if res_worst <= spec.membership_tol():
-                    return u, {"sweeps": sweeps, "engine": "generic", "trace": trace,
-                               "min_signed_change": min_signed, "residual_worst": res_worst,
-                               "scheme_residuals": (ids, res)}
-                break
-    raise ConvergenceError(
-        f"no convergence in {sweeps} sweeps (generic engine)",
-        diagnostics={"trace": trace[-20:]},
-    )
+        return float(np.abs(ch).max(initial=0.0)), float(ch.min(initial=0.0))
+
+    def residual():
+        return F.value(ids, *jets())
+
+    return ids, sweep, residual
 
 
 def _center_sensitivity(M, ids, scheme, sp: SchemeParams):
@@ -483,6 +461,34 @@ def _comparison_regime(F: Subequation) -> str:
     return "weak"
 
 
+def _solve(spec: ProblemSpec, caps):
+    """The solve core: boundary data, verified initial subsolution, lowering,
+    engine choice and the monotone iteration, with node values capped at caps.
+
+    Returns (u, info, ids, res): the iterate, the iteration summary with the
+    init label, and the interior nodes with the defining values at their
+    centred discrete jets.
+    """
+    M = spec.M
+    bvals = boundary_values(M, spec.boundary)
+    bd = ~M.interior_mask
+    if np.any(bvals[bd] > caps[bd] + 1e-12):
+        raise PreconditionError("boundary data must satisfy phi <= g on the boundary")
+    g = _ir.lower(spec.F, M.n_nodes)
+    engine = _pick_engine(spec, g)
+    u0, init_label = _initial_subsolution(spec, bvals, caps)
+    u, info = _iterate(spec, u0.copy(), caps, engine, g)
+    info["init"] = init_label
+    ids, res = _interior_residual(spec.F, M, u, spec.scheme)
+    return u, info, ids, res
+
+
+def _solve_params(spec: ProblemSpec, info) -> dict:
+    return {"engine": info["engine"], "init": info["init"],
+            "comparison_regime": _comparison_regime(spec.F),
+            "monotone_iterates": bool(info["min_signed_change"] >= -1e-12)}
+
+
 def perron_dirichlet(spec: ProblemSpec):
     """Solve the Dirichlet problem for F on M; returns (u, certificate).
 
@@ -492,18 +498,9 @@ def perron_dirichlet(spec: ProblemSpec):
     comparison-regime note.
     """
     t0 = time.perf_counter()
-    bvals = boundary_values(spec.M, spec.boundary)
-    caps = np.full(spec.M.n_nodes, np.inf)
     if spec.obstacle is not None:
         return solve_obstacle(spec)
-    u0, init_label = _initial_subsolution(spec, bvals, caps)
-    program = lower(spec.F, spec.M.n_nodes)
-    engine = _pick_engine(spec, program)
-    if engine in ("numba", "numpy") and program is None:
-        engine = "generic"
-    u, info = _iterate(spec, u0.copy(), caps, engine, program)
-    gf = GridFunction(spec.M, u)
-    ids, res = _interior_residual(spec.F, spec.M, u, spec.scheme)
+    u, info, ids, res = _solve(spec, np.full(spec.M.n_nodes, np.inf))
     tol = spec.membership_tol()
     _, sres = info["scheme_residuals"]
     worst = float(np.abs(sres).max(initial=0.0))
@@ -515,17 +512,14 @@ def perron_dirichlet(spec: ProblemSpec):
                "membership": float(-res.min(initial=0.0)),
                "dual_membership": float(np.maximum(sres, 0.0).max(initial=0.0))},
         counts={"interior_nodes": ids.size, "sweeps": info["sweeps"]},
-        params={"engine": info["engine"], "init": init_label,
-                "comparison_regime": _comparison_regime(spec.F),
-                "monotone_iterates": bool(info["min_signed_change"] >= -1e-12),
-                "conv_tol": spec.conv_tol()},
+        params={**_solve_params(spec, info), "conv_tol": spec.conv_tol()},
         residuals={"membership": res, "dual": -res},
         trace=info["trace"][-50:],
         wall_time=time.perf_counter() - t0,
     )
     if _comparison_regime(spec.F) == "weak":
         cert.notes.append("comparison regime 'weak': uniqueness not guaranteed for this profile")
-    return gf, cert
+    return GridFunction(spec.M, u), cert
 
 
 def solve_obstacle(spec: ProblemSpec):
@@ -540,19 +534,7 @@ def solve_obstacle(spec: ProblemSpec):
     if spec.obstacle is None:
         raise InputError("solve_obstacle needs spec.obstacle")
     g = spec.obstacle.values
-    bvals = boundary_values(spec.M, spec.boundary)
-    bd = ~spec.M.interior_mask
-    if np.any(bvals[bd] > g[bd] + 1e-12):
-        raise PreconditionError("boundary data must satisfy phi <= g on the boundary")
-    caps = g.copy()
-    u0, init_label = _initial_subsolution(spec, bvals, caps)
-    program = lower(spec.F, spec.M.n_nodes)
-    engine = _pick_engine(spec, program)
-    if engine in ("numba", "numpy") and program is None:
-        engine = "generic"
-    u, info = _iterate(spec, u0.copy(), caps, engine, program)
-    gf = GridFunction(spec.M, u)
-    ids, res = _interior_residual(spec.F, spec.M, u, spec.scheme)
+    u, info, ids, res = _solve(spec, g.copy())
     tol = spec.membership_tol()
     gap = g[ids] - u[ids]
     _, sres = info["scheme_residuals"]
@@ -582,14 +564,12 @@ def solve_obstacle(spec: ProblemSpec):
         },
         counts={"interior_nodes": ids.size, "contact_nodes": int(contact.sum()),
                 "sweeps": info["sweeps"]},
-        params={"engine": info["engine"], "init": init_label,
-                "comparison_regime": _comparison_regime(spec.F),
-                "monotone_iterates": bool(info["min_signed_change"] >= -1e-12)},
+        params=_solve_params(spec, info),
         residuals={"membership": res, "obstacle_gap": gap, "complementarity": comp},
         trace=info["trace"][-50:],
         wall_time=time.perf_counter() - t0,
     )
-    return gf, cert
+    return GridFunction(spec.M, u), cert
 
 
 def _dilate(M: ModelManifold, ids, mask):

@@ -1,14 +1,12 @@
 """Acceptance criteria, one test per criterion, at the stated tolerances.
 
 Run with `pytest tests/test_acceptance.py -s` to see one pass/fail line per
-criterion.  Runtimes are wall-clock after a one-time jit warmup (compiled
-kernels are disk-cached; the warmup fixture touches every hot kernel).
+criterion.  Runtimes are wall-clock.
 """
 import json
 import time
 
 import numpy as np
-import pytest
 
 from subeq import (
     FlatBox,
@@ -54,18 +52,6 @@ def report(idx, label, passed, elapsed, detail=""):
     state = "PASS" if passed else "FAIL"
     print(f"\n[{state}] criterion {idx:>2}: {label} ({elapsed:.2f} s) {detail}")
     assert passed, f"criterion {idx}: {label}: {detail}"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warmup():
-    # touch the jit kernels once so criterion timings measure the algorithms
-    # (one compiled sweep handles every lowered program: same signatures)
-    M = RadialModel.uniform(2, "sinh", 1.0, 5.0, 41)
-    perron_dirichlet(ProblemSpec(laplace(LIN, m=2), M, {"inner": 0.0, "outer": -1.0}))
-    g = GridFunction(M, np.zeros(M.n_nodes))
-    solve_obstacle(ProblemSpec(laplace(LIN, m=2), M,
-                               {"inner": 0.0, "outer": -1.0}, obstacle=g))
-    yield
 
 
 def catalog(m):

@@ -101,30 +101,6 @@ class TestRun:
         assert main(["run", sc, "--out", str(tmp_path / "out")]) == 0
 
 
-class TestEnvFlag:
-    def test_numba_disabled_via_env(self, tmp_path):
-        # SUBEQ_NUMBA=0 selects the pure-numpy sweep twin
-        import subprocess
-        import sys
-        code = (
-            "import os; os.environ['SUBEQ_NUMBA']='0';\n"
-            "from subeq._kernels import NUMBA_ENABLED\n"
-            "assert not NUMBA_ENABLED\n"
-            "import numpy as np\n"
-            "from subeq import RadialModel, ProblemSpec, perron_dirichlet, laplace\n"
-            "from subeq.profiles import Profile\n"
-            "M = RadialModel.uniform(3, 'euclidean', 1.0, 2.0, 41)\n"
-            "u, c = perron_dirichlet(ProblemSpec(laplace(Profile.linear(0.0), m=3), M,"
-            " {'inner': 1.0, 'outer': 0.0}))\n"
-            "assert c.params['engine'] == 'numpy', c.params\n"
-            "print(np.abs(u.values - (2/M.r - 1)).max())\n"
-        )
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, timeout=240)
-        assert out.returncode == 0, out.stderr
-        assert float(out.stdout.strip()) < 5e-3
-
-
 class TestParsers:
     def test_profile_kinds(self):
         assert parse_profile({"kind": "linear", "slope": 2.0})(3.0) == 6.0

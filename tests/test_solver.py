@@ -3,7 +3,7 @@ comparison checks, barriers, and engine equivalence."""
 import numpy as np
 import pytest
 
-from subeq.errors import InitializationError, PreconditionError
+from subeq.errors import ConvergenceError, InitializationError, InputError, PreconditionError
 from subeq.manifolds import FlatBox, GridFunction, PuncturedEuclidean, RadialModel
 from subeq.profiles import Profile
 from subeq.solver import (
@@ -23,6 +23,8 @@ from subeq.subequations import (
     inf_laplacian,
     intersect,
     laplace,
+    linear_jetequiv,
+    sigma_branch,
     union,
 )
 
@@ -77,6 +79,14 @@ class TestDirichletOracles:
         with pytest.raises(InitializationError):
             perron_dirichlet(ProblemSpec(F, M, {"side": lambda x: 5.0 * x}))
 
+    def test_nan_fixed_point_not_accepted(self):
+        # lambda_max = mu_3^(3) on this radial grid runs away to inf; the
+        # sweep-invariant state with a NaN residual must not be certified
+        M = RadialModel.uniform(3, "euclidean", 1.0, 2.0, 11)
+        F = sigma_branch(3, 3, LIN, m=3)
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="residual=nan"):
+            perron_dirichlet(ProblemSpec(F, M, {"inner": 1.0, "outer": 0.0}))
+
     def test_weak_regime_noted(self):
         M = FlatBox(1, [(0.0, 1.0)], 1 / 20)
         _, cert = perron_dirichlet(ProblemSpec(laplace(ZERO, m=1), M, {"side": 0.0}))
@@ -90,20 +100,14 @@ class TestDirichletOracles:
 
 
 class TestEngines:
-    def test_numpy_matches_numba(self):
-        from subeq._kernels import NUMBA_ENABLED
+    def test_line_engine_from_constant_init(self):
         M = RadialModel.uniform(2, "sinh", 1.0, 6.0, 101)
         F = laplace(LIN, m=2)
-        sols = {}
-        engines = ["numpy"] + (["numba"] if NUMBA_ENABLED else [])
-        for eng in engines:
-            u, cert = perron_dirichlet(ProblemSpec(
-                F, M, {"inner": 0.0, "outer": -1.0},
-                scheme=SchemeParams(init="constant", force_engine=eng)))
-            sols[eng] = u.values
-            assert cert.passed, eng
-        if len(sols) == 2:
-            assert np.abs(sols["numba"] - sols["numpy"]).max() <= 10 * 1e-8
+        u, cert = perron_dirichlet(ProblemSpec(
+            F, M, {"inner": 0.0, "outer": -1.0},
+            scheme=SchemeParams(init="constant", force_engine="numpy")))
+        assert cert.passed
+        assert cert.params["engine"] == "numpy"
 
     def test_generic_engine_matches_line(self):
         M = RadialModel.uniform(2, "sinh", 1.0, 6.0, 61)
@@ -114,6 +118,37 @@ class TestEngines:
         u2, _ = perron_dirichlet(ProblemSpec(F, M, {"inner": 0.0, "outer": -1.0}))
         assert c1.params["engine"] == "generic"
         assert np.abs(u1.values - u2.values).max() <= 10 * 1e-8
+
+    def test_unknown_engine_rejected(self):
+        M = RadialModel.uniform(2, "sinh", 1.0, 6.0, 21)
+        scheme = SchemeParams(force_engine="nmupy")
+        with pytest.raises(InputError, match="unknown engine"):
+            perron_dirichlet(ProblemSpec(laplace(LIN, m=2), M,
+                                         {"inner": 0.0, "outer": -1.0}, scheme=scheme))
+        with pytest.raises(InputError, match="unknown engine"):
+            solve_obstacle(ProblemSpec(laplace(LIN, m=2), M, {"inner": 0.0, "outer": -1.0},
+                                       obstacle=GridFunction(M, np.zeros(M.n_nodes)),
+                                       scheme=scheme))
+
+    def test_line_engine_needs_a_lowered_tree(self):
+        # a jet-equivalence does not lower: automatic choice runs generic,
+        # a forced line engine is an input error, not a silent downgrade
+        M = RadialModel.uniform(2, "sinh", 1.0, 3.0, 21)
+        F = linear_jetequiv(np.eye(2), f=LIN)
+        bc = {"inner": 0.0, "outer": -1.0}
+        _, cert = perron_dirichlet(ProblemSpec(F, M, bc))
+        assert cert.params["engine"] == "generic"
+        with pytest.raises(InputError, match="numpy engine"):
+            perron_dirichlet(ProblemSpec(F, M, bc, scheme=SchemeParams(force_engine="numpy")))
+        with pytest.raises(InputError, match="numpy engine"):
+            solve_obstacle(ProblemSpec(F, M, bc, obstacle=GridFunction(M, np.zeros(M.n_nodes)),
+                                       scheme=SchemeParams(force_engine="numpy")))
+
+    def test_line_engine_needs_a_line_grid(self):
+        M = FlatBox(2, [(0.0, 1.0), (0.0, 1.0)], 1 / 4)
+        with pytest.raises(InputError, match="numpy engine"):
+            perron_dirichlet(ProblemSpec(laplace(LIN, m=2), M, {"side": 0.0},
+                                         scheme=SchemeParams(force_engine="numpy")))
 
     def test_flatbox_2d_manufactured(self):
         # Delta u = u has solution e^x on any box

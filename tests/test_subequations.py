@@ -425,3 +425,93 @@ class TestProfiles:
         negative_xi = Profile.linear(1.0)
         with pytest.raises(ConstructionError):
             eikonal(negative_xi, m=2)
+
+
+class TestLineEvaluator:
+    """The lowered line evaluator against the tree evaluator at radial jets
+    p = (du, 0, ...), A = diag(d2, aa, ..., aa), with the gradient-constraint
+    slot gdn = |du| (the centred reading of the upwind gradient)."""
+
+    N = 400
+
+    def radial_jets(self, rng, m):
+        n = self.N
+        v = 2.0 * rng.standard_normal(n)
+        du = 2.0 * rng.standard_normal(n)
+        du[::7] = 0.0  # the p = 0 fiber of the gradient-singular members
+        d2 = 2.0 * rng.standard_normal(n)
+        aa = 2.0 * rng.standard_normal(n)
+        aa[::5] = d2[::5]  # ties between the radial and angular eigenvalues
+        p = np.zeros((n, m))
+        p[:, 0] = du
+        A = np.zeros((n, m, m))
+        A[:, 0, 0] = d2
+        for k in range(1, m):
+            A[:, k, k] = aa
+        return v, du, aa, d2, p, A
+
+    def members(self, m, rng):
+        ftab = Profile.table([-2.0, 0.0, 1.0, 3.0], [-4.0, 0.0, 0.5, 2.0])
+        out = [whole_space(m), laplace(ftab, m=m)]
+        out += catalog(m)
+        out += [hessian_branch(k, LIN, m=m) for k in range(1, m + 1)]
+        out += [plurisub_trace(k, ftab, m=m) for k in range(1, m + 1)]
+        # k <= 2 only: for k >= 3 the root -aa of sigma_k(A + tI) is repeated,
+        # where the tree's Garding root finder is accurate to ~1e-5 only
+        # (test_sigma_top_order_is_hessian covers k = m)
+        out += [sigma_branch(j, k, LIN, m=m)
+                for k in range(1, min(2, m) + 1) for j in range(1, k + 1)]
+        out += [quasilinear(AProfile.constant(2.0), LIN, m=m),
+                quasilinear(AProfile.k_laplacian(2.0), ZERO, m=m)]
+        g = rng.standard_normal(self.N)
+        out += [
+            intersect(laplace(LIN, m=m), eikonal(XI1, m=m)),
+            union(hessian_branch(1, LIN, m=m), inf_laplacian(ZERO, m=m),
+                  below_zero_cap(m)),
+            obstacle(sigma_branch(1, min(2, m), LIN, m=m), g),
+            obstacle(laplace(LIN, m=m), 0.25),
+            eikonal_relaxed(XI1, np.abs(g), m=m),
+            intersect(laplace(LIN, m=m), eikonal_relaxed(1.0, np.abs(g), m=m)),
+        ]
+        return out
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_lowered_matches_tree(self, m):
+        from subeq._ir import lower
+        rng = np.random.default_rng(40 + m)
+        v, du, aa, d2, p, A = self.radial_jets(rng, m)
+        nodes = np.arange(self.N)
+        # the same holds for the coinciding roots at d2 = aa, so the sigma
+        # members are compared where the two eigenvalues are apart
+        apart = np.abs(d2 - aa) > 0.1
+        for F in self.members(m, rng):
+            for G in (F, dual(F)):
+                g = lower(G, self.N)
+                assert g is not None, G.meta.tag
+                want = G.value(nodes, v, p, A)
+                got = g(nodes, v, du, aa, d2, np.abs(du))
+                keep = apart if "sigma" in G.meta.tag else slice(None)
+                assert np.abs(got - want)[keep].max() <= 1e-9, G.meta.tag
+
+    def test_not_lowered(self):
+        from subeq._ir import lower
+        assert lower(linear_jetequiv(np.eye(2)), 10) is None
+        assert lower(intersect(laplace(LIN, m=2), linear_jetequiv(np.eye(2))), 10) is None
+        # per-node rows of another grid's length
+        assert lower(obstacle(laplace(LIN, m=2), np.zeros(7)), 10) is None
+        assert lower(eikonal_relaxed(1.0, np.ones(7), m=2), 10) is None
+        custom = AProfile("custom", a=lambda t: 1.0 + 0.0 * t, da=lambda t: 0.0 * t)
+        assert lower(quasilinear(custom, LIN, m=2), 10) is None
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_sigma_top_order_is_hessian(self, m):
+        # mu_j^(m)(A) = lambda_j(A): the lowered sigma branches of top order
+        # against the tree's symmetric eigenvalues
+        from subeq._ir import lower
+        rng = np.random.default_rng(50 + m)
+        v, du, aa, d2, p, A = self.radial_jets(rng, m)
+        nodes = np.arange(self.N)
+        for j in range(1, m + 1):
+            got = lower(sigma_branch(j, m, LIN, m=m), self.N)(nodes, v, du, aa, d2, np.abs(du))
+            want = hessian_branch(j, LIN, m=m).value(nodes, v, p, A)
+            assert np.abs(got - want).max() <= 1e-9, j
