@@ -74,7 +74,7 @@ def _upwind(v, uL, uR, hl, hr):
     return np.maximum(np.maximum((v - uL) / hl, (v - uR) / hr), 0.0)
 
 
-def sweep_line_numpy(u, colors, hL, hR, angc, caps, steps, damping, g, gtol, veps):
+def sweep_line_numpy(u, colors, hL, hR, angc, caps, steps, g, gtol, veps):
     """Red-black sweep: per color, vectorized bracket + bisection node solves.
 
     The second difference is affine in the node value, d2 = b0 - bC v, and
@@ -93,8 +93,6 @@ def sweep_line_numpy(u, colors, hL, hR, angc, caps, steps, damping, g, gtol, vep
             return g(ids, v, du, aa, b0 - bC * v, _upwind(v, uL, uR, hl, hr))
 
         v = vector_node_solve(G, v0, cap, steps[ids], gtol, veps)
-        if damping != 1.0:
-            v = np.minimum(v0 + damping * (v - v0), cap)
         ch = v - v0
         max_ch = max(max_ch, float(np.abs(ch).max(initial=0.0)))
         min_ch = min(min_ch, float(ch.min(initial=0.0)))

@@ -255,7 +255,7 @@ def _task_khasminskii(sc, M, F, params, out_dir, plots):
                      radii=tuple(params["radii"]) if "radii" in params else (),
                      psi_count=params.get("psi_count", 2))
     xi = parse_profile(params["xi"]) if "xi" in params else None
-    w, cert = build_potential(F, pair, sched, xi=xi)
+    w, cert = build_potential(F, pair, sched, xi=xi, policy=_policy_of(sc))
     payload = {"task": "khasminskii", "passed": cert.passed,
                "stages": cert.trace}
     arrays = {"w": {"r": M.r, "w": w.values, "h": h}}
@@ -267,7 +267,7 @@ def _task_khasminskii(sc, M, F, params, out_dir, plots):
 def _task_ahlfors(sc, M, F, params, out_dir, plots):
     verdicts, summary = ahlfors_falsification_suite(
         F, M, params.get("r_K", float(M.r[1])),
-        n_random=params.get("n_random", 8), seed=sc.get("seed", 0))
+        n_random=params.get("n_random", 8), seed=sc.get("seed", 0), policy=_policy_of(sc))
     payload = {"task": "ahlfors", "summary": summary,
                "verdicts": [v.to_json_dict() for v in verdicts],
                "passed": summary["fails"] == 0}
@@ -282,7 +282,7 @@ def _task_ahlfors(sc, M, F, params, out_dir, plots):
 
 
 def _task_capacity(sc, M, F, params, out_dir, plots):
-    cap, trace = inf_capacity(params["r_K"], params["radii"], M)
+    cap, trace = inf_capacity(params["r_K"], params["radii"], M, policy=_policy_of(sc))
     mono = bool(np.all(np.diff(trace["lipschitz"]) <= 1e-10))
     payload = {"task": "capacity", "estimate": cap, "trace": trace,
                "monotone_trace": mono, "passed": mono}
@@ -328,7 +328,7 @@ def _task_garding_audit(sc, M, F, params, out_dir, plots):
 def _task_ekeland(sc, M, F, params, out_dir, plots):
     h = parse_fn(params.get("h", {"kind": "named", "name": "neg_log1p"}))(M.r)
     pair = PairKh(M, GridFunction(M, h))
-    w, cert = ekeland_potential(pair)
+    w, cert = ekeland_potential(pair, policy=_policy_of(sc))
     payload = {"task": "ekeland", "passed": cert.passed}
     arrays = {"w": {"r": M.r, "w": w.values, "h": h}}
     plot = [{"name": "potential", "series": [("w", M.r, w.values), ("h", M.r, h)],
@@ -347,7 +347,8 @@ def _task_log_transform(sc, M, F, params, out_dir, plots):
 
 def _task_punctured(sc, M, F, params, out_dir, plots):
     cert = punctured_example_check(params["m"], params.get("lam", 1.0),
-                                   M=M if isinstance(M, PuncturedEuclidean) else None)
+                                   M=M if isinstance(M, PuncturedEuclidean) else None,
+                                   tol=_policy_of(sc).membership_tol)
     payload = {"task": "punctured_check", "passed": cert.passed,
                "K_interval": cert.params["K_interval"]}
     return payload, [cert], {}, [], 0 if cert.passed else 3
@@ -368,6 +369,11 @@ _TASKS = {
 }
 
 
+# tasks whose checks carry fixed bounds of their own (identity, derivative
+# and O(h^2) witness bounds), not the membership / comparison tolerances
+_FIXED_TOL_TASKS = ("duality_audit", "garding_audit", "log_transform", "stochastic")
+
+
 def run_scenario(path, out_dir=None, tol=None, seed=None, plots=True):
     sc = json.loads(Path(path).read_text())
     _validate(sc, _load_schema())
@@ -375,6 +381,8 @@ def run_scenario(path, out_dir=None, tol=None, seed=None, plots=True):
         sc["seed"] = seed
     sc.setdefault("seed", 0)
     if tol is not None:
+        if sc["task"] in _FIXED_TOL_TASKS:
+            raise InputError(f"--tol does not apply to task '{sc['task']}'")
         sc["_policy"] = DEFAULT_POLICY.with_(membership_tol=tol, comparison_tol=tol)
     task = sc["task"]
     out_dir = Path(out_dir or sc.get("out", f"out_{task}"))
@@ -572,10 +580,10 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="cmd", required=True)
     runp = sub.add_parser("run", help="run a scenario file")
     runp.add_argument("scenario")
+    runp.add_argument("--tol", type=float, default=None)
     auditp = sub.add_parser("audit", help="run the built-in audit suites")
     for p in (runp, auditp):
         p.add_argument("--out", default=None)
-        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--no-plots", action="store_true")
     args = ap.parse_args(argv)

@@ -7,9 +7,9 @@ kernels are used throughout.
 
 Besides ordinary eigenvalues this module computes the branch eigenvalues
 mu_j^(k) of the elementary symmetric polynomial sigma_k: the negatives of
-the k real roots of t -> sigma_k(lambda(A) + t*(1,...,1)), found by
-bisection on the bracketed intervals that root interlacing of the
-derivative polynomial guarantees, plus a short Newton polish.
+the k real roots of t -> sigma_k(lambda(A) + t*(1,...,1)), found by 80
+bisection steps on the bracketed intervals that root interlacing of the
+derivative polynomial guarantees.
 """
 from __future__ import annotations
 

@@ -23,7 +23,7 @@ the psi_k solves are kept as the monotone-approximation trace.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,7 +100,6 @@ class Schedule:
     i_max: int = 3
     radii: tuple = ()          # exhaustion radii D_1 < D_2 < ... (< r_max)
     psi_count: int = 2         # continuous approximants per stage before the exact solve
-    scheme: SchemeParams = field(default_factory=SchemeParams)
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -256,12 +255,7 @@ def _run_stage(F, xi, eta_vals, M, pair, sched, radii, w_i, C_radius, i,
                 subM,
                 {"inner": 0.0, "outer": -(i + 1.0)},
                 obstacle=GridFunction(subM, gjk),
-                scheme=SchemeParams(
-                    warm_starts=tuple(cand),
-                    max_sweeps=sched.scheme.max_sweeps,
-                    membership_tol=sched.scheme.membership_tol,
-                    conv_tol=sched.scheme.conv_tol,
-                ),
+                scheme=SchemeParams(warm_starts=tuple(cand)),
                 policy=policy,
             )
             sol, c = solve_obstacle(spec)

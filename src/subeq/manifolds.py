@@ -235,6 +235,26 @@ class FlatBox(ModelManifold):
         return ids + int(np.dot(offset, self.strides))
 
 
+def _is_line(M: ModelManifold) -> bool:
+    """Radial models and 1-D boxes: one grid axis."""
+    return isinstance(M, _RadialBase) or (isinstance(M, FlatBox) and M.m == 1)
+
+
+def _grow_mask(M: ModelManifold, mask: np.ndarray) -> np.ndarray:
+    """The nodes of ``mask`` plus their neighbours one stencil step away."""
+    if isinstance(M, _RadialBase):
+        strides = [1]
+    elif isinstance(M, FlatBox):
+        strides = M.strides
+    else:
+        raise InputError("unsupported manifold kind")
+    out = mask.copy()
+    for s in strides:
+        out[:-s] |= mask[s:]
+        out[s:] |= mask[:-s]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # grid functions and exhaustions
 # ---------------------------------------------------------------------------

@@ -18,11 +18,11 @@ from .certificates import Certificate
 from .errors import InputError
 from .khasminskii import radial_khasminskii_test
 from .manifolds import (
-    FlatBox,
     GridFunction,
     ModelManifold,
     RadialModel,
     _RadialBase,
+    _grow_mask,
     volume_growth_test,
 )
 from .policy import DEFAULT_POLICY, NumericPolicy
@@ -66,18 +66,7 @@ class Verdict:
 def _boundary_of(M: ModelManifold, U: np.ndarray) -> np.ndarray:
     """Nodes bounding the open node set U: outside-U neighbors plus the
     manifold boundary inside U."""
-    edge = np.zeros(M.n_nodes, dtype=bool)
-    if isinstance(M, _RadialBase) or (isinstance(M, FlatBox) and M.m == 1):
-        strides = [1]
-    elif isinstance(M, FlatBox):
-        strides = list(M.strides)
-    else:
-        raise InputError("unsupported manifold kind")
-    for s in strides:
-        edge[:-s] |= U[s:] & ~U[:-s]
-        edge[s:] |= U[:-s] & ~U[s:]
-    edge |= U & ~M.interior_mask
-    return edge
+    return (~U & _grow_mask(M, U)) | (U & ~M.interior_mask)
 
 
 def ahlfors_violation_check(F_dual: Subequation, U, u: GridFunction,

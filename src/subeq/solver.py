@@ -4,8 +4,9 @@ The discrete scheme: at every interior node, solve the scalar equation
 G(x, r, p(u), A(u)) = 0 for the node value r by bisection (G is monotone
 in the node value through (N) and the negative center coefficient of the
 second difference; the gradient entry is lagged), in red-black order on
-line grids and all at once (Jacobi) elsewhere.  Iterates started from
-a verified discrete subsolution increase monotonically, mirroring the
+line grids and all at once (Jacobi) elsewhere.  Jets are the centred ones
+of ``batch_jets`` at every interior node.  Iterates started from a
+verified discrete subsolution increase monotonically, mirroring the
 Perron supremum.  Obstacle problems clamp each node update at the
 obstacle value.
 
@@ -20,7 +21,9 @@ iteration loop (_solve, _iterate) and differ only in their caps and
 certificate.  Two engines supply the sweeps: on line (radial / 1-D) grids
 with a subequation that lowers (_ir.lower), vectorized red-black node
 solves over the closed-form line evaluator ("numpy"); otherwise Jacobi
-node solves driven by the subequation tree ("generic").
+node solves driven by the subequation tree ("generic").  The loop checks
+the scheme residual after every sweep whose largest node change is within
+the policy's convergence_tol -- the only sweeps that can be accepted.
 """
 from __future__ import annotations
 
@@ -40,13 +43,12 @@ from .errors import (
 )
 from .jets import Jet, SymMatrix
 from .manifolds import (
-    FlatBox,
     GridFunction,
     ModelManifold,
     _RadialBase,
+    _grow_mask,
+    _is_line,
     batch_jets,
-    _ls_pinv,
-    _line_directions,
 )
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .subequations import Subequation, distance_to_boundary, dual as dual_of
@@ -62,17 +64,9 @@ from .subequations import (  # structural presolve detection
 
 @dataclass(frozen=True)
 class SchemeParams:
-    stencil: str = "centered"          # or "monotone-wide" (FlatBox only)
-    stencil_radius: int = 2
-    directions: int | None = None
-    sweep: str = "lex-alternating"
-    damping: float = 1.0
     max_sweeps: int = 2_000_000
-    conv_tol: float | None = None      # defaults to policy.convergence_tol
-    membership_tol: float | None = None
     init: object = "auto"              # "auto" | "constant" | ndarray (strict)
     warm_starts: tuple = ()            # extra candidate arrays, verified non-strictly
-    residual_every: int = 64
     force_engine: str | None = None    # None (automatic) | "numpy" | "generic"
 
 
@@ -86,11 +80,10 @@ class ProblemSpec:
     policy: NumericPolicy = DEFAULT_POLICY
 
     def conv_tol(self):
-        return self.scheme.conv_tol if self.scheme.conv_tol is not None else self.policy.convergence_tol
+        return self.policy.convergence_tol
 
     def membership_tol(self):
-        return (self.scheme.membership_tol if self.scheme.membership_tol is not None
-                else self.policy.membership_tol)
+        return self.policy.membership_tol
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +114,6 @@ def boundary_values(M: ModelManifold, boundary: dict) -> np.ndarray:
     return out
 
 
-def _is_line(M: ModelManifold) -> bool:
-    return isinstance(M, _RadialBase) or (isinstance(M, FlatBox) and M.m == 1)
-
-
 def _line_ctx(M: ModelManifold):
     if isinstance(M, _RadialBase):
         return M.hL, M.hR, M.ang_ratio, M.m
@@ -144,18 +133,9 @@ def _line_ctx(M: ModelManifold):
 # ---------------------------------------------------------------------------
 
 
-def _interior_residual(F, M, u_vals, scheme: SchemeParams):
-    gf = GridFunction(M, u_vals)
-    ids, r, p, A = batch_jets(gf, scheme=_jet_scheme(M, scheme),
-                              stencil_radius=scheme.stencil_radius,
-                              directions=scheme.directions)
+def _interior_residual(F, M, u_vals):
+    ids, r, p, A = batch_jets(GridFunction(M, u_vals))
     return ids, F.value(ids, r, p, A)
-
-
-def _jet_scheme(M, scheme: SchemeParams):
-    if isinstance(M, FlatBox) and M.m > 1 and scheme.stencil == "monotone-wide":
-        return "monotone-wide"
-    return "centered"
 
 
 def _try_presolve(F, M, bvals):
@@ -233,7 +213,7 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
     def admissible(vals, label):
         if np.any(vals[interior] > caps[interior] + 1e-14):
             return None
-        _, res = _interior_residual(F, M, vals, spec.scheme)
+        _, res = _interior_residual(F, M, vals)
         if res.size and res.min() < -verify_band:
             return None
         return label
@@ -324,37 +304,41 @@ def _iterate(spec: ProblemSpec, u, caps, engine, g):
         ids, sweep, residual = _generic_engine(spec, u, caps, gtol, veps)
     trace = []
     min_signed = 0.0
-    max_ch = res_worst = np.inf
+    max_ch = np.inf
     sweeps = 0
-    check_every = max(1, spec.scheme.residual_every)
     free_band = 10 * conv_tol
     zero_streak = 0
+
+    def worst(res):
+        free = u[ids] < caps[ids] - free_band
+        out = float(np.abs(res[free]).max(initial=0.0))
+        return max(out, float(np.maximum(-res[~free], 0.0).max(initial=0.0)))
+
     while sweeps < spec.scheme.max_sweeps:
         max_ch, min_ch = sweep()
         sweeps += 1
         min_signed = min(min_signed, min_ch)
         zero_streak = zero_streak + 1 if max_ch == 0.0 else 0
-        if sweeps % check_every == 0 or (max_ch <= conv_tol and zero_streak >= 3):
-            res = residual()
-            free = u[ids] < caps[ids] - free_band
-            res_worst = float(np.abs(res[free]).max(initial=0.0))
-            res_worst = max(res_worst, float(np.maximum(-res[~free], 0.0).max(initial=0.0)))
-            trace.append({"sweep": sweeps, "max_change": max_ch, "residual": res_worst})
-            if not (max_ch <= conv_tol and res_worst <= band):
-                if zero_streak < 3:
-                    continue
-                # exact sweep-invariance: the discrete fixed point at the
-                # root-resolution floor; accept within the full band (a NaN
-                # residual is not accepted)
-                if not res_worst <= spec.membership_tol():
-                    break
-                trace.append({"sweep": sweeps, "note": "fixed point at roundoff floor"})
-            return u, {"sweeps": sweeps, "engine": engine, "trace": trace,
-                       "min_signed_change": min_signed, "residual_worst": res_worst,
-                       "scheme_residuals": (ids, res)}
+        if not max_ch <= conv_tol:
+            continue  # no acceptance possible: skip the residual
+        res = residual()
+        res_worst = worst(res)
+        trace.append({"sweep": sweeps, "max_change": max_ch, "residual": res_worst})
+        if not res_worst <= band:
+            if zero_streak < 3:
+                continue
+            # exact sweep-invariance: the discrete fixed point at the
+            # root-resolution floor; accept within the full band (a NaN
+            # residual is not accepted)
+            if not res_worst <= spec.membership_tol():
+                break
+            trace.append({"sweep": sweeps, "note": "fixed point at roundoff floor"})
+        return u, {"sweeps": sweeps, "engine": engine, "trace": trace,
+                   "min_signed_change": min_signed, "residual_worst": res_worst,
+                   "scheme_residuals": (ids, res)}
     raise ConvergenceError(
         f"no convergence in {sweeps} sweeps ({engine} engine, "
-        f"last max_change={max_ch:.3e}, residual={res_worst:.3e})",
+        f"last max_change={max_ch:.3e}, residual={worst(residual()):.3e})",
         diagnostics={"trace": trace[-20:]},
     )
 
@@ -367,8 +351,7 @@ def _line_engine(spec: ProblemSpec, u, caps, g, gtol, veps):
     steps = np.full(spec.M.n_nodes, 1e-3 * (1.0 + float(np.abs(u).max())))
 
     def sweep():
-        return K.sweep_line_numpy(u, colors, hL, hR, ang, caps, steps,
-                                  spec.scheme.damping, g, gtol, veps)
+        return K.sweep_line_numpy(u, colors, hL, hR, ang, caps, steps, g, gtol, veps)
 
     def residual():
         return K.residual_line_numpy(u, order, hL, hR, ang, g)
@@ -378,18 +361,14 @@ def _line_engine(spec: ProblemSpec, u, caps, g, gtol, veps):
 
 def _generic_engine(spec: ProblemSpec, u, caps, gtol, veps):
     """Jacobi node solves on any grid, driven by the subequation tree."""
-    M, F, sp = spec.M, spec.F, spec.scheme
-    scheme = _jet_scheme(M, sp)
-    if isinstance(M, FlatBox) and scheme == "monotone-wide":
-        ids = M.interior_ids_depth(sp.stencil_radius)
-    else:
-        ids = M.interior_ids
-    dA = _center_sensitivity(M, ids, scheme, sp)
+    M, F = spec.M, spec.F
+    ids = M.interior_ids
+    dA = _center_sensitivity(M, ids)
     gf = GridFunction(M, u)  # shares the array; jets follow in-place updates
     steps = np.full(ids.size, 1e-3 * (1.0 + float(np.abs(u).max())))
 
     def jets():
-        _, r, p, A = batch_jets(gf, ids, scheme, sp.stencil_radius, sp.directions)
+        _, r, p, A = batch_jets(gf, ids)
         return r, p, A
 
     def sweep():
@@ -399,8 +378,6 @@ def _generic_engine(spec: ProblemSpec, u, caps, gtol, veps):
             return F.value(ids, v, p0, A0 + (v - r0)[:, None, None] * dA)
 
         v = K.vector_node_solve(G, r0, caps[ids], steps, gtol, veps)
-        if sp.damping != 1.0:
-            v = np.minimum(r0 + sp.damping * (v - r0), caps[ids])
         ch = v - r0
         steps[:] = np.maximum(4.0 * np.abs(ch), 1e-9)
         u[ids] = v
@@ -412,13 +389,11 @@ def _generic_engine(spec: ProblemSpec, u, caps, gtol, veps):
     return ids, sweep, residual
 
 
-def _center_sensitivity(M, ids, scheme, sp: SchemeParams):
-    """dA/dv: derivative of the assembled Hessian in the center value."""
-    m = M.m
-    if isinstance(M, _RadialBase) or (isinstance(M, FlatBox) and m == 1):
+def _center_sensitivity(M, ids):
+    """dA/dv: derivative of the centred Hessian in the center value."""
+    if _is_line(M):
         hL, hR, ang, mm = _line_ctx(M)
-        n = ids.size
-        dA = np.zeros((n, mm, mm))
+        dA = np.zeros((ids.size, mm, mm))
         den = hL[ids] * hR[ids] * (hL[ids] + hR[ids])
         dA[:, 0, 0] = -2.0 * (hL[ids] + hR[ids]) / den
         if mm > 1:
@@ -426,22 +401,7 @@ def _center_sensitivity(M, ids, scheme, sp: SchemeParams):
             for k in range(1, mm):
                 dA[:, k, k] = ang[ids] * dctr
         return dA
-    if scheme == "centered":
-        out = np.zeros((m, m))
-        for k in range(m):
-            out[k, k] = -2.0 / M.h[k] ** 2
-        return out[None, :, :]
-    dirs = _line_directions(m, sp.stencil_radius, sp.directions or (8 if m == 2 else 16))
-    L2 = np.array([float(np.dot(e * M.h, e * M.h)) for e in dirs])
-    units = np.array([e * M.h / np.sqrt(l2) for e, l2 in zip(dirs, L2)])
-    pinv = _ls_pinv(units, m)
-    coef = pinv @ (-2.0 / L2)
-    out = np.zeros((m, m))
-    iu = np.triu_indices(m)
-    for row, (i, j) in enumerate(zip(*iu)):
-        out[i, j] = coef[row]
-        out[j, i] = coef[row]
-    return out[None, :, :]
+    return np.diag(-2.0 / M.h ** 2)[None, :, :]
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +439,7 @@ def _solve(spec: ProblemSpec, caps):
     u0, init_label = _initial_subsolution(spec, bvals, caps)
     u, info = _iterate(spec, u0.copy(), caps, engine, g)
     info["init"] = init_label
-    ids, res = _interior_residual(spec.F, M, u, spec.scheme)
+    ids, res = _interior_residual(spec.F, M, u)
     return u, info, ids, res
 
 
@@ -541,8 +501,9 @@ def solve_obstacle(spec: ProblemSpec):
     harmonic = np.minimum(sres, gap)     # defining value of F^g at scheme jets
     dual_res = -harmonic                 # dual(F^g) value at jets of -u
     contact = gap <= tol
-    exempt = _dilate(spec.M, ids, contact)
-    free = ~exempt
+    near_contact = np.zeros(spec.M.n_nodes, dtype=bool)
+    near_contact[ids[contact]] = True
+    free = ~_grow_mask(spec.M, near_contact)[ids]
     comp = np.minimum(gap, dual_res)
     comp_worst = float(comp.max(initial=0.0))
     worst_harm = float(np.abs(harmonic[free]).max(initial=0.0))
@@ -572,24 +533,8 @@ def solve_obstacle(spec: ProblemSpec):
     return GridFunction(spec.M, u), cert
 
 
-def _dilate(M: ModelManifold, ids, mask):
-    """Grow a node mask by one stencil width along the grid graph."""
-    full = np.zeros(M.n_nodes, dtype=bool)
-    full[ids[mask]] = True
-    out = full.copy()
-    if _is_line(M):
-        out[:-1] |= full[1:]
-        out[1:] |= full[:-1]
-    elif isinstance(M, FlatBox):
-        for s in M.strides:
-            out[:-s] |= full[s:]
-            out[s:] |= full[:-s]
-    return out[ids]
-
-
 def verify_subharmonic(F: Subequation, u: GridFunction, M: ModelManifold | None = None,
                        tol: float | None = None, region=None,
-                       scheme: SchemeParams = SchemeParams(),
                        policy: NumericPolicy = DEFAULT_POLICY) -> Certificate:
     """Discrete F-subharmonicity: jets at interior nodes classify inside F.
 
@@ -603,8 +548,7 @@ def verify_subharmonic(F: Subequation, u: GridFunction, M: ModelManifold | None 
     if region is not None:
         region = np.asarray(region, dtype=bool)
         ids = np.where(region & M.interior_mask)[0]
-    ids, r, p, A = batch_jets(u, ids, _jet_scheme(M, scheme),
-                              scheme.stencil_radius, scheme.directions)
+    ids, r, p, A = batch_jets(u, ids)
     res = F.value(ids, r, p, A)
     worst = float(-res.min(initial=0.0))
     return Certificate(
@@ -648,18 +592,7 @@ def comparison_check(F: Subequation, u: GridFunction, v: GridFunction,
         )
     w = u.values + v.values
     inner = K & M.interior_mask
-    edge = K & ~M.interior_mask
-    if _is_line(M):
-        shift = np.zeros_like(K)
-        shift[:-1] |= ~K[1:]
-        shift[1:] |= ~K[:-1]
-        edge |= K & shift
-    elif isinstance(M, FlatBox):
-        for s in M.strides:
-            sh = np.zeros_like(K)
-            sh[:-s] |= ~K[s:]
-            sh[s:] |= ~K[:-s]
-            edge |= K & sh
+    edge = K & (~M.interior_mask | _grow_mask(M, ~K))
     interior_max = float(w[inner & ~edge].max(initial=-np.inf))
     boundary_plus = float(np.maximum(w[edge], 0.0).max(initial=0.0))
     violation = interior_max - boundary_plus

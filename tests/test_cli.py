@@ -93,6 +93,37 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["monotone_trace"]
 
+    def test_tol_reaches_capacity_solves(self, tmp_path, monkeypatch):
+        import subeq.cli
+
+        seen = []
+        real = subeq.cli.inf_capacity
+
+        def spy(*args, policy, **kwargs):
+            seen.append(policy)
+            return real(*args, policy=policy, **kwargs)
+
+        monkeypatch.setattr(subeq.cli, "inf_capacity", spy)
+        sc = write_scenario(tmp_path, "c.json", {
+            "task": "capacity", "seed": 0,
+            "manifold": {"kind": "radial", "m": 2, "warp": "sinh",
+                         "r_lo": 1.0, "r_hi": 6.0, "n": 51},
+            "params": {"r_K": 1.0, "radii": [3.0, 6.0]},
+        })
+        out = tmp_path / "out"
+        assert main(["run", sc, "--out", str(out), "--tol", "1e-6", "--no-plots"]) == 0
+        assert [p.membership_tol for p in seen] == [1e-6]
+        assert json.loads((out / "report.json").read_text())["tol_override"] == 1e-6
+
+    def test_tol_rejected_where_it_cannot_apply(self, tmp_path):
+        for task in ("duality_audit", "garding_audit", "log_transform", "stochastic"):
+            sc = write_scenario(tmp_path, f"{task}.json", {"task": task, "seed": 0})
+            out = tmp_path / task
+            assert main(["run", sc, "--out", str(out), "--tol", "1e-6"]) == 4
+            assert not out.exists()
+        with pytest.raises(SystemExit):
+            main(["audit", "--tol", "1e-6"])
+
     def test_punctured_scenario(self, tmp_path):
         sc = write_scenario(tmp_path, "p.json", {
             "task": "punctured_check", "seed": 0,

@@ -54,6 +54,8 @@ class TestDirichletOracles:
                                                {"inner": 0.0, "outer": 1.0}))
         assert cert.passed
         assert np.abs(u.values - (M.r - 1.0) / 4.0).max() <= 1e-8
+        # the presolve is exact: the first sweep changes nothing and is accepted
+        assert cert.counts["sweeps"] == 1
 
     def test_monotone_iterates_from_constant(self):
         M = RadialModel.uniform(3, "euclidean", 1.0, 2.0, 81)
@@ -86,6 +88,16 @@ class TestDirichletOracles:
         F = sigma_branch(3, 3, LIN, m=3)
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="residual=nan"):
             perron_dirichlet(ProblemSpec(F, M, {"inner": 1.0, "outer": 0.0}))
+
+    def test_sweep_budget_error_reports_last_residual(self):
+        # the budget runs out before any sweep comes within conv_tol; the
+        # error still reports the residual of the last iterate
+        M = RadialModel.uniform(2, "sinh", 1.0, 6.0, 101)
+        with pytest.raises(ConvergenceError) as err:
+            perron_dirichlet(ProblemSpec(laplace(LIN, m=2), M, {"inner": 0.0, "outer": -1.0},
+                                         scheme=SchemeParams(init="constant", max_sweeps=5)))
+        residual = float(str(err.value).split("residual=")[1].rstrip(")"))
+        assert np.isfinite(residual) and residual > 0.0
 
     def test_weak_regime_noted(self):
         M = FlatBox(1, [(0.0, 1.0)], 1 / 20)
