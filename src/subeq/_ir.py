@@ -4,10 +4,10 @@ On radial grids (and 1-D boxes) a discrete jet is determined by the node
 value v, the radial first and second differences du and d2, and the
 angular Hessian eigenvalue aa = du g'/g, so every catalog member reduces
 to a closed-form expression of those scalars and min/max combinators
-reduce their parts.  Trees containing jet-equivalences, quasilinear
-coefficients outside the stock profiles, other non-catalog members, or
-per-node rows of another grid's length do not lower; the solver runs the
-generic vectorized engine on them.
+reduce their parts; quasilinear members read their ``AProfile``'s
+eigenvalues, whatever the profile.  Trees containing jet-equivalences,
+other non-catalog members, or per-node rows of another grid's length do
+not lower; the solver runs the generic vectorized engine on them.
 """
 from __future__ import annotations
 
@@ -101,8 +101,6 @@ def _radial(F, m):
         return branch
     if isinstance(F, SU._Quasilinear):
         ap = F.aprof
-        if ap.kind not in ("const", "power", "mean_curvature"):
-            return None
         l1_0, l2_0 = ap.lam1_0, ap.lam2_0
         extremal = np.maximum if l1_0 >= l2_0 else np.minimum
 

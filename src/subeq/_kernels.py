@@ -5,7 +5,9 @@ at once: one bracket and bisection per node, exploiting the monotonicity
 of the defining value in the node value.  The generic engine calls it on
 every interior node with the tree evaluator (a Jacobi sweep); on line
 (radial / 1-D) grids ``sweep_line_numpy`` calls it per color of a
-red-black ordering with the lowered line evaluator of ``_ir.lower``.
+red-black ordering with the lowered line evaluator of ``_ir.lower``.  The
+line kernels read the grid's ``LineStencil`` rows, which the solver
+gathers once per solve for each color and for the residual's node order.
 """
 from __future__ import annotations
 
@@ -55,15 +57,6 @@ def vector_node_solve(G, v0, cap, step0, gtol, veps):
     return np.minimum(lo, cap)
 
 
-def _line_stencil(u, ids, hL, hR):
-    """Neighbour values, spacings and the centred first difference at ids."""
-    hl, hr = hL[ids], hR[ids]
-    den = hl * hr * (hl + hr)
-    uL, uR, v0 = u[ids - 1], u[ids + 1], u[ids]
-    du = (hl**2 * uR - hr**2 * uL + (hr**2 - hl**2) * v0) / den
-    return hl, hr, den, uL, uR, v0, du
-
-
 def _upwind(v, uL, uR, hl, hr):
     """Godunov upwind gradient max((v-uL)/hl, (v-uR)/hr, 0).
 
@@ -74,23 +67,24 @@ def _upwind(v, uL, uR, hl, hr):
     return np.maximum(np.maximum((v - uL) / hl, (v - uR) / hr), 0.0)
 
 
-def sweep_line_numpy(u, colors, hL, hR, angc, caps, steps, g, gtol, veps):
+def sweep_line_numpy(u, colors, caps, steps, g, gtol, veps):
     """Red-black sweep: per color, vectorized bracket + bisection node solves.
 
-    The second difference is affine in the node value, d2 = b0 - bC v, and
-    the first difference is lagged.  Returns (max |change|, min change).
+    ``colors`` holds (ids, stencil rows at ids) pairs.  The second
+    difference is affine in the node value, d2 = b0 + aC v, and the first
+    difference is lagged.  Returns (max |change|, min change).
     """
     max_ch = 0.0
     min_ch = 0.0
-    for ids in colors:
-        hl, hr, den, uL, uR, v0, du = _line_stencil(u, ids, hL, hR)
-        aa = du * angc[ids]
-        b0 = 2.0 * (hl * uR + hr * uL) / den
-        bC = 2.0 * (hl + hr) / den
+    for ids, S in colors:
+        uL, uR, v0 = u[ids - 1], u[ids + 1], u[ids]
+        du = S.du(uL, v0, uR)
+        aa = du * S.ang
+        b0 = S.d2(uL, 0.0, uR)
         cap = caps[ids]
 
         def G(v):
-            return g(ids, v, du, aa, b0 - bC * v, _upwind(v, uL, uR, hl, hr))
+            return g(ids, v, du, aa, b0 + S.aC * v, _upwind(v, uL, uR, S.hL, S.hR))
 
         v = vector_node_solve(G, v0, cap, steps[ids], gtol, veps)
         ch = v - v0
@@ -101,8 +95,8 @@ def sweep_line_numpy(u, colors, hL, hR, angc, caps, steps, g, gtol, veps):
     return max_ch, min_ch
 
 
-def residual_line_numpy(u, order, hL, hR, angc, g):
-    """Defining value at every node of ``order`` from the current u."""
-    hl, hr, den, uL, uR, v0, du = _line_stencil(u, order, hL, hR)
-    d2 = 2.0 * (hl * uR + hr * uL - (hl + hr) * v0) / den
-    return g(order, v0, du, du * angc[order], d2, _upwind(v0, uL, uR, hl, hr))
+def residual_line_numpy(u, order, S, g):
+    """Defining value at every node of ``order`` (stencil rows S) from the current u."""
+    uL, uR, v0 = u[order - 1], u[order + 1], u[order]
+    du = S.du(uL, v0, uR)
+    return g(order, v0, du, du * S.ang, S.d2(uL, v0, uR), _upwind(v0, uL, uR, S.hL, S.hR))

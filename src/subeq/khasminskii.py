@@ -385,7 +385,7 @@ def ekeland_potential(pair: PairKh, policy: NumericPolicy = DEFAULT_POLICY,
         slopes[idx] = s
         prev_slope = s
     slopes[0] = slopes[1]
-    w = GridFunction(M, -C, grad=None)
+    w = GridFunction(M, -C)
     tol = policy.membership_tol
     from .subequations import eikonal, inf_laplacian
     cert = Certificate(name="ekeland_potential", passed=True, tolerance=tol,
@@ -410,8 +410,7 @@ def ekeland_potential(pair: PairKh, policy: NumericPolicy = DEFAULT_POLICY,
 
 
 def log_transform(gfun: GridFunction, lam: float, mu: float,
-                  tol: float = 1e-6, precond_tol: float | None = None,
-                  policy: NumericPolicy = DEFAULT_POLICY):
+                  tol: float = 1e-6, precond_tol: float | None = None):
     """w = -mu log g for 1 <= g with ∇dg <= lam^2 g <,>: returns (w, certificate).
 
     Verifies the derived bounds |∇w| <= mu lam + tol and

@@ -9,11 +9,11 @@ Three manifold kinds:
                     [r_min, r_max] meshed logarithmically near the puncture.
 
 On radial kinds a function of r has Hessian eigenvalues phi'' (radial) and
-phi' g'/g with multiplicity m-1 (angular), which is what ``discrete_jet``
-assembles from second differences.  On FlatBox the Hessian is assembled
-from directional second differences over a sampled direction set by least
-squares (``monotone-wide``), or from the classic cross stencil
-(``centered``).
+phi' g'/g with multiplicity m-1 (angular).  Every line grid (the radial
+kinds and 1-D boxes) carries one ``LineStencil``, the non-uniform 3-point
+first and second differences built once from its spacings; the jets, the
+sweep kernels, the presolve and the Jacobi sensitivity all read it.  Boxes
+of dimension m >= 2 use the centred cross stencil.
 """
 from __future__ import annotations
 
@@ -81,6 +81,52 @@ def get_warp(spec) -> Warp:
 
 
 # ---------------------------------------------------------------------------
+# the line stencil
+# ---------------------------------------------------------------------------
+
+
+class LineStencil:
+    """The non-uniform 3-point stencil of a line grid, one entry per node.
+
+    With hL = x[i] - x[i-1] and hR = x[i+1] - x[i], the differences
+
+        du = wL u[i-1] + wC u[i] + wR u[i+1]
+        d2 = aL u[i-1] + aC u[i] + aR u[i+1]
+
+    are exact on quadratics; a radial function has the angular Hessian
+    eigenvalue ang * du (ang = g'/g, zero for m = 1).  The end nodes copy
+    their neighbour's spacing.  The nine per-node quantities are the rows
+    of one array, so ``at(ids)`` gathers the rows of a node set in one step.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        (self.hL, self.hR, self.wL, self.wC, self.wR,
+         self.aL, self.aC, self.aR, self.ang) = rows
+
+    @staticmethod
+    def on(x: np.ndarray, ang: np.ndarray) -> "LineStencil":
+        h = np.diff(x)
+        hL = np.concatenate([h[:1], h])
+        hR = np.concatenate([h, h[-1:]])
+        den = hL * hR * (hL + hR)
+        return LineStencil(np.stack([
+            hL, hR,
+            -hR**2 / den, (hR**2 - hL**2) / den, hL**2 / den,
+            2.0 * hR / den, -2.0 * (hL + hR) / den, 2.0 * hL / den,
+            ang]))
+
+    def at(self, ids) -> "LineStencil":
+        return LineStencil(self.rows[:, ids])
+
+    def du(self, uL, uC, uR):
+        return self.wL * uL + self.wC * uC + self.wR * uR
+
+    def d2(self, uL, uC, uR):
+        return self.aL * uL + self.aC * uC + self.aR * uR
+
+
+# ---------------------------------------------------------------------------
 # manifolds
 # ---------------------------------------------------------------------------
 
@@ -90,6 +136,7 @@ class ModelManifold:
 
     m: int
     n_nodes: int
+    stencil: LineStencil | None = None  # set on line grids: radial kinds, 1-D boxes
 
     @property
     def interior_ids(self) -> np.ndarray:
@@ -121,13 +168,7 @@ class _RadialBase(ModelManifold):
         self.interior_mask[1:-1] = True
         self.boundary_tags = {"inner": np.array([0]), "outer": np.array([r.size - 1])}
         # angular factor g'/g at every node (m = 1 has no angular part)
-        self.ang_ratio = warp.ratio(r) if m > 1 else np.zeros_like(r)
-        self.hL = np.empty_like(r)
-        self.hR = np.empty_like(r)
-        self.hL[1:] = np.diff(r)
-        self.hR[:-1] = np.diff(r)
-        self.hL[0] = self.hL[1]
-        self.hR[-1] = self.hR[-2]
+        self.stencil = LineStencil.on(r, warp.ratio(r) if m > 1 else np.zeros_like(r))
 
     @property
     def coords(self) -> np.ndarray:
@@ -218,26 +259,13 @@ class FlatBox(ModelManifold):
             [int(np.prod(self.shape[k + 1:])) for k in range(m)], dtype=int
         )
         idx = np.stack(np.unravel_index(np.arange(self.n_nodes), self.shape), axis=1)
-        self._idx = idx
         self.interior_mask = np.all((idx > 0) & (idx < np.array(self.shape) - 1), axis=1)
         self.boundary_tags = {"side": np.where(~self.interior_mask)[0]}
-
-    def interior_ids_depth(self, depth: int) -> np.ndarray:
-        ok = np.all(
-            (self._idx >= depth) & (self._idx <= np.array(self.shape) - 1 - depth), axis=1
-        )
-        return np.where(ok)[0]
+        if m == 1:
+            self.stencil = LineStencil.on(self.coords[:, 0], np.zeros(self.n_nodes))
 
     def min_spacing(self) -> float:
         return float(self.h.min())
-
-    def neighbor(self, ids, offset) -> np.ndarray:
-        return ids + int(np.dot(offset, self.strides))
-
-
-def _is_line(M: ModelManifold) -> bool:
-    """Radial models and 1-D boxes: one grid axis."""
-    return isinstance(M, _RadialBase) or (isinstance(M, FlatBox) and M.m == 1)
 
 
 def _grow_mask(M: ModelManifold, mask: np.ndarray) -> np.ndarray:
@@ -264,7 +292,6 @@ def _grow_mask(M: ModelManifold, mask: np.ndarray) -> np.ndarray:
 class GridFunction:
     manifold: ModelManifold
     values: np.ndarray
-    grad: np.ndarray | None = None          # optional per-node gradient cache
     neg_inf_mask: np.ndarray | None = None  # USC convention: -inf allowed if flagged
 
     def __post_init__(self):
@@ -289,7 +316,6 @@ class GridFunction:
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.manifold, self.values.copy(),
-                            None if self.grad is None else self.grad.copy(),
                             None if self.neg_inf_mask is None else self.neg_inf_mask.copy())
 
 
@@ -395,94 +421,32 @@ def radial_hessian_eigs(phi1: float, phi2: float, r: float, warp, m: int) -> np.
     return np.sort(np.concatenate([[phi2], np.full(m - 1, ang)]))
 
 
-def _radial_derivs(u: np.ndarray, M: _RadialBase, ids: np.ndarray):
-    """Second-order nonuniform 3-point first and second derivatives."""
-    hL, hR = M.hL[ids], M.hR[ids]
-    uC, uL, uR = u[ids], u[ids - 1], u[ids + 1]
-    den = hL * hR * (hL + hR)
-    du = (hL**2 * uR - hR**2 * uL + (hR**2 - hL**2) * uC) / den
-    d2 = 2.0 * (hL * uR + hR * uL - (hL + hR) * uC) / den
-    return du, d2
+def batch_jets(u: GridFunction, ids=None):
+    """Vectorized centred discrete jets: returns (ids, r, p, A) with p (n,m),
+    A (n,m,m), by default at every interior node.
 
-
-def batch_jets(u: GridFunction, ids=None, scheme: str = "centered",
-               stencil_radius: int = 2, directions: int | None = None):
-    """Vectorized discrete jets: returns (ids, r, p, A) with p (n,m), A (n,m,m).
-
-    Skips nodes flagged -inf (USC convention).  Uses the gradient cache on
-    ``u`` when present.
+    Line grids read their ``LineStencil``; boxes use the cross stencil.
+    Skips nodes flagged -inf (USC convention).
     """
     M = u.manifold
-    if ids is None:
-        if isinstance(M, FlatBox) and scheme == "monotone-wide":
-            ids = M.interior_ids_depth(stencil_radius)
-        else:
-            ids = M.interior_ids
-    ids = np.asarray(ids, dtype=int)
+    ids = M.interior_ids if ids is None else np.asarray(ids, dtype=int)
     if u.neg_inf_mask is not None:
         ids = ids[~u.neg_inf_mask[ids]]
     vals = u.values
-    if isinstance(M, _RadialBase):
-        du, d2 = _radial_derivs(vals, M, ids)
-        if u.grad is not None:
-            du = u.grad[ids, 0] if u.grad.ndim == 2 else u.grad[ids]
-        n = ids.size
-        p = np.zeros((n, M.m))
-        p[:, 0] = du
-        A = np.zeros((n, M.m, M.m))
-        A[:, 0, 0] = d2
-        if M.m > 1:
-            ang = du * M.ang_ratio[ids]
-            for k in range(1, M.m):
-                A[:, k, k] = ang
-        return ids, vals[ids].copy(), p, A
-    if isinstance(M, FlatBox):
-        return _flatbox_jets(u, ids, scheme, stencil_radius, directions)
-    raise InputError(f"unsupported manifold kind {type(M).__name__}")
-
-
-def _line_directions(m: int, radius: int, count: int | None):
-    """One integer representative per lattice line through the origin."""
-    rng = range(-radius, radius + 1)
-    seen, dirs = set(), []
-    grids = np.meshgrid(*[list(rng)] * m, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    order = np.argsort(np.einsum("ni,ni->n", pts, pts), kind="stable")
-    for e in pts[order]:
-        if not e.any():
-            continue
-        g = math.gcd(*[abs(int(c)) for c in e]) or 1
-        e = tuple(int(c) // g for c in e)
-        for first in e:
-            if first:
-                if first < 0:
-                    e = tuple(-c for c in e)
-                break
-        if e in seen:
-            continue
-        seen.add(e)
-        dirs.append(e)
-        if count is not None and len(dirs) >= count:
-            break
-    return np.array(dirs, dtype=int)
-
-
-def _flatbox_jets(u: GridFunction, ids, scheme, stencil_radius, directions):
-    M: FlatBox = u.manifold
-    vals = u.values
-    n = ids.size
-    m = M.m
-    # gradient: centered axis differences
-    p = np.empty((n, m))
-    for k in range(m):
-        stride = M.strides[k]
-        p[:, k] = (vals[ids + stride] - vals[ids - stride]) / (2 * M.h[k])
-    if u.grad is not None:
-        p = u.grad[ids]
+    n, m = ids.size, M.m
+    p = np.zeros((n, m))
     A = np.zeros((n, m, m))
-    if scheme == "centered" or m == 1:
+    if M.stencil is not None:
+        S = M.stencil.at(ids)
+        uL, uC, uR = vals[ids - 1], vals[ids], vals[ids + 1]
+        p[:, 0] = S.du(uL, uC, uR)
+        A[:, 0, 0] = S.d2(uL, uC, uR)
+        for k in range(1, m):
+            A[:, k, k] = p[:, 0] * S.ang
+    elif isinstance(M, FlatBox):
         for k in range(m):
             s = M.strides[k]
+            p[:, k] = (vals[ids + s] - vals[ids - s]) / (2 * M.h[k])
             A[:, k, k] = (vals[ids + s] + vals[ids - s] - 2 * vals[ids]) / M.h[k] ** 2
         for k in range(m):
             for l in range(k + 1, m):
@@ -493,54 +457,16 @@ def _flatbox_jets(u: GridFunction, ids, scheme, stencil_radius, directions):
                 ) / (4 * M.h[k] * M.h[l])
                 A[:, k, l] = cross
                 A[:, l, k] = cross
-        return ids, vals[ids].copy(), p, A
-    if scheme != "monotone-wide":
-        raise InputError("scheme must be 'centered' or 'monotone-wide'")
-    default_count = 8 if m == 2 else 16  # 16 / 32 counting both signs
-    dirs = _line_directions(m, stencil_radius, directions or default_count)
-    d2, units = _directional_second_differences(vals, M, ids, dirs)
-    pinv = _ls_pinv(units, m)
-    coef = d2 @ pinv.T
-    iu = np.triu_indices(m)
-    for row, (i, j) in enumerate(zip(*iu)):
-        A[:, i, j] = coef[:, row]
-        A[:, j, i] = coef[:, row]
+    else:
+        raise InputError(f"unsupported manifold kind {type(M).__name__}")
     return ids, vals[ids].copy(), p, A
 
 
-def _directional_second_differences(vals, M: FlatBox, ids, dirs):
-    """D^2_e u estimating ehat^T A ehat, one column per direction line."""
-    n = ids.size
-    out = np.empty((n, len(dirs)))
-    units = np.empty((len(dirs), M.m))
-    for c, e in enumerate(dirs):
-        step = e * M.h
-        L2 = float(np.dot(step, step))
-        off = int(np.dot(e, M.strides))
-        out[:, c] = (vals[ids + off] + vals[ids - off] - 2 * vals[ids]) / L2
-        units[c] = step / math.sqrt(L2)
-    return out, units
-
-
-def _ls_pinv(units, m):
-    iu = np.triu_indices(m)
-    Mrows = np.empty((units.shape[0], iu[0].size))
-    for row, (i, j) in enumerate(zip(*iu)):
-        Mrows[:, row] = units[:, i] * units[:, j] * (1.0 if i == j else 2.0)
-    return np.linalg.pinv(Mrows)
-
-
-def discrete_jet(u: GridFunction, node: int, scheme: str = "centered",
-                 stencil_radius: int = 2, directions: int | None = None) -> Jet:
+def discrete_jet(u: GridFunction, node: int) -> Jet:
     """The discrete 2-jet of u at one interior node."""
-    M = u.manifold
-    if isinstance(M, FlatBox) and scheme == "monotone-wide":
-        ok = np.isin(node, M.interior_ids_depth(stencil_radius))
-    else:
-        ok = bool(M.interior_mask[node])
-    if not ok:
+    if not u.manifold.interior_mask[node]:
         raise DomainError("stencil exits the domain at this node")
-    ids, r, p, A = batch_jets(u, np.array([node]), scheme, stencil_radius, directions)
+    ids, r, p, A = batch_jets(u, np.array([node]))
     return Jet(float(r[0]), p[0], SymMatrix.from_full(A[0]))
 
 

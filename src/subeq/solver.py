@@ -2,10 +2,13 @@
 
 The discrete scheme: at every interior node, solve the scalar equation
 G(x, r, p(u), A(u)) = 0 for the node value r by bisection (G is monotone
-in the node value through (N) and the negative center coefficient of the
-second difference; the gradient entry is lagged), in red-black order on
-line grids and all at once (Jacobi) elsewhere.  Jets are the centred ones
-of ``batch_jets`` at every interior node.  Iterates started from a
+in the node value through (N) and the negative centre weight of the
+second difference; the first difference, and with it the angular
+eigenvalue of line grids, is lagged in both engines), in red-black order
+on line grids and all at once (Jacobi) elsewhere.  Jets are the centred
+ones of ``batch_jets`` at every interior node; on line grids the jets,
+the sweep kernels, the presolve rows and the Jacobi centre sensitivity
+all read the grid's one ``LineStencil``.  Iterates started from a
 verified discrete subsolution increase monotonically, mirroring the
 Perron supremum.  Obstacle problems clamp each node update at the
 obstacle value.
@@ -18,12 +21,13 @@ verified candidates is used when it verifies itself.
 
 Solve core: perron_dirichlet and solve_obstacle share one set-up and one
 iteration loop (_solve, _iterate) and differ only in their caps and
-certificate.  Two engines supply the sweeps: on line (radial / 1-D) grids
-with a subequation that lowers (_ir.lower), vectorized red-black node
-solves over the closed-form line evaluator ("numpy"); otherwise Jacobi
-node solves driven by the subequation tree ("generic").  The loop checks
-the scheme residual after every sweep whose largest node change is within
-the policy's convergence_tol -- the only sweeps that can be accepted.
+certificate.  The grid and the lowering choose the engine: on line
+(radial / 1-D) grids with a subequation that lowers (_ir.lower),
+vectorized red-black node solves over the closed-form line evaluator
+("numpy"); otherwise Jacobi node solves driven by the subequation tree
+("generic").  The loop checks the scheme residual after every sweep whose
+largest node change is within the policy's convergence_tol -- the only
+sweeps that can be accepted.
 """
 from __future__ import annotations
 
@@ -45,9 +49,7 @@ from .jets import Jet, SymMatrix
 from .manifolds import (
     GridFunction,
     ModelManifold,
-    _RadialBase,
     _grow_mask,
-    _is_line,
     batch_jets,
 )
 from .policy import DEFAULT_POLICY, NumericPolicy
@@ -87,7 +89,7 @@ class ProblemSpec:
 
 
 # ---------------------------------------------------------------------------
-# boundary data and line topology
+# boundary data
 # ---------------------------------------------------------------------------
 
 
@@ -114,20 +116,6 @@ def boundary_values(M: ModelManifold, boundary: dict) -> np.ndarray:
     return out
 
 
-def _line_ctx(M: ModelManifold):
-    if isinstance(M, _RadialBase):
-        return M.hL, M.hR, M.ang_ratio, M.m
-    x = M.coords[:, 0]
-    h = np.empty_like(x)
-    hL = np.empty_like(x)
-    hR = np.empty_like(x)
-    hL[1:] = np.diff(x)
-    hR[:-1] = np.diff(x)
-    hL[0] = hL[1]
-    hR[-1] = hR[-2]
-    return hL, hR, np.zeros_like(x), 1
-
-
 # ---------------------------------------------------------------------------
 # initialization: verified discrete subsolutions
 # ---------------------------------------------------------------------------
@@ -140,7 +128,7 @@ def _interior_residual(F, M, u_vals):
 
 def _try_presolve(F, M, bvals):
     """Direct tridiagonal solve for linear line members; None when inapplicable."""
-    if not _is_line(M):
+    if M.stencil is None:
         return None
     core = F
     f = getattr(core, "f", None)
@@ -156,7 +144,6 @@ def _try_presolve(F, M, bvals):
         return None
     lam = core.f.slope if core.f.kind == "linear" else 0.0
     rhs_c = core.f.value if core.f.kind == "constant" else 0.0
-    hL, hR, ang, m = _line_ctx(M)
     n = M.n_nodes
     lo = np.zeros(n)
     di = np.ones(n)
@@ -164,17 +151,12 @@ def _try_presolve(F, M, bvals):
     rhs = np.zeros(n)
     rhs[0], rhs[-1] = bvals[0], bvals[-1]
     i = np.arange(1, n - 1)
-    den = hL[i] * hR[i] * (hL[i] + hR[i])
-    aL = 2 * hR[i] / den
-    aR = 2 * hL[i] / den
-    aC = 2 * (hL[i] + hR[i]) / den
-    dL = -hR[i] ** 2 / den
-    dR = hL[i] ** 2 / den
-    dC = (hR[i] ** 2 - hL[i] ** 2) / den
-    w = (m - 1) * ang[i] if use_angular else np.zeros_like(den)
-    lo[i] = aL + w * dL
-    di[i] = -aC + w * dC - lam
-    up[i] = aR + w * dR
+    # rows of d2 + w du = f(u), w the angular weight (m - 1) g'/g
+    S = M.stencil.at(i)
+    w = (M.m - 1) * S.ang if use_angular else 0.0
+    lo[i] = S.aL + w * S.wL
+    di[i] = S.aC + w * S.wC - lam
+    up[i] = S.aR + w * S.wR
     rhs[i] = rhs_c
     return _thomas(lo, di, up, rhs)
 
@@ -281,7 +263,7 @@ def _pick_engine(spec: ProblemSpec, g):
     forced = spec.scheme.force_engine
     if forced not in (None, "numpy", "generic"):
         raise InputError(f"unknown engine {forced!r}: use None, 'numpy' or 'generic'")
-    line = _is_line(spec.M) and g is not None
+    line = spec.M.stencil is not None and g is not None
     if forced == "numpy" and not line:
         raise InputError("the numpy engine needs a radial or 1-D grid and a "
                          "subequation that lowers to the line evaluator")
@@ -345,16 +327,17 @@ def _iterate(spec: ProblemSpec, u, caps, engine, g):
 
 def _line_engine(spec: ProblemSpec, u, caps, g, gtol, veps):
     """Red-black node solves over the interior of a line grid, lowered F."""
-    hL, hR, ang, _ = _line_ctx(spec.M)
+    S = spec.M.stencil
     order = spec.M.interior_ids.astype(np.int64)
-    colors = [order[0::2], order[1::2]]
+    colors = [(ids, S.at(ids)) for ids in (order[0::2], order[1::2])]
+    S_order = S.at(order)
     steps = np.full(spec.M.n_nodes, 1e-3 * (1.0 + float(np.abs(u).max())))
 
     def sweep():
-        return K.sweep_line_numpy(u, colors, hL, hR, ang, caps, steps, g, gtol, veps)
+        return K.sweep_line_numpy(u, colors, caps, steps, g, gtol, veps)
 
     def residual():
-        return K.residual_line_numpy(u, order, hL, hR, ang, g)
+        return K.residual_line_numpy(u, order, S_order, g)
 
     return order, sweep, residual
 
@@ -390,18 +373,16 @@ def _generic_engine(spec: ProblemSpec, u, caps, gtol, veps):
 
 
 def _center_sensitivity(M, ids):
-    """dA/dv: derivative of the centred Hessian in the center value."""
-    if _is_line(M):
-        hL, hR, ang, mm = _line_ctx(M)
-        dA = np.zeros((ids.size, mm, mm))
-        den = hL[ids] * hR[ids] * (hL[ids] + hR[ids])
-        dA[:, 0, 0] = -2.0 * (hL[ids] + hR[ids]) / den
-        if mm > 1:
-            dctr = (hR[ids] ** 2 - hL[ids] ** 2) / den
-            for k in range(1, mm):
-                dA[:, k, k] = ang[ids] * dctr
-        return dA
-    return np.diag(-2.0 / M.h ** 2)[None, :, :]
+    """dA/dv: the centre weights of the second differences.
+
+    The first difference, and with it the angular eigenvalue of line grids,
+    is lagged, as in the line kernel.
+    """
+    if M.stencil is None:
+        return np.diag(-2.0 / M.h ** 2)[None, :, :]
+    dA = np.zeros((ids.size, M.m, M.m))
+    dA[:, 0, 0] = M.stencil.aC[ids]
+    return dA
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Scenario runner and audit suite: exit codes, artifacts, determinism."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,17 @@ DIRICHLET = {
     "params": {"boundary": {"inner": 1.0, "outer": 0.0},
                "oracle": {"kind": "named", "name": "two_over_r_minus_one"}},
 }
+
+
+SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
+# the exit codes the README documents: a certified property failure exits 2
+SCENARIO_EXIT = {"stochastic_exp_r3": 2}
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
+def test_committed_scenario_exit_code(path, tmp_path):
+    code = main(["run", str(path), "--out", str(tmp_path / "out"), "--no-plots"])
+    assert code == SCENARIO_EXIT.get(path.stem, 0)
 
 
 class TestRun:

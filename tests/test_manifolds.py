@@ -54,14 +54,6 @@ class TestDiscreteJet:
         j = discrete_jet(u, M.interior_ids[11])
         assert np.abs(j.A.full - np.eye(2)).max() < 1e-9
 
-    def test_wide_stencil_quadratic_exact(self):
-        M = FlatBox(2, [(0.0, 1.0), (0.0, 1.0)], 0.05)
-        u = GridFunction.from_callable(
-            M, lambda c: c[:, 0] ** 2 + 0.5 * c[:, 0] * c[:, 1] - c[:, 1] ** 2)
-        ids = M.interior_ids_depth(2)
-        j = discrete_jet(u, ids[5], scheme="monotone-wide")
-        assert np.abs(j.A.full - np.array([[2.0, 0.5], [0.5, -2.0]])).max() < 1e-8
-
     def test_harmonic_oracle_punctured(self):
         # u = 2/r - 1 on the m=3 punctured annulus: discrete trace = O(h^2)
         M = PuncturedEuclidean(3, 1.0, 2.0, 200)
@@ -83,24 +75,6 @@ class TestDiscreteJet:
         ratio = errs[0] / errs[1]
         assert 3.5 <= ratio <= 4.5
 
-    def test_monotone_wide_directional_monotonicity(self):
-        # raising any off-node value never decreases any directional second
-        # difference (comparison-compatible discretization)
-        from subeq.manifolds import _directional_second_differences, _line_directions
-        M = FlatBox(2, [(0.0, 1.0), (0.0, 1.0)], 0.25)
-        rng = np.random.default_rng(0)
-        vals = rng.standard_normal(M.n_nodes)
-        ids = M.interior_ids_depth(2)
-        dirs = _line_directions(2, 2, 8)
-        base, _ = _directional_second_differences(vals, M, ids, dirs)
-        for node in range(M.n_nodes):
-            if node in ids:
-                continue
-            bumped = vals.copy()
-            bumped[node] += 0.7
-            new, _ = _directional_second_differences(bumped, M, ids, dirs)
-            assert np.all(new >= base - 1e-12)
-
     def test_boundary_proximity_error(self):
         M = FlatBox(1, [(0.0, 1.0)], 0.1)
         u = GridFunction(M, np.zeros(M.n_nodes))
@@ -116,13 +90,6 @@ class TestDiscreteJet:
         u = GridFunction(M, vals, neg_inf_mask=mask)
         ids, _, _, _ = batch_jets(u)
         assert 5 not in ids
-
-    def test_gradient_cache_used(self):
-        M = RadialModel.uniform(2, "euclidean", 1.0, 2.0, 51)
-        grad = np.full(M.n_nodes, 7.0)
-        u = GridFunction(M, np.zeros(M.n_nodes), grad=grad)
-        _, _, p, _ = batch_jets(u)
-        assert np.all(p[:, 0] == 7.0)
 
 
 class TestRadialAgainstDiscrete:

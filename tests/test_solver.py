@@ -57,6 +57,19 @@ class TestDirichletOracles:
         # the presolve is exact: the first sweep changes nothing and is accepted
         assert cert.counts["sweeps"] == 1
 
+    @pytest.mark.parametrize("M, bc", [
+        (PuncturedEuclidean(3, 1.0, 2.0, 201), {"inner": 1.0, "outer": 0.0}),
+        (FlatBox(1, [(0.0, 1.0)], 1 / 100), {"side": lambda x: x}),
+        (RadialModel.uniform(2, "sinh", 1.0, 6.0, 101), {"inner": 0.0, "outer": -1.0}),
+    ], ids=["punctured-log", "box-1d", "radial-sinh"])
+    def test_presolve_exact_on_every_line_grid(self, M, bc):
+        # the presolve rows and the sweep read one stencil, so the presolved
+        # start is the discrete fixed point on every line-grid kind
+        u, cert = perron_dirichlet(ProblemSpec(laplace(LIN, m=M.m), M, bc))
+        assert cert.passed
+        assert "presolve" in cert.params["init"]
+        assert cert.counts["sweeps"] == 1
+
     def test_monotone_iterates_from_constant(self):
         M = RadialModel.uniform(3, "euclidean", 1.0, 2.0, 81)
         spec = ProblemSpec(laplace(LIN, m=3), M, {"inner": 1.0, "outer": 0.0},
@@ -129,6 +142,18 @@ class TestEngines:
             scheme=SchemeParams(init="constant", force_engine="generic")))
         u2, _ = perron_dirichlet(ProblemSpec(F, M, {"inner": 0.0, "outer": -1.0}))
         assert c1.params["engine"] == "generic"
+        assert np.abs(u1.values - u2.values).max() <= 10 * 1e-8
+
+    def test_generic_engine_matches_line_nonuniform(self):
+        # log spacing: both engines lag the first difference of one stencil
+        M = PuncturedEuclidean(3, 1.0, 2.0, 21)
+        F = laplace(LIN, m=3)
+        bc = {"inner": 0.0, "outer": -1.0}
+        u1, c1 = perron_dirichlet(ProblemSpec(
+            F, M, bc, scheme=SchemeParams(init="constant", force_engine="generic")))
+        u2, c2 = perron_dirichlet(ProblemSpec(F, M, bc, scheme=SchemeParams(init="constant")))
+        assert (c1.params["engine"], c2.params["engine"]) == ("generic", "numpy")
+        assert c1.passed and c2.passed
         assert np.abs(u1.values - u2.values).max() <= 10 * 1e-8
 
     def test_unknown_engine_rejected(self):
