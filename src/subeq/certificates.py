@@ -25,11 +25,6 @@ class Certificate:
     notes: list = field(default_factory=list)
     wall_time: float = 0.0
 
-    def require(self) -> "Certificate":
-        if not self.passed:
-            raise AssertionError(f"certificate '{self.name}' failed: {self.worst} {self.notes}")
-        return self
-
     def merge_child(self, child: "Certificate", prefix: str) -> None:
         self.passed = self.passed and child.passed
         for k, v in child.worst.items():

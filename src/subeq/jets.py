@@ -94,9 +94,6 @@ class SymMatrix:
     def __neg__(self) -> "SymMatrix":
         return SymMatrix(self.m, -self.packed)
 
-    def scaled(self, c: float) -> "SymMatrix":
-        return SymMatrix(self.m, c * self.packed)
-
     @property
     def norm(self) -> float:
         """Spectral norm (max |eigenvalue|)."""

@@ -11,9 +11,8 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class NumericPolicy:
-    # generic absolute / relative floors
+    # generic absolute floor
     abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
     # fiberwise membership band for contains()/certificates
     membership_tol: float = 1e-8
     # solver sweep termination: max node change between sweeps
@@ -32,10 +31,6 @@ class NumericPolicy:
 
     def with_(self, **kw) -> "NumericPolicy":
         return replace(self, **kw)
-
-    def scaled_membership(self, scale: float) -> float:
-        """Membership band inflated by a problem-size scale (>= 1)."""
-        return self.membership_tol * max(1.0, scale)
 
 
 DEFAULT_POLICY = NumericPolicy()

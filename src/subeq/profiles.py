@@ -111,13 +111,6 @@ class Profile:
             return Profile.constant(self.value)
         return Profile.table(-self.xs[::-1], self.ys[::-1])
 
-    def describe(self) -> dict:
-        if self.kind == "linear":
-            return {"kind": "linear", "slope": self.slope}
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.value}
-        return {"kind": "table", "r": self.xs.tolist(), "v": self.ys.tolist()}
-
 
 def _profile_flags(p: Profile) -> dict:
     if p.kind == "table":

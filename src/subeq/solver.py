@@ -1,17 +1,10 @@
 """Perron-style monotone solvers for Dirichlet and obstacle problems.
 
-The discrete scheme: at every interior node, solve the scalar equation
-G(x, r, p(u), A(u)) = 0 for the node value r by bisection (G is monotone
-in the node value through (N) and the negative centre weight of the
-second difference; the first difference, and with it the angular
-eigenvalue of line grids, is lagged in both engines), in red-black order
-on line grids and all at once (Jacobi) elsewhere.  Jets are the centred
-ones of ``batch_jets`` at every interior node; on line grids the jets,
-the sweep kernels, the presolve rows and the Jacobi centre sensitivity
-all read the grid's one ``LineStencil``.  Iterates started from a
-verified discrete subsolution increase monotonically, mirroring the
-Perron supremum.  Obstacle problems clamp each node update at the
-obstacle value.
+The discrete scheme: at every interior node, G(x, r, p(u), A(u)) = 0,
+with centred jets from ``batch_jets``; obstacle problems solve
+min(G, g - u) = 0.  On line grids the jets, the policy-step rows, the
+presolve rows and the Jacobi centre sensitivity all read the grid's one
+``LineStencil``.
 
 Initialization: the constant min(boundary) - slack subsolution always
 applies; for linear members (laplace / infinity-Laplacian with linear f)
@@ -21,13 +14,22 @@ verified candidates is used when it verifies itself.
 
 Solve core: perron_dirichlet and solve_obstacle share one set-up and one
 iteration loop (_solve, _iterate) and differ only in their caps and
-certificate.  The grid and the lowering choose the engine: on line
-(radial / 1-D) grids with a subequation that lowers (_ir.lower),
-vectorized red-black node solves over the closed-form line evaluator
-("numpy"); otherwise Jacobi node solves driven by the subequation tree
-("generic").  The loop checks the scheme residual after every sweep whose
-largest node change is within the policy's convergence_tol -- the only
-sweeps that can be accepted.
+certificate.  The grid and the lowering choose the engine.  On line
+(radial / 1-D) grids with a subequation that lowers (_ir.lower), each
+iteration is one Howard policy step over the closed-form line evaluator
+("numpy"): the contact set and the active branches are frozen, and one
+tridiagonal solve gives the update (the first difference |du| that
+profiles read is lagged).  Otherwise each iteration is a Jacobi sweep of
+bisection node solves driven by the subequation tree ("generic"; G is
+monotone in the node value through (N) and the negative centre weight of
+the second difference, and the first difference is lagged).  The policy
+step reads the same batched node solves for rows it cannot linearize at
+the current iterate.  Iterates started from a verified discrete
+subsolution increase monotonically where the scheme is monotone,
+mirroring the Perron supremum.  The loop checks
+the scheme residual after every sweep or step whose largest node change
+is within the policy's convergence_tol -- the only ones that can be
+accepted.
 """
 from __future__ import annotations
 
@@ -158,24 +160,7 @@ def _try_presolve(F, M, bvals):
     di[i] = S.aC + w * S.wC - lam
     up[i] = S.aR + w * S.wR
     rhs[i] = rhs_c
-    return _thomas(lo, di, up, rhs)
-
-
-def _thomas(lo, di, up, rhs):
-    n = di.size
-    c = np.zeros(n)
-    d = np.zeros(n)
-    c[0] = up[0] / di[0]
-    d[0] = rhs[0] / di[0]
-    for i in range(1, n):
-        denom = di[i] - lo[i] * c[i - 1]
-        c[i] = up[i] / denom
-        d[i] = (rhs[i] - lo[i] * d[i - 1]) / denom
-    x = np.zeros(n)
-    x[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
+    return K.thomas(lo, di, up, rhs)
 
 
 def _initial_subsolution(spec: ProblemSpec, bvals, caps):
@@ -258,6 +243,14 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
 # ---------------------------------------------------------------------------
 
 
+# Policy steps without a new minimum of the worst residual before the line
+# engine gives up.  Converging solves of the catalog probe (cli._catalog
+# and the duals, m = 1..3, on a 41-node sinh grid), of constant-f min
+# members and of the committed scenarios never went more than 7 steps
+# without one.
+STALL_STEPS = 50
+
+
 def _pick_engine(spec: ProblemSpec, g):
     """The line engine when the grid is a line and F lowers, else generic."""
     forced = spec.scheme.force_engine
@@ -271,7 +264,7 @@ def _pick_engine(spec: ProblemSpec, g):
 
 
 def _iterate(spec: ProblemSpec, u, caps, engine, g):
-    """Monotone sweeps from the subsolution u up to the discrete fixed point.
+    """Sweeps (or policy steps) from the subsolution u to the discrete fixed point.
 
     The engine supplies one sweep and the scheme residual at its nodes;
     convergence and acceptance are decided here for both engines.
@@ -326,18 +319,41 @@ def _iterate(spec: ProblemSpec, u, caps, engine, g):
 
 
 def _line_engine(spec: ProblemSpec, u, caps, g, gtol, veps):
-    """Red-black node solves over the interior of a line grid, lowered F."""
-    S = spec.M.stencil
-    order = spec.M.interior_ids.astype(np.int64)
-    colors = [(ids, S.at(ids)) for ids in (order[0::2], order[1::2])]
-    S_order = S.at(order)
-    steps = np.full(spec.M.n_nodes, 1e-3 * (1.0 + float(np.abs(u).max())))
+    """Howard policy steps over the interior of a line grid, lowered F;
+    ``brackets`` carries the bracket widths of the step's node solves
+    from one step to the next.
+
+    A step whose tridiagonal solve meets a zero or non-finite pivot, or
+    STALL_STEPS steps in a row without a new minimum of the worst residual
+    max |min(G, cap - u)|, end the solve with ConvergenceError.
+    """
+    order = spec.M.interior_ids
+    S = spec.M.stencil.at(order)
+    res = np.empty(order.size)
+    brackets = np.full(order.size, 1e-3 * (1.0 + float(np.abs(u).max())))
+    steps = since = 0
+    best = np.inf
+
+    def fail(why):
+        raise ConvergenceError(
+            f"no convergence: {why} at policy step {steps} (numpy engine, "
+            f"residual={float(np.abs(res).max(initial=0.0)):.3e})") from None
 
     def sweep():
-        return K.sweep_line_numpy(u, colors, caps, steps, g, gtol, veps)
+        nonlocal steps, best, since
+        steps += 1
+        try:
+            out = K.sweep_line_numpy(u, order, S, caps, g, brackets, res, gtol, veps)
+        except FloatingPointError as e:
+            fail(e)
+        worst = float(np.abs(res).max(initial=0.0))
+        best, since = (worst, 0) if worst < best else (best, since + 1)
+        if since >= STALL_STEPS:
+            fail(f"no new minimum of the worst residual in {STALL_STEPS} steps")
+        return out
 
     def residual():
-        return K.residual_line_numpy(u, order, S_order, g)
+        return K.residual_line_numpy(u, order, S, g)
 
     return order, sweep, residual
 
@@ -464,7 +480,7 @@ def perron_dirichlet(spec: ProblemSpec):
 
 
 def solve_obstacle(spec: ProblemSpec):
-    """Obstacle problem: Dirichlet sweeps with node updates clamped at g.
+    """Obstacle problem: the Dirichlet iteration with node updates clamped at g.
 
     Certificate: u <= g, F^g-harmonicity residual min(G, g-u) within the
     band, and the dual residual at strictly uncontacted nodes (one stencil

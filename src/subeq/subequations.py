@@ -51,13 +51,6 @@ class SubeqMeta:
     f: Profile | None = None
     xi: Profile | None = None
 
-    @property
-    def is_reduced(self) -> bool:
-        """True when the defining function does not see the r-slot."""
-        f_flat = self.f is None or self.f.kind == "constant"
-        xi_flat = self.xi is None or self.xi.kind == "constant"
-        return f_flat and xi_flat
-
 
 def _as_batch(r, p, A, m):
     r = np.atleast_1d(np.asarray(r, dtype=float))

@@ -56,6 +56,24 @@ class TestRun:
         assert (out / "solution.svg").exists()
         assert (out / "timing.txt").exists()
 
+    @pytest.mark.parametrize("subeq", [
+        {"kind": "dual", "of": {"kind": "eikonal",
+                                "xi": {"kind": "table", "r": [-1.0, 0.0], "v": [1.0, 0.0]}}},
+        {"kind": "hessian_branch", "k": 2, "f": {"kind": "linear", "slope": 1.0}},
+    ], ids=["dual-eikonal", "lambda_max"])
+    def test_policy_failure_exit_3(self, tmp_path, capsys, subeq):
+        sc = write_scenario(tmp_path, "p.json", {
+            "task": "dirichlet", "seed": 0,
+            "manifold": {"kind": "radial", "m": 2, "warp": "sinh", "r_lo": 1.0,
+                         "r_hi": 3.0, "n": 41},
+            "subequation": subeq,
+            "params": {"boundary": {"inner": 0.0, "outer": 1.0}},
+        })
+        code = main(["run", sc, "--out", str(tmp_path / "out"), "--no-plots"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numpy engine" in err and "Traceback" not in err
+
     def test_stochastic_failure_exit_2(self, tmp_path):
         sc = write_scenario(tmp_path, "s.json", {
             "task": "stochastic", "seed": 0,

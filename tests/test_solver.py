@@ -1,15 +1,18 @@
 """Perron solver tests: analytic oracles, invariants, obstacle problems,
 comparison checks, barriers, and engine equivalence."""
+import re
+
 import numpy as np
 import pytest
 
 from subeq.errors import ConvergenceError, InitializationError, InputError, PreconditionError
 from subeq.manifolds import FlatBox, GridFunction, PuncturedEuclidean, RadialModel
-from subeq.profiles import Profile
+from subeq.profiles import AProfile, Profile
 from subeq.solver import (
     ProblemSpec,
     SchemeParams,
     comparison_check,
+    STALL_STEPS,
     make_barrier,
     perron_dirichlet,
     solve_obstacle,
@@ -24,6 +27,8 @@ from subeq.subequations import (
     intersect,
     laplace,
     linear_jetequiv,
+    plurisub_trace,
+    quasilinear,
     sigma_branch,
     union,
 )
@@ -94,21 +99,39 @@ class TestDirichletOracles:
         with pytest.raises(InitializationError):
             perron_dirichlet(ProblemSpec(F, M, {"side": lambda x: 5.0 * x}))
 
-    def test_nan_fixed_point_not_accepted(self):
-        # lambda_max = mu_3^(3) on this radial grid runs away to inf; the
-        # sweep-invariant state with a NaN residual must not be certified
+    def test_nan_fixed_point_not_accepted(self, monkeypatch):
+        # a line evaluator that returns NaN must end in ConvergenceError,
+        # never in a certificate
+        import subeq.solver as solver
+
+        def nan_lower(F, n_nodes):
+            return lambda nodes, v, du, aa, d2, gdn: np.full_like(v, np.nan)
+
+        monkeypatch.setattr(solver._ir, "lower", nan_lower)
         M = RadialModel.uniform(3, "euclidean", 1.0, 2.0, 11)
-        F = sigma_branch(3, 3, LIN, m=3)
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="residual=nan"):
-            perron_dirichlet(ProblemSpec(F, M, {"inner": 1.0, "outer": 0.0}))
+            perron_dirichlet(ProblemSpec(laplace(LIN, m=3), M, {"inner": 1.0, "outer": 0.0}))
+
+    @pytest.mark.parametrize("n", [11, 41])
+    def test_lambda_max_branches_certified(self, n):
+        # lambda_max = mu_3^(3) on radial grids, where the aa branch of
+        # max(d2, aa) is not monotone in the neighbours: certified, and the
+        # two forms of the largest eigenvalue agree
+        M = RadialModel.uniform(3, "euclidean", 1.0, 2.0, n)
+        bc = {"inner": 1.0, "outer": 0.0}
+        u1, c1 = perron_dirichlet(ProblemSpec(sigma_branch(3, 3, LIN, m=3), M, bc))
+        u2, c2 = perron_dirichlet(ProblemSpec(hessian_branch(3, LIN, m=3), M, bc))
+        assert c1.passed and c2.passed
+        assert c1.params["engine"] == c2.params["engine"] == "numpy"
+        assert np.abs(u1.values - u2.values).max() <= 10 * c1.tolerance
 
     def test_sweep_budget_error_reports_last_residual(self):
-        # the budget runs out before any sweep comes within conv_tol; the
+        # the budget runs out before any step comes within conv_tol; the
         # error still reports the residual of the last iterate
         M = RadialModel.uniform(2, "sinh", 1.0, 6.0, 101)
         with pytest.raises(ConvergenceError) as err:
             perron_dirichlet(ProblemSpec(laplace(LIN, m=2), M, {"inner": 0.0, "outer": -1.0},
-                                         scheme=SchemeParams(init="constant", max_sweeps=5)))
+                                         scheme=SchemeParams(init="constant", max_sweeps=1)))
         residual = float(str(err.value).split("residual=")[1].rstrip(")"))
         assert np.isfinite(residual) and residual > 0.0
 
@@ -155,6 +178,61 @@ class TestEngines:
         assert (c1.params["engine"], c2.params["engine"]) == ("generic", "numpy")
         assert c1.passed and c2.passed
         assert np.abs(u1.values - u2.values).max() <= 10 * 1e-8
+
+    def test_obstacle_matches_generic(self):
+        # a Khas'minskii-stage obstacle: zero near the inner sphere, then a
+        # ramp down to the outer boundary value; the policy steps and the
+        # Jacobi sweeps reach one contact set and one solution
+        M = RadialModel.uniform(2, "sinh", 1.0, 4.0, 31)
+        g = GridFunction(M, np.minimum(0.0, -np.clip(M.r - 2.0, 0.0, 1.0)))
+        bc = {"inner": 0.0, "outer": -1.0}
+        sols = [solve_obstacle(ProblemSpec(laplace(LIN, m=2), M, bc, obstacle=g,
+                                           scheme=SchemeParams(force_engine=eng)))
+                for eng in ("numpy", "generic")]
+        (u1, c1), (u2, c2) = sols
+        assert c1.passed and c2.passed
+        assert c1.counts["contact_nodes"] == c2.counts["contact_nodes"] > 0
+        assert np.abs(u1.values - u2.values).max() <= 10 * c1.tolerance
+
+    @pytest.mark.parametrize("outer", [1.0, -1.0])
+    def test_mean_curvature_certified(self, outer):
+        # the lagged |du| of the mean-curvature profile: a few dozen steps at most
+        M = RadialModel.uniform(2, "sinh", 1.0, 3.0, 41)
+        F = quasilinear(AProfile.mean_curvature(), LIN, m=2)
+        _, cert = perron_dirichlet(ProblemSpec(F, M, {"inner": 0.0, "outer": outer}))
+        assert cert.passed
+        assert cert.params["engine"] == "numpy"
+        assert cert.counts["sweeps"] <= 50
+
+    @pytest.mark.parametrize("F", [
+        dual(eikonal(Profile.table([-1.0, 0.0], [1.0, 0.0]), m=2)),
+        hessian_branch(2, LIN, m=2),
+    ], ids=["dual-eikonal", "lambda_max"])
+    def test_policy_failure_is_a_convergence_error(self, F):
+        # a zero pivot, steps that stop lowering the residual or steps that
+        # change nothing end the solve with a ConvergenceError naming the
+        # engine, the step and the residual, long before the budget
+        M = RadialModel.uniform(2, "sinh", 1.0, 3.0, 41)
+        with pytest.raises(ConvergenceError, match=r"\(numpy engine, .*residual=") as e:
+            perron_dirichlet(ProblemSpec(F, M, {"inner": 0.0, "outer": 1.0}))
+        step = int(re.search(r"policy step (\d+)|in (\d+) sweeps", str(e.value)).group(1, 2)[
+            "policy step" not in str(e.value)])
+        assert step < 2 * STALL_STEPS
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("member", ["lambda_min", "plurisub", "sigma_1"])
+    def test_constant_f_min_members_certified(self, m, member):
+        # min-type members with f' = 0 from the constant start: every row
+        # starts at a tie, and rows where the angular branch is active have
+        # no weight on the node value.  The solution is the parabola with
+        # d2 = -1, which the three-point second difference reproduces.
+        f = Profile.constant(-1.0)
+        F = {"lambda_min": hessian_branch(1, f, m=m), "plurisub": plurisub_trace(1, f, m=m),
+             "sigma_1": sigma_branch(1, m, f, m=m)}[member]
+        M = RadialModel.uniform(m, "sinh", 1.0, 3.0, 41)
+        u, cert = perron_dirichlet(ProblemSpec(F, M, {"inner": 0.0, "outer": 1.0}))
+        assert cert.passed and cert.params["engine"] == "numpy"
+        assert np.abs(u.values - (-0.5 * M.r**2 + 2.5 * M.r - 2.0)).max() <= 10 * cert.tolerance
 
     def test_unknown_engine_rejected(self):
         M = RadialModel.uniform(2, "sinh", 1.0, 6.0, 21)
