@@ -10,7 +10,10 @@ instead: it freezes the active branches of the lowered line evaluator of
 system with ``thomas``; rows that the step cannot linearize at the
 current iterate are linearized at their node roots from the same batched
 node solve.  The line kernels read the grid's ``LineStencil`` rows, which
-the solver gathers once per solve for the interior nodes.
+the solver gathers once per solve for the interior nodes.  On boxes
+``step_box`` takes the Newton step with the subequation tree: its rows
+come from the difference quotients of ``_jet_slopes`` through the cross
+stencil, and ``block_thomas`` solves them slab by slab.
 """
 from __future__ import annotations
 
@@ -94,6 +97,30 @@ def thomas(lo, di, up, rhs):
     return np.array(d)
 
 
+def block_thomas(lo, di, up, rhs):
+    """Solve the block-tridiagonal system lo[i] x[i-1] + di[i] x[i] + up[i] x[i+1] = rhs[i].
+
+    ``lo``, ``di``, ``up`` hold (nb, k, k) blocks and ``rhs`` is (nb, k);
+    ``lo[0]`` and ``up[-1]`` are ignored.  Block elimination with one
+    ``np.linalg.solve`` per block: partial pivoting inside a block, none
+    across blocks, as for the block-diagonally dominant rows of a Newton
+    step.  A singular block raises ``np.linalg.LinAlgError``.
+    """
+    nb, k = rhs.shape
+    c = np.empty_like(di)
+    d = np.empty_like(rhs)
+    for i in range(nb):
+        piv, r = di[i], rhs[i]
+        if i:
+            piv = piv - lo[i] @ c[i - 1]
+            r = r - lo[i] @ d[i - 1]
+        x = np.linalg.solve(piv, np.column_stack((up[i], r)))
+        c[i], d[i] = x[:, :k], x[:, k]
+    for i in range(nb - 2, -1, -1):
+        d[i] -= c[i] @ d[i + 1]
+    return d
+
+
 def _slopes(g, jet, bump=1e-4):
     """Central difference quotients of g in v, aa, d2 and gdn at ``jet``.
 
@@ -109,6 +136,54 @@ def _slopes(g, jet, bump=1e-4):
         bumped[k] = lo = x - bump * (1.0 + np.abs(x))
         out.append((g_hi - g(*bumped)) / (hi - lo))
     return out
+
+
+def _jet_slopes(value, r, p, A, bump=1e-4):
+    """Central difference quotients of ``value(r, p, A)`` in r, each p_k and
+    each symmetric A_kl (A_kl and A_lk bumped together), the tree twin of
+    ``_slopes``.  Returns (g_r, g_p, g_A) shaped like (r, p, A).
+
+    The bump is ``bump * (1 + |x|)`` rounded up to a power of two, taken
+    about x rounded to a multiple of ``unit``, the float spacing at 256
+    times the node's largest jet entry (a shift far below the bump).  The
+    float spacing of a sum of jet entries then divides the bumped span, so
+    both bumped sums round alike and an affine evaluator such as the trace
+    gets exact quotients.  With the plain bump of ``_slopes`` a trace
+    A_00 + A_11 with A_00 ~ 0 and A_11 ~ 1e3 left ~1e-10 of roundoff in the
+    quotient, and the first Newton step overshot the discrete solution by
+    ~2e-12.
+    """
+    size = np.maximum(np.maximum(np.abs(r), np.abs(p).max(axis=1)), np.abs(A).max(axis=(1, 2)))
+    unit = np.spacing(256.0 * (1.0 + size))
+
+    def quotient(x, jet_at):
+        d = np.maximum(np.exp2(np.ceil(np.log2(bump * (1.0 + np.abs(x))))), unit)
+        x = np.round(x / unit) * unit
+        hi, lo = x + d, x - d
+        return (value(*jet_at(hi)) - value(*jet_at(lo))) / (hi - lo)
+
+    def with_p(k):
+        def at(x):
+            q = p.copy()
+            q[:, k] = x
+            return r, q, A
+        return at
+
+    def with_A(k, l):
+        def at(x):
+            B = A.copy()
+            B[:, k, l] = B[:, l, k] = x
+            return r, p, B
+        return at
+
+    g_r = quotient(r, lambda x: (x, p, A))
+    g_p = np.empty_like(p)
+    g_A = np.empty_like(A)
+    for k in range(p.shape[1]):
+        g_p[:, k] = quotient(p[:, k], with_p(k))
+        for l in range(k, p.shape[1]):
+            g_A[:, k, l] = g_A[:, l, k] = quotient(A[:, k, l], with_A(k, l))
+    return g_r, g_p, g_A
 
 
 def sweep_line_numpy(u, order, S, caps, g, steps, res, gtol, veps):
@@ -197,3 +272,73 @@ def residual_line_numpy(u, order, S, g):
     uL, uR, v0 = u[order - 1], u[order + 1], u[order]
     du = S.du(uL, v0, uR)
     return g(order, v0, du, du * S.ang, S.d2(uL, v0, uR), _upwind(v0, uL, uR, S.hL, S.hR))
+
+
+# Largest number of floats the lo, di and up slab blocks of one box step may
+# hold together (64 MiB): the slabs of a 2-D box up to ~140 nodes a side,
+# of a 3-D box up to ~19.  Larger boxes take the Jacobi sweeps.
+MAX_BLOCK_FLOATS = 2**23
+
+
+def step_box(u, ids, M, caps, value, jet, res):
+    """One Howard / Newton step on R(u) = min(G(u), cap - u) at the interior
+    nodes ``ids`` of the box ``M``.
+
+    ``value(r, p, A)`` gives the defining values at ``ids`` and ``jet`` is
+    the centred cross-stencil jet of u there.  The rows chain the
+    difference quotients of ``_jet_slopes`` through the cross-stencil
+    weights; a contact row, where cap - u < G, reads delta = cap - u, as in
+    ``sweep_line_numpy``.  Before the solve every Newton row is checked:
+    off-diagonal weights >= 0 and mixed-derivative weights zero, both to
+    roundoff, and a negative pivot.  ``block_thomas`` solves the system;
+    its blocks are the slabs of interior nodes with one index along axis 0.
+
+    ``res`` receives R before the step.  Returns (max |change|, min
+    change); raises FloatingPointError naming a failed check, an oversized
+    or singular block or a non-finite step, with u unchanged.
+    """
+    inner = [s - 2 for s in M.shape]
+    nb, k = inner[0], ids.size // inner[0]
+    if 3 * nb * k * k > MAX_BLOCK_FLOATS:
+        raise FloatingPointError(f"slab blocks of {k} nodes exceed the dense block solve")
+    r, p, A = jet
+    v, cap = u[ids], caps[ids]
+    G = value(r, p, A)
+    np.minimum(G, cap - v, out=res)
+    g_r, g_p, g_A = _jet_slopes(value, r, p, A)
+    h, m = M.h, M.m
+    own = g_r - 2.0 * sum(g_A[:, a, a] / h[a] ** 2 for a in range(m))
+    plus = [g_A[:, a, a] / h[a] ** 2 + g_p[:, a] / (2 * h[a]) for a in range(m)]
+    minus = [g_A[:, a, a] / h[a] ** 2 - g_p[:, a] / (2 * h[a]) for a in range(m)]
+    mixed = [g_A[:, a, b] / (4 * h[a] * h[b]) for a in range(m) for b in range(a + 1, m)]
+    tiny = 1e-9 * (np.abs(own) + sum(np.abs(w) for w in plus + minus))
+    newton = cap - v >= G
+    checks = (("negative off-diagonal weight", np.any([w < -tiny for w in plus + minus], axis=0)),
+              ("mixed-derivative weight", np.any([np.abs(w) > tiny for w in mixed], axis=0)),
+              ("pivot not negative", ~(own < -tiny)))
+    for what, bad in checks:
+        bad &= newton
+        if bad.any():
+            raise FloatingPointError(f"{what} in {int(bad.sum())} of {ids.size} rows")
+    q = np.arange(ids.size)
+    b, j = np.divmod(q, k)
+    blocks = np.zeros((3, nb, k, k))  # lo, di, up
+    blocks[1, b, j, j] = np.where(newton, own, 1.0)
+    idx = np.unravel_index(q, inner)
+    for a in range(m):
+        t = int(np.prod(inner[a + 1:]))
+        for w, row, nq in ((plus[a], newton & (idx[a] < inner[a] - 1), q + t),
+                           (minus[a], newton & (idx[a] > 0), q - t)):
+            nq = nq[row]
+            blocks[nq // k - b[row] + 1, b[row], j[row], nq % k] = w[row]
+    rhs = np.where(newton, -G, cap - v).reshape(nb, k)
+    try:
+        step = block_thomas(*blocks, rhs).ravel()
+    except np.linalg.LinAlgError:
+        raise FloatingPointError("singular block") from None
+    if not np.all(np.isfinite(step)):
+        raise FloatingPointError("non-finite step")
+    new = np.minimum(v + step, cap)
+    ch = new - v
+    u[ids] = new
+    return float(np.abs(ch).max(initial=0.0)), float(ch.min(initial=0.0))

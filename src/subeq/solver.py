@@ -19,12 +19,18 @@ certificate.  The grid and the lowering choose the engine.  On line
 iteration is one Howard policy step over the closed-form line evaluator
 ("numpy"): the contact set and the active branches are frozen, and one
 tridiagonal solve gives the update (the first difference |du| that
-profiles read is lagged).  Otherwise each iteration is a Jacobi sweep of
-bisection node solves driven by the subequation tree ("generic"; G is
-monotone in the node value through (N) and the negative centre weight of
-the second difference, and the first difference is lagged).  The policy
-step reads the same batched node solves for rows it cannot linearize at
-the current iterate.  Iterates started from a verified discrete
+profiles read is lagged).  Otherwise the subequation tree drives the
+iteration ("generic").  On boxes each iteration is a Newton (Howard)
+step: rows from difference quotients of the tree at the centred jets,
+checked for monotonicity, and one block-tridiagonal solve.  A failed
+check or a stalled residual resets the iterate to the initial
+subsolution, notes the reason in the trace, and hands the solve to the
+Jacobi sweeps of bisection node solves that line grids take under this
+engine (G is monotone in the node value through (N) and the negative
+centre weight of the second difference, and the first difference is
+lagged).  The line policy step reads the same batched node solves for
+rows it cannot linearize at the current iterate.  Iterates started from
+a verified discrete
 subsolution increase monotonically where the scheme is monotone,
 mirroring the Perron supremum.  The loop checks
 the scheme residual after every sweep or step whose largest node change
@@ -226,7 +232,9 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
             "no verified discrete subsolution found (boundary data infeasible for F?)")
     if len(candidates) > 1:
         merged = np.maximum.reduce([v for _, v in candidates])
-        if admissible(merged, "max") is not None:
+        # a max equal to a verified candidate needs no check of its own
+        if (any(np.array_equal(merged, v) for _, v in candidates)
+                or admissible(merged, "max") is not None):
             return merged, "max(" + ",".join(lbl for lbl, _ in candidates) + ")"
     # prefer the warmest single verified candidate
     order = ["presolve"] + [f"warm{i}" for i in range(len(spec.scheme.warm_starts))]
@@ -273,10 +281,11 @@ def _iterate(spec: ProblemSpec, u, caps, engine, g):
     band = 0.45 * spec.membership_tol()
     gtol = min(band, 1e-9)
     veps = spec.policy.root_value_tol
+    notes = []
     if engine == "numpy":
         ids, sweep, residual = _line_engine(spec, u, caps, g, gtol, veps)
     else:
-        ids, sweep, residual = _generic_engine(spec, u, caps, gtol, veps)
+        ids, sweep, residual = _generic_engine(spec, u, caps, gtol, veps, notes)
     trace = []
     min_signed = 0.0
     max_ch = np.inf
@@ -292,6 +301,9 @@ def _iterate(spec: ProblemSpec, u, caps, engine, g):
     while sweeps < spec.scheme.max_sweeps:
         max_ch, min_ch = sweep()
         sweeps += 1
+        if notes:  # the engine fell back: its iterates restart from u0
+            trace.append({"sweep": sweeps, "note": notes.pop()})
+            min_signed = 0.0
         min_signed = min(min_signed, min_ch)
         zero_streak = zero_streak + 1 if max_ch == 0.0 else 0
         if not max_ch <= conv_tol:
@@ -314,8 +326,13 @@ def _iterate(spec: ProblemSpec, u, caps, engine, g):
     raise ConvergenceError(
         f"no convergence in {sweeps} sweeps ({engine} engine, "
         f"last max_change={max_ch:.3e}, residual={worst(residual()):.3e})",
-        diagnostics={"trace": trace[-20:]},
+        diagnostics={"trace": _trace_tail(trace, 20)},
     )
+
+
+def _trace_tail(trace, keep):
+    """The last ``keep`` trace entries, after every earlier note."""
+    return [t for t in trace[:-keep] if "note" in t] + trace[-keep:]
 
 
 def _line_engine(spec: ProblemSpec, u, caps, g, gtol, veps):
@@ -358,19 +375,43 @@ def _line_engine(spec: ProblemSpec, u, caps, g, gtol, veps):
     return order, sweep, residual
 
 
-def _generic_engine(spec: ProblemSpec, u, caps, gtol, veps):
-    """Jacobi node solves on any grid, driven by the subequation tree."""
+def _generic_engine(spec: ProblemSpec, u, caps, gtol, veps, notes):
+    """The subequation tree on any grid: Newton steps on boxes, Jacobi
+    sweeps of node solves elsewhere.
+
+    A box step whose rows fail the check of ``K.step_box``, or STALL_STEPS
+    steps in a row without a new minimum of the worst residual
+    max |min(G, cap - u)|, hand the solve to the Jacobi sweeps: u is reset
+    to the initial subsolution and the reason goes into ``notes``.
+    """
     M, F = spec.M, spec.F
     ids = M.interior_ids
     dA = _center_sensitivity(M, ids)
     gf = GridFunction(M, u)  # shares the array; jets follow in-place updates
+    u0 = u.copy()
     steps = np.full(ids.size, 1e-3 * (1.0 + float(np.abs(u).max())))
+    res = np.empty(ids.size)
+    newton = M.stencil is None
+    best, since = np.inf, 0
+
+    def value(r, p, A):
+        return F.value(ids, r, p, A)
 
     def jets():
         _, r, p, A = batch_jets(gf, ids)
         return r, p, A
 
-    def sweep():
+    def newton_step():
+        nonlocal best, since
+        out = K.step_box(u, ids, M, caps, value, jets(), res)
+        worst = float(np.abs(res).max(initial=0.0))
+        best, since = (worst, 0) if worst < best else (best, since + 1)
+        if since >= STALL_STEPS:
+            raise FloatingPointError(
+                f"no new minimum of the worst residual in {STALL_STEPS} steps")
+        return out
+
+    def jacobi():
         r0, p0, A0 = jets()
 
         def G(v):
@@ -382,8 +423,20 @@ def _generic_engine(spec: ProblemSpec, u, caps, gtol, veps):
         u[ids] = v
         return float(np.abs(ch).max(initial=0.0)), float(ch.min(initial=0.0))
 
+    def sweep():
+        nonlocal newton
+        if newton:
+            try:
+                return newton_step()
+            except FloatingPointError as e:
+                newton = False
+                u[:] = u0
+                notes.append(f"Newton step fell back to Jacobi sweeps from the "
+                             f"initial subsolution: {e}")
+        return jacobi()
+
     def residual():
-        return F.value(ids, *jets())
+        return value(*jets())
 
     return ids, sweep, residual
 
@@ -471,7 +524,7 @@ def perron_dirichlet(spec: ProblemSpec):
         counts={"interior_nodes": ids.size, "sweeps": info["sweeps"]},
         params={**_solve_params(spec, info), "conv_tol": spec.conv_tol()},
         residuals={"membership": res, "dual": -res},
-        trace=info["trace"][-50:],
+        trace=_trace_tail(info["trace"], 50),
         wall_time=time.perf_counter() - t0,
     )
     if _comparison_regime(spec.F) == "weak":
@@ -524,7 +577,7 @@ def solve_obstacle(spec: ProblemSpec):
                 "sweeps": info["sweeps"]},
         params=_solve_params(spec, info),
         residuals={"membership": res, "obstacle_gap": gap, "complementarity": comp},
-        trace=info["trace"][-50:],
+        trace=_trace_tail(info["trace"], 50),
         wall_time=time.perf_counter() - t0,
     )
     return GridFunction(spec.M, u), cert

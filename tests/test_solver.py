@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from subeq import _kernels as K
 from subeq.errors import ConvergenceError, InitializationError, InputError, PreconditionError
 from subeq.manifolds import FlatBox, GridFunction, PuncturedEuclidean, RadialModel
 from subeq.profiles import AProfile, Profile
@@ -274,6 +275,103 @@ class TestEngines:
         assert cert.params["engine"] == "generic"
         exact = np.exp(M.coords[:, 0])
         assert np.abs(u.values - exact).max() <= 5e-3
+
+
+def _five_point(M, slope, data):
+    """Dense solve of the cross-stencil rows tr A = slope * u with boundary data."""
+    ids = M.interior_ids
+    L = np.eye(M.n_nodes)
+    rhs = data(M.coords)
+    rhs[ids] = 0.0
+    L[ids, ids] = -slope - 2.0 * np.sum(1.0 / M.h**2)
+    for s, h in zip(M.strides, M.h):
+        L[ids, ids + s] = L[ids, ids - s] = 1.0 / h**2
+    return np.linalg.solve(L, rhs)
+
+
+def _exp_cos(c):
+    return np.exp(c[:, 0]) * np.cos(c[:, 1])
+
+
+class TestBlockThomas:
+    @pytest.mark.parametrize("k", [1, 3, 31])
+    def test_matches_dense_solve(self, k):
+        rng = np.random.default_rng(k)
+        nb = 7
+        lo, di, up = rng.uniform(-1.0, 1.0, (3, nb, k, k))
+        di += np.eye(k) * 3 * k  # block rows diagonally dominant
+        rhs = rng.normal(size=(nb, k))
+        dense = np.zeros((nb * k, nb * k))
+        for i in range(nb):
+            dense[i * k:(i + 1) * k, i * k:(i + 1) * k] = di[i]
+            if i:
+                dense[i * k:(i + 1) * k, (i - 1) * k:i * k] = lo[i]
+            if i < nb - 1:
+                dense[i * k:(i + 1) * k, (i + 1) * k:(i + 2) * k] = up[i]
+        x = K.block_thomas(lo, di, up, rhs)
+        assert np.abs(x.ravel() - np.linalg.solve(dense, rhs.ravel())).max() <= 1e-12
+
+    def test_scalar_blocks_match_thomas(self):
+        rng = np.random.default_rng(0)
+        n = 50
+        lo, up = rng.uniform(-1.0, 1.0, (2, n))
+        di = rng.uniform(2.5, 3.0, n)
+        rhs = rng.normal(size=n)
+        x = K.block_thomas(lo[:, None, None], di[:, None, None], up[:, None, None],
+                           rhs[:, None])
+        assert np.allclose(x[:, 0], K.thomas(lo, di, up, rhs), rtol=1e-13, atol=1e-15)
+
+
+class TestBoxNewton:
+    @pytest.mark.parametrize("slope, data", [(1.0, lambda c: np.exp(c[:, 0])),
+                                             (0.0, _exp_cos)], ids=["LIN", "harmonic"])
+    def test_laplace_2d_is_the_five_point_solution(self, slope, data):
+        M = FlatBox(2, [(0.0, 1.0), (0.0, 1.0)], 1 / 16)
+        spec = ProblemSpec(laplace(Profile.linear(slope), m=2), M, {"side": data})
+        u, cert = perron_dirichlet(spec)
+        assert cert.passed and cert.params["engine"] == "generic"
+        assert cert.counts["sweeps"] <= 3
+        assert cert.params["monotone_iterates"]
+        assert not any("note" in t for t in cert.trace)
+        assert np.abs(u.values - _five_point(M, slope, data)).max() <= 10 * spec.conv_tol()
+
+    def test_laplace_3d_slab_blocks(self):
+        M = FlatBox(3, [(0.0, 1.0)] * 3, 1 / 8)
+        spec = ProblemSpec(laplace(ZERO, m=3), M, {"side": _exp_cos})
+        u, cert = perron_dirichlet(spec)
+        assert cert.passed and cert.counts["sweeps"] <= 3
+        assert np.abs(u.values - _five_point(M, 0.0, _exp_cos)).max() <= 10 * spec.conv_tol()
+
+    def test_obstacle_2d(self):
+        # a bowl dipping below the zero harmonic extension: contact near the centre
+        M = FlatBox(2, [(0.0, 1.0), (0.0, 1.0)], 1 / 16)
+        g = GridFunction.from_callable(M, lambda c: ((c - 0.5) ** 2).sum(axis=1) - 0.2)
+        u, cert = solve_obstacle(ProblemSpec(laplace(ZERO, m=2), M, {"side": 0.0}, obstacle=g))
+        assert cert.passed and cert.params["engine"] == "generic"
+        assert cert.worst["complementarity"] <= 1e-8
+        assert np.all(u.values <= g.values + 1e-12)
+        assert cert.counts["contact_nodes"] > 0
+        assert not any("note" in t for t in cert.trace)
+
+    def test_mixed_derivative_rows_fall_back_to_jacobi(self):
+        # lambda_max of the Hessian with x*y data: the mixed-derivative
+        # weight fails the row check and the Jacobi sweeps finish the solve
+        M = FlatBox(2, [(0.0, 1.0), (0.0, 1.0)], 1 / 8)
+        spec = ProblemSpec(hessian_branch(2, Profile.constant(0.0), m=2), M,
+                           {"side": lambda c: c[:, 0] * c[:, 1]})
+        u, cert = perron_dirichlet(spec)
+        notes = [t["note"] for t in cert.trace if "note" in t]
+        assert any("fell back to Jacobi" in n and "mixed-derivative" in n for n in notes)
+        assert cert.passed and cert.params["engine"] == "generic"
+
+    def test_oversized_blocks_fall_back_to_jacobi(self, monkeypatch):
+        monkeypatch.setattr(K, "MAX_BLOCK_FLOATS", 10)
+        M = FlatBox(2, [(0.0, 1.0), (0.0, 1.0)], 1 / 8)
+        spec = ProblemSpec(laplace(ZERO, m=2), M, {"side": _exp_cos})
+        u, cert = perron_dirichlet(spec)
+        assert [t["sweep"] for t in cert.trace if "exceed" in t.get("note", "")] == [1]
+        assert cert.passed and cert.counts["sweeps"] > 3
+        assert np.abs(u.values - _five_point(M, 0.0, _exp_cos)).max() <= 10 * cert.tolerance
 
 
 class TestObstacle:
