@@ -1,19 +1,19 @@
-"""Sweep kernels for the Perron iteration.
+"""Sweep and step kernels for the Perron iteration.
 
 ``vector_node_solve`` solves the scalar node equations of a batch of nodes
 at once: one bracket and bisection per node, exploiting the monotonicity
-of the defining value in the node value.  The generic engine calls it on
-every interior node with the tree evaluator (a Jacobi sweep).  On line
-(radial / 1-D) grids ``sweep_line_numpy`` takes one Howard policy step
-instead: it freezes the active branches of the lowered line evaluator of
-``_ir.lower`` and the contact set, and solves the resulting tridiagonal
-system with ``thomas``; rows that the step cannot linearize at the
-current iterate are linearized at their node roots from the same batched
-node solve.  The line kernels read the grid's ``LineStencil`` rows, which
-the solver gathers once per solve for the interior nodes.  On boxes
-``step_box`` takes the Newton step with the subequation tree: its rows
-come from the difference quotients of ``_jet_slopes`` through the cross
-stencil, and ``block_thomas`` solves them slab by slab.
+of the defining value in the node value.  Over every interior node with
+the tree evaluator it is one Jacobi sweep.  The Newton (Howard) steps
+linearize R(u) = min(G(u), cap - u) with the contact set and the active
+branches frozen.  On line (radial / 1-D) grids ``sweep_line_numpy`` takes
+the policy step over the lowered line evaluator of ``_ir.lower`` and the
+grid's ``LineStencil`` rows, solved with ``thomas``; rows that the step
+cannot linearize at the current iterate are linearized at their node
+roots from the same batched node solve.  On boxes ``step_box`` takes the
+step with the subequation tree through the cross stencil, solved slab by
+slab with ``block_thomas``.  Both steps build their rows from the
+difference quotients of one rule (``_quotient``, through ``_slopes`` and
+``_jet_slopes``) and end in one clamped update (``_clamp_write``).
 """
 from __future__ import annotations
 
@@ -121,75 +121,93 @@ def block_thomas(lo, di, up, rhs):
     return d
 
 
-def _slopes(g, jet, bump=1e-4):
-    """Central difference quotients of g in v, aa, d2 and gdn at ``jet``.
+def _quotient(value, x, size, bump=1e-4):
+    """Central difference quotients of ``value`` in a jet entry, at x.
 
-    The bump is ``bump * (1 + |x|)``.  At a tie of a min or max each tied
-    branch gets part of the weight, so the row keeps a pivot.
-    """
-    out = []
-    for k in (1, 3, 4, 5):
-        x = jet[k]
-        bumped = list(jet)
-        bumped[k] = hi = x + bump * (1.0 + np.abs(x))
-        g_hi = g(*bumped)
-        bumped[k] = lo = x - bump * (1.0 + np.abs(x))
-        out.append((g_hi - g(*bumped)) / (hi - lo))
-    return out
-
-
-def _jet_slopes(value, r, p, A, bump=1e-4):
-    """Central difference quotients of ``value(r, p, A)`` in r, each p_k and
-    each symmetric A_kl (A_kl and A_lk bumped together), the tree twin of
-    ``_slopes``.  Returns (g_r, g_p, g_A) shaped like (r, p, A).
-
-    The bump is ``bump * (1 + |x|)`` rounded up to a power of two, taken
+    ``x`` holds the entry at every node (or several entries stacked) and
+    ``size`` the node's largest jet entry, broadcast against x.  The bump is ``bump * (1 + |x|)`` rounded up to a power of two, taken
     about x rounded to a multiple of ``unit``, the float spacing at 256
-    times the node's largest jet entry (a shift far below the bump).  The
-    float spacing of a sum of jet entries then divides the bumped span, so
-    both bumped sums round alike and an affine evaluator such as the trace
-    gets exact quotients.  With the plain bump of ``_slopes`` a trace
-    A_00 + A_11 with A_00 ~ 0 and A_11 ~ 1e3 left ~1e-10 of roundoff in the
-    quotient, and the first Newton step overshot the discrete solution by
-    ~2e-12.
+    times ``size`` (a shift far below the bump).  The float spacing of a sum of jet entries with small integer
+    weights then divides the bumped span, so both bumped sums round alike
+    and an affine evaluator such as the Laplacian gets exact quotients,
+    unless a partial sum crosses a power of two between the two bumps
+    (then ~eps |sum| / bump: 4.5e-13 at d2 ~ -1e3).  With a plain bump a
+    trace A_00 + A_11 with A_00 ~ 0 and A_11 ~ 1e3 left ~1e-10 of roundoff
+    in the quotient, and the first Newton step overshot the discrete
+    solution by ~2e-12.
+    """
+    unit = np.spacing(256.0 * (1.0 + size))
+    d = np.maximum(np.exp2(np.ceil(np.log2(bump * (1.0 + np.abs(x))))), unit)
+    x = np.rint(x / unit) * unit
+    hi, lo = x + d, x - d
+    return (value(hi) - value(lo)) / (hi - lo)
+
+
+def _slopes(g, jet):
+    """Difference quotients (``_quotient``) of g in v, aa, d2 and gdn at ``jet``.
+
+    At a tie of a min or max each tied branch gets part of the weight, so
+    the row keeps a pivot.
+    """
+    keys = (1, 3, 4, 5)
+
+    def value(X):  # the four bumped entries at once, one row each
+        return np.array([g(*jet[:k], x, *jet[k + 1:]) for k, x in zip(keys, X)])
+
+    return _quotient(value, np.array([jet[k] for k in keys]), np.max(np.abs(jet[1:]), axis=0))
+
+
+def _jet_slopes(value, r, p, A):
+    """Difference quotients (``_quotient``) of ``value(r, p, A)`` in r, each
+    p_k and each symmetric A_kl (A_kl and A_lk bumped together), the tree
+    twin of ``_slopes``.  Returns (g_r, g_p, g_A) shaped like (r, p, A).
     """
     size = np.maximum(np.maximum(np.abs(r), np.abs(p).max(axis=1)), np.abs(A).max(axis=(1, 2)))
-    unit = np.spacing(256.0 * (1.0 + size))
-
-    def quotient(x, jet_at):
-        d = np.maximum(np.exp2(np.ceil(np.log2(bump * (1.0 + np.abs(x))))), unit)
-        x = np.round(x / unit) * unit
-        hi, lo = x + d, x - d
-        return (value(*jet_at(hi)) - value(*jet_at(lo))) / (hi - lo)
 
     def with_p(k):
         def at(x):
             q = p.copy()
             q[:, k] = x
-            return r, q, A
+            return value(r, q, A)
         return at
 
     def with_A(k, l):
         def at(x):
             B = A.copy()
             B[:, k, l] = B[:, l, k] = x
-            return r, p, B
+            return value(r, p, B)
         return at
 
-    g_r = quotient(r, lambda x: (x, p, A))
+    g_r = _quotient(lambda x: value(x, p, A), r, size)
     g_p = np.empty_like(p)
     g_A = np.empty_like(A)
     for k in range(p.shape[1]):
-        g_p[:, k] = quotient(p[:, k], with_p(k))
+        g_p[:, k] = _quotient(with_p(k), p[:, k], size)
         for l in range(k, p.shape[1]):
-            g_A[:, k, l] = g_A[:, l, k] = quotient(A[:, k, l], with_A(k, l))
+            g_A[:, k, l] = g_A[:, l, k] = _quotient(with_A(k, l), A[:, k, l], size)
     return g_r, g_p, g_A
+
+
+def _clamp_write(u, ids, v, step, cap, brackets=None):
+    """Write the update min(v + step, cap) of the values v = u[ids] into u.
+
+    Returns (max |change|, min change); ``brackets``, when given, receives
+    4 |change| (at least 1e-9) as the next bracket widths of the node solves.
+    """
+    new = np.minimum(v + step, cap)
+    ch = new - v
+    u[ids] = new
+    if brackets is not None:
+        brackets[:] = np.maximum(4.0 * np.abs(ch), 1e-9)
+    return float(np.abs(ch).max(initial=0.0)), float(ch.min(initial=0.0))
 
 
 def sweep_line_numpy(u, order, S, caps, g, steps, res, gtol, veps):
     """One Howard policy step on R(u) = min(G(u), cap - u) at the nodes ``order``.
 
-    ``S`` holds the stencil rows at ``order``.  The step freezes the policy
+    ``order`` lists the interior nodes of the line in grid order and ``S``
+    holds their stencil rows; the tridiagonal system has one row per
+    interior node (the boundary values enter through G).  The step freezes the policy
     at the current u: the contact set, where cap - u < G, and the active
     branch of every min/max of g and of the upwind gradient, read from the
     difference quotients of ``_slopes``.  du is lagged inside g, and
@@ -198,7 +216,7 @@ def sweep_line_numpy(u, order, S, caps, g, steps, res, gtol, veps):
 
     Every node is also solved on its own first: ``vector_node_solve`` finds
     the largest value <= cap with G >= 0 with the neighbours and du frozen
-    (bracket widths ``steps``), the generic engine's Jacobi sweep.  A row
+    (bracket widths ``steps``), one Jacobi sweep.  A row
     whose active branch does not move with the node value (no weight
     through v, d2 or the upwind gradient, as where the angular branch of a
     min is active and f is constant) is linearized at that root instead,
@@ -207,9 +225,9 @@ def sweep_line_numpy(u, order, S, caps, g, steps, res, gtol, veps):
     node, so perfbench's node-solve counters keep seeing line solves; only
     those rows read its roots.
 
-    ``res`` receives R before the step.  Returns (max |change|, min
-    change) and stores 4 |change| as the next bracket widths; raises
-    FloatingPointError at a zero or non-finite pivot.
+    ``res`` receives R before the step.  Ends in ``_clamp_write``: returns
+    (max |change|, min change) and stores 4 |change| as the next bracket
+    widths; raises FloatingPointError at a zero or non-finite pivot.
     """
     v = u[order]
     uL, uR = u[order - 1], u[order + 1]
@@ -248,23 +266,15 @@ def sweep_line_numpy(u, order, S, caps, g, steps, res, gtol, veps):
         weak &= weak_r
     solved = cap - v >= G
     stepped = solved & ~weak
-    n = u.size
-    lo, di, up, rhs = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)
-    lo[order] = np.where(stepped, row_lo, 0.0)
-    di[order] = np.where(stepped, row_di, 1.0)
-    up[order] = np.where(stepped, row_up, 0.0)
-    rhs[order] = np.where(stepped, -G, np.where(solved, 0.0, cap - v))
+    di = np.where(stepped, row_di, 1.0)
     try:
-        step = thomas(lo, di, up, rhs)[order]
+        step = thomas(np.where(stepped, row_lo, 0.0), di, np.where(stepped, row_up, 0.0),
+                      np.where(stepped, -G, np.where(solved, 0.0, cap - v)))
     except ZeroDivisionError:
         raise FloatingPointError("zero pivot") from None
     if not np.all(np.isfinite(step)) or not np.all(np.isfinite(di)):
         raise FloatingPointError("non-finite pivot or step")
-    new = np.minimum(v + step, cap)
-    ch = new - v
-    u[order] = new
-    steps[:] = np.maximum(4.0 * np.abs(ch), 1e-9)
-    return float(np.abs(ch).max(initial=0.0)), float(ch.min(initial=0.0))
+    return _clamp_write(u, order, v, step, cap, steps)
 
 
 def residual_line_numpy(u, order, S, g):
@@ -293,9 +303,10 @@ def step_box(u, ids, M, caps, value, jet, res):
     roundoff, and a negative pivot.  ``block_thomas`` solves the system;
     its blocks are the slabs of interior nodes with one index along axis 0.
 
-    ``res`` receives R before the step.  Returns (max |change|, min
-    change); raises FloatingPointError naming a failed check, an oversized
-    or singular block or a non-finite step, with u unchanged.
+    ``res`` receives R before the step.  Ends in ``_clamp_write``: returns
+    (max |change|, min change); raises FloatingPointError naming a failed
+    check, an oversized or singular block or a non-finite step, with u
+    unchanged.
     """
     inner = [s - 2 for s in M.shape]
     nb, k = inner[0], ids.size // inner[0]
@@ -338,7 +349,4 @@ def step_box(u, ids, M, caps, value, jet, res):
         raise FloatingPointError("singular block") from None
     if not np.all(np.isfinite(step)):
         raise FloatingPointError("non-finite step")
-    new = np.minimum(v + step, cap)
-    ch = new - v
-    u[ids] = new
-    return float(np.abs(ch).max(initial=0.0)), float(ch.min(initial=0.0))
+    return _clamp_write(u, ids, v, step, cap)

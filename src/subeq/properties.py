@@ -198,8 +198,7 @@ def _combine_oracles(ode_verdict: str, vol_verdict: str) -> tuple:
 
 
 def stochastic_completeness(warp, m: int, lam: float = 1.0,
-                            r_range=(0.1, 30.0), vol_r_max: float | None = None,
-                            policy: NumericPolicy = DEFAULT_POLICY) -> Verdict:
+                            r_range=(0.1, 30.0), vol_r_max: float | None = None) -> Verdict:
     """Verdict for the Liouville property of {tr A >= lam r} on a radial model
     (stochastic completeness), decided by the radial Khas'minskii ODE and the
     volume-growth oracles.
@@ -233,7 +232,7 @@ def stochastic_completeness(warp, m: int, lam: float = 1.0,
         witness = GridFunction(M, w_ode / np.abs(w_ode).max())
         F = laplace(Profile.linear(lam), m=m)
         htol = 10.0 * float(np.diff(r_grid).max()) ** 2 * max(1.0, lam)
-        check = liouville_check(F.dual(), witness, M, membership_tol=htol, policy=policy)
+        check = liouville_check(F.dual(), witness, M, membership_tol=htol)
         v = Verdict("stochastic_completeness", Outcome.FAILS, provenance,
                     witness=witness, certificate=check.certificate, notes=notes)
         v.notes.append(f"witness re-verified at O(h^2) tolerance {htol:.2e}: "

@@ -14,27 +14,28 @@ verified candidates is used when it verifies itself.
 
 Solve core: perron_dirichlet and solve_obstacle share one set-up and one
 iteration loop (_solve, _iterate) and differ only in their caps and
-certificate.  The grid and the lowering choose the engine.  On line
-(radial / 1-D) grids with a subequation that lowers (_ir.lower), each
-iteration is one Howard policy step over the closed-form line evaluator
-("numpy"): the contact set and the active branches are frozen, and one
-tridiagonal solve gives the update (the first difference |du| that
-profiles read is lagged).  Otherwise the subequation tree drives the
-iteration ("generic").  On boxes each iteration is a Newton (Howard)
-step: rows from difference quotients of the tree at the centred jets,
-checked for monotonicity, and one block-tridiagonal solve.  A failed
-check or a stalled residual resets the iterate to the initial
+certificate.  One engine (_engine) supplies the iterations, and the grid
+picks its step.  On line (radial / 1-D) grids with a subequation that
+lowers (_ir.lower), each iteration is one Howard policy step over the
+closed-form line evaluator ("numpy"): the contact set and the active
+branches are frozen, and one tridiagonal solve gives the update (the
+first difference |du| that profiles read is lagged).  On boxes each
+iteration is a Newton (Howard) step with the subequation tree
+("generic"): rows from difference quotients of the tree at the centred
+jets, checked for monotonicity, and one block-tridiagonal solve.  Line
+grids whose tree does not lower ("generic") take Jacobi sweeps of
+bisection node solves (G is monotone in the node value through (N) and
+the negative centre weight of the second difference, and the first
+difference is lagged).  Both Newton steps share one stall rule
+(STALL_STEPS steps without a new minimum of the worst residual).  A
+failed or stalled line step ends the solve with ConvergenceError; a
+failed or stalled box step resets the iterate to the initial
 subsolution, notes the reason in the trace, and hands the solve to the
-Jacobi sweeps of bisection node solves that line grids take under this
-engine (G is monotone in the node value through (N) and the negative
-centre weight of the second difference, and the first difference is
-lagged).  The line policy step reads the same batched node solves for
-rows it cannot linearize at the current iterate.  Iterates started from
-a verified discrete
-subsolution increase monotonically where the scheme is monotone,
-mirroring the Perron supremum.  The loop checks
-the scheme residual after every sweep or step whose largest node change
-is within the policy's convergence_tol -- the only ones that can be
+Jacobi sweeps.  Iterates started
+from a verified discrete subsolution increase monotonically where the
+scheme is monotone, mirroring the Perron supremum.  The loop checks the
+scheme residual after every sweep or step whose largest node change is
+within the policy's convergence_tol -- the only ones that can be
 accepted.
 """
 from __future__ import annotations
@@ -77,7 +78,6 @@ class SchemeParams:
     max_sweeps: int = 2_000_000
     init: object = "auto"              # "auto" | "constant" | ndarray (strict)
     warm_starts: tuple = ()            # extra candidate arrays, verified non-strictly
-    force_engine: str | None = None    # None (automatic) | "numpy" | "generic"
 
 
 @dataclass
@@ -251,41 +251,28 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
 # ---------------------------------------------------------------------------
 
 
-# Policy steps without a new minimum of the worst residual before the line
-# engine gives up.  Converging solves of the catalog probe (cli._catalog
+# Newton steps without a new minimum of the worst residual before a solve
+# gives up on them.  Converging solves of the catalog probe (cli._catalog
 # and the duals, m = 1..3, on a 41-node sinh grid), of constant-f min
 # members and of the committed scenarios never went more than 7 steps
 # without one.
 STALL_STEPS = 50
 
 
-def _pick_engine(spec: ProblemSpec, g):
-    """The line engine when the grid is a line and F lowers, else generic."""
-    forced = spec.scheme.force_engine
-    if forced not in (None, "numpy", "generic"):
-        raise InputError(f"unknown engine {forced!r}: use None, 'numpy' or 'generic'")
-    line = spec.M.stencil is not None and g is not None
-    if forced == "numpy" and not line:
-        raise InputError("the numpy engine needs a radial or 1-D grid and a "
-                         "subequation that lowers to the line evaluator")
-    return forced or ("numpy" if line else "generic")
-
-
-def _iterate(spec: ProblemSpec, u, caps, engine, g):
-    """Sweeps (or policy steps) from the subsolution u to the discrete fixed point.
+def _iterate(spec: ProblemSpec, u, caps, g):
+    """Sweeps (or Newton steps) from the subsolution u to the discrete fixed point.
 
     The engine supplies one sweep and the scheme residual at its nodes;
-    convergence and acceptance are decided here for both engines.
+    convergence and acceptance are decided here.  The label is "numpy"
+    where the line policy steps run, "generic" where the tree does.
     """
     conv_tol = spec.conv_tol()
     band = 0.45 * spec.membership_tol()
     gtol = min(band, 1e-9)
     veps = spec.policy.root_value_tol
+    engine = "numpy" if spec.M.stencil is not None and g is not None else "generic"
     notes = []
-    if engine == "numpy":
-        ids, sweep, residual = _line_engine(spec, u, caps, g, gtol, veps)
-    else:
-        ids, sweep, residual = _generic_engine(spec, u, caps, gtol, veps, notes)
+    ids, sweep, residual = _engine(spec, u, caps, g, gtol, veps, notes)
     trace = []
     min_signed = 0.0
     max_ch = np.inf
@@ -335,64 +322,30 @@ def _trace_tail(trace, keep):
     return [t for t in trace[:-keep] if "note" in t] + trace[-keep:]
 
 
-def _line_engine(spec: ProblemSpec, u, caps, g, gtol, veps):
-    """Howard policy steps over the interior of a line grid, lowered F;
-    ``brackets`` carries the bracket widths of the step's node solves
-    from one step to the next.
+def _engine(spec: ProblemSpec, u, caps, g, gtol, veps, notes):
+    """One sweep and the scheme residual at the interior nodes; the grid
+    picks the Newton step.
 
-    A step whose tridiagonal solve meets a zero or non-finite pivot, or
-    STALL_STEPS steps in a row without a new minimum of the worst residual
-    max |min(G, cap - u)|, end the solve with ConvergenceError.
-    """
-    order = spec.M.interior_ids
-    S = spec.M.stencil.at(order)
-    res = np.empty(order.size)
-    brackets = np.full(order.size, 1e-3 * (1.0 + float(np.abs(u).max())))
-    steps = since = 0
-    best = np.inf
-
-    def fail(why):
-        raise ConvergenceError(
-            f"no convergence: {why} at policy step {steps} (numpy engine, "
-            f"residual={float(np.abs(res).max(initial=0.0)):.3e})") from None
-
-    def sweep():
-        nonlocal steps, best, since
-        steps += 1
-        try:
-            out = K.sweep_line_numpy(u, order, S, caps, g, brackets, res, gtol, veps)
-        except FloatingPointError as e:
-            fail(e)
-        worst = float(np.abs(res).max(initial=0.0))
-        best, since = (worst, 0) if worst < best else (best, since + 1)
-        if since >= STALL_STEPS:
-            fail(f"no new minimum of the worst residual in {STALL_STEPS} steps")
-        return out
-
-    def residual():
-        return K.residual_line_numpy(u, order, S, g)
-
-    return order, sweep, residual
-
-
-def _generic_engine(spec: ProblemSpec, u, caps, gtol, veps, notes):
-    """The subequation tree on any grid: Newton steps on boxes, Jacobi
-    sweeps of node solves elsewhere.
-
-    A box step whose rows fail the check of ``K.step_box``, or STALL_STEPS
-    steps in a row without a new minimum of the worst residual
-    max |min(G, cap - u)|, hand the solve to the Jacobi sweeps: u is reset
-    to the initial subsolution and the reason goes into ``notes``.
+    Line grids with a lowered F take the policy steps of
+    ``K.sweep_line_numpy``, boxes the Newton steps of ``K.step_box`` with
+    the subequation tree, and line grids whose tree does not lower take
+    Jacobi sweeps of node solves (``K.vector_node_solve``).  A failed step
+    (FloatingPointError), or STALL_STEPS steps in a row without a new
+    minimum of the worst residual max |min(G, cap - u)|, end a line solve
+    with ConvergenceError; a box solve resets u to the initial
+    subsolution, puts the reason into ``notes`` and goes on with the
+    Jacobi sweeps.  ``brackets`` carries the bracket widths of the node
+    solves from one sweep to the next.
     """
     M, F = spec.M, spec.F
     ids = M.interior_ids
-    dA = _center_sensitivity(M, ids)
     gf = GridFunction(M, u)  # shares the array; jets follow in-place updates
     u0 = u.copy()
-    steps = np.full(ids.size, 1e-3 * (1.0 + float(np.abs(u).max())))
+    brackets = np.full(ids.size, 1e-3 * (1.0 + float(np.abs(u).max())))
     res = np.empty(ids.size)
-    newton = M.stencil is None
-    best, since = np.inf, 0
+    dA = _center_sensitivity(M, ids)
+    S = M.stencil.at(ids) if M.stencil is not None else None
+    steps, best, since = 0, np.inf, 0
 
     def value(r, p, A):
         return F.value(ids, r, p, A)
@@ -401,15 +354,19 @@ def _generic_engine(spec: ProblemSpec, u, caps, gtol, veps, notes):
         _, r, p, A = batch_jets(gf, ids)
         return r, p, A
 
-    def newton_step():
-        nonlocal best, since
-        out = K.step_box(u, ids, M, caps, value, jets(), res)
-        worst = float(np.abs(res).max(initial=0.0))
-        best, since = (worst, 0) if worst < best else (best, since + 1)
-        if since >= STALL_STEPS:
-            raise FloatingPointError(
-                f"no new minimum of the worst residual in {STALL_STEPS} steps")
-        return out
+    if S is None:
+        def newton():
+            return K.step_box(u, ids, M, caps, value, jets(), res)
+    elif g is not None:
+        def newton():
+            return K.sweep_line_numpy(u, ids, S, caps, g, brackets, res, gtol, veps)
+    else:
+        newton = None
+
+    def residual():
+        if S is not None and g is not None:
+            return K.residual_line_numpy(u, ids, S, g)
+        return value(*jets())
 
     def jacobi():
         r0, p0, A0 = jets()
@@ -417,26 +374,34 @@ def _generic_engine(spec: ProblemSpec, u, caps, gtol, veps, notes):
         def G(v):
             return F.value(ids, v, p0, A0 + (v - r0)[:, None, None] * dA)
 
-        v = K.vector_node_solve(G, r0, caps[ids], steps, gtol, veps)
+        v = K.vector_node_solve(G, r0, caps[ids], brackets, gtol, veps)
         ch = v - r0
-        steps[:] = np.maximum(4.0 * np.abs(ch), 1e-9)
+        brackets[:] = np.maximum(4.0 * np.abs(ch), 1e-9)
         u[ids] = v
         return float(np.abs(ch).max(initial=0.0)), float(ch.min(initial=0.0))
 
     def sweep():
-        nonlocal newton
-        if newton:
+        nonlocal newton, steps, best, since
+        if newton is not None:
+            steps += 1
             try:
-                return newton_step()
+                out = newton()
+                worst = float(np.abs(res).max(initial=0.0))
+                best, since = (worst, 0) if worst < best else (best, since + 1)
+                if since >= STALL_STEPS:
+                    raise FloatingPointError(
+                        f"no new minimum of the worst residual in {STALL_STEPS} steps")
+                return out
             except FloatingPointError as e:
-                newton = False
+                if S is not None:
+                    raise ConvergenceError(
+                        f"no convergence: {e} at policy step {steps} (numpy engine, "
+                        f"residual={float(np.abs(res).max(initial=0.0)):.3e})") from None
+                newton = None
                 u[:] = u0
                 notes.append(f"Newton step fell back to Jacobi sweeps from the "
                              f"initial subsolution: {e}")
         return jacobi()
-
-    def residual():
-        return value(*jets())
 
     return ids, sweep, residual
 
@@ -472,8 +437,8 @@ def _comparison_regime(F: Subequation) -> str:
 
 
 def _solve(spec: ProblemSpec, caps):
-    """The solve core: boundary data, verified initial subsolution, lowering,
-    engine choice and the monotone iteration, with node values capped at caps.
+    """The solve core: boundary data, verified initial subsolution, lowering
+    and the monotone iteration, with node values capped at caps.
 
     Returns (u, info, ids, res): the iterate, the iteration summary with the
     init label, and the interior nodes with the defining values at their
@@ -485,9 +450,8 @@ def _solve(spec: ProblemSpec, caps):
     if np.any(bvals[bd] > caps[bd] + 1e-12):
         raise PreconditionError("boundary data must satisfy phi <= g on the boundary")
     g = _ir.lower(spec.F, M.n_nodes)
-    engine = _pick_engine(spec, g)
     u0, init_label = _initial_subsolution(spec, bvals, caps)
-    u, info = _iterate(spec, u0.copy(), caps, engine, g)
+    u, info = _iterate(spec, u0.copy(), caps, g)
     info["init"] = init_label
     ids, res = _interior_residual(spec.F, M, u)
     return u, info, ids, res

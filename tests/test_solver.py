@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from subeq import _ir
 from subeq import _kernels as K
-from subeq.errors import ConvergenceError, InitializationError, InputError, PreconditionError
+from subeq.errors import ConvergenceError, InitializationError, PreconditionError
 from subeq.manifolds import FlatBox, GridFunction, PuncturedEuclidean, RadialModel
 from subeq.profiles import AProfile, Profile
 from subeq.solver import (
@@ -20,6 +21,8 @@ from subeq.solver import (
     verify_subharmonic,
 )
 from subeq.subequations import (
+    JetEquivalence,
+    apply_jet_equivalence,
     below_zero_cap,
     dual,
     eikonal,
@@ -154,7 +157,7 @@ class TestEngines:
         F = laplace(LIN, m=2)
         u, cert = perron_dirichlet(ProblemSpec(
             F, M, {"inner": 0.0, "outer": -1.0},
-            scheme=SchemeParams(init="constant", force_engine="numpy")))
+            scheme=SchemeParams(init="constant")))
         assert cert.passed
         assert cert.params["engine"] == "numpy"
 
@@ -162,8 +165,8 @@ class TestEngines:
         M = RadialModel.uniform(2, "sinh", 1.0, 6.0, 61)
         F = laplace(LIN, m=2)
         u1, c1 = perron_dirichlet(ProblemSpec(
-            F, M, {"inner": 0.0, "outer": -1.0},
-            scheme=SchemeParams(init="constant", force_engine="generic")))
+            _unlowered(F), M, {"inner": 0.0, "outer": -1.0},
+            scheme=SchemeParams(init="constant")))
         u2, _ = perron_dirichlet(ProblemSpec(F, M, {"inner": 0.0, "outer": -1.0}))
         assert c1.params["engine"] == "generic"
         assert np.abs(u1.values - u2.values).max() <= 10 * 1e-8
@@ -174,7 +177,7 @@ class TestEngines:
         F = laplace(LIN, m=3)
         bc = {"inner": 0.0, "outer": -1.0}
         u1, c1 = perron_dirichlet(ProblemSpec(
-            F, M, bc, scheme=SchemeParams(init="constant", force_engine="generic")))
+            _unlowered(F), M, bc, scheme=SchemeParams(init="constant")))
         u2, c2 = perron_dirichlet(ProblemSpec(F, M, bc, scheme=SchemeParams(init="constant")))
         assert (c1.params["engine"], c2.params["engine"]) == ("generic", "numpy")
         assert c1.passed and c2.passed
@@ -187,10 +190,10 @@ class TestEngines:
         M = RadialModel.uniform(2, "sinh", 1.0, 4.0, 31)
         g = GridFunction(M, np.minimum(0.0, -np.clip(M.r - 2.0, 0.0, 1.0)))
         bc = {"inner": 0.0, "outer": -1.0}
-        sols = [solve_obstacle(ProblemSpec(laplace(LIN, m=2), M, bc, obstacle=g,
-                                           scheme=SchemeParams(force_engine=eng)))
-                for eng in ("numpy", "generic")]
+        F = laplace(LIN, m=2)
+        sols = [solve_obstacle(ProblemSpec(G, M, bc, obstacle=g)) for G in (F, _unlowered(F))]
         (u1, c1), (u2, c2) = sols
+        assert (c1.params["engine"], c2.params["engine"]) == ("numpy", "generic")
         assert c1.passed and c2.passed
         assert c1.counts["contact_nodes"] == c2.counts["contact_nodes"] > 0
         assert np.abs(u1.values - u2.values).max() <= 10 * c1.tolerance
@@ -235,36 +238,12 @@ class TestEngines:
         assert cert.passed and cert.params["engine"] == "numpy"
         assert np.abs(u.values - (-0.5 * M.r**2 + 2.5 * M.r - 2.0)).max() <= 10 * cert.tolerance
 
-    def test_unknown_engine_rejected(self):
-        M = RadialModel.uniform(2, "sinh", 1.0, 6.0, 21)
-        scheme = SchemeParams(force_engine="nmupy")
-        with pytest.raises(InputError, match="unknown engine"):
-            perron_dirichlet(ProblemSpec(laplace(LIN, m=2), M,
-                                         {"inner": 0.0, "outer": -1.0}, scheme=scheme))
-        with pytest.raises(InputError, match="unknown engine"):
-            solve_obstacle(ProblemSpec(laplace(LIN, m=2), M, {"inner": 0.0, "outer": -1.0},
-                                       obstacle=GridFunction(M, np.zeros(M.n_nodes)),
-                                       scheme=scheme))
-
     def test_line_engine_needs_a_lowered_tree(self):
-        # a jet-equivalence does not lower: automatic choice runs generic,
-        # a forced line engine is an input error, not a silent downgrade
+        # a jet-equivalence does not lower: the line grid runs the generic engine
         M = RadialModel.uniform(2, "sinh", 1.0, 3.0, 21)
         F = linear_jetequiv(np.eye(2), f=LIN)
-        bc = {"inner": 0.0, "outer": -1.0}
-        _, cert = perron_dirichlet(ProblemSpec(F, M, bc))
+        _, cert = perron_dirichlet(ProblemSpec(F, M, {"inner": 0.0, "outer": -1.0}))
         assert cert.params["engine"] == "generic"
-        with pytest.raises(InputError, match="numpy engine"):
-            perron_dirichlet(ProblemSpec(F, M, bc, scheme=SchemeParams(force_engine="numpy")))
-        with pytest.raises(InputError, match="numpy engine"):
-            solve_obstacle(ProblemSpec(F, M, bc, obstacle=GridFunction(M, np.zeros(M.n_nodes)),
-                                       scheme=SchemeParams(force_engine="numpy")))
-
-    def test_line_engine_needs_a_line_grid(self):
-        M = FlatBox(2, [(0.0, 1.0), (0.0, 1.0)], 1 / 4)
-        with pytest.raises(InputError, match="numpy engine"):
-            perron_dirichlet(ProblemSpec(laplace(LIN, m=2), M, {"side": 0.0},
-                                         scheme=SchemeParams(force_engine="numpy")))
 
     def test_flatbox_2d_manufactured(self):
         # Delta u = u has solution e^x on any box
@@ -275,6 +254,12 @@ class TestEngines:
         assert cert.params["engine"] == "generic"
         exact = np.exp(M.coords[:, 0])
         assert np.abs(u.values - exact).max() <= 5e-3
+
+
+def _unlowered(F):
+    """F's values through the identity jet-equivalence: a tree that does not
+    lower, so a line grid runs the generic engine on it."""
+    return apply_jet_equivalence(JetEquivalence(F.m, np.eye(F.m), np.eye(F.m)), F)
 
 
 def _five_point(M, slope, data):
@@ -320,6 +305,31 @@ class TestBlockThomas:
         x = K.block_thomas(lo[:, None, None], di[:, None, None], up[:, None, None],
                            rhs[:, None])
         assert np.allclose(x[:, 0], K.thomas(lo, di, up, rhs), rtol=1e-13, atol=1e-15)
+
+
+class TestSlopes:
+    @pytest.mark.parametrize("M", [
+        RadialModel.uniform(2, "sinh", 1.0, 6.0, 201),
+        PuncturedEuclidean(3, 0.01, 2.0, 201, spacing="log"),
+    ], ids=["sinh", "log"])
+    @pytest.mark.parametrize("f", [Profile.linear(1.0), Profile.constant(-1.0)],
+                             ids=["linear", "constant"])
+    def test_lowered_laplace_coefficients(self, M, f):
+        # d2 + (m - 1) aa - f(v) is affine in the jet: the quotients in
+        # (v, aa, d2, gdn) are its coefficients, at seeded jets whose second
+        # differences reach ~3e7 on the log grid (a plain bump 1e-4 (1 + |x|)
+        # was off by ~5e-6 there)
+        u = np.random.default_rng(0).uniform(-1.0, 1.0, M.n_nodes)
+        ids = M.interior_ids
+        S = M.stencil.at(ids)
+        uL, v, uR = u[ids - 1], u[ids], u[ids + 1]
+        du = S.du(uL, v, uR)
+        gdn = np.maximum(np.maximum((v - uL) / S.hL, (v - uR) / S.hR), 0.0)
+        g = _ir.lower(laplace(f, m=M.m), M.n_nodes)
+        got = K._slopes(g, [ids, v, du, du * S.ang, S.d2(uL, v, uR), gdn])
+        slope = f.slope if f.kind == "linear" else 0.0
+        for q, want in zip(got, (-slope, M.m - 1, 1.0, 0.0)):
+            assert np.abs(q - want).max() <= 1e-12
 
 
 class TestBoxNewton:
