@@ -7,9 +7,11 @@ kernels are used throughout.
 
 Besides ordinary eigenvalues this module computes the branch eigenvalues
 mu_j^(k) of the elementary symmetric polynomial sigma_k: the negatives of
-the k real roots of t -> sigma_k(lambda(A) + t*(1,...,1)), found by 80
-bisection steps on the bracketed intervals that root interlacing of the
-derivative polynomial guarantees.
+the k real roots of t -> sigma_k(lambda(A) + t*(1,...,1)).  They are the
+roots of the (m-k)-th derivative of the characteristic polynomial, and the
+roots of the derivative of a polynomial with roots d_1..d_j are the
+eigenvalues of diag(d) compressed to the complement of (1,...,1), so each
+level is one small symmetric eigenvalue problem of the level above.
 """
 from __future__ import annotations
 
@@ -176,16 +178,15 @@ def _sigma_shifted_batch(lam: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
 def garding_eigenvalues(A: SymMatrix, k: int, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Ascending branch eigenvalues mu_1^(k) <= ... <= mu_k^(k) of sigma_k at A.
 
-    These are the negatives of the k real roots of t -> sigma_k(lambda(A) + t).
-    Hyperbolicity in the direction (1,...,1) guarantees the roots are real and
-    interlace the roots of the derivative level, which brackets every
-    bisection.
+    These are the negatives of the k real roots of t -> sigma_k(lambda(A) + t),
+    real by hyperbolicity in the direction (1,...,1); their sigma_k residual
+    is checked against ``policy.garding_tol``.
     """
     m = A.m
     if not (1 <= k <= m):
         raise InputError(f"garding order k={k} out of range [1, {m}]")
     lam = eigenvalues_sym(A)
-    mu = _garding_from_eigs_batch(lam[None, :], k, policy)[0]
+    mu = _garding_from_eigs_batch(lam[None, :], k)[0]
     # residual audit against the declared bound
     scale = 1.0 + float(np.abs(lam).max()) ** k
     resid = np.abs(_sigma_shifted_batch(np.repeat(lam[None, :], k, axis=0), -mu, k))
@@ -197,49 +198,38 @@ def garding_eigenvalues(A: SymMatrix, k: int, policy: NumericPolicy = DEFAULT_PO
     return mu
 
 
-def _garding_from_eigs_batch(
-    lam: np.ndarray, k: int, policy: NumericPolicy = DEFAULT_POLICY
-) -> np.ndarray:
+def _helmert(j: int) -> np.ndarray:
+    """Orthonormal basis (j, j-1) of the complement of (1,...,1) in R^j."""
+    Q = np.zeros((j, j - 1))
+    for i in range(1, j):
+        Q[:i, i - 1] = 1.0
+        Q[i, i - 1] = -i
+    return Q / np.sqrt(np.arange(1, j) * np.arange(2, j + 1))
+
+
+_COMPRESS = {j: _helmert(j) for j in range(2, MAX_DIM + 1)}
+
+
+def _garding_from_eigs_batch(lam: np.ndarray, k: int) -> np.ndarray:
     """Branch eigenvalues for a batch of eigenvalue lists: (n, m) -> (n, k).
 
-    Level-by-level root finder: the single root of the sigma_1 level is
-    explicit, and the j roots of level j are bisected inside the brackets
-    cut by the j-1 roots of the previous level (derivative interlacing).
+    Level j-1 holds the zeros of sum_i 1/(t - mu_i) over the j values mu of
+    level j: the eigenvalues of Q_j^T diag(mu) Q_j (Cauchy interlacing and
+    the secular equation).  Symmetric eigenvalues are backward stable, so
+    repeated roots come out repeated to roundoff.  Every level keeps the
+    mean, which is level 1.
     """
-    lam = np.sort(np.asarray(lam, dtype=float), axis=1)
-    n, m = lam.shape
+    mu = np.sort(np.asarray(lam, dtype=float), axis=1)
+    m = mu.shape[1]
     if not (1 <= k <= m):
         raise InputError(f"garding order k={k} out of range [1, {m}]")
-    _check_finite(lam, "eigenvalues")
-    span = np.abs(lam).max(axis=1)
-    pad = 1e-6 * (1.0 + span)
-    lo0 = -lam[:, -1] - pad
-    hi0 = -lam[:, 0] + pad
-    roots = (-lam.sum(axis=1) / m)[:, None]  # level 1
-    for j in range(2, k + 1):
-        brackets = np.concatenate([lo0[:, None], roots, hi0[:, None]], axis=1)
-        new = np.empty((n, j))
-        for b in range(j):
-            a = brackets[:, b].copy()
-            c = brackets[:, b + 1].copy()
-            fa = _sigma_shifted_batch(lam, a, j)
-            fc = _sigma_shifted_batch(lam, c, j)
-            # repeated roots sit on bracket endpoints: collapse those lanes
-            degenerate = np.sign(fa) == np.sign(fc)
-            for _ in range(80):
-                mid = 0.5 * (a + c)
-                fm = _sigma_shifted_batch(lam, mid, j)
-                go_left = np.sign(fm) == np.sign(fa)
-                a = np.where(go_left, mid, a)
-                fa = np.where(go_left, fm, fa)
-                c = np.where(go_left, c, mid)
-            mid = 0.5 * (a + c)
-            if np.any(degenerate):
-                pick_a = np.abs(fa) <= np.abs(fc)
-                mid = np.where(degenerate, np.where(pick_a, brackets[:, b], brackets[:, b + 1]), mid)
-            new[:, b] = mid
-        roots = new
-    return -roots[:, ::-1]
+    _check_finite(mu, "eigenvalues")
+    if k == 1:
+        return mu.sum(axis=1, keepdims=True) / m
+    for j in range(m, k, -1):
+        Q = _COMPRESS[j]
+        mu = np.linalg.eigvalsh(np.einsum("ia,ni,ib->nab", Q, mu, Q))
+    return mu
 
 
 def garding_eigenvalues_batch(A: np.ndarray, k: int) -> np.ndarray:

@@ -169,6 +169,21 @@ class TestGarding:
             mu_p = _garding_from_eigs_batch(lam[perm][None], k)[0]
             assert np.abs(mu_p - mu).max() < 1e-9
 
+    def test_repeated_eigenvalue_branches(self):
+        # diag(d2, aa, aa): sigma_k(A + tI) has the root -aa (k - 1 times) and
+        # -(C(2,k) aa + C(2,k-1) d2) / C(3,k)
+        d2, aa = 2.8509, -2.8626
+        A = SymMatrix.from_diag([d2, aa, aa])
+        expect = {1: [(2 * aa + d2) / 3], 2: [aa, (aa + 2 * d2) / 3], 3: [aa, aa, d2]}
+        for k, mu in expect.items():
+            assert np.abs(garding_eigenvalues(A, k) - mu).max() < 1e-12, k
+
+    def test_two_roots_in_one_gap(self):
+        # sigma_2((0, 0, 1, 1) + t) = 6t^2 + 6t + 1: both roots lie in (-1, 0)
+        mu = garding_eigenvalues(SymMatrix.from_diag([0.0, 0.0, 1.0, 1.0]), 2)
+        expect = [(3 - np.sqrt(3)) / 6, (3 + np.sqrt(3)) / 6]
+        assert np.abs(mu - expect).max() < 1e-12
+
     def test_out_of_range(self):
         with pytest.raises(InputError):
             garding_eigenvalues(SymMatrix.identity(3), 4)

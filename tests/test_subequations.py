@@ -456,11 +456,8 @@ class TestLineEvaluator:
         out += catalog(m)
         out += [hessian_branch(k, LIN, m=m) for k in range(1, m + 1)]
         out += [plurisub_trace(k, ftab, m=m) for k in range(1, m + 1)]
-        # k <= 2 only: for k >= 3 the root -aa of sigma_k(A + tI) is repeated,
-        # where the tree's Garding root finder is accurate to ~1e-5 only
-        # (test_sigma_top_order_is_hessian covers k = m)
         out += [sigma_branch(j, k, LIN, m=m)
-                for k in range(1, min(2, m) + 1) for j in range(1, k + 1)]
+                for k in range(1, m + 1) for j in range(1, k + 1)]
         custom = AProfile("custom", a=lambda t: 1.0 + t / (1.0 + t),
                           da=lambda t: 1.0 / (1.0 + t) ** 2)
         out += [quasilinear(AProfile.constant(2.0), LIN, m=m),
@@ -484,17 +481,13 @@ class TestLineEvaluator:
         rng = np.random.default_rng(40 + m)
         v, du, aa, d2, p, A = self.radial_jets(rng, m)
         nodes = np.arange(self.N)
-        # the same holds for the coinciding roots at d2 = aa, so the sigma
-        # members are compared where the two eigenvalues are apart
-        apart = np.abs(d2 - aa) > 0.1
         for F in self.members(m, rng):
             for G in (F, dual(F)):
                 g = lower(G, self.N)
                 assert g is not None, G.meta.tag
                 want = G.value(nodes, v, p, A)
                 got = g(nodes, v, du, aa, d2, np.abs(du))
-                keep = apart if "sigma" in G.meta.tag else slice(None)
-                assert np.abs(got - want)[keep].max() <= 1e-9, G.meta.tag
+                assert np.abs(got - want).max() <= 1e-9, G.meta.tag
 
     def test_not_lowered(self):
         from subeq._ir import lower
@@ -503,6 +496,22 @@ class TestLineEvaluator:
         # per-node rows of another grid's length
         assert lower(obstacle(laplace(LIN, m=2), np.zeros(7)), 10) is None
         assert lower(eikonal_relaxed(1.0, np.ones(7), m=2), 10) is None
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_sigma_branches_exact(self, m):
+        # every tree branch mu_j^(k) at radial jets, ties d2 = aa included,
+        # against the closed form: the root -aa of sigma_k(A + tI) repeated
+        # k - 1 times and one linear root
+        from subeq._ir import lower
+        rng = np.random.default_rng(60 + m)
+        v, du, aa, d2, p, A = self.radial_jets(rng, m)
+        nodes = np.arange(self.N)
+        for k in range(1, m + 1):
+            for j in range(1, k + 1):
+                F = sigma_branch(j, k, LIN, m=m)
+                got = F.value(nodes, v, p, A)
+                want = lower(F, self.N)(nodes, v, du, aa, d2, np.abs(du))
+                assert np.abs(got - want).max() <= 1e-9, (j, k)
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_sigma_top_order_is_hessian(self, m):
