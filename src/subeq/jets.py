@@ -12,11 +12,26 @@ roots of the (m-k)-th derivative of the characteristic polynomial, and the
 roots of the derivative of a polynomial with roots d_1..d_j are the
 eigenvalues of diag(d) compressed to the complement of (1,...,1), so each
 level is one small symmetric eigenvalue problem of the level above.
+
+Batch spectra are memoized on content.  ``eigenvalues_sym_batch`` keys
+each stack on its shape, its dtype and a 16-byte BLAKE2b digest of its
+contiguous bytes, and keeps the last ``_MEMO_RECORDS`` stacks (LRU).  A
+record holds the spectrum and every Garding level above the mean computed
+from it so far, so an F, its dual and the members of a suite evaluated on
+one batch decompose it once.  Records are shared, so their arrays are
+read-only; a stack edited in place has a new key.  The spectrum of -A is
+decomposed, never derived from that of A, so duality checks on spectra
+stay real.
 """
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from math import comb
+
+# not hashlib, which would also load OpenSSL (about 3.6 MB of resident memory)
+from _blake2 import blake2b
 
 import numpy as np
 
@@ -96,12 +111,6 @@ class SymMatrix:
     def __neg__(self) -> "SymMatrix":
         return SymMatrix(self.m, -self.packed)
 
-    @property
-    def norm(self) -> float:
-        """Spectral norm (max |eigenvalue|)."""
-        ev = np.linalg.eigvalsh(self.full)
-        return float(np.abs(ev).max())
-
 
 @dataclass(frozen=True)
 class Jet:
@@ -139,9 +148,32 @@ def eigenvalues_sym(A: SymMatrix) -> np.ndarray:
     return np.linalg.eigvalsh(A.full)
 
 
+# the most any caller reuses: garding_identity_suite's A, -A and A + P at every k
+_MEMO_RECORDS = 3
+_memo: OrderedDict = OrderedDict()
+_memo_lock = threading.Lock()
+
+
 def eigenvalues_sym_batch(A: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a (n, m, m) stack of symmetric matrices."""
-    return np.linalg.eigvalsh(A)
+    """Ascending eigenvalues of a (n, m, m) stack of symmetric matrices.
+
+    Memoized on the stack's content (see the module docstring); the
+    result is read-only.
+    """
+    A = np.ascontiguousarray(A)
+    key = (A.shape, A.dtype.str, blake2b(A.data, digest_size=16).digest())
+    with _memo_lock:
+        rec = _memo.get(key)
+        if rec is not None:
+            _memo.move_to_end(key)
+            return rec[A.shape[-1]]
+    lam = np.linalg.eigvalsh(A)
+    lam.flags.writeable = False
+    with _memo_lock:
+        _memo[key] = {A.shape[-1]: lam}
+        if len(_memo) > _MEMO_RECORDS:
+            _memo.popitem(last=False)
+    return lam
 
 
 def sigma_k(lam, k: int) -> float:
@@ -220,21 +252,43 @@ def _garding_from_eigs_batch(lam: np.ndarray, k: int) -> np.ndarray:
     mean, which is level 1.
     """
     mu = np.sort(np.asarray(lam, dtype=float), axis=1)
-    m = mu.shape[1]
+    return _garding_level({mu.shape[1]: mu}, k)
+
+
+def _garding_level(levels: dict, k: int) -> np.ndarray:
+    """Level k of the chain whose top level m = max(levels) is sorted.
+
+    Continues from the deepest stored level above k and stores every level
+    it computes in ``levels``; level 1, the mean of level m, is not stored.
+    """
+    m = max(levels)
     if not (1 <= k <= m):
         raise InputError(f"garding order k={k} out of range [1, {m}]")
-    _check_finite(mu, "eigenvalues")
+    _check_finite(levels[m], "eigenvalues")
     if k == 1:
-        return mu.sum(axis=1, keepdims=True) / m
-    for j in range(m, k, -1):
-        Q = _COMPRESS[j]
-        mu = np.linalg.eigvalsh(np.einsum("ia,ni,ib->nab", Q, mu, Q))
-    return mu
+        return levels[m].sum(axis=1, keepdims=True) / m
+    if k not in levels:
+        for j in range(min(i for i in levels if i > k), k, -1):
+            Q = _COMPRESS[j]
+            levels[j - 1] = np.linalg.eigvalsh(np.einsum("ia,ni,ib->nab", Q, levels[j], Q))
+    return levels[k]
 
 
 def garding_eigenvalues_batch(A: np.ndarray, k: int) -> np.ndarray:
-    """Branch eigenvalues for a (n, m, m) stack -> (n, k), ascending."""
-    return _garding_from_eigs_batch(eigenvalues_sym_batch(A), k)
+    """Branch eigenvalues for a (n, m, m) stack -> (n, k), ascending.
+
+    Levels 2..m join the memo record of A's spectrum and are read-only.
+    """
+    lam = eigenvalues_sym_batch(A)
+    with _memo_lock:
+        levels = next((rec for rec in _memo.values() if rec.get(lam.shape[-1]) is lam), None)
+        if levels is not None:
+            mu = _garding_level(levels, k)
+            for level in levels.values():
+                level.flags.writeable = False
+            return mu
+    # a spectrum that did not come from the memo (an evicted or replaced record)
+    return _garding_from_eigs_batch(lam, k)
 
 
 def trace_on_frame(A: SymMatrix, V, policy: NumericPolicy = DEFAULT_POLICY) -> float:

@@ -35,6 +35,7 @@ from .errors import (
     PreconditionError,
     ScheduleError,
 )
+from .jets import eigenvalues_sym_batch
 from .manifolds import (
     GridFunction,
     PuncturedEuclidean,
@@ -429,7 +430,7 @@ def log_transform(gfun: GridFunction, lam: float, mu: float,
         raise PreconditionError("need gfun >= 1 everywhere")
     M = gfun.manifold
     ids, rr, pp, AA = batch_jets(gfun)
-    lam_max = np.linalg.eigvalsh(AA)[:, -1]
+    lam_max = eigenvalues_sym_batch(AA)[:, -1]
     gmax = float(gv.max())
     if precond_tol is None:
         h = M.min_spacing()
@@ -445,7 +446,7 @@ def log_transform(gfun: GridFunction, lam: float, mu: float,
     w = GridFunction(M, -mu * np.log(gv))
     wid, wr, wp, wA = batch_jets(w)
     grad_w = np.linalg.norm(wp, axis=1)
-    eig_min = np.linalg.eigvalsh(wA)[:, 0]
+    eig_min = eigenvalues_sym_batch(wA)[:, 0]
     grad_g = np.linalg.norm(pp, axis=1)
     worst = {
         "grad_w_excess": float((grad_w - mu * lam).max(initial=-np.inf)),

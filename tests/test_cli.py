@@ -1,9 +1,13 @@
 """Scenario runner and audit suite: exit codes, artifacts, determinism."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import subeq
 from subeq.cli import (
     duality_involution_suite,
     garding_identity_suite,
@@ -41,6 +45,14 @@ SCENARIO_EXIT = {"stochastic_exp_r3": 2}
 def test_committed_scenario_exit_code(path, tmp_path):
     code = main(["run", str(path), "--out", str(tmp_path / "out"), "--no-plots"])
     assert code == SCENARIO_EXIT.get(path.stem, 0)
+
+
+def test_import_leaves_openssl_unloaded():
+    # the spectral memo hashes with _blake2; hashlib would load OpenSSL
+    # (_hashlib), several MB of resident memory in every run
+    env = dict(os.environ, PYTHONPATH=str(Path(subeq.__file__).resolve().parents[1]))
+    code = "import sys, subeq.cli; sys.exit('_hashlib' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestRun:

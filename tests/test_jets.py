@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
+from subeq import jets
 from subeq.errors import DomainError, InputError
 from subeq.jets import (
     Jet,
@@ -187,6 +188,77 @@ class TestGarding:
     def test_out_of_range(self):
         with pytest.raises(InputError):
             garding_eigenvalues(SymMatrix.identity(3), 4)
+
+
+class TestSpectralMemo:
+    @pytest.fixture
+    def decompositions(self, monkeypatch):
+        """Empty memo; returns the list of shapes np.linalg.eigvalsh is called on."""
+        jets._memo.clear()
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            shapes.append(np.shape(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        yield shapes
+        jets._memo.clear()
+
+    def test_repeat_and_copy_decomposed_once(self, decompositions):
+        A = rand_sym(np.random.default_rng(21), 4, 50)
+        expect = np.linalg.eigvalsh(A)
+        decompositions.clear()
+        for B in (A, A.copy(), np.asfortranarray(A)):
+            assert np.array_equal(eigenvalues_sym_batch(B), expect)
+        assert decompositions == [A.shape]
+
+    def test_in_place_edit_gives_new_spectrum(self, decompositions):
+        A = rand_sym(np.random.default_rng(22), 3, 20)
+        eigenvalues_sym_batch(A)
+        A[0] = np.diag([5.0, 6.0, 7.0])
+        ev = eigenvalues_sym_batch(A)
+        assert np.array_equal(ev[0], [5.0, 6.0, 7.0])
+        assert np.array_equal(ev, np.linalg.eigvalsh(A))
+
+    def test_results_read_only(self, decompositions):
+        A = rand_sym(np.random.default_rng(23), 4, 10)
+        # the spectrum is checked before a garding call shares its record
+        outs = [eigenvalues_sym_batch(A)]
+        assert not outs[0].flags.writeable
+        outs += [garding_eigenvalues_batch(A, k) for k in (2, 4)]
+        for out in outs:
+            with pytest.raises(ValueError):
+                out[0, 0] = 1.0
+
+    def test_garding_levels_continue_the_chain(self, decompositions):
+        from subeq.jets import _garding_from_eigs_batch
+        rng = np.random.default_rng(24)
+        for m in range(2, 7):
+            A = rand_sym(rng, m, 100)
+            lam = np.linalg.eigvalsh(A)
+            expect = {k: _garding_from_eigs_batch(lam, k) for k in range(1, m + 1)}
+            decompositions.clear()
+            for k in [*range(m, 0, -1), *range(1, m + 1)]:
+                assert np.array_equal(garding_eigenvalues_batch(A, k), expect[k]), (m, k)
+            # the spectrum and each compressed level m-1, ..., 2 once
+            assert decompositions == [(100, j, j) for j in range(m, 1, -1)]
+
+    def test_bounded_least_recently_used(self, decompositions):
+        rng = np.random.default_rng(25)
+        for m in (2, 3, 2, 4, 5, 3):
+            eigenvalues_sym_batch(rand_sym(rng, m, 8))
+            garding_eigenvalues_batch(rand_sym(rng, m, 8), 1)
+            assert len(jets._memo) <= 3
+        A, B, C, D = (rand_sym(rng, 3, 8) for _ in range(4))
+        for X in (A, B, C, A, D):
+            eigenvalues_sym_batch(X)
+        decompositions.clear()
+        eigenvalues_sym_batch(A)
+        assert decompositions == []
+        eigenvalues_sym_batch(B)
+        assert decompositions == [B.shape]
 
 
 class TestTraceOnFrame:
