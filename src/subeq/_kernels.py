@@ -24,8 +24,9 @@ def vector_node_solve(G, v0, cap, step0, gtol, veps):
     """Largest v <= cap with G(v) >= 0, node-wise.
 
     ``G`` maps a value array to the defining values at the same nodes.
-    Over all interior nodes this is the generic engine's Jacobi sweep;
-    the line engine's policy step reads its roots.
+    Brackets grow up from feasible nodes and down from the others, one G
+    call per expansion.  Over all interior nodes this is the generic
+    engine's Jacobi sweep; the line engine's policy step reads its roots.
     """
     g0 = G(v0)
     feas = g0 >= 0.0
@@ -41,13 +42,12 @@ def vector_node_solve(G, v0, cap, step0, gtol, veps):
         hi = np.where(pending_up, np.minimum(np.minimum(hi + step, cap), v0 + span), hi)
         lo = np.where(pending_dn, np.maximum(lo - step, v0 - span), lo)
         step = np.where(pending_up | pending_dn, step * 4.0, step)
-        g_hi = G(hi)
-        g_lo = G(lo)
-        newly_up = pending_up & (g_hi < 0.0)
+        g = G(np.where(pending_up, hi, lo))
+        newly_up = pending_up & (g < 0.0)
         at_top = pending_up & ~newly_up & ((hi >= cap) | (hi >= v0 + span))
         lo = np.where(pending_up & ~newly_up, hi, lo)
         pending_up &= ~(newly_up | at_top)
-        newly_dn = pending_dn & (g_lo >= 0.0)
+        newly_dn = pending_dn & (g >= 0.0)
         at_bot = pending_dn & ~newly_dn & (lo <= v0 - span)
         hi = np.where(pending_dn & ~newly_dn, lo, hi)
         lo = np.where(at_bot, v0, lo)  # infeasible everywhere: leave unchanged

@@ -54,7 +54,6 @@ from .errors import (
     InputError,
     PreconditionError,
 )
-from .jets import Jet, SymMatrix
 from .manifolds import (
     GridFunction,
     ModelManifold,
@@ -670,8 +669,10 @@ def make_barrier(F: Subequation, M: ModelManifold, omega_mask, boundary_ids,
     boundary of F to stay above ``margin`` -- not only at t but along an
     escalating t-ladder (t, 4t, 16t, 64t), the desk-scale rendering of the
     barrier family {t rho_s : t >= t_0}: members with empty asymptotic
-    interior (the eikonal) correctly fail.  The smallest certified (s, t)
-    pair (s first, then t) is returned.
+    interior (the eikonal) correctly fail.  A rung is one batched search
+    over the collar; its first node (in collar order) with G <= 0 or
+    distance < ``margin`` fails it, with the minimum distance up to there.
+    The smallest certified (s, t) pair (s first, then t) is returned.
     """
     t0 = time.perf_counter()
     margin = policy.barrier_margin if margin is None else margin
@@ -698,16 +699,13 @@ def make_barrier(F: Subequation, M: ModelManifold, omega_mask, boundary_ids,
         _, r, p, A = batch_jets(beta, ids)
         if np.any(np.linalg.norm(p, axis=1) < 1e-12):
             return False, 0.0
-        worst = np.inf
-        for i in range(ids.size):
-            jet = Jet(float(r[i]), p[i], SymMatrix.from_full(A[i]))
-            if F.value_jet(int(ids[i]), jet) <= 0:
-                return False, min(worst, 0.0)
-            d = distance_to_boundary(F, int(ids[i]), jet, policy)
-            worst = min(worst, d.value)
-            if d.value < margin:
-                return False, worst
-        return True, worst
+        k = int(np.argmax(np.append(F.value(ids, r, p, A) <= 0, True)))
+        d = distance_to_boundary(F, ids[:k], r[:k], p[:k], A[:k], policy=policy).value
+        j = int(np.argmax(np.append(d < margin, True)))
+        worst = float(np.min(d[:j + 1], initial=np.inf))
+        if j == k < ids.size:
+            worst = min(worst, 0.0)
+        return j == ids.size, worst
 
     for s in s_grid:
         rs = rv + s * rv**2

@@ -19,6 +19,7 @@ jet-equivalence fields given per node).
 from __future__ import annotations
 
 import enum
+import functools
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,11 +28,7 @@ import numpy as np
 
 from .certificates import Certificate
 from .errors import ConstructionError, InputError
-from .jets import (
-    Jet,
-    eigenvalues_sym_batch,
-    garding_eigenvalues_batch,
-)
+from .jets import MAX_DIM, Jet, eigenvalues_sym_batch, garding_eigenvalues_batch
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .profiles import AProfile, Profile
 
@@ -662,111 +659,113 @@ def linear_jetequiv(T, W=None, B: float = 0.0, b: float = 1.0,
 
 
 class BoundaryDistance(NamedTuple):
-    value: float
-    found: bool
+    value: float | np.ndarray
+    found: bool | np.ndarray
 
 
-def _jet_coords(jet_r, jet_p, jet_A):
-    """Orthonormal coordinates of a jet in the flat fiber (Sasaki) metric."""
-    m = jet_p.size
+@functools.lru_cache(maxsize=MAX_DIM)
+def _packing(m):
+    """Upper-triangle indices of A and their weights in the fiber coordinates."""
     iu = np.triu_indices(m)
-    w = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    return np.concatenate([[jet_r], jet_p, jet_A[iu] * w])
+    return iu, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+
+
+def _jet_coords(r, p, A):
+    """Orthonormal flat-fiber (Sasaki) coordinates of one jet or a batch."""
+    iu, w = _packing(p.shape[-1])
+    r = np.asarray(r, dtype=float)[..., None]
+    return np.concatenate([r, p, A[..., iu[0], iu[1]] * w], axis=-1)
 
 
 def _coords_to_jet(c, m):
-    r = c[0]
-    p = c[1:1 + m]
-    iu = np.triu_indices(m)
-    w = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    A = np.zeros((m, m))
-    A[iu] = c[1 + m:] / w
-    A = A + A.T - np.diag(np.diag(A))
-    return r, p, A
+    iu, w = _packing(m)
+    A = np.zeros(c.shape[:-1] + (m, m))
+    A[..., iu[0], iu[1]] = c[..., 1 + m:] / w
+    diag = np.diagonal(A, axis1=-2, axis2=-1).copy()
+    A = A + np.swapaxes(A, -1, -2)
+    A[..., range(m), range(m)] -= diag
+    return c[..., 0], c[..., 1:1 + m], A
 
 
-def distance_to_boundary(F: Subequation, x, jet: Jet,
+def _norms(X):
+    """Row norms by one dot product per row, as np.linalg.norm of one vector."""
+    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+
+
+def distance_to_boundary(F: Subequation, x, r, p=None, A=None,
                          policy: NumericPolicy = DEFAULT_POLICY,
                          search_radius: float = 64.0) -> BoundaryDistance:
-    """Fiber distance from a jet to the boundary of F_x (flat fiber metric).
+    """Fiber distance from each jet to the boundary of F_x (flat fiber metric).
 
-    Bisection along the ray of steepest G-change, with structured probe rays
-    as a fallback when the finite-difference gradient vanishes.  Returns
-    +inf with found=False when no boundary crossing exists within
-    ``search_radius``.
+    Jets come as in `Subequation.value`; a `Jet` passed as ``r`` is a batch
+    of one and gives a float and a bool.  |G| <= ``policy.abs_tol`` is 0.
+    Else up to five rays towards the other sign of G are searched: steepest
+    G-change (central differences), the r-shift, the trace shift and
+    +-p/|p|.  Each brackets its crossing at t = 1, 2, 4, ... <=
+    ``search_radius`` and halves to t_hi - t_lo <= 1e-9 (1 + t_hi), at most
+    60 times; the nearest crossing wins (+inf, found=False, if none).  One
+    F.value call serves the open rays of the whole batch per stage, and a
+    done ray is frozen, so no distance depends on its batch.
     """
-    g0 = F.value_jet(x, jet)
-    if abs(g0) <= policy.abs_tol:
-        return BoundaryDistance(0.0, True)
-    c0 = _jet_coords(jet.r, jet.p, jet.A.full)
-    scale = 1.0 + float(np.linalg.norm(c0))
-    eps = 1e-6 * scale
+    single = isinstance(r, Jet)
+    if single:
+        r, p, A = r.r, r.p, r.A.full
+    r, p, A = _as_batch(r, p, A, F.m)
+    m, n = F.m, r.size
+    xs = None if x is None else np.broadcast_to(np.asarray(x), (n,))
 
-    def G(c):
-        r, p, A = _coords_to_jet(c, F.m)
-        return float(F.value(x, r, p, A)[0])
+    def G(c, jets):
+        return F.value(None if xs is None else xs[jets], *_coords_to_jet(c, m))
 
-    grad = np.zeros_like(c0)
-    for i in range(c0.size):
-        e = np.zeros_like(c0)
-        e[i] = eps
-        grad[i] = (G(c0 + e) - G(c0 - e)) / (2 * eps)
-
-    rays = []
-    gn = np.linalg.norm(grad)
-    if gn > 1e-12:
-        rays.append(-np.sign(g0) * grad / gn)
-    # structured probes: r-shift, gradient shrink, matrix shift
-    for probe in _structured_rays(c0, F.m, sign=-np.sign(g0)):
-        rays.append(probe)
-
-    best = np.inf
-    for d in rays:
-        hit = _ray_crossing(G, c0, d, g0, search_radius, policy)
-        if hit < best:
-            best = hit
-    return BoundaryDistance(best, bool(np.isfinite(best)))
-
-
-def _structured_rays(c0, m, sign):
-    out = []
-    e_r = np.zeros_like(c0)
-    e_r[0] = 1.0
-    out.append(sign * e_r)
-    iu = np.triu_indices(m)
-    diag = np.where(iu[0] == iu[1])[0]
-    e_A = np.zeros_like(c0)
-    e_A[1 + m + diag] = 1.0 / np.sqrt(m)
-    out.append(sign * e_A)
-    pnorm = np.linalg.norm(c0[1:1 + m])
-    if pnorm > 1e-12:
+    g0 = F.value(xs, r, p, A)
+    dist = np.zeros(n)
+    todo = np.flatnonzero(~(np.abs(g0) <= policy.abs_tol))
+    if todo.size:
+        c0 = _jet_coords(r[todo], p[todo], A[todo])
+        k, K = c0.shape
+        s0 = np.sign(g0[todo])
+        eps = 1e-6 * (1.0 + _norms(c0))
+        E = eps[:, None, None] * np.eye(K)
+        bumps = np.concatenate([c0[:, None, :] + E, c0[:, None, :] - E], axis=1)
+        gb = G(bumps.reshape(-1, K), np.repeat(todo, 2 * K)).reshape(k, 2, K)
+        grad = (gb[:, 0] - gb[:, 1]) / (2 * eps[:, None])
+        gn, pn = _norms(grad), _norms(c0[:, 1:1 + m])
+        e_r = _jet_coords(1.0, np.zeros(m), np.zeros((m, m)))
+        e_A = _jet_coords(0.0, np.zeros(m), np.eye(m) / np.sqrt(m))
         e_p = np.zeros_like(c0)
-        e_p[1:1 + m] = c0[1:1 + m] / pnorm
-        out.append(e_p)
-        out.append(-e_p)
-    return out
+        e_p[:, 1:1 + m] = c0[:, 1:1 + m] / np.where(pn > 1e-12, pn, 1.0)[:, None]
+        D = np.concatenate([-s0[:, None] * grad / np.where(gn > 1e-12, gn, 1.0)[:, None],
+                            -s0[:, None] * e_r, -s0[:, None] * e_A, e_p, -e_p])
+        keep = np.concatenate([gn > 1e-12, np.ones(2 * k, bool), pn > 1e-12, pn > 1e-12])
+        D, own = D[keep], np.tile(np.arange(k), 5)[keep]
 
+        def crosses(t, rays):
+            g = G(c0[own[rays]] + t[:, None] * D[rays], todo[own[rays]])
+            return np.sign(g) != s0[own[rays]]
 
-def _ray_crossing(G, c0, d, g0, radius, policy):
-    t_lo, t_hi = 0.0, None
-    t = min(1.0, radius)
-    while t <= radius:
-        if np.sign(G(c0 + t * d)) != np.sign(g0):
-            t_hi = t
-            break
-        t_lo = t
-        t *= 2.0
-    if t_hi is None:
-        return np.inf
-    for _ in range(60):
-        mid = 0.5 * (t_lo + t_hi)
-        if np.sign(G(c0 + mid * d)) != np.sign(g0):
-            t_hi = mid
-        else:
-            t_lo = mid
-        if t_hi - t_lo <= 1e-9 * (1.0 + t_hi):
-            break
-    return 0.5 * (t_lo + t_hi)
+        lo, hi = np.zeros(own.size), np.full(own.size, np.inf)
+        live = np.arange(own.size)
+        t = min(1.0, search_radius)
+        while t <= search_radius and live.size:
+            hit = crosses(np.full(live.size, t), live)
+            hi[live[hit]] = t
+            live = live[~hit]
+            lo[live] = t
+            t *= 2.0
+        live = np.flatnonzero(np.isfinite(hi))
+        for _ in range(60):
+            if not live.size:
+                break
+            mid = 0.5 * (lo[live] + hi[live])
+            hit = crosses(mid, live)
+            hi[live] = np.where(hit, mid, hi[live])
+            lo[live] = np.where(hit, lo[live], mid)
+            live = live[hi[live] - lo[live] > 1e-9 * (1.0 + hi[live])]
+        dist[todo] = np.inf
+        np.minimum.at(dist, todo[own], 0.5 * (lo + hi))
+    if single:
+        return BoundaryDistance(float(dist[0]), bool(np.isfinite(dist[0])))
+    return BoundaryDistance(dist, np.isfinite(dist))
 
 
 def default_jet_sampler(m: int, scale: float = 2.0, x_pool=None):

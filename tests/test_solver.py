@@ -8,7 +8,9 @@ import pytest
 from subeq import _ir
 from subeq import _kernels as K
 from subeq.errors import ConvergenceError, InitializationError, PreconditionError
-from subeq.manifolds import FlatBox, GridFunction, PuncturedEuclidean, RadialModel
+from subeq.jets import Jet, SymMatrix
+from subeq.manifolds import FlatBox, GridFunction, PuncturedEuclidean, RadialModel, batch_jets
+from subeq.policy import DEFAULT_POLICY
 from subeq.profiles import AProfile, Profile
 from subeq.solver import (
     ProblemSpec,
@@ -24,6 +26,7 @@ from subeq.subequations import (
     JetEquivalence,
     apply_jet_equivalence,
     below_zero_cap,
+    distance_to_boundary,
     dual,
     eikonal,
     hessian_branch,
@@ -278,6 +281,70 @@ def _exp_cos(c):
     return np.exp(c[:, 0]) * np.cos(c[:, 1])
 
 
+class TestNodeSolve:
+    def _batch(self):
+        # G_i(v) = a (z - v) - c max(v - k, 0) + off: decreasing, with a kink
+        # at k; kinds 0 up-pending, 1 down-pending, 2 capped below the root,
+        # 3 infeasible everywhere (G = -1)
+        rng = np.random.default_rng(8)
+        n = 60
+        kind = np.concatenate([np.arange(4), rng.integers(0, 4, n - 4)])
+        inf = kind == 3
+        a = np.where(inf, 0.0, rng.uniform(0.5, 3.0, n))
+        c = np.where(inf, 0.0, rng.uniform(0.0, 2.0, n))
+        z = rng.uniform(-5.0, 5.0, n)
+        k = z + rng.uniform(-1.0, 1.0, n)
+        off = np.where(inf, -1.0, 0.0)
+        root = np.where(z <= k, z, (a * z + c * k) / np.where(inf, 1.0, a + c))
+        gap = rng.uniform(0.1, 20.0, n)
+        v0 = np.where(kind == 1, root + gap, root - gap)
+        cap = np.where(kind == 2, v0 + rng.uniform(0.1, 0.9, n) * gap,
+                       np.maximum(root, v0) + rng.uniform(1.0, 10.0, n))
+        return kind, v0, cap, root, lambda v: a * (z - v) - c * np.maximum(v - k, 0.0) + off
+
+    def test_mixed_batch_roots(self):
+        kind, v0, cap, root, G = self._batch()
+        v = K.vector_node_solve(G, v0, cap, np.full(v0.size, 0.5), 0.0, 1e-13)
+        assert np.all(v <= cap)
+        assert np.all((G(v) >= 0) | ((kind == 3) & (v == v0)))
+        assert np.array_equal(v[kind == 3], v0[kind == 3])
+        exact = np.minimum(root, cap)[kind != 3]
+        assert np.abs(v[kind != 3] - exact).max() <= 1e-10 * (1 + np.abs(exact).max())
+
+    def test_one_call_per_expansion(self):
+        kind, v0, cap, root, G = self._batch()
+        step0 = 0.5
+        span = 1e9 * (1.0 + np.abs(v0))
+
+        def expansions(i):  # one node on its own: the bracket steps it takes
+            g1 = lambda v: G(np.full(v0.size, v))[i]
+            up, x, step = g1(v0[i]) >= 0, v0[i], step0
+            if up and x >= cap[i]:
+                return 0
+            for count in range(1, 200):
+                if up:
+                    x = min(x + step, cap[i], v0[i] + span[i])
+                    if g1(x) < 0 or x >= cap[i] or x >= v0[i] + span[i]:
+                        return count
+                else:
+                    x = max(x - step, v0[i] - span[i])
+                    if g1(x) >= 0 or x <= v0[i] - span[i]:
+                        return count
+                step *= 4.0
+
+        iters = [expansions(i) for i in range(v0.size)]
+        calls = []
+
+        def counted(v):
+            calls.append(1)
+            return G(v)
+
+        # an infinite width tolerance ends the bisection after one call
+        K.vector_node_solve(counted, v0, cap, np.full(v0.size, step0), 0.0, np.inf)
+        assert max(iters) > 10
+        assert len(calls) == 1 + max(iters) + 1
+
+
 class TestBlockThomas:
     @pytest.mark.parametrize("k", [1, 3, 31])
     def test_matches_dense_solve(self, k):
@@ -523,7 +590,90 @@ class TestComparison:
         assert "max_node" in cert.params
 
 
+def _collar(M, boundary_ids):
+    bc = M.coords[boundary_ids]
+    dist = np.min(np.linalg.norm(M.coords[:, None, :] - bc[None, :, :], axis=2), axis=1)
+    return np.where(M.interior_mask & (dist <= 4.0 * M.min_spacing()))[0]
+
+
+def _barrier_reference(F, M, boundary_ids, rho, margin=DEFAULT_POLICY.barrier_margin,
+                       s_grid=(0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
+                       t_grid=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)):
+    """make_barrier's search with one-jet calls, node by node along the collar;
+    returns (ok, s, t, margin, certificate worst)."""
+    ids = _collar(M, boundary_ids)
+
+    def certify(vals):
+        _, r, p, A = batch_jets(GridFunction(M, vals), ids)
+        if np.any(np.linalg.norm(p, axis=1) < 1e-12):
+            return False, 0.0
+        worst = np.inf
+        for i in range(ids.size):
+            jet = Jet(float(r[i]), p[i], SymMatrix.from_full(A[i]))
+            if F.value_jet(int(ids[i]), jet) <= 0:
+                return False, min(worst, 0.0)
+            d = distance_to_boundary(F, int(ids[i]), jet)
+            worst = min(worst, d.value)
+            if d.value < margin:
+                return False, worst
+        return True, worst
+
+    rv = rho.values
+    best = -np.inf
+    for s in s_grid:
+        rs = rv + s * rv**2
+        for t in t_grid:
+            ok, worst = True, np.inf
+            for scale in (1.0, 4.0, 16.0, 64.0):
+                ok_t, w_t = certify(t * scale * rs)
+                worst = min(worst, w_t)
+                if not ok_t:
+                    ok = False
+                    break
+            best = max(best, worst if np.isfinite(worst) else margin)
+            if ok:
+                return True, s, t, worst, worst
+    return False, np.nan, np.nan, best, best
+
+
+def _barrier_summary(res):
+    return res.ok, res.s, res.t, res.margin, next(iter(res.certificate.worst.values()))
+
+
 class TestBarriers:
+    def test_batched_certificate_matches_node_loop(self):
+        M = RadialModel.uniform(3, "euclidean", 1.0, 3.0, 201)
+        rho = GridFunction(M, np.exp(-4.0 * M.r) - np.exp(-4.0 * M.r[0]))
+        res = make_barrier(laplace(ZERO, m=3), M, np.ones(M.n_nodes, bool), np.array([0]), rho)
+        assert res.ok
+        np.testing.assert_equal(_barrier_summary(res),
+                                _barrier_reference(laplace(ZERO, m=3), M, np.array([0]), rho))
+
+        M = RadialModel.uniform(3, "euclidean", 1.0, 3.0, 121)
+        rho = GridFunction(M, M.r[0] - M.r)
+        res = make_barrier(eikonal(1.0, m=3), M, np.ones(M.n_nodes, bool), np.array([0]), rho)
+        assert not res.ok
+        np.testing.assert_equal(_barrier_summary(res),
+                                _barrier_reference(eikonal(1.0, m=3), M, np.array([0]), rho))
+
+    def test_first_failing_node_bounds_the_worst_distance(self):
+        # the collar distances fall with r, so a margin between those of the
+        # first two collar nodes fails the scan at the second, and the
+        # rung's worst is its distance, not the smaller ones beyond it
+        F = laplace(ZERO, m=3)
+        M = RadialModel.uniform(3, "euclidean", 1.0, 3.0, 201)
+        rho = GridFunction(M, np.exp(-4.0 * M.r) - np.exp(-4.0 * M.r[0]))
+        ids = _collar(M, np.array([0]))
+        _, r, p, A = batch_jets(rho, ids)
+        d = distance_to_boundary(F, ids, r, p, A).value
+        assert ids.size >= 3 and np.all(np.diff(d) < 0)
+        margin = 0.5 * (d[0] + d[1])
+        res = make_barrier(F, M, np.ones(M.n_nodes, bool), np.array([0]), rho,
+                           s_grid=(0.0,), t_grid=(1.0,), margin=margin)
+        assert not res.ok and res.margin == d[1] > d[-1]
+        np.testing.assert_equal(_barrier_summary(res), _barrier_reference(
+            F, M, np.array([0]), rho, margin=margin, s_grid=(0.0,), t_grid=(1.0,)))
+
     def test_euclidean_ball_hessian_branch(self):
         # Prop: Euclidean balls are F-convex at non-positive heights;
         # rho = r^2 - R^2 certifies from inside

@@ -366,6 +366,36 @@ class TestDistanceToBoundary:
                                  Jet(0.0, np.zeros(2), SymMatrix.zero(2)))
         assert not d.found and np.isinf(d.value)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_laplace_batch_oracle(self, m):
+        # G = tr A is linear in the fiber coordinates with normal of length
+        # sqrt(m), so the distance to {tr A = 0} is |tr A| / sqrt(m)
+        rng = np.random.default_rng(10 + m)
+        r, p, A = rand_jets(rng, m, 40)
+        tr = np.trace(A, axis1=1, axis2=2)
+        assert (tr > 0).any() and (tr < 0).any()
+        d = distance_to_boundary(laplace(ZERO, m=m), None, r, p, A)
+        assert d.found.all()
+        assert np.abs(d.value - np.abs(tr) / np.sqrt(m)).max() <= 1e-8
+
+    def test_batch_independence(self):
+        # a jet's distance is bitwise the same alone and inside a shuffled
+        # batch: with p = 0 (no +-p rays), on the eikonal boundary, with no
+        # crossing and no gradient ray (whole space), and per node (x ids)
+        rng = np.random.default_rng(4)
+        r, p, A = rand_jets(rng, 2, 12)
+        p[0] = 0.0
+        r[1], p[1], A[1] = 0.0, np.array([1.0, 0.0]), np.zeros((2, 2))
+        x = rng.integers(0, 5, 12)
+        members = catalog(2) + [whole_space(2),
+                                obstacle(laplace(ZERO, m=2), rng.standard_normal(5))]
+        for F in members:
+            perm = rng.permutation(12)
+            batch = distance_to_boundary(F, x[perm], r[perm], p[perm], A[perm])
+            for j, i in enumerate(perm):
+                alone = distance_to_boundary(F, int(x[i]), Jet(r[i], p[i], SymMatrix.from_full(A[i])))
+                assert (alone.value, alone.found) == (batch.value[j], batch.found[j]), F.meta.tag
+
 
 class TestAuditPNT:
     def test_catalog_clean(self):
