@@ -25,30 +25,27 @@ def lower(F: SU.Subequation, n_nodes: int):
     members (the eikonal family); the remaining members read |du|.  Returns
     None when the tree does not lower.
     """
-    if isinstance(F, (SU._Min, SU._Max)):
+    if isinstance(F, SU._MinMax):
         parts = [lower(q, n_nodes) for q in F.parts]
         if any(q is None for q in parts):
             return None
-        reduce = np.minimum.reduce if isinstance(F, SU._Min) else np.maximum.reduce
+        reduce = F.reduce
         return lambda *jet: reduce([q(*jet) for q in parts])
     if isinstance(F, SU._Const):
         c = F.c
         return lambda nodes, v, du, aa, d2, gdn: np.full_like(v, c)
-    if isinstance(F, SU._Eikonal):
-        xi = F.xi
-        return lambda nodes, v, du, aa, d2, gdn: xi(v) - gdn
-    if isinstance(F, SU._EikonalDual):
+    if isinstance(F, (SU._Eikonal, SU._EikonalDual)):
+        rows = F.eta_vals
+        if rows is not None and rows.shape[0] != n_nodes:
+            return None
+        if isinstance(F, SU._Eikonal):
+            xi = F.xi
+            if rows is None:
+                return lambda nodes, v, du, aa, d2, gdn: xi(v) - gdn
+            return lambda nodes, v, du, aa, d2, gdn: xi(v) + rows[nodes] - gdn
         eta = F.eta
-        return lambda nodes, v, du, aa, d2, gdn: np.abs(du) - eta(v)
-    if isinstance(F, SU._EikonalRelaxed):
-        xi, rows = F.xi, F.eta_vals
-        if rows.shape[0] != n_nodes:
-            return None
-        return lambda nodes, v, du, aa, d2, gdn: xi(v) + rows[nodes] - gdn
-    if isinstance(F, SU._EikonalDualRelaxed):
-        eta, rows = F.eta_prof, F.eta_vals
-        if rows.shape[0] != n_nodes:
-            return None
+        if rows is None:
+            return lambda nodes, v, du, aa, d2, gdn: np.abs(du) - eta(v)
         return lambda nodes, v, du, aa, d2, gdn: np.abs(du) - eta(v) - rows[nodes]
     if isinstance(F, SU._HalfspaceR):
         if F.gvals.ndim > 0 and F.gvals.shape[0] != n_nodes:
@@ -76,9 +73,9 @@ def _radial(F, m):
             return lambda du, aa, d2: d2
         return lambda du, aa, d2: np.where(d2 <= aa, d2 if k == 1 else aa,
                                            aa if k <= m - 1 else d2)
-    if isinstance(F, (SU._PlurisubBottom, SU._PlurisubTop)):
+    if isinstance(F, SU._Plurisub):
         k = F.k
-        bottom = isinstance(F, SU._PlurisubBottom)
+        bottom = not F.top
 
         def sum_k(du, aa, d2):
             with_d2 = d2 <= aa if bottom else d2 >= aa

@@ -42,7 +42,6 @@ from .manifolds import (
     _RadialBase,
     batch_jets,
     get_warp,
-    radial_hessian_eigs,
 )
 from .odeint import integrate
 from .policy import DEFAULT_POLICY, NumericPolicy
@@ -498,12 +497,11 @@ def punctured_example_check(m: int, lam: float, M: PuncturedEuclidean | None = N
     n_nodes = r.size
     p = np.zeros((n_nodes, m))
     p[:, 0] = w1
+    # diagonal in the radial frame: radial first, then the angular copies w'/r
     A = np.zeros((n_nodes, m, m))
-    for idx in range(n_nodes):
-        eigs = radial_hessian_eigs(w1[idx], w2[idx], r[idx], "euclidean", m)
-        # radial first, then angular copies (diagonal in the radial frame)
-        A[idx] = np.diag(np.concatenate([[w2[idx]], np.full(m - 1, w1[idx] / r[idx])]))
-        assert np.allclose(np.sort(np.diag(A[idx])), eigs)
+    A[:, 0, 0] = w2
+    k = np.arange(1, m)
+    A[:, k, k] = (w1 / r)[:, None]
     res = F.value(None, w, p, A)
     member = res >= -tol
     inside = ~member

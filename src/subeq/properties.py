@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import Certificate
-from .errors import InputError
+from .errors import InputError, SubeqError
 from .khasminskii import radial_khasminskii_test
 from .manifolds import (
     GridFunction,
@@ -212,7 +212,7 @@ def stochastic_completeness(warp, m: int, lam: float = 1.0,
         vol_r_max = min(float(r_range[-1]), 8.0)
     try:
         vol_v, vol_trace = volume_growth_test(warp, m, vol_r_max)
-    except Exception as e:  # domain failures leave the volume oracle silent
+    except SubeqError as e:  # domain failures leave the volume oracle silent
         vol_v, vol_trace = "Inconclusive", {"error": str(e)}
     result, provenance = _combine_oracles(ode_v, vol_v)
     notes = [f"ode={ode_v}", f"volume={vol_v}"]
@@ -276,7 +276,7 @@ def ahlfors_falsification_suite(F: Subequation, M: _RadialBase, r_K: float,
         try:
             sol, cert = perron_dirichlet(ProblemSpec(
                 Fd, subM, {"inner": 0.0, "outer": inner}, policy=policy))
-        except Exception as e:
+        except SubeqError as e:
             verdicts.append(Verdict("ahlfors", Outcome.INCONCLUSIVE, "solver-error",
                                     notes=[f"candidate=solve[{inner}]", str(e)]))
             continue

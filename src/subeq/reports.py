@@ -22,7 +22,7 @@ def write_report(out_dir, payload: dict, certificates=(), arrays=None,
     """Write report.json plus CSV/SVG sidecars into ``out_dir``.
 
     arrays: {name: 1-column dict or {col: vector}} -> name.csv
-    plots:  list of plot specs consumed by the SVG writers.
+    plots:  list of line-plot specs {name, series, title, xlabel, ylabel}.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -41,11 +41,8 @@ def write_report(out_dir, payload: dict, certificates=(), arrays=None,
     report["sidecars"] = sorted(sidecars)
     for spec in plots or []:
         fn = _safe(spec["name"]) + ".svg"
-        if spec.get("kind") == "heatmap":
-            svg = svg_heatmap(spec["z"], spec.get("title", spec["name"]))
-        else:
-            svg = svg_lines(spec["series"], spec.get("title", spec["name"]),
-                            spec.get("xlabel", "x"), spec.get("ylabel", "y"))
+        svg = svg_lines(spec["series"], spec.get("title", spec["name"]),
+                        spec.get("xlabel", "x"), spec.get("ylabel", "y"))
         (out / fn).write_text(svg)
         report.setdefault("plots", []).append(fn)
     if timing:
@@ -130,34 +127,6 @@ def svg_lines(series, title="", xlabel="x", ylabel="y"):
                      f'points="{pts}"/>')
         parts.append(f'<text x="{_W - _PAD + 4}" y="{_PAD/2 + 16*i + 10}" fill="{color}">'
                      f'{_esc(str(label))}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
-def svg_heatmap(z, title=""):
-    z = np.asarray(z, dtype=float)
-    lo, hi = float(np.nanmin(z)), float(np.nanmax(z))
-    span = hi - lo if hi > lo else 1.0
-    ny, nx = z.shape
-    cw = (_W - 2 * _PAD) / nx
-    ch = (_H - 2 * _PAD) / ny
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}" font-family="monospace" font-size="12">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W/2}" y="20" text-anchor="middle" font-size="14">{_esc(title)}'
-        f' [{lo:.3g}, {hi:.3g}]</text>',
-    ]
-    for j in range(ny):
-        for i in range(nx):
-            t = (z[j, i] - lo) / span
-            r = int(255 * t)
-            b = int(255 * (1 - t))
-            g = int(96 + 64 * (1 - abs(2 * t - 1)))
-            x = _PAD + i * cw
-            y = _PAD + (ny - 1 - j) * ch
-            parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw:.2f}" '
-                         f'height="{ch:.2f}" fill="rgb({r},{g},{b})"/>')
     parts.append("</svg>")
     return "\n".join(parts)
 

@@ -66,8 +66,7 @@ from .subequations import (  # structural presolve detection
     _Hessian,
     _InfLaplacian,
     _Laplace,
-    _PlurisubBottom,
-    _PlurisubTop,
+    _Plurisub,
     _Sigma,
 )
 
@@ -145,7 +144,7 @@ def _try_presolve(F, M, bvals):
     elif isinstance(core, _InfLaplacian) and linear_f:
         use_angular = False
     elif M.m == 1 and linear_f and isinstance(
-            core, (_Hessian, _PlurisubBottom, _PlurisubTop, _Sigma)):
+            core, (_Hessian, _Plurisub, _Sigma)):
         use_angular = False  # every eigenvalue member is u'' >= f in 1-D
     else:
         return None

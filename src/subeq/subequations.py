@@ -13,8 +13,9 @@ quasilinear family and the infinity Laplacian) extend to the p = 0 fiber by
 the limsup of G along p -> 0.
 
 Evaluation is vectorized: r (n,), p (n,m), A (n,m,m); x is an optional
-integer node-id array consumed only by base-dependent members (obstacles,
-jet-equivalence fields given per node).
+integer node-id array read only by the members with per-node data (obstacle
+caps, the collar-relaxed eikonal and its dual, jet-equivalence fields given
+per node), which raise InputError when it is None.
 """
 from __future__ import annotations
 
@@ -41,12 +42,13 @@ class Region(enum.Enum):
 
 @dataclass(frozen=True)
 class SubeqMeta:
+    """What callers read of a member: its tag, which names it in audit
+    report keys and certificate names, and the right-hand side f of an
+    f-member (for a combination, that of its first f-member), which picks
+    the comparison regime."""
+
     tag: str
-    is_universal: bool = True
-    depends_on_gradient: bool = False
-    base_dependent: bool = False
     f: Profile | None = None
-    xi: Profile | None = None
 
 
 def _as_batch(r, p, A, m):
@@ -62,8 +64,15 @@ def _as_batch(r, p, A, m):
     return r, p, A
 
 
+def _rows(vals, x):
+    """Per-node data at node ids x; a member that has such data needs x."""
+    if x is None:
+        raise InputError("per-node subequation needs node ids x")
+    return vals[np.asarray(x, dtype=int)]
+
+
 class Subequation:
-    """Base class; concrete members implement `_value` and `children`."""
+    """Base class; concrete members implement `_value` and `dual`."""
 
     def __init__(self, m: int, meta: SubeqMeta):
         if m < 1:
@@ -82,10 +91,6 @@ class Subequation:
 
     def _value(self, x, r, p, A) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    @property
-    def children(self) -> tuple:
-        return ()
 
     # -- structure ---------------------------------------------------------
     def dual(self) -> "Subequation":
@@ -115,71 +120,37 @@ def contains(F: Subequation, x, jet: Jet, tol: float | None = None,
 
 
 class _Eikonal(Subequation):
-    """E_xi = closure{|p| < xi(r)}."""
+    """E_xi = closure{|p| < xi(r)}; with per-node rows eta >= 0 the
+    collar-relaxed E_xi^eta = closure{|p| < xi(r) + eta(x)}."""
 
-    def __init__(self, m, xi: Profile):
-        super().__init__(m, SubeqMeta(tag="eikonal", depends_on_gradient=True, xi=xi))
-        self.xi = xi
+    def __init__(self, m, xi: Profile, eta_vals=None):
+        tag = "eikonal" if eta_vals is None else "eikonal_relaxed"
+        super().__init__(m, SubeqMeta(tag=tag))
+        self.xi, self.eta_vals = xi, eta_vals
 
     def _value(self, x, r, p, A):
-        return self.xi(r) - np.linalg.norm(p, axis=1)
+        xi = self.xi(r) if self.eta_vals is None else self.xi(r) + _rows(self.eta_vals, x)
+        return xi - np.linalg.norm(p, axis=1)
 
     def dual(self):
-        return _EikonalDual(self.m, self.xi.neg_arg())
+        return _EikonalDual(self.m, self.xi.neg_arg(), self.eta_vals)
 
 
 class _EikonalDual(Subequation):
-    """closure{|p| > eta(r)} with eta(r) = xi(-r); the dual eikonal."""
+    """closure{|p| > eta(r)} with eta(r) = xi(-r), the dual eikonal; with
+    per-node rows, closure{|p| > eta(r) + rows(x)}, the dual of E_xi^eta."""
 
-    def __init__(self, m, eta: Profile):
-        super().__init__(m, SubeqMeta(tag="eikonal_dual", depends_on_gradient=True, xi=eta))
-        self.eta = eta
-
-    def _value(self, x, r, p, A):
-        return np.linalg.norm(p, axis=1) - self.eta(r)
-
-    def dual(self):
-        return _Eikonal(self.m, self.eta.neg_arg())
-
-
-class _EikonalRelaxed(Subequation):
-    """E_xi^eta = closure{|p| < xi(r) + eta(x)}: the collar-relaxed eikonal."""
-
-    def __init__(self, m, xi: Profile, eta_vals):
-        super().__init__(m, SubeqMeta(tag="eikonal_relaxed", depends_on_gradient=True,
-                                      base_dependent=True, xi=xi))
-        self.xi = xi
-        self.eta_vals = np.asarray(eta_vals, dtype=float)
-
-    def _eta(self, x, n):
-        if x is None:
-            raise InputError("relaxed eikonal needs node ids x")
-        return self.eta_vals[np.asarray(x, dtype=int)]
+    def __init__(self, m, eta: Profile, eta_vals=None):
+        tag = "eikonal_dual" if eta_vals is None else "eikonal_dual_relaxed"
+        super().__init__(m, SubeqMeta(tag=tag))
+        self.eta, self.eta_vals = eta, eta_vals
 
     def _value(self, x, r, p, A):
-        return self.xi(r) + self._eta(x, r.size) - np.linalg.norm(p, axis=1)
+        out = np.linalg.norm(p, axis=1) - self.eta(r)
+        return out if self.eta_vals is None else out - _rows(self.eta_vals, x)
 
     def dual(self):
-        return _EikonalDualRelaxed(self.m, self.xi.neg_arg(), self.eta_vals)
-
-
-class _EikonalDualRelaxed(Subequation):
-    """closure{|p| > eta(x) + xi(-r)}: dual of the relaxed eikonal."""
-
-    def __init__(self, m, eta_prof: Profile, eta_vals):
-        super().__init__(m, SubeqMeta(tag="eikonal_dual_relaxed", depends_on_gradient=True,
-                                      base_dependent=True, xi=eta_prof))
-        self.eta_prof = eta_prof
-        self.eta_vals = np.asarray(eta_vals, dtype=float)
-
-    def _value(self, x, r, p, A):
-        if x is None:
-            raise InputError("relaxed eikonal needs node ids x")
-        eta = self.eta_vals[np.asarray(x, dtype=int)]
-        return np.linalg.norm(p, axis=1) - self.eta_prof(r) - eta
-
-    def dual(self):
-        return _EikonalRelaxed(self.m, self.eta_prof.neg_arg(), self.eta_vals)
+        return _Eikonal(self.m, self.eta.neg_arg(), self.eta_vals)
 
 
 class _Laplace(Subequation):
@@ -212,38 +183,23 @@ class _Hessian(Subequation):
         return _Hessian(self.m, self.m - self.k + 1, self.f.reflect())
 
 
-class _PlurisubBottom(Subequation):
-    """{lambda_1 + ... + lambda_k >= f(r)} (k-plurisubharmonicity)."""
+class _Plurisub(Subequation):
+    """{lambda_1 + ... + lambda_k >= f(r)} (k-plurisubharmonicity); with
+    ``top``, {lambda_{m-k+1} + ... + lambda_m >= f(r)}, its Dirichlet dual."""
 
-    def __init__(self, m, k, f: Profile):
+    def __init__(self, m, k, f: Profile, top: bool = False):
         if not (1 <= k <= m):
             raise InputError("plurisub order out of range")
-        super().__init__(m, SubeqMeta(tag=f"plurisub[{k}]", f=f))
-        self.k, self.f = k, f
+        super().__init__(m, SubeqMeta(tag=f"plurisub{'_top' if top else ''}[{k}]", f=f))
+        self.k, self.f, self.top = k, f, top
 
     def _value(self, x, r, p, A):
         ev = eigenvalues_sym_batch(A)
-        return ev[:, : self.k].sum(axis=1) - self.f(r)
+        part = ev[:, self.m - self.k:] if self.top else ev[:, : self.k]
+        return part.sum(axis=1) - self.f(r)
 
     def dual(self):
-        return _PlurisubTop(self.m, self.k, self.f.reflect())
-
-
-class _PlurisubTop(Subequation):
-    """{lambda_{m-k+1} + ... + lambda_m >= f(r)}; the dual of bottom-k."""
-
-    def __init__(self, m, k, f: Profile):
-        if not (1 <= k <= m):
-            raise InputError("plurisub order out of range")
-        super().__init__(m, SubeqMeta(tag=f"plurisub_top[{k}]", f=f))
-        self.k, self.f = k, f
-
-    def _value(self, x, r, p, A):
-        ev = eigenvalues_sym_batch(A)
-        return ev[:, self.m - self.k:].sum(axis=1) - self.f(r)
-
-    def dual(self):
-        return _PlurisubBottom(self.m, self.k, self.f.reflect())
+        return _Plurisub(self.m, self.k, self.f.reflect(), not self.top)
 
 
 class _Sigma(Subequation):
@@ -267,9 +223,7 @@ class _Quasilinear(Subequation):
     """closure{p != 0, tr(T(p) A) > f(r)} for T(p) from an AProfile."""
 
     def __init__(self, m, aprof: AProfile, f: Profile):
-        super().__init__(
-            m, SubeqMeta(tag=f"quasilinear[{aprof.name}]", depends_on_gradient=True, f=f)
-        )
+        super().__init__(m, SubeqMeta(tag=f"quasilinear[{aprof.name}]", f=f))
         self.aprof, self.f = aprof, f
 
     def _value(self, x, r, p, A):
@@ -299,7 +253,7 @@ class _InfLaplacian(Subequation):
     """closure{p != 0, A(p,p)/|p|^2 > f(r)}: the normalized infinity Laplacian."""
 
     def __init__(self, m, f: Profile):
-        super().__init__(m, SubeqMeta(tag="inf_laplacian", depends_on_gradient=True, f=f))
+        super().__init__(m, SubeqMeta(tag="inf_laplacian", f=f))
         self.f = f
 
     def _value(self, x, r, p, A):
@@ -332,83 +286,44 @@ class _Const(Subequation):
 
 
 class _HalfspaceR(Subequation):
-    """{r <= s * g(x)}: the value-cap fiber of an obstacle (s = +1) or its dual (s = -1)."""
+    """{r <= s * g(x)}: the value-cap fiber of an obstacle (s = +1) or its dual
+    (s = -1); g is a scalar or per-node rows."""
 
     def __init__(self, m, gvals, sign: int, label: str = "obstacle_cap"):
-        gv = np.asarray(gvals, dtype=float)
-        super().__init__(
-            m, SubeqMeta(tag=f"{label}[{'+' if sign > 0 else '-'}]",
-                         is_universal=False, base_dependent=gv.ndim > 0)
-        )
-        self.gvals = gv
+        super().__init__(m, SubeqMeta(tag=f"{label}[{'+' if sign > 0 else '-'}]"))
+        self.gvals = np.asarray(gvals, dtype=float)
         self.sign = int(sign)
 
-    def _g_at(self, x, n):
-        if self.gvals.ndim == 0:
-            return np.full(n, float(self.gvals))
-        if x is None:
-            raise InputError("base-dependent subequation needs node ids x")
-        return self.gvals[np.asarray(x, dtype=int)]
-
     def _value(self, x, r, p, A):
-        return self.sign * self._g_at(x, r.size) - r
+        g = np.full(r.size, float(self.gvals)) if self.gvals.ndim == 0 else _rows(self.gvals, x)
+        return self.sign * g - r
 
     def dual(self):
         return _HalfspaceR(self.m, self.gvals, -self.sign, label="obstacle_cap")
 
 
-class _Min(Subequation):
-    def __init__(self, parts):
+class _MinMax(Subequation):
+    """Intersection (G = min of the parts' G) or, with ``union``, union (max);
+    the dual of one is the other over the parts' duals."""
+
+    def __init__(self, parts, union: bool):
         m = parts[0].m
         if any(q.m != m for q in parts):
-            raise InputError("intersection members must share dimension")
-        meta = SubeqMeta(
-            tag="intersect(" + ",".join(q.meta.tag for q in parts) + ")",
-            is_universal=all(q.meta.is_universal for q in parts),
-            depends_on_gradient=any(q.meta.depends_on_gradient for q in parts),
-            base_dependent=any(q.meta.base_dependent for q in parts),
-            f=next((q.meta.f for q in parts if q.meta.f is not None), None),
-            xi=next((q.meta.xi for q in parts if q.meta.xi is not None), None),
-        )
-        super().__init__(m, meta)
+            kind = "union" if union else "intersection"
+            raise InputError(f"{kind} members must share dimension")
+        tags = ",".join(q.meta.tag for q in parts)
+        super().__init__(m, SubeqMeta(
+            tag=f"{'union' if union else 'intersect'}({tags})",
+            f=next((q.meta.f for q in parts if q.meta.f is not None), None)))
         self.parts = tuple(parts)
-
-    @property
-    def children(self):
-        return self.parts
+        self.union = union
+        self.reduce = np.maximum.reduce if union else np.minimum.reduce
 
     def _value(self, x, r, p, A):
-        return np.minimum.reduce([q._value(x, r, p, A) for q in self.parts])
+        return self.reduce([q._value(x, r, p, A) for q in self.parts])
 
     def dual(self):
-        return _Max([q.dual() for q in self.parts])
-
-
-class _Max(Subequation):
-    def __init__(self, parts):
-        m = parts[0].m
-        if any(q.m != m for q in parts):
-            raise InputError("union members must share dimension")
-        meta = SubeqMeta(
-            tag="union(" + ",".join(q.meta.tag for q in parts) + ")",
-            is_universal=all(q.meta.is_universal for q in parts),
-            depends_on_gradient=any(q.meta.depends_on_gradient for q in parts),
-            base_dependent=any(q.meta.base_dependent for q in parts),
-            f=next((q.meta.f for q in parts if q.meta.f is not None), None),
-            xi=next((q.meta.xi for q in parts if q.meta.xi is not None), None),
-        )
-        super().__init__(m, meta)
-        self.parts = tuple(parts)
-
-    @property
-    def children(self):
-        return self.parts
-
-    def _value(self, x, r, p, A):
-        return np.maximum.reduce([q._value(x, r, p, A) for q in self.parts])
-
-    def dual(self):
-        return _Min([q.dual() for q in self.parts])
+        return _MinMax([q.dual() for q in self.parts], not self.union)
 
 
 # ---------------------------------------------------------------------------
@@ -448,19 +363,10 @@ class JetEquivalence:
             if np.any(np.abs(dets) < 1e-12):
                 raise ConstructionError(f"jet-equivalence field {name} is singular at a base point")
 
-    @property
-    def base_dependent(self) -> bool:
-        return self.g.ndim == 3 or self.h.ndim == 3 or (
-            self.L is not None and self.L.ndim == 4)
-
     def _field(self, arr, x, n, nd):
-        if arr is None:
-            return None
         if arr.ndim == nd:
             return np.broadcast_to(arr, (n,) + arr.shape)
-        if x is None:
-            raise InputError("per-node jet-equivalence needs node ids x")
-        return arr[np.asarray(x, dtype=int)]
+        return _rows(arr, x)
 
     def apply(self, x, r, p, A):
         n = r.size
@@ -512,17 +418,9 @@ class _JetEquiv(Subequation):
     def __init__(self, psi: JetEquivalence, child: Subequation):
         if psi.m != child.m:
             raise InputError("jet-equivalence dimension mismatch")
-        cm = child.meta
-        super().__init__(child.m, SubeqMeta(
-            tag=f"jetequiv({cm.tag})", is_universal=False,
-            depends_on_gradient=True, base_dependent=psi.base_dependent or cm.base_dependent,
-            f=cm.f, xi=cm.xi))
+        super().__init__(child.m, SubeqMeta(tag=f"jetequiv({child.meta.tag})", f=child.meta.f))
         self.psi = psi
         self.child = child
-
-    @property
-    def children(self):
-        return (self.child,)
 
     def _value(self, x, r, p, A):
         r2, p2, A2 = self.psi.apply(x, r, p, A)
@@ -538,21 +436,18 @@ class _JetEquiv(Subequation):
 
 
 def eikonal(xi: Profile | float = 1.0, m: int = 2) -> Subequation:
-    if not isinstance(xi, Profile):
-        xi = Profile.constant(float(xi))
-    return _Eikonal(m, xi.require_xi())
+    return eikonal_relaxed(xi, None, m)
 
 
 def eikonal_relaxed(xi: Profile | float, eta_vals=None, m: int = 2) -> Subequation:
     """E_xi^eta with per-node relaxation eta >= 0; eta None gives plain E_xi."""
     if not isinstance(xi, Profile):
         xi = Profile.constant(float(xi))
-    if eta_vals is None:
-        return _Eikonal(m, xi.require_xi())
-    eta_vals = np.asarray(eta_vals, dtype=float)
-    if np.any(eta_vals < 0):
-        raise InputError("eta must be non-negative")
-    return _EikonalRelaxed(m, xi.require_xi(), eta_vals)
+    if eta_vals is not None:
+        eta_vals = np.asarray(eta_vals, dtype=float)
+        if np.any(eta_vals < 0):
+            raise InputError("eta must be non-negative")
+    return _Eikonal(m, xi.require_xi(), eta_vals)
 
 
 def laplace(f: Profile, m: int = 2) -> Subequation:
@@ -568,7 +463,7 @@ def sigma_branch(j: int, k: int, f: Profile, m: int = 2) -> Subequation:
 
 
 def plurisub_trace(k: int, f: Profile, m: int = 2) -> Subequation:
-    return _PlurisubBottom(m, k, f.require_f())
+    return _Plurisub(m, k, f.require_f())
 
 
 def quasilinear(aprof: AProfile, f: Profile, m: int = 2) -> Subequation:
@@ -592,19 +487,19 @@ def dual(F: Subequation) -> Subequation:
 def intersect(*parts: Subequation) -> Subequation:
     if len(parts) < 1:
         raise InputError("intersect needs at least one member")
-    return _Min(list(parts)) if len(parts) > 1 else parts[0]
+    return _MinMax(parts, union=False) if len(parts) > 1 else parts[0]
 
 
 def union(*parts: Subequation) -> Subequation:
     if len(parts) < 1:
         raise InputError("union needs at least one member")
-    return _Max(list(parts)) if len(parts) > 1 else parts[0]
+    return _MinMax(parts, union=True) if len(parts) > 1 else parts[0]
 
 
 def obstacle(F: Subequation, g) -> Subequation:
     """F^g = F intersect {r <= g(x)}; g is a GridFunction, array, or scalar."""
     gvals = getattr(g, "values", g)
-    return _Min([F, _HalfspaceR(F.m, gvals, +1)])
+    return _MinMax([F, _HalfspaceR(F.m, gvals, +1)], union=False)
 
 
 def below_zero_cap(m: int) -> Subequation:

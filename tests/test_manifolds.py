@@ -35,6 +35,27 @@ class TestRadialHessian:
         eigs = radial_hessian_eigs(1.0, 0.0, r, "euclidean", 3)
         assert np.allclose(eigs, [0.0, 0.5, 0.5])
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_punctured_potential_diagonal(self, m):
+        # the radial-frame diagonal of punctured_example_check's potential
+        # has the eigenvalues radial_hessian_eigs gives, and its trace is
+        # the reported membership residual plus lam w
+        from subeq.khasminskii import punctured_example_check
+
+        r = PuncturedEuclidean(m, 0.05, 4.0, 600).r
+        if m == 2:
+            w, w1, w2 = -(r**2) + np.log(r), -2 * r + 1.0 / r, -2.0 - 1.0 / r**2
+        else:
+            w = -(r**2) - r ** (2.0 - m)
+            w1 = -2 * r - (2.0 - m) * r ** (1.0 - m)
+            w2 = -2.0 - (2.0 - m) * (1.0 - m) * r ** (-float(m))
+        eigs = np.array([radial_hessian_eigs(a, b, c, "euclidean", m)
+                         for a, b, c in zip(w1, w2, r)])
+        diag = np.column_stack([w2] + [w1 / r] * (m - 1))
+        assert np.allclose(np.sort(diag, axis=1), eigs)
+        res = punctured_example_check(m, 2.0).residuals["membership"]
+        assert np.allclose(res, eigs.sum(axis=1) - 2.0 * w, rtol=1e-12, atol=1e-9)
+
     def test_nonpositive_warp_rejected(self):
         with pytest.raises(DomainError):
             radial_hessian_eigs(1.0, 0.0, -1.0, "euclidean", 2)

@@ -3,7 +3,8 @@ duality falsification suite."""
 import numpy as np
 import pytest
 
-from subeq.errors import InputError
+import subeq.properties
+from subeq.errors import ConvergenceError, DomainError, InputError
 from subeq.manifolds import FlatBox, GridFunction, RadialModel
 from subeq.profiles import Profile
 from subeq.properties import (
@@ -152,6 +153,26 @@ class TestStochastic:
             vol, _ = volume_growth_test(warp, m, vol_max)
             assert not (vol == "Diverges" and ode == "Fail"), (warp, ode, vol)
 
+    def test_volume_domain_error_leaves_the_ode_verdict(self, monkeypatch):
+        def no_volume(*args, **kwargs):
+            raise DomainError("warping must be positive and finite on (0, r_max]")
+
+        monkeypatch.setattr(subeq.properties, "volume_growth_test", no_volume)
+        v = stochastic_completeness("exp_r3", 2, 1.0, (0.1, 8.0))
+        assert (v.result, v.provenance) == (Outcome.FAILS, "radial-ode")
+        assert "volume=Inconclusive" in v.notes
+        v = stochastic_completeness("sinh", 2, 1.0, (0.1, 30.0))
+        assert (v.result, v.provenance) == (Outcome.HOLDS, "radial-ode")
+        assert v.certificate.params["volume"]["error"].startswith("warping")
+
+    def test_volume_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            return 1 / 0
+
+        monkeypatch.setattr(subeq.properties, "volume_growth_test", broken)
+        with pytest.raises(ZeroDivisionError):
+            stochastic_completeness("sinh", 2, 1.0, (0.1, 30.0))
+
     def test_combine_table(self):
         H, F, I = Outcome.HOLDS, Outcome.FAILS, Outcome.INCONCLUSIVE
         assert _combine_oracles("Pass", "Diverges") == (H, "radial-ode")
@@ -221,3 +242,25 @@ class TestFalsificationSuite:
                                           boundary_mask=bd)
         assert verdict.result is Outcome.FAILS
         assert verdict.witness is not None
+
+    def _suite_with_solver(self, monkeypatch, solver):
+        monkeypatch.setattr(subeq.properties, "perron_dirichlet", solver)
+        M = RadialModel.uniform(2, "sinh", 1.0, 10.0, 51)
+        return ahlfors_falsification_suite(laplace(LIN, m=2), M, 1.0, seed=0)
+
+    def test_convergence_error_is_a_solver_error_verdict(self, monkeypatch):
+        def stalls(spec):
+            raise ConvergenceError("iteration budget exhausted")
+
+        verdicts, summary = self._suite_with_solver(monkeypatch, stalls)
+        assert summary == {"fails": 0, "holds": 0, "inconclusive": 2, "candidates": 2}
+        for v in verdicts:
+            assert (v.result, v.provenance) == (Outcome.INCONCLUSIVE, "solver-error")
+            assert "iteration budget exhausted" in v.notes
+
+    def test_programming_error_in_the_solver_propagates(self, monkeypatch):
+        def broken(spec):
+            return 1 / 0
+
+        with pytest.raises(ZeroDivisionError):
+            self._suite_with_solver(monkeypatch, broken)

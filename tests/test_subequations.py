@@ -180,9 +180,68 @@ class TestSetAlgebra:
         j = Jet(-1.0, np.array([pmag, 0.0]), SymMatrix.zero(2))
         assert contains(F, None, j) is Region.EXTERIOR
 
-    def test_gradient_dependence_merged(self):
-        F = intersect(laplace(LIN, m=2), eikonal(1.0, m=2))
-        assert F.meta.depends_on_gradient
+
+class TestMergedKinds:
+    """One class per kind: the relaxed eikonal, the plurisub sums and the
+    min/max combinators keep their tags, duals and values."""
+
+    N = 40  # nodes of the per-node rows
+
+    def jets(self, m=3, n=500):
+        rng = np.random.default_rng(23)
+        r, p, A = rand_jets(rng, m, n)
+        return rng.integers(0, self.N, n), r, p, A
+
+    def eta(self):
+        return np.linspace(0.0, 0.8, self.N)
+
+    def test_tags_and_double_dual(self):
+        L, E = laplace(LIN, m=3), eikonal(1.0, m=3)
+        expect = [
+            (eikonal(1.5, m=3), "eikonal", "eikonal_dual"),
+            (eikonal_relaxed(1.5, None, m=3), "eikonal", "eikonal_dual"),
+            (eikonal_relaxed(1.5, self.eta(), m=3), "eikonal_relaxed", "eikonal_dual_relaxed"),
+            (plurisub_trace(2, LIN, m=3), "plurisub[2]", "plurisub_top[2]"),
+            (intersect(L, E), "intersect(laplace,eikonal)", "union(laplace,eikonal_dual)"),
+            (union(L, E), "union(laplace,eikonal)", "intersect(laplace,eikonal_dual)"),
+        ]
+        for F, tag, dual_tag in expect:
+            assert F.meta.tag == tag
+            assert dual(F).meta.tag == dual_tag
+            assert dual(dual(F)).meta.tag == tag
+
+    def test_values_match_the_formulas(self):
+        x, r, p, A = self.jets()
+        eta, f = self.eta(), Profile.linear(0.7)
+        pn = np.linalg.norm(p, axis=1)
+        ev = np.linalg.eigvalsh(A)
+        trA = np.trace(A, axis1=1, axis2=2)
+        E = eikonal_relaxed(1.5, eta, m=3)
+        P = plurisub_trace(2, f, m=3)
+        I = intersect(laplace(LIN, m=3), eikonal(1.0, m=3))
+        U = union(laplace(LIN, m=3), eikonal(1.0, m=3))
+        cases = [
+            (E, 1.5 + eta[x] - pn),
+            (dual(E), pn - 1.5 - eta[x]),
+            (P, ev[:, :2].sum(axis=1) - 0.7 * r),
+            (dual(P), ev[:, 1:].sum(axis=1) - 0.7 * r),
+            (I, np.minimum(trA - r, 1.0 - pn)),
+            (dual(I), np.maximum(trA - r, pn - 1.0)),
+            (U, np.maximum(trA - r, 1.0 - pn)),
+            (dual(U), np.minimum(trA - r, pn - 1.0)),
+        ]
+        for F, want in cases:
+            assert np.array_equal(F.value(x, r, p, A), want), F.meta.tag
+
+    def test_per_node_members_need_node_ids(self):
+        x, r, p, A = self.jets(m=2)
+        E = eikonal_relaxed(1.0, self.eta(), m=2)
+        cap = obstacle(laplace(LIN, m=2), self.eta())
+        psi = JetEquivalence(2, g=np.broadcast_to(np.eye(2), (self.N, 2, 2)), h=np.eye(2))
+        for F in (E, dual(E), cap, dual(cap), apply_jet_equivalence(psi, laplace(LIN, m=2))):
+            assert F.value(x, r, p, A).shape == r.shape
+            with pytest.raises(InputError):
+                F.value(None, r, p, A)
 
 
 class TestObstacle:
@@ -323,36 +382,36 @@ class TestDistanceToBoundary:
         assert d.found and abs(d.value - 0.75) < 1e-6
 
     def test_laplace_ray_oracle(self):
-        # dense-ray oracle: minimum crossing distance over many random fiber rays
+        # dense-ray oracle: minimum crossing distance over many random fiber
+        # rays, all rays bracketed and bisected together, one F.value per stage
         F = laplace(ZERO, m=2)
         jet = Jet(0.0, np.zeros(2), SymMatrix.identity(2))
         d = distance_to_boundary(F, None, jet)
         rng = np.random.default_rng(17)
-        best = np.inf
         from subeq.subequations import _jet_coords, _coords_to_jet
         c0 = _jet_coords(jet.r, jet.p, jet.A.full)
-        for _ in range(4000):
-            ray = rng.standard_normal(c0.size)
-            ray /= np.linalg.norm(ray)
-            lo, hi = 0.0, None
-            t = 0.25
-            while t < 64:
-                rr, pp, AA = _coords_to_jet(c0 + t * ray, 2)
-                if F.value(None, rr, pp, AA)[0] < 0:
-                    hi = t
-                    break
-                lo = t
-                t *= 1.5
-            if hi is None:
-                continue
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                rr, pp, AA = _coords_to_jet(c0 + mid * ray, 2)
-                if F.value(None, rr, pp, AA)[0] < 0:
-                    hi = mid
-                else:
-                    lo = mid
-            best = min(best, hi)
+        rays = rng.standard_normal((4000, c0.size))
+        rays /= np.linalg.norm(rays, axis=1)[:, None]
+
+        def outside(t, live):
+            return F.value(None, *_coords_to_jet(c0 + t[:, None] * rays[live], 2)) < 0
+
+        lo, hi = np.zeros(len(rays)), np.full(len(rays), np.inf)
+        live = np.arange(len(rays))
+        t = 0.25
+        while t < 64 and live.size:
+            hit = outside(np.full(live.size, t), live)
+            hi[live[hit]] = t
+            live = live[~hit]
+            lo[live] = t
+            t *= 1.5
+        live = np.flatnonzero(np.isfinite(hi))
+        for _ in range(40):
+            mid = 0.5 * (lo[live] + hi[live])
+            hit = outside(mid, live)
+            hi[live] = np.where(hit, mid, hi[live])
+            lo[live] = np.where(hit, lo[live], mid)
+        best = hi.min()
         assert abs(d.value - np.sqrt(2)) < 1e-4
         assert d.value <= best + 1e-4
 
