@@ -6,10 +6,11 @@ of the defining value in the node value.  Over every interior node with
 the tree evaluator it is one Jacobi sweep.  The Newton (Howard) steps
 linearize R(u) = min(G(u), cap - u) with the contact set and the active
 branches frozen.  On line (radial / 1-D) grids ``sweep_line_numpy`` takes
-the policy step over the lowered line evaluator of ``_ir.lower`` and the
-grid's ``LineStencil`` rows, solved with ``thomas``; rows that the step
-cannot linearize at the current iterate are linearized at their node
-roots from the same batched node solve.  On boxes ``step_box`` takes the
+the policy step over the line evaluator of ``_ir.lower`` (the subequation
+tree over ``jets.RadialView``) and the grid's ``LineStencil`` rows, solved
+with ``thomas``; rows that the step cannot linearize at the current
+iterate are linearized at their node roots from the same batched node
+solve.  On boxes ``step_box`` takes the
 step with the subequation tree through the cross stencil, solved slab by
 slab with ``block_thomas``.  Both steps build their rows from the
 difference quotients of one rule (``_quotient``, through ``_slopes`` and

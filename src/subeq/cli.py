@@ -208,20 +208,15 @@ def parse_subequation(spec, m: int, M=None) -> SU.Subequation:
 # ---------------------------------------------------------------------------
 
 
-def _boundary_from(spec, M):
+def _boundary_from(spec):
     out = {}
     for tag, val in spec.items():
         out[tag] = parse_fn(val) if isinstance(val, dict) else float(val)
     return out
 
 
-def _policy_of(sc):
-    return sc.get("_policy", DEFAULT_POLICY)
-
-
-def _task_dirichlet(sc, M, F, params, out_dir, plots):
-    spec = ProblemSpec(F, M, _boundary_from(params["boundary"], M),
-                       policy=_policy_of(sc))
+def _task_dirichlet(sc, M, F, params, policy):
+    spec = ProblemSpec(F, M, _boundary_from(params["boundary"]), policy=policy)
     u, cert = perron_dirichlet(spec)
     payload = {"task": "dirichlet", "passed": cert.passed}
     arrays = {"u": {"coord": M.coords[:, 0], "u": u.values}}
@@ -232,42 +227,42 @@ def _task_dirichlet(sc, M, F, params, out_dir, plots):
         arrays["u"]["oracle"] = ref
     plot = [{"name": "solution", "series": [("u", M.coords[:, 0], u.values)],
              "title": "Dirichlet solution", "xlabel": "r", "ylabel": "u"}]
-    return payload, [cert], arrays, plot if plots else [], 0 if cert.passed else 3
+    return payload, [cert], arrays, plot, 0 if cert.passed else 3
 
 
-def _task_obstacle(sc, M, F, params, out_dir, plots):
+def _task_obstacle(sc, M, F, params, policy):
     g = parse_fn(params["g"])(M.coords[:, 0])
-    spec = ProblemSpec(F, M, _boundary_from(params["boundary"], M),
-                       obstacle=GridFunction(M, g), policy=_policy_of(sc))
+    spec = ProblemSpec(F, M, _boundary_from(params["boundary"]),
+                       obstacle=GridFunction(M, g), policy=policy)
     u, cert = solve_obstacle(spec)
     payload = {"task": "obstacle", "passed": cert.passed}
     arrays = {"u": {"coord": M.coords[:, 0], "u": u.values, "g": g}}
     plot = [{"name": "solution", "series": [("u", M.coords[:, 0], u.values),
                                             ("g", M.coords[:, 0], g)],
              "title": "Obstacle problem", "xlabel": "x", "ylabel": "u"}]
-    return payload, [cert], arrays, plot if plots else [], 0 if cert.passed else 3
+    return payload, [cert], arrays, plot, 0 if cert.passed else 3
 
 
-def _task_khasminskii(sc, M, F, params, out_dir, plots):
+def _task_khasminskii(sc, M, F, params, policy):
     h = parse_fn(params.get("h", {"kind": "named", "name": "neg_log1p"}))(M.r)
     pair = PairKh(M, GridFunction(M, h))
     sched = Schedule(eps=params.get("eps", 0.5), i_max=params.get("i_max", 3),
                      radii=tuple(params["radii"]) if "radii" in params else (),
                      psi_count=params.get("psi_count", 2))
     xi = parse_profile(params["xi"]) if "xi" in params else None
-    w, cert = build_potential(F, pair, sched, xi=xi, policy=_policy_of(sc))
+    w, cert = build_potential(F, pair, sched, xi=xi, policy=policy)
     payload = {"task": "khasminskii", "passed": cert.passed,
                "stages": cert.trace}
     arrays = {"w": {"r": M.r, "w": w.values, "h": h}}
     plot = [{"name": "potential", "series": [("w", M.r, w.values), ("h", M.r, h)],
              "title": "Khas'minskii potential", "xlabel": "r", "ylabel": "w"}]
-    return payload, [cert], arrays, plot if plots else [], 0 if cert.passed else 3
+    return payload, [cert], arrays, plot, 0 if cert.passed else 3
 
 
-def _task_ahlfors(sc, M, F, params, out_dir, plots):
+def _task_ahlfors(sc, M, F, params, policy):
     verdicts, summary = ahlfors_falsification_suite(
         F, M, params.get("r_K", float(M.r[1])),
-        n_random=params.get("n_random", 8), seed=sc.get("seed", 0), policy=_policy_of(sc))
+        n_random=params.get("n_random", 8), seed=sc.get("seed", 0), policy=policy)
     payload = {"task": "ahlfors", "summary": summary,
                "verdicts": [v.to_json_dict() for v in verdicts],
                "passed": summary["fails"] == 0}
@@ -281,8 +276,8 @@ def _task_ahlfors(sc, M, F, params, out_dir, plots):
     return payload, [], arrays, [], code
 
 
-def _task_capacity(sc, M, F, params, out_dir, plots):
-    cap, trace = inf_capacity(params["r_K"], params["radii"], M, policy=_policy_of(sc))
+def _task_capacity(sc, M, F, params, policy):
+    cap, trace = inf_capacity(params["r_K"], params["radii"], M, policy=policy)
     mono = bool(np.all(np.diff(trace["lipschitz"]) <= 1e-10))
     payload = {"task": "capacity", "estimate": cap, "trace": trace,
                "monotone_trace": mono, "passed": mono}
@@ -290,10 +285,10 @@ def _task_capacity(sc, M, F, params, out_dir, plots):
     plot = [{"name": "capacity_trace",
              "series": [("|du|_inf", trace["radii"], trace["lipschitz"])],
              "title": "infinity-capacity trace", "xlabel": "R_j", "ylabel": "Lip"}]
-    return payload, [], arrays, plot if plots else [], 0 if mono else 3
+    return payload, [], arrays, plot, 0 if mono else 3
 
 
-def _task_stochastic(sc, M, F, params, out_dir, plots):
+def _task_stochastic(sc, M, F, params, policy):
     v = stochastic_completeness(params["warp"], params["m"],
                                 params.get("lam", 1.0),
                                 tuple(params.get("r_range", (0.1, 30.0))))
@@ -309,7 +304,7 @@ def _task_stochastic(sc, M, F, params, out_dir, plots):
     return payload, [v.certificate] if v.certificate else [], arrays, [], code
 
 
-def _task_duality_audit(sc, M, F, params, out_dir, plots):
+def _task_duality_audit(sc, M, F, params, policy):
     cert = duality_involution_suite(seed=sc.get("seed", 0),
                                     n=params.get("n", 10_000),
                                     ms=tuple(params.get("ms", (2, 3, 4))))
@@ -317,7 +312,7 @@ def _task_duality_audit(sc, M, F, params, out_dir, plots):
             0 if cert.passed else 1)
 
 
-def _task_garding_audit(sc, M, F, params, out_dir, plots):
+def _task_garding_audit(sc, M, F, params, policy):
     cert = garding_identity_suite(seed=sc.get("seed", 0),
                                   n=params.get("n", 1000),
                                   m_max=params.get("m_max", 6))
@@ -325,18 +320,18 @@ def _task_garding_audit(sc, M, F, params, out_dir, plots):
             0 if cert.passed else 1)
 
 
-def _task_ekeland(sc, M, F, params, out_dir, plots):
+def _task_ekeland(sc, M, F, params, policy):
     h = parse_fn(params.get("h", {"kind": "named", "name": "neg_log1p"}))(M.r)
     pair = PairKh(M, GridFunction(M, h))
-    w, cert = ekeland_potential(pair, policy=_policy_of(sc))
+    w, cert = ekeland_potential(pair, policy=policy)
     payload = {"task": "ekeland", "passed": cert.passed}
     arrays = {"w": {"r": M.r, "w": w.values, "h": h}}
     plot = [{"name": "potential", "series": [("w", M.r, w.values), ("h", M.r, h)],
              "title": "Ekeland potential", "xlabel": "r", "ylabel": "w"}]
-    return payload, [cert], arrays, plot if plots else [], 0 if cert.passed else 3
+    return payload, [cert], arrays, plot, 0 if cert.passed else 3
 
 
-def _task_log_transform(sc, M, F, params, out_dir, plots):
+def _task_log_transform(sc, M, F, params, policy):
     g = parse_fn(params.get("gfun", {"kind": "named", "name": "cosh_r"}))(M.r)
     w, cert = log_transform(GridFunction(M, g), params.get("lam", 1.0),
                             params.get("mu", 0.5))
@@ -345,10 +340,10 @@ def _task_log_transform(sc, M, F, params, out_dir, plots):
     return payload, [cert], arrays, [], 0 if cert.passed else 3
 
 
-def _task_punctured(sc, M, F, params, out_dir, plots):
+def _task_punctured(sc, M, F, params, policy):
     cert = punctured_example_check(params["m"], params.get("lam", 1.0),
                                    M=M if isinstance(M, PuncturedEuclidean) else None,
-                                   tol=_policy_of(sc).membership_tol)
+                                   tol=policy.membership_tol)
     payload = {"task": "punctured_check", "passed": cert.passed,
                "K_interval": cert.params["K_interval"]}
     return payload, [cert], {}, [], 0 if cert.passed else 3
@@ -380,10 +375,11 @@ def run_scenario(path, out_dir=None, tol=None, seed=None, plots=True):
     if seed is not None:
         sc["seed"] = seed
     sc.setdefault("seed", 0)
+    policy = DEFAULT_POLICY
     if tol is not None:
         if sc["task"] in _FIXED_TOL_TASKS:
             raise InputError(f"--tol does not apply to task '{sc['task']}'")
-        sc["_policy"] = DEFAULT_POLICY.with_(membership_tol=tol, comparison_tol=tol)
+        policy = DEFAULT_POLICY.with_(membership_tol=tol, comparison_tol=tol)
     task = sc["task"]
     out_dir = Path(out_dir or sc.get("out", f"out_{task}"))
     M = parse_manifold(sc["manifold"]) if "manifold" in sc else None
@@ -394,13 +390,12 @@ def run_scenario(path, out_dir=None, tol=None, seed=None, plots=True):
         F = parse_subequation(sc["subequation"], sc["manifold"]["m"], M)
     params = sc.get("params", {})
     t0 = time.perf_counter()
-    payload, certs, arrays, plot_specs, code = _TASKS[task](
-        sc, M, F, params, out_dir, plots)
-    payload["scenario"] = {k: v for k, v in sc.items() if k not in ("out", "_policy")}
+    payload, certs, arrays, plot_specs, code = _TASKS[task](sc, M, F, params, policy)
+    payload["scenario"] = {k: v for k, v in sc.items() if k != "out"}
     payload["version"] = __version__
     if tol is not None:
         payload["tol_override"] = tol
-    write_report(out_dir, payload, certs, arrays, plot_specs,
+    write_report(out_dir, payload, certs, arrays, plot_specs if plots else [],
                  timing={"task": time.perf_counter() - t0})
     print(f"[subeq] task={task} passed={payload.get('passed')} -> {out_dir}/report.json",
           file=sys.stderr)
@@ -553,7 +548,7 @@ def solver_oracle_suite(seed=0) -> Certificate:
     return cert
 
 
-def run_audit(out_dir="out_audit", seed=0, plots=True):
+def run_audit(out_dir="out_audit", seed=0):
     suites = [
         duality_involution_suite(seed=seed),
         garding_identity_suite(seed=seed),
@@ -591,7 +586,7 @@ def main(argv=None) -> int:
         if args.cmd == "run":
             return run_scenario(args.scenario, args.out, args.tol, args.seed,
                                 not args.no_plots)
-        return run_audit(args.out or "out_audit", args.seed or 0, not args.no_plots)
+        return run_audit(args.out or "out_audit", args.seed or 0)
     except (InputError, FileNotFoundError, json.JSONDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 4

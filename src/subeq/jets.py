@@ -291,6 +291,91 @@ def garding_eigenvalues_batch(A: np.ndarray, k: int) -> np.ndarray:
     return _garding_from_eigs_batch(lam, k)
 
 
+# ---------------------------------------------------------------------------
+# jet-batch views: what the defining functions read
+# ---------------------------------------------------------------------------
+
+
+class DenseView:
+    """Jets (x, r, p, A): node ids x (or None), r (n,), p (n, m), A (n, m, m).
+
+    Both views give x, r and m, and on access the ascending spectrum
+    ``eigs``, the Garding branches ``garding(k)``, ``trace``, |p| as
+    ``grad`` and ``grad_up`` (the gradient constraints' reading) and, where
+    p != 0, the second derivative along p as ``dir2`` = A(p, p) / |p|^2 and
+    ``dir2_unit`` = A(phat, phat): one quantity in two roundings, so the
+    infinity Laplacian and the quasilinear family keep their dense values.
+    ``take(mask)`` is the sub-batch at a boolean mask.
+    """
+
+    __slots__ = ("x", "r", "p", "A", "m")
+
+    def __init__(self, x, r, p, A):
+        self.x, self.r, self.p, self.A, self.m = x, r, p, A, p.shape[1]
+
+    eigs = property(lambda self: eigenvalues_sym_batch(self.A))
+    trace = property(lambda self: np.trace(self.A, axis1=1, axis2=2))
+    grad = grad_up = property(lambda self: np.linalg.norm(self.p, axis=1))
+
+    def garding(self, k):
+        return garding_eigenvalues_batch(self.A, k)
+
+    @property
+    def dir2(self):
+        p = self.p
+        return np.einsum("ni,nij,nj->n", p, self.A, p) / np.einsum("ni,ni->n", p, p)
+
+    @property
+    def dir2_unit(self):
+        phat = self.p / self.grad[:, None]
+        return np.einsum("ni,nij,nj->n", phat, self.A, phat)
+
+    def take(self, mask):
+        x = self.x if self.x is None or np.ndim(self.x) == 0 else self.x[mask]
+        return DenseView(x, self.r[mask], self.p[mask], self.A[mask])
+
+
+def _spectrum(a, b, m):
+    """Sorted (n, m) spectrum {a} + {b} x (m - 1) of a batch."""
+    if m == 1:
+        return a[:, None]
+    out = np.empty((a.size, m))
+    out[:, 0] = np.where(a <= b, a, b)
+    out[:, 1:-1] = b[:, None]
+    out[:, -1] = np.maximum(a, b)
+    return out
+
+
+class RadialView:
+    """Radial jets on a line grid, with the fields of ``DenseView``: node ids
+    x, values r, the radial differences du and d2, the angular eigenvalue
+    aa = du g'/g, and gdn as ``grad_up`` (upwind in the sweeps).
+
+    The Hessian is diag(d2, aa, ..., aa) and the gradient (du, 0, ..., 0).
+    sigma_k(A + t I) has the root -aa k - 1 times and one linear root.
+    """
+
+    __slots__ = ("x", "r", "du", "aa", "d2", "grad_up", "m")
+
+    def __init__(self, x, r, du, aa, d2, grad_up, m):
+        self.x, self.r, self.du, self.aa, self.d2 = x, r, du, aa, d2
+        self.grad_up, self.m = grad_up, m
+
+    eigs = property(lambda self: _spectrum(self.d2, self.aa, self.m))
+    trace = property(lambda self: self.d2 + (self.m - 1) * self.aa)
+    dir2 = dir2_unit = property(lambda self: self.d2)
+    grad = property(lambda self: np.abs(self.du))
+
+    def garding(self, k):
+        m, aa = self.m, self.aa
+        root = (comb(m - 1, k) * aa + comb(m - 1, k - 1) * self.d2) / comb(m, k)
+        return _spectrum(root, aa, k)
+
+    def take(self, mask):
+        return RadialView(self.x[mask], self.r[mask], self.du[mask], self.aa[mask],
+                          self.d2[mask], self.grad_up[mask], self.m)
+
+
 def trace_on_frame(A: SymMatrix, V, policy: NumericPolicy = DEFAULT_POLICY) -> float:
     """Sum of A(v_i, v_i) over an orthonormal k-frame V (list of m-vectors)."""
     V = np.asarray(V, dtype=float)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .jets import Jet, SymMatrix
+from .jets import Jet, RadialView, SymMatrix
 
 # ---------------------------------------------------------------------------
 # warps
@@ -415,10 +415,8 @@ def radial_hessian_eigs(phi1: float, phi2: float, r: float, warp, m: int) -> np.
     gv = float(warp.g(r))
     if gv <= 0:
         raise DomainError("warping must be positive at r")
-    if m == 1:
-        return np.array([phi2], dtype=float)
-    ang = phi1 * float(warp.dg(r)) / gv
-    return np.sort(np.concatenate([[phi2], np.full(m - 1, ang)]))
+    ang = np.array([phi1 * float(warp.dg(r)) / gv])
+    return RadialView(None, None, None, ang, np.array([phi2], dtype=float), None, m).eigs[0]
 
 
 def batch_jets(u: GridFunction, ids=None):

@@ -284,7 +284,6 @@ def ahlfors_falsification_suite(F: Subequation, M: _RadialBase, r_K: float,
         for c in (0.25 * inner, 0.5 * inner):
             check(np.maximum(sol.values - c, 0.0), f"truncate[{c:g}]")
         for _ in range(n_random // 2):
-            bump = np.zeros(subM.n_nodes)
             at = rng.integers(2, subM.n_nodes - 2)
             width = max(3, subM.n_nodes // 20)
             prof = np.exp(-0.5 * ((np.arange(subM.n_nodes) - at) / width) ** 2)

@@ -17,9 +17,10 @@ iteration loop (_solve, _iterate) and differ only in their caps and
 certificate.  One engine (_engine) supplies the iterations, and the grid
 picks its step.  On line (radial / 1-D) grids with a subequation that
 lowers (_ir.lower), each iteration is one Howard policy step over the
-closed-form line evaluator ("numpy"): the contact set and the active
-branches are frozen, and one tridiagonal solve gives the update (the
-first difference |du| that profiles read is lagged).  On boxes each
+line evaluator, the tree read through the radial jet view ("numpy"):
+the contact set and the active branches are frozen, and one tridiagonal
+solve gives the update (the first difference |du| that profiles read is
+lagged).  On boxes each
 iteration is a Newton (Howard) step with the subequation tree
 ("generic"): rows from difference quotients of the tree at the centred
 jets, checked for monotonicity, and one block-tridiagonal solve.  Line

@@ -15,7 +15,10 @@ the limsup of G along p -> 0.
 Evaluation is vectorized: r (n,), p (n,m), A (n,m,m); x is an optional
 integer node-id array read only by the members with per-node data (obstacle
 caps, the collar-relaxed eikonal and its dual, jet-equivalence fields given
-per node), which raise InputError when it is None.
+per node), which raise InputError when it is None.  Each member writes its
+defining function once, as ``_value(J)`` over a jet-batch view J:
+``value`` passes a ``jets.DenseView``, and the line evaluator of
+``_ir.lower`` a ``jets.RadialView`` of the radial differences.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ import numpy as np
 
 from .certificates import Certificate
 from .errors import ConstructionError, InputError
-from .jets import MAX_DIM, Jet, eigenvalues_sym_batch, garding_eigenvalues_batch
+from .jets import MAX_DIM, DenseView, Jet
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .profiles import AProfile, Profile
 
@@ -71,8 +74,23 @@ def _rows(vals, x):
     return vals[np.asarray(x, dtype=int)]
 
 
+def _by_fiber(J, moving, at_rest):
+    """moving(J) at the jets with p != 0, at_rest(J) on the p = 0 fiber."""
+    nz = J.grad > 0
+    if nz.all():
+        return moving(J)
+    out = np.empty_like(J.r)
+    if nz.any():
+        out[nz] = moving(J.take(nz))
+    out[~nz] = at_rest(J.take(~nz))
+    return out
+
+
 class Subequation:
-    """Base class; concrete members implement `_value` and `dual`."""
+    """Base class; concrete members implement `_value(J)` and `dual`, and
+    keep their per-node data, read at ``J.x``, in ``rows`` (else None)."""
+
+    rows = None
 
     def __init__(self, m: int, meta: SubeqMeta):
         if m < 1:
@@ -84,12 +102,12 @@ class Subequation:
     def value(self, x, r, p, A) -> np.ndarray:
         """Defining value G at a batch of jets; x is node ids or None."""
         r, p, A = _as_batch(r, p, A, self.m)
-        return self._value(x, r, p, A)
+        return self._value(DenseView(x, r, p, A))
 
     def value_jet(self, x, jet: Jet) -> float:
         return float(self.value(x, jet.r, jet.p, jet.A.full)[0])
 
-    def _value(self, x, r, p, A) -> np.ndarray:  # pragma: no cover - abstract
+    def _value(self, J) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
     # -- structure ---------------------------------------------------------
@@ -126,14 +144,14 @@ class _Eikonal(Subequation):
     def __init__(self, m, xi: Profile, eta_vals=None):
         tag = "eikonal" if eta_vals is None else "eikonal_relaxed"
         super().__init__(m, SubeqMeta(tag=tag))
-        self.xi, self.eta_vals = xi, eta_vals
+        self.xi, self.rows = xi, eta_vals
 
-    def _value(self, x, r, p, A):
-        xi = self.xi(r) if self.eta_vals is None else self.xi(r) + _rows(self.eta_vals, x)
-        return xi - np.linalg.norm(p, axis=1)
+    def _value(self, J):
+        xi = self.xi(J.r) if self.rows is None else self.xi(J.r) + _rows(self.rows, J.x)
+        return xi - J.grad_up
 
     def dual(self):
-        return _EikonalDual(self.m, self.xi.neg_arg(), self.eta_vals)
+        return _EikonalDual(self.m, self.xi.neg_arg(), self.rows)
 
 
 class _EikonalDual(Subequation):
@@ -143,14 +161,14 @@ class _EikonalDual(Subequation):
     def __init__(self, m, eta: Profile, eta_vals=None):
         tag = "eikonal_dual" if eta_vals is None else "eikonal_dual_relaxed"
         super().__init__(m, SubeqMeta(tag=tag))
-        self.eta, self.eta_vals = eta, eta_vals
+        self.eta, self.rows = eta, eta_vals
 
-    def _value(self, x, r, p, A):
-        out = np.linalg.norm(p, axis=1) - self.eta(r)
-        return out if self.eta_vals is None else out - _rows(self.eta_vals, x)
+    def _value(self, J):
+        out = J.grad - self.eta(J.r)
+        return out if self.rows is None else out - _rows(self.rows, J.x)
 
     def dual(self):
-        return _Eikonal(self.m, self.eta.neg_arg(), self.eta_vals)
+        return _Eikonal(self.m, self.eta.neg_arg(), self.rows)
 
 
 class _Laplace(Subequation):
@@ -160,8 +178,8 @@ class _Laplace(Subequation):
         super().__init__(m, SubeqMeta(tag="laplace", f=f))
         self.f = f
 
-    def _value(self, x, r, p, A):
-        return np.trace(A, axis1=1, axis2=2) - self.f(r)
+    def _value(self, J):
+        return J.trace - self.f(J.r)
 
     def dual(self):
         return _Laplace(self.m, self.f.reflect())
@@ -176,8 +194,8 @@ class _Hessian(Subequation):
         super().__init__(m, SubeqMeta(tag=f"hessian_branch[{k}]", f=f))
         self.k, self.f = k, f
 
-    def _value(self, x, r, p, A):
-        return eigenvalues_sym_batch(A)[:, self.k - 1] - self.f(r)
+    def _value(self, J):
+        return J.eigs[:, self.k - 1] - self.f(J.r)
 
     def dual(self):
         return _Hessian(self.m, self.m - self.k + 1, self.f.reflect())
@@ -193,10 +211,10 @@ class _Plurisub(Subequation):
         super().__init__(m, SubeqMeta(tag=f"plurisub{'_top' if top else ''}[{k}]", f=f))
         self.k, self.f, self.top = k, f, top
 
-    def _value(self, x, r, p, A):
-        ev = eigenvalues_sym_batch(A)
+    def _value(self, J):
+        ev = J.eigs
         part = ev[:, self.m - self.k:] if self.top else ev[:, : self.k]
-        return part.sum(axis=1) - self.f(r)
+        return part.sum(axis=1) - self.f(J.r)
 
     def dual(self):
         return _Plurisub(self.m, self.k, self.f.reflect(), not self.top)
@@ -211,9 +229,8 @@ class _Sigma(Subequation):
         super().__init__(m, SubeqMeta(tag=f"sigma_branch[{j},{k}]", f=f))
         self.j, self.k, self.f = j, k, f
 
-    def _value(self, x, r, p, A):
-        mu = garding_eigenvalues_batch(A, self.k)
-        return mu[:, self.j - 1] - self.f(r)
+    def _value(self, J):
+        return J.garding(self.k)[:, self.j - 1] - self.f(J.r)
 
     def dual(self):
         return _Sigma(self.m, self.k - self.j + 1, self.k, self.f.reflect())
@@ -226,24 +243,18 @@ class _Quasilinear(Subequation):
         super().__init__(m, SubeqMeta(tag=f"quasilinear[{aprof.name}]", f=f))
         self.aprof, self.f = aprof, f
 
-    def _value(self, x, r, p, A):
-        t = np.linalg.norm(p, axis=1)
-        trA = np.trace(A, axis1=1, axis2=2)
-        out = np.empty_like(r)
-        nz = t > 0
-        if np.any(nz):
-            phat = p[nz] / t[nz, None]
-            quad = np.einsum("ni,nij,nj->n", phat, A[nz], phat)
-            l1 = self.aprof.lam1(t[nz])
-            l2 = self.aprof.lam2(t[nz])
-            out[nz] = l1 * quad + l2 * (trA[nz] - quad)
-        if np.any(~nz):
-            # p = 0 fiber: limsup of tr(T(p)A) along p -> 0
-            ev = eigenvalues_sym_batch(A[~nz])
-            l1, l2 = self.aprof.lam1_0, self.aprof.lam2_0
-            extremal = ev[:, -1] if l1 >= l2 else ev[:, 0]
-            out[~nz] = l2 * trA[~nz] + (l1 - l2) * extremal
-        return out - self.f(r)
+    def _value(self, J):
+        ap = self.aprof
+
+        def moving(J):
+            t, quad = J.grad, J.dir2_unit
+            return ap.lam1(t) * quad + ap.lam2(t) * (J.trace - quad)
+
+        def at_rest(J):  # limsup of tr(T(p)A) along p -> 0
+            ev, l1, l2 = J.eigs, ap.lam1_0, ap.lam2_0
+            return l2 * J.trace + (l1 - l2) * (ev[:, -1] if l1 >= l2 else ev[:, 0])
+
+        return _by_fiber(J, moving, at_rest) - self.f(J.r)
 
     def dual(self):
         return _Quasilinear(self.m, self.aprof, self.f.reflect())
@@ -256,16 +267,9 @@ class _InfLaplacian(Subequation):
         super().__init__(m, SubeqMeta(tag="inf_laplacian", f=f))
         self.f = f
 
-    def _value(self, x, r, p, A):
-        t2 = np.einsum("ni,ni->n", p, p)
-        out = np.empty_like(r)
-        nz = t2 > 0
-        if np.any(nz):
-            quad = np.einsum("ni,nij,nj->n", p[nz], A[nz], p[nz])
-            out[nz] = quad / t2[nz]
-        if np.any(~nz):
-            out[~nz] = eigenvalues_sym_batch(A[~nz])[:, -1]  # limsup over directions
-        return out - self.f(r)
+    def _value(self, J):
+        # at p = 0 the limsup over directions, the top eigenvalue
+        return _by_fiber(J, lambda J: J.dir2, lambda J: J.eigs[:, -1]) - self.f(J.r)
 
     def dual(self):
         return _InfLaplacian(self.m, self.f.reflect())
@@ -278,8 +282,8 @@ class _Const(Subequation):
         super().__init__(m, SubeqMeta(tag=f"const[{c:g}]"))
         self.c = float(c)
 
-    def _value(self, x, r, p, A):
-        return np.full_like(r, self.c)
+    def _value(self, J):
+        return np.full_like(J.r, self.c)
 
     def dual(self):
         return _Const(self.m, -self.c)
@@ -292,11 +296,12 @@ class _HalfspaceR(Subequation):
     def __init__(self, m, gvals, sign: int, label: str = "obstacle_cap"):
         super().__init__(m, SubeqMeta(tag=f"{label}[{'+' if sign > 0 else '-'}]"))
         self.gvals = np.asarray(gvals, dtype=float)
+        self.rows = self.gvals if self.gvals.ndim else None
         self.sign = int(sign)
 
-    def _value(self, x, r, p, A):
-        g = np.full(r.size, float(self.gvals)) if self.gvals.ndim == 0 else _rows(self.gvals, x)
-        return self.sign * g - r
+    def _value(self, J):
+        g = np.full(J.r.size, float(self.gvals)) if self.rows is None else _rows(self.rows, J.x)
+        return self.sign * g - J.r
 
     def dual(self):
         return _HalfspaceR(self.m, self.gvals, -self.sign, label="obstacle_cap")
@@ -319,8 +324,8 @@ class _MinMax(Subequation):
         self.union = union
         self.reduce = np.maximum.reduce if union else np.minimum.reduce
 
-    def _value(self, x, r, p, A):
-        return self.reduce([q._value(x, r, p, A) for q in self.parts])
+    def _value(self, J):
+        return self.reduce([q._value(J) for q in self.parts])
 
     def dual(self):
         return _MinMax([q.dual() for q in self.parts], not self.union)
@@ -422,9 +427,8 @@ class _JetEquiv(Subequation):
         self.psi = psi
         self.child = child
 
-    def _value(self, x, r, p, A):
-        r2, p2, A2 = self.psi.apply(x, r, p, A)
-        return self.child._value(x, r2, p2, A2)
+    def _value(self, J):
+        return self.child._value(DenseView(J.x, *self.psi.apply(J.x, J.r, J.p, J.A)))
 
     def dual(self):
         return _JetEquiv(self.psi.flip_affine(), self.child.dual())

@@ -157,6 +157,27 @@ class TestRun:
         assert [p.membership_tol for p in seen] == [1e-6]
         assert json.loads((out / "report.json").read_text())["tol_override"] == 1e-6
 
+    def test_policy_key_never_reaches_solver(self, tmp_path, monkeypatch, capsys):
+        # a top-level "_policy" key is scenario data like any other key: the
+        # solver gets the default policy, and the run ends without a traceback
+        import subeq.cli
+        from subeq.policy import DEFAULT_POLICY
+
+        seen = []
+        real = subeq.cli.solve_obstacle
+
+        def spy(spec):
+            seen.append(spec.policy)
+            return real(spec)
+
+        monkeypatch.setattr(subeq.cli, "solve_obstacle", spy)
+        payload = json.loads(next(p for p in SCENARIOS if p.stem == "obstacle_1d").read_text())
+        payload["_policy"] = {}
+        sc = write_scenario(tmp_path, "o.json", payload)
+        assert main(["run", sc, "--out", str(tmp_path / "out"), "--no-plots"]) == 0
+        assert seen == [DEFAULT_POLICY]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_tol_rejected_where_it_cannot_apply(self, tmp_path):
         for task in ("duality_audit", "garding_audit", "log_transform", "stochastic"):
             sc = write_scenario(tmp_path, f"{task}.json", {"task": task, "seed": 0})

@@ -470,8 +470,8 @@ class TestAuditPNT:
             def __init__(self):
                 super().__init__(2, SubeqMeta(tag="broken_r"))
 
-            def _value(self, x, r, p, A):
-                return r.copy()
+            def _value(self, J):
+                return J.r.copy()
 
         cert = audit_PNT(BrokenN(), n=20_000, seed=0)
         assert not cert.passed
@@ -577,6 +577,27 @@ class TestLineEvaluator:
                 want = G.value(nodes, v, p, A)
                 got = g(nodes, v, du, aa, d2, np.abs(du))
                 assert np.abs(got - want).max() <= 1e-9, G.meta.tag
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_views_agree(self, m):
+        # the radial view's closed forms against the dense view of the same
+        # diagonal jets; the picked spectrum and |du| are exact
+        from subeq.jets import DenseView, RadialView
+        rng = np.random.default_rng(70 + m)
+        v, du, aa, d2, p, A = self.radial_jets(rng, m)
+        nodes = np.arange(self.N)
+        rad = RadialView(nodes, v, du, aa, d2, np.abs(du), m)
+        den = DenseView(nodes, v, p, A)
+        assert np.array_equal(rad.eigs, den.eigs)
+        for k in range(1, m + 1):
+            assert np.abs(rad.garding(k) - den.garding(k)).max() <= 1e-9, k
+        assert np.abs(rad.trace - den.trace).max() <= 1e-9
+        nz = du != 0.0
+        assert not nz.all()
+        for got, want in ((rad.take(nz).dir2, den.take(nz).dir2),
+                          (rad.take(nz).dir2_unit, den.take(nz).dir2_unit)):
+            assert np.abs(got - want).max() <= 1e-9
+        assert np.array_equal(rad.grad, den.grad)
 
     def test_not_lowered(self):
         from subeq._ir import lower
