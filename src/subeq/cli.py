@@ -60,6 +60,19 @@ _DOCS = Path(__file__).resolve().parent / "docs"
 # ---------------------------------------------------------------------------
 
 
+class _Spec(dict):
+    """A scenario file's JSON object: a missing key is an InputError naming it."""
+
+    def __missing__(self, key):
+        raise InputError(f"missing key '{key}'")
+
+
+def _object(spec, what):
+    if not isinstance(spec, dict):
+        raise InputError(f"{what} spec must be an object, got {spec!r}")
+    return spec
+
+
 def _load_schema():
     path = _DOCS / "scenario_schema.json"
     return json.loads(path.read_text())
@@ -105,7 +118,7 @@ def _validate(obj, schema, where="scenario"):
 def parse_profile(spec) -> Profile:
     if isinstance(spec, (int, float)):
         return Profile.constant(float(spec))
-    kind = spec.get("kind")
+    kind = _object(spec, "profile").get("kind")
     if kind == "linear":
         return Profile.linear(spec["slope"])
     if kind == "constant":
@@ -116,7 +129,7 @@ def parse_profile(spec) -> Profile:
 
 
 def parse_aprofile(spec) -> AProfile:
-    kind = spec.get("kind")
+    kind = _object(spec, "quasilinear coefficient").get("kind")
     if kind == "k_laplacian":
         return AProfile.k_laplacian(spec["k"])
     if kind == "mean_curvature":
@@ -138,7 +151,7 @@ def parse_fn(spec):
     """Scalar field spec -> callable on the first coordinate."""
     if isinstance(spec, (int, float)):
         return lambda r, c=float(spec): np.full_like(np.asarray(r, dtype=float), c)
-    kind = spec.get("kind")
+    kind = _object(spec, "function").get("kind")
     if kind == "constant":
         return parse_fn(spec["value"])
     if kind == "poly":
@@ -168,7 +181,7 @@ def parse_manifold(spec):
 
 
 def parse_subequation(spec, m: int, M=None) -> SU.Subequation:
-    kind = spec["kind"]
+    kind = _object(spec, "subequation")["kind"]
     if kind == "eikonal":
         return SU.eikonal(parse_profile(spec.get("xi", 1.0)), m=m)
     if kind == "laplace":
@@ -370,7 +383,7 @@ _FIXED_TOL_TASKS = ("duality_audit", "garding_audit", "log_transform", "stochast
 
 
 def run_scenario(path, out_dir=None, tol=None, seed=None, plots=True):
-    sc = json.loads(Path(path).read_text())
+    sc = json.loads(Path(path).read_text(), object_hook=_Spec)
     _validate(sc, _load_schema())
     if seed is not None:
         sc["seed"] = seed
@@ -388,7 +401,7 @@ def run_scenario(path, out_dir=None, tol=None, seed=None, plots=True):
         if M is None:
             raise InputError("a subequation spec needs a manifold for its dimension")
         F = parse_subequation(sc["subequation"], sc["manifold"]["m"], M)
-    params = sc.get("params", {})
+    params = sc.get("params", _Spec())
     t0 = time.perf_counter()
     payload, certs, arrays, plot_specs, code = _TASKS[task](sc, M, F, params, policy)
     payload["scenario"] = {k: v for k, v in sc.items() if k != "out"}

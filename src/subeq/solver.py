@@ -12,15 +12,17 @@ a direct tridiagonal presolve is admitted as a warm start after an honest
 verification that it is a discrete subsolution.  The pointwise max of all
 verified candidates is used when it verifies itself.
 
-Solve core: perron_dirichlet and solve_obstacle share one set-up and one
-iteration loop (_solve, _iterate) and differ only in their caps and
-certificate.  One engine (_engine) supplies the iterations, and the grid
-picks its step.  On line (radial / 1-D) grids with a subequation that
-lowers (_ir.lower), each iteration is one Howard policy step over the
-line evaluator, the tree read through the radial jet view ("numpy"):
-the contact set and the active branches are frozen, and one tridiagonal
-solve gives the update (the first difference |du| that profiles read is
-lagged).  On boxes each
+Solve core: perron_dirichlet and solve_obstacle are one solve (_solve)
+that differs only in its caps: +inf, or the obstacle g.  One set-up, one
+iteration loop (_iterate) and one certificate (_certificate), recomputed
+from the solution with the loop's scheme residual (_residual): the
+Dirichlet certificate is the obstacle one with no contact nodes.  One
+engine (_engine) supplies the iterations, and the grid picks its step.
+On line (radial / 1-D) grids with a subequation that lowers (_ir.lower),
+each iteration is one Howard policy step over the line evaluator, the
+tree read through the radial jet view ("numpy"): the contact set and the
+active branches are frozen, and one tridiagonal solve gives the update
+(the first difference |du| that profiles read is lagged).  On boxes each
 iteration is a Newton (Howard) step with the subequation tree
 ("generic"): rows from difference quotients of the tree at the centred
 jets, checked for monotonicity, and one block-tridiagonal solve.  Line
@@ -32,12 +34,11 @@ difference is lagged).  Both Newton steps share one stall rule
 failed or stalled line step ends the solve with ConvergenceError; a
 failed or stalled box step resets the iterate to the initial
 subsolution, notes the reason in the trace, and hands the solve to the
-Jacobi sweeps.  Iterates started
-from a verified discrete subsolution increase monotonically where the
-scheme is monotone, mirroring the Perron supremum.  The loop checks the
-scheme residual after every sweep or step whose largest node change is
-within the policy's convergence_tol -- the only ones that can be
-accepted.
+Jacobi sweeps.  Iterates started from a verified discrete subsolution
+increase monotonically where the scheme is monotone, mirroring the
+Perron supremum.  The loop checks the scheme residual after every sweep
+or step whose largest node change is within the policy's convergence_tol
+-- the only ones that can be accepted.
 """
 from __future__ import annotations
 
@@ -128,8 +129,10 @@ def boundary_values(M: ModelManifold, boundary: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _interior_residual(F, M, u_vals):
-    ids, r, p, A = batch_jets(GridFunction(M, u_vals))
+def _interior_residual(F, u: GridFunction, ids=None):
+    """Node ids and the defining values of F at u's centred jets there:
+    every interior node by default, nodes flagged -inf skipped."""
+    ids, r, p, A = batch_jets(u, ids)
     return ids, F.value(ids, r, p, A)
 
 
@@ -182,18 +185,23 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
                       100 * 2.2e-16 * scale * 2.0 / M.min_spacing() ** 2)
     candidates = []
 
-    def admissible(vals, label):
+    def admissible(vals):
         if np.any(vals[interior] > caps[interior] + 1e-14):
-            return None
-        _, res = _interior_residual(F, M, vals)
-        if res.size and res.min() < -verify_band:
-            return None
-        return label
+            return False
+        _, res = _interior_residual(F, GridFunction(M, vals))
+        return not (res.size and res.min() < -verify_band)
+
+    def offer(label, vals):
+        vals[~interior] = bvals[~interior]
+        if admissible(vals):
+            candidates.append((label, vals))
+            return True
+        return False
 
     if isinstance(spec.scheme.init, np.ndarray):
         vals = spec.scheme.init.astype(float).copy()
         vals[~interior] = bvals[~interior]
-        if admissible(vals, "user") is None:
+        if not admissible(vals):
             raise InitializationError("user initialization is not a discrete subsolution")
         return vals, "user"
 
@@ -201,31 +209,17 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
     slack = 1e-2 * (1.0 + abs(bmin))
     for k in range(8):
         c = min(bmin - slack * 2.0**k, np.min(caps[interior], initial=np.inf))
-        vals = np.full(M.n_nodes, c)
-        vals[~interior] = bvals[~interior]
-        if admissible(vals, "constant") is not None:
-            candidates.append(("constant", vals))
+        if offer("constant", np.full(M.n_nodes, c)):
             break
     if spec.scheme.init == "auto":
         pre = _try_presolve(F, M, bvals)
         if pre is not None:
-            vals = pre.copy()
-            vals[~interior] = bvals[~interior]
-            if admissible(vals, "presolve") is not None:
-                candidates.append(("presolve", vals))
+            offer("presolve", pre)
         if spec.obstacle is not None:
-            hmin = M.min_spacing()
-            vals = spec.obstacle.values - 0.45 * hmin**2
-            vals = np.minimum(vals, caps)
-            vals[~interior] = bvals[~interior]
-            if admissible(vals, "obstacle-slack") is not None:
-                candidates.append(("obstacle-slack", vals))
+            offer("obstacle-slack",
+                  np.minimum(spec.obstacle.values - 0.45 * M.min_spacing()**2, caps))
     for wi, warm in enumerate(spec.scheme.warm_starts):
-        vals = np.asarray(warm, dtype=float).copy()
-        vals = np.minimum(vals, caps)
-        vals[~interior] = bvals[~interior]
-        if admissible(vals, f"warm{wi}") is not None:
-            candidates.append((f"warm{wi}", vals))
+        offer(f"warm{wi}", np.minimum(np.asarray(warm, dtype=float), caps))
     if not candidates:
         raise InitializationError(
             "no verified discrete subsolution found (boundary data infeasible for F?)")
@@ -233,16 +227,13 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
         merged = np.maximum.reduce([v for _, v in candidates])
         # a max equal to a verified candidate needs no check of its own
         if (any(np.array_equal(merged, v) for _, v in candidates)
-                or admissible(merged, "max") is not None):
+                or admissible(merged)):
             return merged, "max(" + ",".join(lbl for lbl, _ in candidates) + ")"
     # prefer the warmest single verified candidate
     order = ["presolve"] + [f"warm{i}" for i in range(len(spec.scheme.warm_starts))]
-    order += ["obstacle-slack", "constant", "user"]
-    for label in order:
-        for lbl, vals in candidates:
-            if lbl == label:
-                return vals, lbl
-    return candidates[0][1], candidates[0][0]
+    order += ["obstacle-slack", "constant"]
+    label, vals = min(candidates, key=lambda c: order.index(c[0]))
+    return vals, label
 
 
 # ---------------------------------------------------------------------------
@@ -261,17 +252,19 @@ STALL_STEPS = 50
 def _iterate(spec: ProblemSpec, u, caps, g):
     """Sweeps (or Newton steps) from the subsolution u to the discrete fixed point.
 
-    The engine supplies one sweep and the scheme residual at its nodes;
-    convergence and acceptance are decided here.  The label is "numpy"
-    where the line policy steps run, "generic" where the tree does.
+    The engine supplies one sweep; ``_residual`` gives the scheme residual,
+    and convergence and acceptance are decided here.  The label is "numpy"
+    where the line policy steps run (g is the line evaluator), "generic"
+    where the tree does (g is None).
     """
     conv_tol = spec.conv_tol()
     band = 0.45 * spec.membership_tol()
     gtol = min(band, 1e-9)
     veps = spec.policy.root_value_tol
-    engine = "numpy" if spec.M.stencil is not None and g is not None else "generic"
+    engine = "generic" if g is None else "numpy"
     notes = []
-    ids, sweep, residual = _engine(spec, u, caps, g, gtol, veps, notes)
+    gf = GridFunction(spec.M, u)  # shares the array; jets follow in-place updates
+    sweep = _engine(spec, gf, caps, g, gtol, veps, notes)
     trace = []
     min_signed = 0.0
     max_ch = np.inf
@@ -279,7 +272,8 @@ def _iterate(spec: ProblemSpec, u, caps, g):
     free_band = 10 * conv_tol
     zero_streak = 0
 
-    def worst(res):
+    def worst():
+        ids, res = _residual(spec, gf, g)
         free = u[ids] < caps[ids] - free_band
         out = float(np.abs(res[free]).max(initial=0.0))
         return max(out, float(np.maximum(-res[~free], 0.0).max(initial=0.0)))
@@ -294,8 +288,7 @@ def _iterate(spec: ProblemSpec, u, caps, g):
         zero_streak = zero_streak + 1 if max_ch == 0.0 else 0
         if not max_ch <= conv_tol:
             continue  # no acceptance possible: skip the residual
-        res = residual()
-        res_worst = worst(res)
+        res_worst = worst()
         trace.append({"sweep": sweeps, "max_change": max_ch, "residual": res_worst})
         if not res_worst <= band:
             if zero_streak < 3:
@@ -307,11 +300,10 @@ def _iterate(spec: ProblemSpec, u, caps, g):
                 break
             trace.append({"sweep": sweeps, "note": "fixed point at roundoff floor"})
         return u, {"sweeps": sweeps, "engine": engine, "trace": trace,
-                   "min_signed_change": min_signed, "residual_worst": res_worst,
-                   "scheme_residuals": (ids, res)}
+                   "min_signed_change": min_signed}
     raise ConvergenceError(
         f"no convergence in {sweeps} sweeps ({engine} engine, "
-        f"last max_change={max_ch:.3e}, residual={worst(residual()):.3e})",
+        f"last max_change={max_ch:.3e}, residual={worst():.3e})",
         diagnostics={"trace": _trace_tail(trace, 20)},
     )
 
@@ -321,11 +313,22 @@ def _trace_tail(trace, keep):
     return [t for t in trace[:-keep] if "note" in t] + trace[-keep:]
 
 
-def _engine(spec: ProblemSpec, u, caps, g, gtol, veps, notes):
-    """One sweep and the scheme residual at the interior nodes; the grid
+def _residual(spec: ProblemSpec, u: GridFunction, g):
+    """Interior node ids and the scheme residual of u there: the line
+    evaluator g where the policy steps run, the tree at centred jets where
+    g is None.  The loop's acceptance check and the certificate both read
+    it."""
+    if g is None:
+        return _interior_residual(spec.F, u)
+    ids = spec.M.interior_ids
+    return ids, K.residual_line_numpy(u.values, ids, spec.M.stencil.at(ids), g)
+
+
+def _engine(spec: ProblemSpec, gf: GridFunction, caps, g, gtol, veps, notes):
+    """One sweep over the interior nodes of gf, updated in place; the grid
     picks the Newton step.
 
-    Line grids with a lowered F take the policy steps of
+    Line grids with a lowered F (g) take the policy steps of
     ``K.sweep_line_numpy``, boxes the Newton steps of ``K.step_box`` with
     the subequation tree, and line grids whose tree does not lower take
     Jacobi sweeps of node solves (``K.vector_node_solve``).  A failed step
@@ -338,7 +341,7 @@ def _engine(spec: ProblemSpec, u, caps, g, gtol, veps, notes):
     """
     M, F = spec.M, spec.F
     ids = M.interior_ids
-    gf = GridFunction(M, u)  # shares the array; jets follow in-place updates
+    u = gf.values
     u0 = u.copy()
     brackets = np.full(ids.size, 1e-3 * (1.0 + float(np.abs(u).max())))
     res = np.empty(ids.size)
@@ -361,11 +364,6 @@ def _engine(spec: ProblemSpec, u, caps, g, gtol, veps, notes):
             return K.sweep_line_numpy(u, ids, S, caps, g, brackets, res, gtol, veps)
     else:
         newton = None
-
-    def residual():
-        if S is not None and g is not None:
-            return K.residual_line_numpy(u, ids, S, g)
-        return value(*jets())
 
     def jacobi():
         r0, p0, A0 = jets()
@@ -402,7 +400,7 @@ def _engine(spec: ProblemSpec, u, caps, g, gtol, veps, notes):
                              f"initial subsolution: {e}")
         return jacobi()
 
-    return ids, sweep, residual
+    return sweep
 
 
 def _center_sensitivity(M, ids):
@@ -436,114 +434,104 @@ def _comparison_regime(F: Subequation) -> str:
 
 
 def _solve(spec: ProblemSpec, caps):
-    """The solve core: boundary data, verified initial subsolution, lowering
-    and the monotone iteration, with node values capped at caps.
-
-    Returns (u, info, ids, res): the iterate, the iteration summary with the
-    init label, and the interior nodes with the defining values at their
-    centred discrete jets.
+    """The solve core: boundary data, verified initial subsolution, lowering,
+    the monotone iteration with node values capped at caps, and the
+    certificate of its result.  Returns (u, certificate).
     """
+    t0 = time.perf_counter()
     M = spec.M
     bvals = boundary_values(M, spec.boundary)
     bd = ~M.interior_mask
     if np.any(bvals[bd] > caps[bd] + 1e-12):
         raise PreconditionError("boundary data must satisfy phi <= g on the boundary")
     g = _ir.lower(spec.F, M.n_nodes)
+    if M.stencil is None:
+        g = None  # boxes run the tree
     u0, init_label = _initial_subsolution(spec, bvals, caps)
-    u, info = _iterate(spec, u0.copy(), caps, g)
-    info["init"] = init_label
-    ids, res = _interior_residual(spec.F, M, u)
-    return u, info, ids, res
+    u, facts = _iterate(spec, u0.copy(), caps, g)
+    cert = _certificate(spec, u, caps, g, {**facts, "init": init_label})
+    cert.wall_time = time.perf_counter() - t0
+    return GridFunction(M, u), cert
 
 
-def _solve_params(spec: ProblemSpec, info) -> dict:
-    return {"engine": info["engine"], "init": info["init"],
-            "comparison_regime": _comparison_regime(spec.F),
-            "monotone_iterates": bool(info["min_signed_change"] >= -1e-12)}
+def _certificate(spec: ProblemSpec, u, caps, g, facts) -> Certificate:
+    """A solve's certificate from (spec, u, caps, g) and the facts the
+    iteration reports of itself: sweeps, engine, init, trace and
+    min_signed_change.
+
+    It checks F^g = F ∩ {r <= caps} at the scheme (``_residual``) and the
+    centred jets of u.  Nodes one stencil width from the contact set
+    (caps - u <= tol) are exempt from two-sided harmonicity and the dual
+    residual: discrete jets straddle the free boundary.  Without a cap
+    (caps = +inf) there are no contact nodes, and the same formulas give
+    the Dirichlet values; only names and pass rules are per kind.
+    """
+    M, tol = spec.M, spec.membership_tol()
+    gf = GridFunction(M, u)
+    ids, res = _interior_residual(spec.F, gf)
+    sres = res if g is None else _residual(spec, gf, g)[1]
+    gap = caps[ids] - u[ids]
+    harmonic = np.minimum(sres, gap)     # defining value of F^g at scheme jets
+    contact = gap <= tol
+    near_contact = np.zeros(M.n_nodes, dtype=bool)
+    near_contact[ids[contact]] = True
+    free = ~_grow_mask(M, near_contact)[ids]
+    comp = np.minimum(gap, -harmonic)    # -harmonic: dual(F^g) value at jets of -u
+    harmonicity = max(float(np.abs(harmonic[free]).max(initial=0.0)),
+                      float(np.maximum(-harmonic, 0.0).max(initial=0.0)))
+    membership = float(-np.minimum(res, gap).min(initial=0.0))
+    dual = float(np.maximum(harmonic[free], 0.0).max(initial=0.0))
+    complementarity = float(comp.max(initial=0.0))
+    params = {"engine": facts["engine"], "init": facts["init"],
+              "comparison_regime": _comparison_regime(spec.F),
+              "monotone_iterates": bool(facts["min_signed_change"] >= -1e-12)}
+    notes = []
+    if spec.obstacle is None:
+        name = "perron_dirichlet"
+        passed = harmonicity <= tol and membership <= tol
+        worst = {"harmonicity": harmonicity, "membership": membership,
+                 "dual_membership": dual}
+        counts = {"interior_nodes": ids.size, "sweeps": facts["sweeps"]}
+        params["conv_tol"] = spec.conv_tol()
+        residuals = {"membership": res, "dual": -res}
+        if params["comparison_regime"] == "weak":
+            notes.append("comparison regime 'weak': uniqueness not guaranteed for this profile")
+    else:
+        name = "solve_obstacle"
+        passed = np.all(u <= caps + 1e-12) and harmonicity <= tol and complementarity <= tol
+        worst = {"harmonicity_off_contact": harmonicity, "membership": membership,
+                 "dual_off_contact": dual, "complementarity": complementarity,
+                 "max_over_obstacle": float((u - caps).max(initial=0.0))}
+        counts = {"interior_nodes": ids.size, "contact_nodes": int(contact.sum()),
+                  "sweeps": facts["sweeps"]}
+        residuals = {"membership": res, "obstacle_gap": gap, "complementarity": comp}
+    return Certificate(name=name, passed=bool(passed), tolerance=tol, worst=worst,
+                       counts=counts, params=params, residuals=residuals,
+                       trace=_trace_tail(facts["trace"], 50), notes=notes)
 
 
 def perron_dirichlet(spec: ProblemSpec):
     """Solve the Dirichlet problem for F on M; returns (u, certificate).
 
-    The certificate carries per-node membership residuals (the defining
-    value at discrete jets, in [-tol, tol] for discrete F-harmonicity),
-    the equal-and-opposite dual residuals, the iteration trace, and the
+    A spec with an obstacle goes to ``solve_obstacle``.  The certificate
+    (``_certificate``) carries per-node membership residuals and their
+    equal-and-opposite dual residuals, the iteration trace, and the
     comparison-regime note.
     """
-    t0 = time.perf_counter()
     if spec.obstacle is not None:
         return solve_obstacle(spec)
-    u, info, ids, res = _solve(spec, np.full(spec.M.n_nodes, np.inf))
-    tol = spec.membership_tol()
-    _, sres = info["scheme_residuals"]
-    worst = float(np.abs(sres).max(initial=0.0))
-    cert = Certificate(
-        name="perron_dirichlet",
-        passed=bool(worst <= tol and -res.min(initial=0.0) <= tol),
-        tolerance=tol,
-        worst={"harmonicity": worst,
-               "membership": float(-res.min(initial=0.0)),
-               "dual_membership": float(np.maximum(sres, 0.0).max(initial=0.0))},
-        counts={"interior_nodes": ids.size, "sweeps": info["sweeps"]},
-        params={**_solve_params(spec, info), "conv_tol": spec.conv_tol()},
-        residuals={"membership": res, "dual": -res},
-        trace=_trace_tail(info["trace"], 50),
-        wall_time=time.perf_counter() - t0,
-    )
-    if _comparison_regime(spec.F) == "weak":
-        cert.notes.append("comparison regime 'weak': uniqueness not guaranteed for this profile")
-    return GridFunction(spec.M, u), cert
+    return _solve(spec, np.full(spec.M.n_nodes, np.inf))
 
 
 def solve_obstacle(spec: ProblemSpec):
-    """Obstacle problem: the Dirichlet iteration with node updates clamped at g.
-
-    Certificate: u <= g, F^g-harmonicity residual min(G, g-u) within the
-    band, and the dual residual at strictly uncontacted nodes (one stencil
-    width away from the contact set is exempt: discrete jets straddle the
-    free boundary).
+    """Obstacle problem: the Dirichlet problem for F^g = F ∩ {r <= g}, the
+    iteration with node updates clamped at g.  Certificate
+    (``_certificate``): u <= g, off-contact F^g-harmonicity min(G, g - u)
+    and complementarity within the band.
     """
-    t0 = time.perf_counter()
     if spec.obstacle is None:
         raise InputError("solve_obstacle needs spec.obstacle")
-    g = spec.obstacle.values
-    u, info, ids, res = _solve(spec, g.copy())
-    tol = spec.membership_tol()
-    gap = g[ids] - u[ids]
-    _, sres = info["scheme_residuals"]
-    harmonic = np.minimum(sres, gap)     # defining value of F^g at scheme jets
-    dual_res = -harmonic                 # dual(F^g) value at jets of -u
-    contact = gap <= tol
-    near_contact = np.zeros(spec.M.n_nodes, dtype=bool)
-    near_contact[ids[contact]] = True
-    free = ~_grow_mask(spec.M, near_contact)[ids]
-    comp = np.minimum(gap, dual_res)
-    comp_worst = float(comp.max(initial=0.0))
-    worst_harm = float(np.abs(harmonic[free]).max(initial=0.0))
-    worst_harm = max(worst_harm, float(np.maximum(-harmonic, 0.0).max(initial=0.0)))
-    cert = Certificate(
-        name="solve_obstacle",
-        passed=bool(
-            np.all(u <= g + 1e-12)
-            and worst_harm <= tol
-            and comp_worst <= tol
-        ),
-        tolerance=tol,
-        worst={
-            "harmonicity_off_contact": worst_harm,
-            "membership": float(-np.minimum(res, gap).min(initial=0.0)),
-            "dual_off_contact": float(max(0.0, -dual_res[free].min(initial=0.0))) if free.any() else 0.0,
-            "complementarity": comp_worst,
-            "max_over_obstacle": float((u - g).max(initial=0.0)),
-        },
-        counts={"interior_nodes": ids.size, "contact_nodes": int(contact.sum()),
-                "sweeps": info["sweeps"]},
-        params=_solve_params(spec, info),
-        residuals={"membership": res, "obstacle_gap": gap, "complementarity": comp},
-        trace=_trace_tail(info["trace"], 50),
-        wall_time=time.perf_counter() - t0,
-    )
-    return GridFunction(spec.M, u), cert
+    return _solve(spec, spec.obstacle.values.copy())
 
 
 def verify_subharmonic(F: Subequation, u: GridFunction, M: ModelManifold | None = None,
@@ -559,10 +547,8 @@ def verify_subharmonic(F: Subequation, u: GridFunction, M: ModelManifold | None 
     tol = policy.membership_tol if tol is None else tol
     ids = None
     if region is not None:
-        region = np.asarray(region, dtype=bool)
-        ids = np.where(region & M.interior_mask)[0]
-    ids, r, p, A = batch_jets(u, ids)
-    res = F.value(ids, r, p, A)
+        ids = np.where(np.asarray(region, dtype=bool) & M.interior_mask)[0]
+    ids, res = _interior_residual(F, u, ids)
     worst = float(-res.min(initial=0.0))
     return Certificate(
         name=f"verify_subharmonic[{F.meta.tag}]",

@@ -12,6 +12,8 @@ from subeq.cli import (
     duality_involution_suite,
     garding_identity_suite,
     main,
+    parse_aprofile,
+    parse_fn,
     parse_profile,
     parse_subequation,
     run_audit,
@@ -36,7 +38,8 @@ DIRICHLET = {
 }
 
 
-SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
 # the exit codes the README documents: a certified property failure exits 2
 SCENARIO_EXIT = {"stochastic_exp_r3": 2}
 
@@ -122,6 +125,19 @@ class TestRun:
 
     def test_missing_file_exit_4(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == 4
+
+    @pytest.mark.parametrize("edit", [
+        lambda sc: sc["params"].pop("boundary"),
+        lambda sc: sc["subequation"].pop("f"),
+        lambda sc: sc["subequation"].update(f="x"),
+    ], ids=["no-boundary", "no-f", "f-not-an-object"])
+    def test_malformed_scenario_exit_4(self, tmp_path, capsys, edit):
+        sc = json.loads(SCENARIO_DIR.joinpath("dirichlet_annulus.json").read_text())
+        edit(sc)
+        path = write_scenario(tmp_path, "bad.json", sc)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--no-plots"]) == 4
+        err = capsys.readouterr().err
+        assert "input error" in err and "Traceback" not in err
 
     def test_capacity_scenario(self, tmp_path):
         sc = write_scenario(tmp_path, "c.json", {
@@ -213,6 +229,13 @@ class TestParsers:
     def test_unknown_kind(self):
         with pytest.raises(InputError):
             parse_subequation({"kind": "nonsense"}, 2)
+
+    @pytest.mark.parametrize("parse", [
+        parse_profile, parse_aprofile, parse_fn, lambda spec: parse_subequation(spec, 2),
+    ], ids=["profile", "aprofile", "fn", "subequation"])
+    def test_non_object_spec_rejected(self, parse):
+        with pytest.raises(InputError, match="must be an object"):
+            parse("x")
 
 
 class TestAudit:

@@ -7,6 +7,7 @@ import pytest
 
 from subeq import _ir
 from subeq import _kernels as K
+from subeq import solver
 from subeq.errors import ConvergenceError, InitializationError, PreconditionError
 from subeq.jets import Jet, SymMatrix
 from subeq.manifolds import FlatBox, GridFunction, PuncturedEuclidean, RadialModel, batch_jets
@@ -495,6 +496,107 @@ class TestObstacle:
                                              obstacle=g))
         assert np.all(u.values <= g.values + 1e-12)
         assert cert.worst["complementarity"] <= 1e-8
+
+
+def _line_dirichlet():
+    M = RadialModel.uniform(2, "sinh", 1.0, 6.0, 101)
+    return ProblemSpec(laplace(LIN, m=2), M, {"inner": 0.0, "outer": -1.0})
+
+
+def _line_jacobi():
+    M = RadialModel.uniform(2, "sinh", 1.0, 6.0, 61)
+    return ProblemSpec(_unlowered(laplace(LIN, m=2)), M, {"inner": 0.0, "outer": -1.0},
+                       scheme=SchemeParams(init="constant"))
+
+
+def _box_newton():
+    M = FlatBox(2, [(0.0, 1.0), (0.0, 1.0)], 1 / 16)
+    return ProblemSpec(laplace(LIN, m=2), M, {"side": lambda c: np.exp(c[:, 0])})
+
+
+def _line_obstacle():
+    M = RadialModel.uniform(2, "sinh", 1.0, 4.0, 31)
+    g = GridFunction(M, np.minimum(0.0, -np.clip(M.r - 2.0, 0.0, 1.0)))
+    return ProblemSpec(laplace(LIN, m=2), M, {"inner": 0.0, "outer": -1.0}, obstacle=g)
+
+
+def _box_obstacle():
+    M = FlatBox(1, [(0.0, 1.0)], 1 / 400)
+    g = GridFunction(M, 0.2 * np.sin(6 * M.coords[:, 0]) + 0.1)
+    return ProblemSpec(hessian_branch(1, ZERO, m=1), M, {"side": -0.1}, obstacle=g)
+
+
+# (spec, engine the solve must run)
+CERT_CASES = {
+    "line-dirichlet": (_line_dirichlet, "numpy"),
+    "line-jacobi": (_line_jacobi, "generic"),
+    "box-newton": (_box_newton, "generic"),
+    "line-obstacle": (_line_obstacle, "numpy"),
+    "box-1d-obstacle": (_box_obstacle, "numpy"),
+}
+
+
+def _recertify(spec, u, cert):
+    """The certificate of u alone, with the iteration facts the solve reported."""
+    M = spec.M
+    caps = np.full(M.n_nodes, np.inf) if spec.obstacle is None else spec.obstacle.values
+    g = _ir.lower(spec.F, M.n_nodes) if M.stencil is not None else None
+    facts = {"sweeps": cert.counts["sweeps"], "engine": cert.params["engine"],
+             "init": cert.params["init"], "trace": cert.trace,
+             "min_signed_change": 0.0 if cert.params["monotone_iterates"] else -1.0}
+    return solver._certificate(spec, u, caps, g, facts)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("case", CERT_CASES)
+    def test_recomputed_from_u(self, case):
+        make, engine = CERT_CASES[case]
+        spec = make()
+        u, cert = perron_dirichlet(spec)
+        assert cert.params["engine"] == engine
+        assert not any("note" in t for t in cert.trace)  # no Newton fallback
+        again = _recertify(spec, u.values.copy(), cert)
+        assert again.passed is cert.passed is True
+        assert repr(again.worst) == repr(cert.worst)  # bit for bit, -0.0 included
+        assert again.counts == cert.counts and again.params == cert.params
+        assert list(again.residuals) == list(cert.residuals)
+        for key, arr in cert.residuals.items():
+            assert again.residuals[key].tobytes() == arr.tobytes(), key
+
+    @pytest.mark.parametrize("case", ["line-dirichlet", "line-obstacle"])
+    def test_one_raised_node_fails(self, case):
+        spec = CERT_CASES[case][0]()
+        u, cert = perron_dirichlet(spec)
+        ids = spec.M.interior_ids
+        if spec.obstacle is None:
+            node = ids[ids.size // 2]
+        else:  # the free node farthest below the obstacle
+            node = ids[np.argmax(cert.residuals["obstacle_gap"])]
+            assert cert.residuals["obstacle_gap"].max() > 1e-3
+        bumped = u.values.copy()
+        bumped[node] += 1e-6
+        assert cert.passed
+        assert not _recertify(spec, bumped, cert).passed
+
+    def test_dirichlet_keys(self):
+        _, cert = perron_dirichlet(_line_dirichlet())
+        assert cert.name == "perron_dirichlet"
+        assert list(cert.worst) == ["harmonicity", "membership", "dual_membership"]
+        assert list(cert.counts) == ["interior_nodes", "sweeps"]
+        assert list(cert.params) == ["engine", "init", "comparison_regime",
+                                     "monotone_iterates", "conv_tol"]
+        assert list(cert.residuals) == ["membership", "dual"]
+
+    def test_obstacle_keys(self):
+        _, cert = solve_obstacle(_line_obstacle())
+        assert cert.name == "solve_obstacle"
+        assert list(cert.worst) == ["harmonicity_off_contact", "membership",
+                                    "dual_off_contact", "complementarity",
+                                    "max_over_obstacle"]
+        assert list(cert.counts) == ["interior_nodes", "contact_nodes", "sweeps"]
+        assert list(cert.params) == ["engine", "init", "comparison_regime",
+                                     "monotone_iterates"]
+        assert list(cert.residuals) == ["membership", "obstacle_gap", "complementarity"]
 
 
 class TestVerifySubharmonic:
