@@ -2,17 +2,18 @@
 
 ``vector_node_solve`` solves the scalar node equations of a batch of nodes
 at once: one bracket and bisection per node, exploiting the monotonicity
-of the defining value in the node value.  Over every interior node with
-the tree evaluator it is one Jacobi sweep.  The Newton (Howard) steps
+of the defining value in the node value.  The Newton (Howard) steps
 linearize R(u) = min(G(u), cap - u) with the contact set and the active
 branches frozen.  On line (radial / 1-D) grids ``sweep_line_numpy`` takes
-the policy step over the line evaluator of ``_ir.lower`` (the subequation
-tree over ``jets.RadialView``) and the grid's ``LineStencil`` rows, solved
-with ``thomas``; rows that the step cannot linearize at the current
-iterate are linearized at their node roots from the same batched node
-solve.  On boxes ``step_box`` takes the
-step with the subequation tree through the cross stencil, solved slab by
-slab with ``block_thomas``.  Both steps build their rows from the
+the policy step over the line evaluator of ``_ir.lower`` (every
+subequation tree over ``jets.RadialView``) and the grid's ``LineStencil``
+rows, solved with ``thomas``; rows that the step cannot linearize at the
+current iterate are linearized at their node roots from the same batched
+node solve.  On boxes ``step_box`` takes the step with the subequation
+tree through the cross stencil, solved slab by slab with
+``block_thomas``; over every interior node of a box with the tree
+evaluator, ``vector_node_solve`` is the Jacobi sweep a failed box step
+falls back to.  Both steps build their rows from the
 difference quotients of one rule (``_quotient``, through ``_slopes`` and
 ``_jet_slopes``) and end in one clamped update (``_clamp_write``).
 """
@@ -26,8 +27,9 @@ def vector_node_solve(G, v0, cap, step0, gtol, veps):
 
     ``G`` maps a value array to the defining values at the same nodes.
     Brackets grow up from feasible nodes and down from the others, one G
-    call per expansion.  Over all interior nodes this is the generic
-    engine's Jacobi sweep; the line engine's policy step reads its roots.
+    call per expansion.  Over all interior nodes of a box this is the
+    Jacobi sweep of a box fallback; the line engine's policy step reads
+    its roots.
     """
     g0 = G(v0)
     feas = g0 >= 0.0
@@ -217,12 +219,12 @@ def sweep_line_numpy(u, order, S, caps, g, steps, res, gtol, veps):
 
     Every node is also solved on its own first: ``vector_node_solve`` finds
     the largest value <= cap with G >= 0 with the neighbours and du frozen
-    (bracket widths ``steps``), one Jacobi sweep.  A row
-    whose active branch does not move with the node value (no weight
-    through v, d2 or the upwind gradient, as where the angular branch of a
-    min is active and f is constant) is linearized at that root instead,
-    where G = 0 puts a branch that does.  A row that has no such weight
-    there either is left out of the step.  The batch covers every interior
+    (bracket widths ``steps``), in one batch whose roots are not written
+    to u.  A row whose active branch does not move with the node value (no
+    weight through v, d2 or the upwind gradient, as where the angular
+    branch of a min is active and f is constant) is linearized at that
+    root instead, where G = 0 puts a branch that does.  A row that has no
+    such weight there either is left out of the step.  The batch covers every interior
     node, so perfbench's node-solve counters keep seeing line solves; only
     those rows read its roots.
 
@@ -287,7 +289,7 @@ def residual_line_numpy(u, order, S, g):
 
 # Largest number of floats the lo, di and up slab blocks of one box step may
 # hold together (64 MiB): the slabs of a 2-D box up to ~140 nodes a side,
-# of a 3-D box up to ~19.  Larger boxes take the Jacobi sweeps.
+# of a 3-D box up to ~19.  Larger boxes fall back to the Jacobi sweeps.
 MAX_BLOCK_FLOATS = 2**23
 
 

@@ -67,9 +67,10 @@ class _Spec(dict):
         raise InputError(f"missing key '{key}'")
 
 
-def _object(spec, what):
-    if not isinstance(spec, dict):
-        raise InputError(f"{what} spec must be an object, got {spec!r}")
+def _object(spec, what, kind=dict):
+    if not isinstance(spec, kind):
+        noun = "an object" if kind is dict else "an array"
+        raise InputError(f"{what} spec must be {noun}, got {spec!r}")
     return spec
 
 
@@ -202,10 +203,9 @@ def parse_subequation(spec, m: int, M=None) -> SU.Subequation:
                                   spec.get("B", 0.0), spec.get("b", 1.0),
                                   parse_profile(spec.get("f", {"kind": "linear", "slope": 0.0})),
                                   m=m)
-    if kind == "intersect":
-        return SU.intersect(*[parse_subequation(s, m, M) for s in spec["parts"]])
-    if kind == "union":
-        return SU.union(*[parse_subequation(s, m, M) for s in spec["parts"]])
+    if kind in ("intersect", "union"):
+        parts = [parse_subequation(s, m, M) for s in _object(spec["parts"], f"{kind} parts", list)]
+        return (SU.intersect if kind == "intersect" else SU.union)(*parts)
     if kind == "dual":
         return SU.dual(parse_subequation(spec["of"], m, M))
     if kind == "obstacle":
@@ -223,8 +223,12 @@ def parse_subequation(spec, m: int, M=None) -> SU.Subequation:
 
 def _boundary_from(spec):
     out = {}
-    for tag, val in spec.items():
-        out[tag] = parse_fn(val) if isinstance(val, dict) else float(val)
+    for tag, val in _object(spec, "boundary").items():
+        try:
+            out[tag] = parse_fn(val) if isinstance(val, dict) else float(val)
+        except (TypeError, ValueError):
+            raise InputError(f"boundary value on '{tag}' must be a number or an "
+                             f"object, got {val!r}") from None
     return out
 
 

@@ -299,7 +299,7 @@ def garding_eigenvalues_batch(A: np.ndarray, k: int) -> np.ndarray:
 class DenseView:
     """Jets (x, r, p, A): node ids x (or None), r (n,), p (n, m), A (n, m, m).
 
-    Both views give x, r and m, and on access the ascending spectrum
+    Both views give x, r, p, A and m, and on access the ascending spectrum
     ``eigs``, the Garding branches ``garding(k)``, ``trace``, |p| as
     ``grad`` and ``grad_up`` (the gradient constraints' reading) and, where
     p != 0, the second derivative along p as ``dir2`` = A(p, p) / |p|^2 and
@@ -353,6 +353,8 @@ class RadialView:
 
     The Hessian is diag(d2, aa, ..., aa) and the gradient (du, 0, ..., 0).
     sigma_k(A + t I) has the root -aa k - 1 times and one linear root.
+    The dense jet in the radial frame, ``p`` (n, m) and ``A`` (n, m, m),
+    is built on access; this is the one place it is assembled.
     """
 
     __slots__ = ("x", "r", "du", "aa", "d2", "grad_up", "m")
@@ -365,6 +367,15 @@ class RadialView:
     trace = property(lambda self: self.d2 + (self.m - 1) * self.aa)
     dir2 = dir2_unit = property(lambda self: self.d2)
     grad = property(lambda self: np.abs(self.du))
+
+    p = property(lambda self: np.column_stack([self.du] + [np.zeros_like(self.du)] * (self.m - 1)))
+
+    @property
+    def A(self):
+        A = np.zeros((self.d2.size, self.m, self.m))
+        k = np.arange(self.m)
+        A[:, k, k] = np.column_stack([self.d2] + [self.aa] * (self.m - 1))
+        return A
 
     def garding(self, k):
         m, aa = self.m, self.aa

@@ -35,7 +35,7 @@ from .errors import (
     PreconditionError,
     ScheduleError,
 )
-from .jets import eigenvalues_sym_batch
+from .jets import RadialView, eigenvalues_sym_batch
 from .manifolds import (
     GridFunction,
     PuncturedEuclidean,
@@ -495,14 +495,9 @@ def punctured_example_check(m: int, lam: float, M: PuncturedEuclidean | None = N
         w2 = -2.0 - (2.0 - m) * (1.0 - m) * r ** (-float(m))
     F = laplace(Profile.linear(lam), m=m)
     n_nodes = r.size
-    p = np.zeros((n_nodes, m))
-    p[:, 0] = w1
     # diagonal in the radial frame: radial first, then the angular copies w'/r
-    A = np.zeros((n_nodes, m, m))
-    A[:, 0, 0] = w2
-    k = np.arange(1, m)
-    A[:, k, k] = (w1 / r)[:, None]
-    res = F.value(None, w, p, A)
+    J = RadialView(None, w, w1, w1 / r, w2, None, m)
+    res = F.value(None, w, J.p, J.A)
     member = res >= -tol
     inside = ~member
     if inside.any():

@@ -12,8 +12,9 @@ On radial kinds a function of r has Hessian eigenvalues phi'' (radial) and
 phi' g'/g with multiplicity m-1 (angular).  Every line grid (the radial
 kinds and 1-D boxes) carries one ``LineStencil``, the non-uniform 3-point
 first and second differences built once from its spacings; the jets, the
-sweep kernels, the presolve and the Jacobi sensitivity all read it.  Boxes
-of dimension m >= 2 use the centred cross stencil.
+sweep kernels and the presolve all read it, and the jets are assembled by
+``jets.RadialView``.  Boxes of dimension m >= 2 use the centred cross
+stencil.
 """
 from __future__ import annotations
 
@@ -423,8 +424,9 @@ def batch_jets(u: GridFunction, ids=None):
     """Vectorized centred discrete jets: returns (ids, r, p, A) with p (n,m),
     A (n,m,m), by default at every interior node.
 
-    Line grids read their ``LineStencil``; boxes use the cross stencil.
-    Skips nodes flagged -inf (USC convention).
+    Line grids read their ``LineStencil`` and take the dense jets of a
+    ``RadialView``; boxes use the cross stencil.  Skips nodes flagged -inf
+    (USC convention).
     """
     M = u.manifold
     ids = M.interior_ids if ids is None else np.asarray(ids, dtype=int)
@@ -432,16 +434,16 @@ def batch_jets(u: GridFunction, ids=None):
         ids = ids[~u.neg_inf_mask[ids]]
     vals = u.values
     n, m = ids.size, M.m
-    p = np.zeros((n, m))
-    A = np.zeros((n, m, m))
     if M.stencil is not None:
         S = M.stencil.at(ids)
         uL, uC, uR = vals[ids - 1], vals[ids], vals[ids + 1]
-        p[:, 0] = S.du(uL, uC, uR)
-        A[:, 0, 0] = S.d2(uL, uC, uR)
-        for k in range(1, m):
-            A[:, k, k] = p[:, 0] * S.ang
-    elif isinstance(M, FlatBox):
+        du = S.du(uL, uC, uR)
+        aa = du * S.ang if m > 1 else None  # m = 1 has no angular direction
+        J = RadialView(ids, uC, du, aa, S.d2(uL, uC, uR), None, m)
+        return ids, uC, J.p, J.A
+    p = np.zeros((n, m))
+    A = np.zeros((n, m, m))
+    if isinstance(M, FlatBox):
         for k in range(m):
             s = M.strides[k]
             p[:, k] = (vals[ids + s] - vals[ids - s]) / (2 * M.h[k])

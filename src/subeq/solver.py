@@ -2,9 +2,8 @@
 
 The discrete scheme: at every interior node, G(x, r, p(u), A(u)) = 0,
 with centred jets from ``batch_jets``; obstacle problems solve
-min(G, g - u) = 0.  On line grids the jets, the policy-step rows, the
-presolve rows and the Jacobi centre sensitivity all read the grid's one
-``LineStencil``.
+min(G, g - u) = 0.  On line grids the jets, the policy-step rows and the
+presolve rows all read the grid's one ``LineStencil``.
 
 Initialization: the constant min(boundary) - slack subsolution always
 applies; for linear members (laplace / infinity-Laplacian with linear f)
@@ -18,23 +17,21 @@ iteration loop (_iterate) and one certificate (_certificate), recomputed
 from the solution with the loop's scheme residual (_residual): the
 Dirichlet certificate is the obstacle one with no contact nodes.  One
 engine (_engine) supplies the iterations, and the grid picks its step.
-On line (radial / 1-D) grids with a subequation that lowers (_ir.lower),
-each iteration is one Howard policy step over the line evaluator, the
-tree read through the radial jet view ("numpy"): the contact set and the
-active branches are frozen, and one tridiagonal solve gives the update
-(the first difference |du| that profiles read is lagged).  On boxes each
-iteration is a Newton (Howard) step with the subequation tree
-("generic"): rows from difference quotients of the tree at the centred
-jets, checked for monotonicity, and one block-tridiagonal solve.  Line
-grids whose tree does not lower ("generic") take Jacobi sweeps of
-bisection node solves (G is monotone in the node value through (N) and
-the negative centre weight of the second difference, and the first
-difference is lagged).  Both Newton steps share one stall rule
-(STALL_STEPS steps without a new minimum of the worst residual).  A
-failed or stalled line step ends the solve with ConvergenceError; a
-failed or stalled box step resets the iterate to the initial
-subsolution, notes the reason in the trace, and hands the solve to the
-Jacobi sweeps.  Iterates started from a verified discrete subsolution
+On line (radial / 1-D) grids each iteration is one Howard policy step
+over the line evaluator of _ir.lower, the tree read through the radial
+jet view ("numpy"): the contact set and the active branches are frozen,
+and one tridiagonal solve gives the update (the first difference |du|
+that profiles read, and any p that a jet-equivalence maps, is lagged).
+On boxes each iteration is a Newton (Howard) step with the subequation
+tree ("generic"): rows from difference quotients of the tree at the
+centred jets, checked for monotonicity, and one block-tridiagonal solve.
+Both Newton steps share one stall rule (STALL_STEPS steps without a new
+minimum of the worst residual).  A failed or stalled line step ends the
+solve with ConvergenceError; a failed or stalled box step resets the
+iterate to the initial subsolution, notes the reason in the trace, and
+hands the solve to Jacobi sweeps of bisection node solves (G is monotone
+in the node value through (N) and the negative centre weight of the
+second difference).  Iterates started from a verified discrete subsolution
 increase monotonically where the scheme is monotone, mirroring the
 Perron supremum.  The loop checks the scheme residual after every sweep
 or step whose largest node change is within the policy's convergence_tol
@@ -254,8 +251,7 @@ def _iterate(spec: ProblemSpec, u, caps, g):
 
     The engine supplies one sweep; ``_residual`` gives the scheme residual,
     and convergence and acceptance are decided here.  The label is "numpy"
-    where the line policy steps run (g is the line evaluator), "generic"
-    where the tree does (g is None).
+    on line grids (g is the line evaluator), "generic" on boxes (g is None).
     """
     conv_tol = spec.conv_tol()
     band = 0.45 * spec.membership_tol()
@@ -328,16 +324,16 @@ def _engine(spec: ProblemSpec, gf: GridFunction, caps, g, gtol, veps, notes):
     """One sweep over the interior nodes of gf, updated in place; the grid
     picks the Newton step.
 
-    Line grids with a lowered F (g) take the policy steps of
-    ``K.sweep_line_numpy``, boxes the Newton steps of ``K.step_box`` with
-    the subequation tree, and line grids whose tree does not lower take
-    Jacobi sweeps of node solves (``K.vector_node_solve``).  A failed step
-    (FloatingPointError), or STALL_STEPS steps in a row without a new
-    minimum of the worst residual max |min(G, cap - u)|, end a line solve
-    with ConvergenceError; a box solve resets u to the initial
-    subsolution, puts the reason into ``notes`` and goes on with the
-    Jacobi sweeps.  ``brackets`` carries the bracket widths of the node
-    solves from one sweep to the next.
+    Line grids take the policy steps of ``K.sweep_line_numpy`` over the
+    line evaluator g, boxes the Newton steps of ``K.step_box`` with the
+    subequation tree.  A failed step (FloatingPointError), or STALL_STEPS
+    steps in a row without a new minimum of the worst residual
+    max |min(G, cap - u)|, end a line solve with ConvergenceError; a box
+    solve resets u to the initial subsolution, puts the reason into
+    ``notes`` and goes on with Jacobi sweeps of node solves
+    (``K.vector_node_solve``, the centre weights -2/h^2 of the second
+    differences moving with the node value).  ``brackets`` carries the
+    bracket widths of the node solves from one sweep to the next.
     """
     M, F = spec.M, spec.F
     ids = M.interior_ids
@@ -345,7 +341,6 @@ def _engine(spec: ProblemSpec, gf: GridFunction, caps, g, gtol, veps, notes):
     u0 = u.copy()
     brackets = np.full(ids.size, 1e-3 * (1.0 + float(np.abs(u).max())))
     res = np.empty(ids.size)
-    dA = _center_sensitivity(M, ids)
     S = M.stencil.at(ids) if M.stencil is not None else None
     steps, best, since = 0, np.inf, 0
 
@@ -359,14 +354,13 @@ def _engine(spec: ProblemSpec, gf: GridFunction, caps, g, gtol, veps, notes):
     if S is None:
         def newton():
             return K.step_box(u, ids, M, caps, value, jets(), res)
-    elif g is not None:
+    else:
         def newton():
             return K.sweep_line_numpy(u, ids, S, caps, g, brackets, res, gtol, veps)
-    else:
-        newton = None
 
     def jacobi():
         r0, p0, A0 = jets()
+        dA = np.diag(-2.0 / M.h ** 2)
 
         def G(v):
             return F.value(ids, v, p0, A0 + (v - r0)[:, None, None] * dA)
@@ -379,41 +373,29 @@ def _engine(spec: ProblemSpec, gf: GridFunction, caps, g, gtol, veps, notes):
 
     def sweep():
         nonlocal newton, steps, best, since
-        if newton is not None:
-            steps += 1
-            try:
-                out = newton()
-                worst = float(np.abs(res).max(initial=0.0))
-                best, since = (worst, 0) if worst < best else (best, since + 1)
-                if since >= STALL_STEPS:
-                    raise FloatingPointError(
-                        f"no new minimum of the worst residual in {STALL_STEPS} steps")
-                return out
-            except FloatingPointError as e:
-                if S is not None:
-                    raise ConvergenceError(
-                        f"no convergence: {e} at policy step {steps} (numpy engine, "
-                        f"residual={float(np.abs(res).max(initial=0.0)):.3e})") from None
-                newton = None
-                u[:] = u0
-                notes.append(f"Newton step fell back to Jacobi sweeps from the "
-                             f"initial subsolution: {e}")
-        return jacobi()
+        if newton is None:
+            return jacobi()
+        steps += 1
+        try:
+            out = newton()
+            worst = float(np.abs(res).max(initial=0.0))
+            best, since = (worst, 0) if worst < best else (best, since + 1)
+            if since >= STALL_STEPS:
+                raise FloatingPointError(
+                    f"no new minimum of the worst residual in {STALL_STEPS} steps")
+            return out
+        except FloatingPointError as e:
+            if S is not None:
+                raise ConvergenceError(
+                    f"no convergence: {e} at policy step {steps} (numpy engine, "
+                    f"residual={float(np.abs(res).max(initial=0.0)):.3e})") from None
+            newton = None
+            u[:] = u0
+            notes.append(f"Newton step fell back to Jacobi sweeps from the "
+                         f"initial subsolution: {e}")
+            return jacobi()
 
     return sweep
-
-
-def _center_sensitivity(M, ids):
-    """dA/dv: the centre weights of the second differences.
-
-    The first difference, and with it the angular eigenvalue of line grids,
-    is lagged, as in the line kernel.
-    """
-    if M.stencil is None:
-        return np.diag(-2.0 / M.h ** 2)[None, :, :]
-    dA = np.zeros((ids.size, M.m, M.m))
-    dA[:, 0, 0] = M.stencil.aC[ids]
-    return dA
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +416,10 @@ def _comparison_regime(F: Subequation) -> str:
 
 
 def _solve(spec: ProblemSpec, caps):
-    """The solve core: boundary data, verified initial subsolution, lowering,
-    the monotone iteration with node values capped at caps, and the
-    certificate of its result.  Returns (u, certificate).
+    """The solve core: boundary data, verified initial subsolution, the line
+    evaluator (line grids only), the monotone iteration with node values
+    capped at caps, and the certificate of its result.  Returns
+    (u, certificate).
     """
     t0 = time.perf_counter()
     M = spec.M
@@ -444,7 +427,7 @@ def _solve(spec: ProblemSpec, caps):
     bd = ~M.interior_mask
     if np.any(bvals[bd] > caps[bd] + 1e-12):
         raise PreconditionError("boundary data must satisfy phi <= g on the boundary")
-    g = _ir.lower(spec.F, M.n_nodes)
+    g = _ir.lower(spec.F)
     if M.stencil is None:
         g = None  # boxes run the tree
     u0, init_label = _initial_subsolution(spec, bvals, caps)

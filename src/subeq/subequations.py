@@ -71,7 +71,11 @@ def _rows(vals, x):
     """Per-node data at node ids x; a member that has such data needs x."""
     if x is None:
         raise InputError("per-node subequation needs node ids x")
-    return vals[np.asarray(x, dtype=int)]
+    try:
+        return vals[np.asarray(x, dtype=int)]
+    except IndexError:
+        raise InputError(f"per-node data has {len(vals)} rows, "
+                         f"node ids reach {np.max(x)}") from None
 
 
 def _by_fiber(J, moving, at_rest):

@@ -48,6 +48,10 @@ SCENARIO_EXIT = {"stochastic_exp_r3": 2}
 def test_committed_scenario_exit_code(path, tmp_path):
     code = main(["run", str(path), "--out", str(tmp_path / "out"), "--no-plots"])
     assert code == SCENARIO_EXIT.get(path.stem, 0)
+    # every committed scenario is on a line grid, where every tree (the
+    # jet-equivalence of jetequiv_sinh too) takes the policy steps
+    certs = json.loads((tmp_path / "out" / "report.json").read_text())["certificates"]
+    assert all(c.get("params", {}).get("engine", "numpy") == "numpy" for c in certs)
 
 
 def test_import_leaves_openssl_unloaded():
@@ -130,7 +134,11 @@ class TestRun:
         lambda sc: sc["params"].pop("boundary"),
         lambda sc: sc["subequation"].pop("f"),
         lambda sc: sc["subequation"].update(f="x"),
-    ], ids=["no-boundary", "no-f", "f-not-an-object"])
+        lambda sc: sc["params"]["boundary"].update(inner="x"),
+        lambda sc: sc["params"].update(boundary=[1, 2]),
+        lambda sc: sc.update(subequation={"kind": "intersect", "parts": 3}),
+    ], ids=["no-boundary", "no-f", "f-not-an-object", "boundary-value-not-a-number",
+            "boundary-not-an-object", "parts-not-an-array"])
     def test_malformed_scenario_exit_4(self, tmp_path, capsys, edit):
         sc = json.loads(SCENARIO_DIR.joinpath("dirichlet_annulus.json").read_text())
         edit(sc)

@@ -112,7 +112,7 @@ class TestDirichletOracles:
         # never in a certificate
         import subeq.solver as solver
 
-        def nan_lower(F, n_nodes):
+        def nan_lower(F):
             return lambda nodes, v, du, aa, d2, gdn: np.full_like(v, np.nan)
 
         monkeypatch.setattr(solver._ir, "lower", nan_lower)
@@ -165,42 +165,41 @@ class TestEngines:
         assert cert.passed
         assert cert.params["engine"] == "numpy"
 
+    @staticmethod
+    def _presolve_matches(M, bc):
+        # the tree and its identity jet-equivalence both run the line
+        # engine; each reaches the tridiagonal presolve's discrete solution
+        F = laplace(LIN, m=M.m)
+        ref = solver._try_presolve(F, M, solver.boundary_values(M, bc))
+        for G in (F, _jetequiv(F)):
+            u, cert = perron_dirichlet(ProblemSpec(G, M, bc, scheme=SchemeParams(init="constant")))
+            assert cert.passed and cert.params["engine"] == "numpy", G.meta.tag
+            assert np.abs(u.values - ref).max() <= 10 * cert.tolerance, G.meta.tag
+
     def test_generic_engine_matches_line(self):
-        M = RadialModel.uniform(2, "sinh", 1.0, 6.0, 61)
-        F = laplace(LIN, m=2)
-        u1, c1 = perron_dirichlet(ProblemSpec(
-            _unlowered(F), M, {"inner": 0.0, "outer": -1.0},
-            scheme=SchemeParams(init="constant")))
-        u2, _ = perron_dirichlet(ProblemSpec(F, M, {"inner": 0.0, "outer": -1.0}))
-        assert c1.params["engine"] == "generic"
-        assert np.abs(u1.values - u2.values).max() <= 10 * 1e-8
+        self._presolve_matches(RadialModel.uniform(2, "sinh", 1.0, 6.0, 61),
+                               {"inner": 0.0, "outer": -1.0})
 
     def test_generic_engine_matches_line_nonuniform(self):
-        # log spacing: both engines lag the first difference of one stencil
-        M = PuncturedEuclidean(3, 1.0, 2.0, 21)
-        F = laplace(LIN, m=3)
-        bc = {"inner": 0.0, "outer": -1.0}
-        u1, c1 = perron_dirichlet(ProblemSpec(
-            _unlowered(F), M, bc, scheme=SchemeParams(init="constant")))
-        u2, c2 = perron_dirichlet(ProblemSpec(F, M, bc, scheme=SchemeParams(init="constant")))
-        assert (c1.params["engine"], c2.params["engine"]) == ("generic", "numpy")
-        assert c1.passed and c2.passed
-        assert np.abs(u1.values - u2.values).max() <= 10 * 1e-8
+        # log spacing: the steps lag the first difference of one stencil
+        self._presolve_matches(PuncturedEuclidean(3, 1.0, 2.0, 21), {"inner": 0.0, "outer": -1.0})
 
     def test_obstacle_matches_generic(self):
         # a Khas'minskii-stage obstacle: zero near the inner sphere, then a
-        # ramp down to the outer boundary value; the policy steps and the
-        # Jacobi sweeps reach one contact set and one solution
+        # ramp down to the outer boundary value; the tree and its identity
+        # jet-equivalence reach the contact set and the solution of a dense
+        # policy iteration on the same rows
         M = RadialModel.uniform(2, "sinh", 1.0, 4.0, 31)
         g = GridFunction(M, np.minimum(0.0, -np.clip(M.r - 2.0, 0.0, 1.0)))
         bc = {"inner": 0.0, "outer": -1.0}
         F = laplace(LIN, m=2)
-        sols = [solve_obstacle(ProblemSpec(G, M, bc, obstacle=g)) for G in (F, _unlowered(F))]
-        (u1, c1), (u2, c2) = sols
-        assert (c1.params["engine"], c2.params["engine"]) == ("numpy", "generic")
-        assert c1.passed and c2.passed
-        assert c1.counts["contact_nodes"] == c2.counts["contact_nodes"] > 0
-        assert np.abs(u1.values - u2.values).max() <= 10 * c1.tolerance
+        ref, contact = _obstacle_reference(M, 1.0, g.values, solver.boundary_values(M, bc))
+        assert contact.any()
+        for G in (F, _jetequiv(F)):
+            u, cert = solve_obstacle(ProblemSpec(G, M, bc, obstacle=g))
+            assert cert.passed and cert.params["engine"] == "numpy", G.meta.tag
+            assert cert.counts["contact_nodes"] == contact.sum()
+            assert np.abs(u.values - ref).max() <= 10 * cert.tolerance, G.meta.tag
 
     @pytest.mark.parametrize("outer", [1.0, -1.0])
     def test_mean_curvature_certified(self, outer):
@@ -243,11 +242,23 @@ class TestEngines:
         assert np.abs(u.values - (-0.5 * M.r**2 + 2.5 * M.r - 2.0)).max() <= 10 * cert.tolerance
 
     def test_line_engine_needs_a_lowered_tree(self):
-        # a jet-equivalence does not lower: the line grid runs the generic engine
+        # every tree lowers: a jet-equivalence runs the line engine
         M = RadialModel.uniform(2, "sinh", 1.0, 3.0, 21)
         F = linear_jetequiv(np.eye(2), f=LIN)
         _, cert = perron_dirichlet(ProblemSpec(F, M, {"inner": 0.0, "outer": -1.0}))
-        assert cert.params["engine"] == "generic"
+        assert cert.passed and cert.params["engine"] == "numpy"
+
+    @pytest.mark.parametrize("member", ["jetequiv", "intersect"])
+    def test_jet_equivalences_take_policy_steps(self, member):
+        # the dense radial-frame jet of a jet-equivalence, read by the
+        # infinity Laplacian, in a few policy steps
+        m = 3
+        F = {"jetequiv": _jetequiv(inf_laplacian(0.0, m=m)),
+             "intersect": intersect(inf_laplacian(0.0, m=m), linear_jetequiv(np.eye(m)))}[member]
+        M = RadialModel.uniform(m, "sinh", 1.0, 3.0, 41)
+        _, cert = perron_dirichlet(ProblemSpec(F, M, {"inner": 0.0, "outer": 1.0}))
+        assert cert.passed and cert.params["engine"] == "numpy"
+        assert cert.counts["sweeps"] <= 10
 
     def test_flatbox_2d_manufactured(self):
         # Delta u = u has solution e^x on any box
@@ -260,10 +271,33 @@ class TestEngines:
         assert np.abs(u.values - exact).max() <= 5e-3
 
 
-def _unlowered(F):
-    """F's values through the identity jet-equivalence: a tree that does not
-    lower, so a line grid runs the generic engine on it."""
+def _jetequiv(F):
+    """F's values through the identity jet-equivalence: the dense jets of
+    the radial view, the same values."""
     return apply_jet_equivalence(JetEquivalence(F.m, np.eye(F.m), np.eye(F.m)), F)
+
+
+def _obstacle_reference(M, slope, g, bvals):
+    """Discrete obstacle solution of min(d2 + (m - 1) ang du - slope u, g - u) = 0
+    on a line grid, by policy iteration with one dense solve per step:
+    (u, contact mask)."""
+    n, ids = M.n_nodes, M.interior_ids
+    S = M.stencil.at(ids)
+    w = (M.m - 1) * S.ang
+    L = np.zeros((n, n))
+    L[ids, ids - 1] = S.aL + w * S.wL
+    L[ids, ids] = S.aC + w * S.wC - slope
+    L[ids, ids + 1] = S.aR + w * S.wR
+    contact = np.zeros(n, dtype=bool)
+    for _ in range(n):
+        rows = M.interior_mask & ~contact
+        u = np.linalg.solve(np.where(rows[:, None], L, np.eye(n)),
+                            np.where(rows, 0.0, np.where(contact, g, bvals)))
+        new = M.interior_mask & (g - u < L @ u)
+        if np.array_equal(new, contact):
+            return u, contact
+        contact = new
+    raise AssertionError("the reference policy iteration did not settle")
 
 
 def _five_point(M, slope, data):
@@ -393,7 +427,7 @@ class TestSlopes:
         uL, v, uR = u[ids - 1], u[ids], u[ids + 1]
         du = S.du(uL, v, uR)
         gdn = np.maximum(np.maximum((v - uL) / S.hL, (v - uR) / S.hR), 0.0)
-        g = _ir.lower(laplace(f, m=M.m), M.n_nodes)
+        g = _ir.lower(laplace(f, m=M.m))
         got = K._slopes(g, [ids, v, du, du * S.ang, S.d2(uL, v, uR), gdn])
         slope = f.slope if f.kind == "linear" else 0.0
         for q, want in zip(got, (-slope, M.m - 1, 1.0, 0.0)):
@@ -503,10 +537,10 @@ def _line_dirichlet():
     return ProblemSpec(laplace(LIN, m=2), M, {"inner": 0.0, "outer": -1.0})
 
 
-def _line_jacobi():
-    M = RadialModel.uniform(2, "sinh", 1.0, 6.0, 61)
-    return ProblemSpec(_unlowered(laplace(LIN, m=2)), M, {"inner": 0.0, "outer": -1.0},
-                       scheme=SchemeParams(init="constant"))
+def _line_jetequiv():
+    M = RadialModel.uniform(2, "sinh", 1.0, 4.0, 61)
+    F = linear_jetequiv([[2.0, 0.3], [0.3, 1.0]], [0.2, -0.1], 0.5, 2.0, f=LIN)
+    return ProblemSpec(F, M, {"inner": 0.0, "outer": -1.0})
 
 
 def _box_newton():
@@ -529,7 +563,7 @@ def _box_obstacle():
 # (spec, engine the solve must run)
 CERT_CASES = {
     "line-dirichlet": (_line_dirichlet, "numpy"),
-    "line-jacobi": (_line_jacobi, "generic"),
+    "line-jetequiv": (_line_jetequiv, "numpy"),
     "box-newton": (_box_newton, "generic"),
     "line-obstacle": (_line_obstacle, "numpy"),
     "box-1d-obstacle": (_box_obstacle, "numpy"),
@@ -540,7 +574,7 @@ def _recertify(spec, u, cert):
     """The certificate of u alone, with the iteration facts the solve reported."""
     M = spec.M
     caps = np.full(M.n_nodes, np.inf) if spec.obstacle is None else spec.obstacle.values
-    g = _ir.lower(spec.F, M.n_nodes) if M.stencil is not None else None
+    g = _ir.lower(spec.F) if M.stencil is not None else None
     facts = {"sweeps": cert.counts["sweeps"], "engine": cert.params["engine"],
              "init": cert.params["init"], "trace": cert.trace,
              "min_signed_change": 0.0 if cert.params["monotone_iterates"] else -1.0}

@@ -553,6 +553,13 @@ class TestLineEvaluator:
                 quasilinear(AProfile.k_laplacian(2.0), ZERO, m=m),
                 quasilinear(custom, LIN, m=m)]
         g = rng.standard_normal(self.N)
+        longer = rng.standard_normal(self.N + 5)  # rows beyond the nodes are not read
+        Q = rng.standard_normal((m, m))
+        T = Q @ Q.T + m * np.eye(m)
+        jeq = linear_jetequiv(T, rng.standard_normal(m), 0.7, 1.5, f=LIN, m=m)
+        field = np.eye(m) + 0.1 * rng.standard_normal((self.N, m, m))
+        L = 0.1 * rng.standard_normal((self.N, m, m, m))
+        per_node = JetEquivalence(m, field, field[::-1], L)
         out += [
             intersect(laplace(LIN, m=m), eikonal(XI1, m=m)),
             union(hessian_branch(1, LIN, m=m), inf_laplacian(ZERO, m=m),
@@ -561,6 +568,11 @@ class TestLineEvaluator:
             obstacle(laplace(LIN, m=m), 0.25),
             eikonal_relaxed(XI1, np.abs(g), m=m),
             intersect(laplace(LIN, m=m), eikonal_relaxed(1.0, np.abs(g), m=m)),
+            jeq,
+            apply_jet_equivalence(per_node, sigma_branch(1, min(2, m), LIN, m=m)),
+            intersect(laplace(LIN, m=m), jeq),
+            obstacle(laplace(LIN, m=m), longer),
+            eikonal_relaxed(XI1, np.abs(longer), m=m),
         ]
         return out
 
@@ -572,8 +584,7 @@ class TestLineEvaluator:
         nodes = np.arange(self.N)
         for F in self.members(m, rng):
             for G in (F, dual(F)):
-                g = lower(G, self.N)
-                assert g is not None, G.meta.tag
+                g = lower(G)
                 want = G.value(nodes, v, p, A)
                 got = g(nodes, v, du, aa, d2, np.abs(du))
                 assert np.abs(got - want).max() <= 1e-9, G.meta.tag
@@ -599,13 +610,18 @@ class TestLineEvaluator:
             assert np.abs(got - want).max() <= 1e-9
         assert np.array_equal(rad.grad, den.grad)
 
-    def test_not_lowered(self):
-        from subeq._ir import lower
-        assert lower(linear_jetequiv(np.eye(2)), 10) is None
-        assert lower(intersect(laplace(LIN, m=2), linear_jetequiv(np.eye(2))), 10) is None
-        # per-node rows of another grid's length
-        assert lower(obstacle(laplace(LIN, m=2), np.zeros(7)), 10) is None
-        assert lower(eikonal_relaxed(1.0, np.ones(7), m=2), 10) is None
+    @pytest.mark.parametrize("F", [obstacle(laplace(LIN, m=2), np.zeros(7)),
+                                   eikonal_relaxed(1.0, np.ones(7), m=2)],
+                             ids=["obstacle", "eikonal_relaxed"])
+    def test_short_rows_are_an_input_error(self, F):
+        # 7 rows of per-node data on a grid of 10 nodes: interior ids reach 8
+        from subeq.manifolds import RadialModel
+        from subeq.solver import ProblemSpec, perron_dirichlet
+        M = RadialModel.uniform(2, "sinh", 1.0, 2.0, 10)
+        with pytest.raises(InputError, match=r"has 7 rows, node ids reach 8$"):
+            perron_dirichlet(ProblemSpec(F, M, {"inner": 0.0, "outer": -1.0}))
+        with pytest.raises(InputError, match="has 7 rows"):
+            F.value(np.arange(10), np.zeros(10), np.zeros((10, 2)), np.zeros((10, 2, 2)))
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_sigma_branches_exact(self, m):
@@ -620,7 +636,7 @@ class TestLineEvaluator:
             for j in range(1, k + 1):
                 F = sigma_branch(j, k, LIN, m=m)
                 got = F.value(nodes, v, p, A)
-                want = lower(F, self.N)(nodes, v, du, aa, d2, np.abs(du))
+                want = lower(F)(nodes, v, du, aa, d2, np.abs(du))
                 assert np.abs(got - want).max() <= 1e-9, (j, k)
 
     @pytest.mark.parametrize("m", [3, 4])
@@ -632,6 +648,6 @@ class TestLineEvaluator:
         v, du, aa, d2, p, A = self.radial_jets(rng, m)
         nodes = np.arange(self.N)
         for j in range(1, m + 1):
-            got = lower(sigma_branch(j, m, LIN, m=m), self.N)(nodes, v, du, aa, d2, np.abs(du))
+            got = lower(sigma_branch(j, m, LIN, m=m))(nodes, v, du, aa, d2, np.abs(du))
             want = hessian_branch(j, LIN, m=m).value(nodes, v, p, A)
             assert np.abs(got - want).max() <= 1e-9, j
