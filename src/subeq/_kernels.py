@@ -1,25 +1,24 @@
-"""Sweep and step kernels for the Perron iteration.
+"""Newton step kernels for the Perron iteration.
 
-``vector_node_solve`` solves the scalar node equations of a batch of nodes
-at once: one bracket and bisection per node, exploiting the monotonicity
-of the defining value in the node value.  The Newton (Howard) steps
-linearize R(u) = min(G(u), cap - u) with the contact set and the active
-branches frozen.  On line (radial / 1-D) grids ``sweep_line_numpy`` takes
-the policy step over the line evaluator of ``_ir.lower`` (every
-subequation tree over ``jets.RadialView``) and the grid's ``LineStencil``
-rows, solved with ``thomas``; rows that the step cannot linearize at the
-current iterate are linearized at their node roots from the same batched
-node solve.  On boxes ``step_box`` takes the step with the subequation
-tree through the cross stencil, solved slab by slab with
-``block_thomas``; over every interior node of a box with the tree
-evaluator, ``vector_node_solve`` is the Jacobi sweep a failed box step
-falls back to.  Both steps build their rows from the
-difference quotients of one rule (``_quotient``, through ``_slopes`` and
-``_jet_slopes``) and end in one clamped update (``_clamp_write``).
+The Newton (Howard) steps linearize R(u) = min(G(u), cap - u) with the
+contact set and the active branches frozen.  On line (radial / 1-D) grids
+``sweep_line_numpy`` takes the policy step over the line evaluator of
+``_ir.lower`` (every subequation tree over ``jets.RadialView``) and the
+grid's ``LineStencil`` rows, solved with ``thomas``; rows that the step
+cannot linearize at the current iterate are linearized at their node
+roots, which ``vector_node_solve`` finds for every node in one batch.  On
+boxes ``step_box`` takes the step with the subequation tree through the
+cross and diagonal stencil, solved slab by slab with ``block_thomas``,
+and halves its update until the worst residual falls.  Both steps build
+their rows from the difference quotients of one rule (``_quotient``,
+through ``_slopes`` and ``_jet_slopes``) and end in one clamped update
+(``_clamp_write``).
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import InputError
 
 
 def vector_node_solve(G, v0, cap, step0, gtol, veps):
@@ -27,9 +26,7 @@ def vector_node_solve(G, v0, cap, step0, gtol, veps):
 
     ``G`` maps a value array to the defining values at the same nodes.
     Brackets grow up from feasible nodes and down from the others, one G
-    call per expansion.  Over all interior nodes of a box this is the
-    Jacobi sweep of a box fallback; the line engine's policy step reads
-    its roots.
+    call per expansion.  The line engine's policy step reads its roots.
     """
     g0 = G(v0)
     feas = g0 >= 0.0
@@ -124,20 +121,23 @@ def block_thomas(lo, di, up, rhs):
     return d
 
 
-def _quotient(value, x, size, bump=1e-4):
+def _quotient(value, x, size, bump=1e-7):
     """Central difference quotients of ``value`` in a jet entry, at x.
 
     ``x`` holds the entry at every node (or several entries stacked) and
-    ``size`` the node's largest jet entry, broadcast against x.  The bump is ``bump * (1 + |x|)`` rounded up to a power of two, taken
-    about x rounded to a multiple of ``unit``, the float spacing at 256
-    times ``size`` (a shift far below the bump).  The float spacing of a sum of jet entries with small integer
-    weights then divides the bumped span, so both bumped sums round alike
-    and an affine evaluator such as the Laplacian gets exact quotients,
-    unless a partial sum crosses a power of two between the two bumps
-    (then ~eps |sum| / bump: 4.5e-13 at d2 ~ -1e3).  With a plain bump a
-    trace A_00 + A_11 with A_00 ~ 0 and A_11 ~ 1e3 left ~1e-10 of roundoff
-    in the quotient, and the first Newton step overshot the discrete
-    solution by ~2e-12.
+    ``size`` the node's largest jet entry, broadcast against x.  The bump
+    is ``bump * (1 + |x|)`` rounded up to a power of two, taken about x
+    rounded to a multiple of ``unit``, the float spacing at 256 times
+    ``size`` (a shift far below the bump).  The float spacing of a sum of
+    jet entries with small integer weights then divides the bumped span,
+    so both bumped sums round alike and an affine evaluator such as the
+    Laplacian gets exact quotients, unless a partial sum crosses a power
+    of two between the two bumps (then ~eps |sum| / bump).  With a plain
+    bump of 1e-4 a trace A_00 + A_11 with A_00 ~ 0 and A_11 ~ 1e3 left
+    ~1e-10 of roundoff in the quotient, and the first Newton step
+    overshot the discrete solution by ~2e-12.  The bump is small because
+    one that straddles both branches of max(d2, aa), which agree to ~1e-4
+    (1 + |d2|) near a line solution, blends their gradients.
     """
     unit = np.spacing(256.0 * (1.0 + size))
     d = np.maximum(np.exp2(np.ceil(np.log2(bump * (1.0 + np.abs(x))))), unit)
@@ -289,67 +289,83 @@ def residual_line_numpy(u, order, S, g):
 
 # Largest number of floats the lo, di and up slab blocks of one box step may
 # hold together (64 MiB): the slabs of a 2-D box up to ~140 nodes a side,
-# of a 3-D box up to ~19.  Larger boxes fall back to the Jacobi sweeps.
+# of a 3-D box up to ~19.  A larger box is an input error.
 MAX_BLOCK_FLOATS = 2**23
 
+# Halvings of a box step's update before the last, shortest trial is kept.
+HALVINGS = 8
 
-def step_box(u, ids, M, caps, value, jet, res):
+
+def step_box(u, ids, M, caps, value, jets, res, at):
     """One Howard / Newton step on R(u) = min(G(u), cap - u) at the interior
     nodes ``ids`` of the box ``M``.
 
-    ``value(r, p, A)`` gives the defining values at ``ids`` and ``jet`` is
-    the centred cross-stencil jet of u there.  The rows chain the
-    difference quotients of ``_jet_slopes`` through the cross-stencil
-    weights; a contact row, where cap - u < G, reads delta = cap - u, as in
-    ``sweep_line_numpy``.  Before the solve every Newton row is checked:
-    off-diagonal weights >= 0 and mixed-derivative weights zero, both to
-    roundoff, and a negative pivot.  ``block_thomas`` solves the system;
-    its blocks are the slabs of interior nodes with one index along axis 0.
+    ``value(r, p, A)`` gives the defining values at ``ids`` and ``jets()``
+    the centred jets of the current u there.  The rows chain the quotients
+    of ``_jet_slopes`` through the stencil weights: the cross for p and
+    the diagonal of A, the four diagonal neighbours +-g_A[:, a, b] /
+    (4 h_a h_b) for a mixed entry.  A contact row, where cap - u < G, reads
+    delta = cap - u, as in ``sweep_line_numpy``.  Only the pivot of a row
+    is checked: a row whose pivot is not negative (to roundoff), as at a
+    triple tie of the eigenvalues under a middle branch, is left out of the
+    step (delta = 0), as a weak line row is.  ``block_thomas`` solves
+    the system over the slabs of nodes with one index along axis 0; the
+    mixed differences couple a slab only to the slabs next to it.  The
+    update is halved until max |R| falls below its value before the step,
+    at most HALVINGS times; the last trial is kept.
 
-    ``res`` receives R before the step.  Ends in ``_clamp_write``: returns
-    (max |change|, min change); raises FloatingPointError naming a failed
-    check, an oversized or singular block or a non-finite step, with u
-    unchanged.
+    ``at`` holds [(r, p, A), G] at the current u from one step to the
+    next, ``res`` receives R before the step.  Ends in ``_clamp_write``:
+    returns (max |change|, min change).  Raises FloatingPointError naming
+    a singular block or a non-finite step, with u unchanged, and
+    InputError when the blocks exceed MAX_BLOCK_FLOATS.
     """
     inner = [s - 2 for s in M.shape]
     nb, k = inner[0], ids.size // inner[0]
     if 3 * nb * k * k > MAX_BLOCK_FLOATS:
-        raise FloatingPointError(f"slab blocks of {k} nodes exceed the dense block solve")
-    r, p, A = jet
+        raise InputError(f"box too large for the Newton step: {nb} slabs of {k} nodes need "
+                         f"{3 * nb * k * k} block floats, over MAX_BLOCK_FLOATS = {MAX_BLOCK_FLOATS}")
+    if not at:
+        jet = jets()
+        at[:] = [jet, value(*jet)]
+    (r, p, A), G = at
     v, cap = u[ids], caps[ids]
-    G = value(r, p, A)
     np.minimum(G, cap - v, out=res)
     g_r, g_p, g_A = _jet_slopes(value, r, p, A)
     h, m = M.h, M.m
     own = g_r - 2.0 * sum(g_A[:, a, a] / h[a] ** 2 for a in range(m))
-    plus = [g_A[:, a, a] / h[a] ** 2 + g_p[:, a] / (2 * h[a]) for a in range(m)]
-    minus = [g_A[:, a, a] / h[a] ** 2 - g_p[:, a] / (2 * h[a]) for a in range(m)]
-    mixed = [g_A[:, a, b] / (4 * h[a] * h[b]) for a in range(m) for b in range(a + 1, m)]
-    tiny = 1e-9 * (np.abs(own) + sum(np.abs(w) for w in plus + minus))
-    newton = cap - v >= G
-    checks = (("negative off-diagonal weight", np.any([w < -tiny for w in plus + minus], axis=0)),
-              ("mixed-derivative weight", np.any([np.abs(w) > tiny for w in mixed], axis=0)),
-              ("pivot not negative", ~(own < -tiny)))
-    for what, bad in checks:
-        bad &= newton
-        if bad.any():
-            raise FloatingPointError(f"{what} in {int(bad.sum())} of {ids.size} rows")
-    q = np.arange(ids.size)
-    b, j = np.divmod(q, k)
+    # (weight, offset along each axis) of every neighbour
+    nbrs = [(g_A[:, a, a] / h[a] ** 2 + s * g_p[:, a] / (2 * h[a]), {a: s})
+            for a in range(m) for s in (1, -1)]
+    nbrs += [(sa * sb * g_A[:, a, b] / (4 * h[a] * h[b]), {a: sa, b: sb})
+             for a in range(m) for b in range(a + 1, m) for sa in (1, -1) for sb in (1, -1)]
+    W = np.array([w for w, _ in nbrs])
+    solved = cap - v >= G  # not a contact row
+    newton = solved & (own < -1e-9 * (np.abs(own) + np.abs(W).sum(axis=0)))
+    # row q, column c of block (t, q // k) is entry t N k + q k + c: the
+    # diagonal at t = 1, the neighbour in row nq at t = nq // k - q // k + 1
+    N, q = ids.size, np.arange(ids.size)
     blocks = np.zeros((3, nb, k, k))  # lo, di, up
-    blocks[1, b, j, j] = np.where(newton, own, 1.0)
-    idx = np.unravel_index(q, inner)
-    for a in range(m):
-        t = int(np.prod(inner[a + 1:]))
-        for w, row, nq in ((plus[a], newton & (idx[a] < inner[a] - 1), q + t),
-                           (minus[a], newton & (idx[a] > 0), q - t)):
-            nq = nq[row]
-            blocks[nq // k - b[row] + 1, b[row], j[row], nq % k] = w[row]
-    rhs = np.where(newton, -G, cap - v).reshape(nb, k)
+    np.put(blocks, N * k + q * k + q % k, np.where(newton, own, 1.0))
+    where = np.full(M.n_nodes, -1)  # row of each interior node
+    where[ids] = q
+    nq = np.array([where[ids + sum(s * M.strides[a] for a, s in e.items())] for _, e in nbrs])
+    o, q = np.nonzero((W != 0.0) & newton & (nq >= 0))  # a boundary neighbour enters through G
+    nq = nq[o, q]
+    np.put(blocks, (nq // k - q // k + 1) * N * k + q * k + nq % k, W[o, q])
+    rhs = np.where(newton, -G, np.where(solved, 0.0, cap - v)).reshape(nb, k)
     try:
         step = block_thomas(*blocks, rhs).ravel()
     except np.linalg.LinAlgError:
         raise FloatingPointError("singular block") from None
     if not np.all(np.isfinite(step)):
         raise FloatingPointError("non-finite step")
-    return _clamp_write(u, ids, v, step, cap)
+    worst = float(np.abs(res).max(initial=0.0))
+    for t in 0.5 ** np.arange(HALVINGS + 1):
+        trial = np.minimum(v + t * step, cap)
+        u[ids] = trial
+        jet = jets()
+        at[:] = [jet, value(*jet)]
+        if np.abs(np.minimum(at[1], cap - trial)).max(initial=0.0) < worst:
+            break
+    return _clamp_write(u, ids, v, t * step, cap)

@@ -146,6 +146,9 @@ class ModelManifold:
     def boundary_ids(self, tag: str | None = None) -> np.ndarray:
         if tag is None:
             return np.where(~self.interior_mask)[0]
+        if tag not in self.boundary_tags:
+            raise InputError(f"unknown boundary tag {tag!r}: this grid has "
+                             f"{sorted(self.boundary_tags)}")
         return self.boundary_tags[tag]
 
 

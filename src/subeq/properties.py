@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import Certificate
-from .errors import InputError, SubeqError
+from .errors import ConvergenceError, InputError, SubeqError
 from .khasminskii import radial_khasminskii_test
 from .manifolds import (
     GridFunction,
@@ -152,6 +152,8 @@ def inf_capacity(r_K: float, exhaustion_radii, M: _RadialBase,
     Solves u_j = 0 on ∂K, 1 on ∂D_j for each exhaustion radius, records the
     discrete Lipschitz constants |du_j| (non-increasing in j), and returns
     (last value, trace).  K covering the whole grid returns 0 by convention.
+    A capacitor whose certificate fails, or a Lipschitz trace that
+    increases, is a numerical failure (ConvergenceError).
     """
     if not isinstance(M, _RadialBase):
         raise InputError("capacity estimates run on radial models")
@@ -164,12 +166,17 @@ def inf_capacity(r_K: float, exhaustion_radii, M: _RadialBase,
         subM, _ = M.sub_range(r_K, R)
         u, cert = perron_dirichlet(ProblemSpec(
             F, subM, {"inner": 0.0, "outer": 1.0}, policy=policy))
+        if not cert.passed:
+            worst = ", ".join(f"{k} {v:.3e}" for k, v in cert.worst.items())
+            raise ConvergenceError(f"capacitor at R = {R:g} failed its certificate ({worst})")
         du = np.abs(np.diff(u.values) / np.diff(subM.r))
         lips.append(float(du.max()))
-    lips_arr = np.array(lips)
-    if np.any(np.diff(lips_arr) > 1e-10):
-        raise InputError("capacitor Lipschitz trace failed to be non-increasing")
-    return float(lips_arr[-1]), {"lipschitz": lips, "radii": [float(R) for R in radii]}
+    up = np.diff(lips) > 1e-10
+    if up.any():
+        i = int(np.argmax(up))
+        raise ConvergenceError("capacitor Lipschitz trace increases from "
+                               f"R = {radii[i]:g} to R = {radii[i + 1]:g}")
+    return lips[-1], {"lipschitz": lips, "radii": [float(R) for R in radii]}
 
 
 def truncate_shift(u: GridFunction, c: float) -> GridFunction:

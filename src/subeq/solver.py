@@ -24,18 +24,15 @@ and one tridiagonal solve gives the update (the first difference |du|
 that profiles read, and any p that a jet-equivalence maps, is lagged).
 On boxes each iteration is a Newton (Howard) step with the subequation
 tree ("generic"): rows from difference quotients of the tree at the
-centred jets, checked for monotonicity, and one block-tridiagonal solve.
-Both Newton steps share one stall rule (STALL_STEPS steps without a new
-minimum of the worst residual).  A failed or stalled line step ends the
-solve with ConvergenceError; a failed or stalled box step resets the
-iterate to the initial subsolution, notes the reason in the trace, and
-hands the solve to Jacobi sweeps of bisection node solves (G is monotone
-in the node value through (N) and the negative centre weight of the
-second difference).  Iterates started from a verified discrete subsolution
-increase monotonically where the scheme is monotone, mirroring the
-Perron supremum.  The loop checks the scheme residual after every sweep
-or step whose largest node change is within the policy's convergence_tol
--- the only ones that can be accepted.
+centred jets, mixed-derivative weights included, one block-tridiagonal
+solve, and the update halved until the worst residual falls.  Both
+Newton steps share one stall rule (STALL_STEPS steps without a new
+minimum of the worst residual); a failed or stalled step ends the solve
+with ConvergenceError.  Iterates started from a verified discrete
+subsolution increase monotonically where the scheme is monotone,
+mirroring the Perron supremum.  The loop checks the scheme residual
+after every step whose largest node change is within the policy's
+convergence_tol -- the only ones that can be accepted.
 """
 from __future__ import annotations
 
@@ -247,9 +244,9 @@ STALL_STEPS = 50
 
 
 def _iterate(spec: ProblemSpec, u, caps, g):
-    """Sweeps (or Newton steps) from the subsolution u to the discrete fixed point.
+    """Newton steps from the subsolution u to the discrete fixed point.
 
-    The engine supplies one sweep; ``_residual`` gives the scheme residual,
+    The engine supplies one step; ``_residual`` gives the scheme residual,
     and convergence and acceptance are decided here.  The label is "numpy"
     on line grids (g is the line evaluator), "generic" on boxes (g is None).
     """
@@ -258,9 +255,8 @@ def _iterate(spec: ProblemSpec, u, caps, g):
     gtol = min(band, 1e-9)
     veps = spec.policy.root_value_tol
     engine = "generic" if g is None else "numpy"
-    notes = []
     gf = GridFunction(spec.M, u)  # shares the array; jets follow in-place updates
-    sweep = _engine(spec, gf, caps, g, gtol, veps, notes)
+    sweep = _engine(spec, gf, caps, g, gtol, veps, engine)
     trace = []
     min_signed = 0.0
     max_ch = np.inf
@@ -277,9 +273,6 @@ def _iterate(spec: ProblemSpec, u, caps, g):
     while sweeps < spec.scheme.max_sweeps:
         max_ch, min_ch = sweep()
         sweeps += 1
-        if notes:  # the engine fell back: its iterates restart from u0
-            trace.append({"sweep": sweeps, "note": notes.pop()})
-            min_signed = 0.0
         min_signed = min(min_signed, min_ch)
         zero_streak = zero_streak + 1 if max_ch == 0.0 else 0
         if not max_ch <= conv_tol:
@@ -289,7 +282,7 @@ def _iterate(spec: ProblemSpec, u, caps, g):
         if not res_worst <= band:
             if zero_streak < 3:
                 continue
-            # exact sweep-invariance: the discrete fixed point at the
+            # exact step-invariance: the discrete fixed point at the
             # root-resolution floor; accept within the full band (a NaN
             # residual is not accepted)
             if not res_worst <= spec.membership_tol():
@@ -300,13 +293,8 @@ def _iterate(spec: ProblemSpec, u, caps, g):
     raise ConvergenceError(
         f"no convergence in {sweeps} sweeps ({engine} engine, "
         f"last max_change={max_ch:.3e}, residual={worst():.3e})",
-        diagnostics={"trace": _trace_tail(trace, 20)},
+        diagnostics={"trace": trace[-20:]},
     )
-
-
-def _trace_tail(trace, keep):
-    """The last ``keep`` trace entries, after every earlier note."""
-    return [t for t in trace[:-keep] if "note" in t] + trace[-keep:]
 
 
 def _residual(spec: ProblemSpec, u: GridFunction, g):
@@ -320,61 +308,44 @@ def _residual(spec: ProblemSpec, u: GridFunction, g):
     return ids, K.residual_line_numpy(u.values, ids, spec.M.stencil.at(ids), g)
 
 
-def _engine(spec: ProblemSpec, gf: GridFunction, caps, g, gtol, veps, notes):
-    """One sweep over the interior nodes of gf, updated in place; the grid
-    picks the Newton step.
+def _engine(spec: ProblemSpec, gf: GridFunction, caps, g, gtol, veps, engine):
+    """One Newton step over the interior nodes of gf, updated in place; the
+    grid picks the step.
 
     Line grids take the policy steps of ``K.sweep_line_numpy`` over the
     line evaluator g, boxes the Newton steps of ``K.step_box`` with the
     subequation tree.  A failed step (FloatingPointError), or STALL_STEPS
     steps in a row without a new minimum of the worst residual
-    max |min(G, cap - u)|, end a line solve with ConvergenceError; a box
-    solve resets u to the initial subsolution, puts the reason into
-    ``notes`` and goes on with Jacobi sweeps of node solves
-    (``K.vector_node_solve``, the centre weights -2/h^2 of the second
-    differences moving with the node value).  ``brackets`` carries the
-    bracket widths of the node solves from one sweep to the next.
+    max |min(G, cap - u)|, end the solve with ConvergenceError.
+    ``brackets`` carries the bracket widths of the line step's node
+    solves from one step to the next.
     """
     M, F = spec.M, spec.F
     ids = M.interior_ids
     u = gf.values
-    u0 = u.copy()
-    brackets = np.full(ids.size, 1e-3 * (1.0 + float(np.abs(u).max())))
     res = np.empty(ids.size)
-    S = M.stencil.at(ids) if M.stencil is not None else None
     steps, best, since = 0, np.inf, 0
 
-    def value(r, p, A):
-        return F.value(ids, r, p, A)
+    if M.stencil is None:
+        def value(r, p, A):
+            return F.value(ids, r, p, A)
 
-    def jets():
-        _, r, p, A = batch_jets(gf, ids)
-        return r, p, A
+        def jets():
+            return batch_jets(gf, ids)[1:]
 
-    if S is None:
+        at = []
+
         def newton():
-            return K.step_box(u, ids, M, caps, value, jets(), res)
+            return K.step_box(u, ids, M, caps, value, jets, res, at)
     else:
+        S = M.stencil.at(ids)
+        brackets = np.full(ids.size, 1e-3 * (1.0 + float(np.abs(u).max())))
+
         def newton():
             return K.sweep_line_numpy(u, ids, S, caps, g, brackets, res, gtol, veps)
 
-    def jacobi():
-        r0, p0, A0 = jets()
-        dA = np.diag(-2.0 / M.h ** 2)
-
-        def G(v):
-            return F.value(ids, v, p0, A0 + (v - r0)[:, None, None] * dA)
-
-        v = K.vector_node_solve(G, r0, caps[ids], brackets, gtol, veps)
-        ch = v - r0
-        brackets[:] = np.maximum(4.0 * np.abs(ch), 1e-9)
-        u[ids] = v
-        return float(np.abs(ch).max(initial=0.0)), float(ch.min(initial=0.0))
-
     def sweep():
-        nonlocal newton, steps, best, since
-        if newton is None:
-            return jacobi()
+        nonlocal steps, best, since
         steps += 1
         try:
             out = newton()
@@ -385,15 +356,9 @@ def _engine(spec: ProblemSpec, gf: GridFunction, caps, g, gtol, veps, notes):
                     f"no new minimum of the worst residual in {STALL_STEPS} steps")
             return out
         except FloatingPointError as e:
-            if S is not None:
-                raise ConvergenceError(
-                    f"no convergence: {e} at policy step {steps} (numpy engine, "
-                    f"residual={float(np.abs(res).max(initial=0.0)):.3e})") from None
-            newton = None
-            u[:] = u0
-            notes.append(f"Newton step fell back to Jacobi sweeps from the "
-                         f"initial subsolution: {e}")
-            return jacobi()
+            raise ConvergenceError(
+                f"no convergence: {e} at policy step {steps} ({engine} engine, "
+                f"residual={float(np.abs(res).max(initial=0.0)):.3e})") from None
 
     return sweep
 
@@ -490,7 +455,7 @@ def _certificate(spec: ProblemSpec, u, caps, g, facts) -> Certificate:
         residuals = {"membership": res, "obstacle_gap": gap, "complementarity": comp}
     return Certificate(name=name, passed=bool(passed), tolerance=tol, worst=worst,
                        counts=counts, params=params, residuals=residuals,
-                       trace=_trace_tail(facts["trace"], 50), notes=notes)
+                       trace=facts["trace"][-50:], notes=notes)
 
 
 def perron_dirichlet(spec: ProblemSpec):

@@ -137,8 +137,9 @@ class TestRun:
         lambda sc: sc["params"]["boundary"].update(inner="x"),
         lambda sc: sc["params"].update(boundary=[1, 2]),
         lambda sc: sc.update(subequation={"kind": "intersect", "parts": 3}),
+        lambda sc: sc["params"].update(boundary={"nosuch": 1.0}),
     ], ids=["no-boundary", "no-f", "f-not-an-object", "boundary-value-not-a-number",
-            "boundary-not-an-object", "parts-not-an-array"])
+            "boundary-not-an-object", "parts-not-an-array", "unknown-boundary-tag"])
     def test_malformed_scenario_exit_4(self, tmp_path, capsys, edit):
         sc = json.loads(SCENARIO_DIR.joinpath("dirichlet_annulus.json").read_text())
         edit(sc)

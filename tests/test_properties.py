@@ -129,6 +129,30 @@ class TestCapacity:
         cap, tr = inf_capacity(1.0, [1.5, 2.0, 2.5, 3.0], M)
         assert cap >= 0.5 - 1e-2
 
+    @pytest.mark.parametrize("fault", ["failed-certificate", "increasing-trace"])
+    def test_capacitor_failures_are_convergence_errors(self, monkeypatch, fault):
+        # the second capacitor fails its certificate, or its Lipschitz
+        # constant rises above the first one's
+        real = subeq.properties.perron_dirichlet
+        calls = []
+
+        def faulty(spec):
+            u, cert = real(spec)
+            calls.append(spec)
+            if len(calls) == 2:
+                if fault == "failed-certificate":
+                    cert.passed = False
+                else:
+                    u = GridFunction(u.manifold, 3.0 * u.values)
+            return u, cert
+
+        monkeypatch.setattr(subeq.properties, "perron_dirichlet", faulty)
+        M = RadialModel.uniform(2, "euclidean", 1.0, 3.0, 51)
+        match = {"failed-certificate": r"capacitor at R = 3 failed its certificate",
+                 "increasing-trace": r"trace increases from R = 2 to R = 3"}[fault]
+        with pytest.raises(ConvergenceError, match=match):
+            inf_capacity(1.0, [2.0, 3.0], M)
+
     def test_whole_domain_convention(self):
         M = RadialModel.uniform(2, "euclidean", 1.0, 3.0, 51)
         cap, tr = inf_capacity(3.0, [1.5, 2.0], M)
