@@ -4,15 +4,15 @@ The Newton (Howard) steps linearize R(u) = min(G(u), cap - u) with the
 contact set and the active branches frozen.  On line (radial / 1-D) grids
 ``sweep_line_numpy`` takes the policy step over the line evaluator of
 ``_ir.lower`` (every subequation tree over ``jets.RadialView``) and the
-grid's ``LineStencil`` rows, solved with ``thomas``; rows that the step
-cannot linearize at the current iterate are linearized at their node
-roots, which ``vector_node_solve`` finds for every node in one batch.  On
+grid's ``LineStencil`` rows, solved with ``thomas``; the weak rows, which
+the step cannot linearize at the current iterate, are linearized at their
+node roots, which ``vector_node_solve`` finds for those rows only.  On
 boxes ``step_box`` takes the step with the subequation tree through the
 cross and diagonal stencil, solved slab by slab with ``block_thomas``,
-and halves its update until the worst residual falls.  Both steps build
-their rows from the difference quotients of one rule (``_quotient``,
-through ``_slopes`` and ``_jet_slopes``) and end in one clamped update
-(``_clamp_write``).
+and halves its update until the worst residual does not rise.  Both
+steps build their rows from the difference quotients of one rule
+(``_quotient``, through ``_slopes`` and ``_jet_slopes``) and end in one
+clamped update (``_clamp_write``).
 """
 from __future__ import annotations
 
@@ -205,7 +205,7 @@ def _clamp_write(u, ids, v, step, cap, brackets=None):
     return float(np.abs(ch).max(initial=0.0)), float(ch.min(initial=0.0))
 
 
-def sweep_line_numpy(u, order, S, caps, g, steps, res, gtol, veps):
+def sweep_line_numpy(u, order, S, caps, g, brackets, res, gtol, veps):
     """One Howard policy step on R(u) = min(G(u), cap - u) at the nodes ``order``.
 
     ``order`` lists the interior nodes of the line in grid order and ``S``
@@ -217,16 +217,15 @@ def sweep_line_numpy(u, order, S, caps, g, steps, res, gtol, veps):
     aa = ang * du moves with the first-difference weights.  One
     tridiagonal solve gives the Newton update, clamped at cap.
 
-    Every node is also solved on its own first: ``vector_node_solve`` finds
-    the largest value <= cap with G >= 0 with the neighbours and du frozen
-    (bracket widths ``steps``), in one batch whose roots are not written
-    to u.  A row whose active branch does not move with the node value (no
+    A weak row, whose active branch does not move with the node value (no
     weight through v, d2 or the upwind gradient, as where the angular
-    branch of a min is active and f is constant) is linearized at that
-    root instead, where G = 0 puts a branch that does.  A row that has no
-    such weight there either is left out of the step.  The batch covers every interior
-    node, so perfbench's node-solve counters keep seeing line solves; only
-    those rows read its roots.
+    branch of a min is active and f is constant), is linearized at its
+    node root instead, where G = 0 puts a branch that does:
+    ``vector_node_solve`` finds, for the weak rows only, the largest value
+    <= cap with G >= 0 with the neighbours and du frozen (bracket widths
+    ``brackets``); the roots are not written to u.  A row that has no such
+    weight there either is left out of the step.  A step without a weak
+    row runs no node solve.
 
     ``res`` receives R before the step.  Ends in ``_clamp_write``: returns
     (max |change|, min change) and stores 4 |change| as the next bracket
@@ -234,20 +233,12 @@ def sweep_line_numpy(u, order, S, caps, g, steps, res, gtol, veps):
     """
     v = u[order]
     uL, uR = u[order - 1], u[order + 1]
-    du = S.du(uL, v, uR)
-    aa = du * S.ang
-    b0 = S.d2(uL, 0.0, uR)
     cap = caps[order]
 
-    def node_G(x):
-        return g(order, x, du, aa, b0 + S.aC * x, _upwind(x, uL, uR, S.hL, S.hR))
-
-    roots = vector_node_solve(node_G, v, cap, steps, gtol, veps)
-
-    def linearize(x):
+    def linearize(o, x, uL, uR, S):  # the rows of the nodes o at the values x
         d1 = S.du(uL, x, uR)
         pL, pR = (x - uL) / S.hL, (x - uR) / S.hR
-        jet = [order, x, d1, d1 * S.ang, S.d2(uL, x, uR), np.maximum(np.maximum(pL, pR), 0.0)]
+        jet = [o, x, d1, d1 * S.ang, S.d2(uL, x, uR), np.maximum(np.maximum(pL, pR), 0.0)]
         g_v, g_aa, g_d2, g_gdn = _slopes(g, jet)
         left = (pL >= pR) & (pL >= 0.0)
         gL = np.where(left, g_gdn / S.hL, 0.0)
@@ -258,15 +249,20 @@ def sweep_line_numpy(u, order, S, caps, g, steps, res, gtol, veps):
         no_own = np.abs(own) <= 1e-9 * (np.abs(lo) + np.abs(up))
         return g(*jet), lo, own + g_w * S.wC, up, no_own
 
-    G, row_lo, row_di, row_up, weak = linearize(v)
+    G, row_lo, row_di, row_up, weak = linearize(order, v, uL, uR, S)
     np.minimum(G, cap - v, out=res)
     if weak.any():
-        G_r, lo_r, di_r, up_r, weak_r = linearize(roots)
-        row_lo = np.where(weak, lo_r, row_lo)
-        row_di = np.where(weak, di_r, row_di)
-        row_up = np.where(weak, up_r, row_up)
-        G = np.where(weak, G_r + di_r * (v - roots), G)  # that row's value at v
-        weak &= weak_r
+        w = np.flatnonzero(weak)
+        o, x, l, r, s = order[w], v[w], uL[w], uR[w], S.at(w)
+        du = s.du(l, x, r)
+        aa, b0 = du * s.ang, s.d2(l, 0.0, r)
+
+        def node_G(y):
+            return g(o, y, du, aa, b0 + s.aC * y, _upwind(y, l, r, s.hL, s.hR))
+
+        roots = vector_node_solve(node_G, x, cap[w], brackets[w], gtol, veps)
+        G_r, row_lo[w], row_di[w], row_up[w], weak[w] = linearize(o, roots, l, r, s)
+        G[w] = G_r + row_di[w] * (x - roots)  # that row's value at v
     solved = cap - v >= G
     stepped = solved & ~weak
     di = np.where(stepped, row_di, 1.0)
@@ -277,7 +273,7 @@ def sweep_line_numpy(u, order, S, caps, g, steps, res, gtol, veps):
         raise FloatingPointError("zero pivot") from None
     if not np.all(np.isfinite(step)) or not np.all(np.isfinite(di)):
         raise FloatingPointError("non-finite pivot or step")
-    return _clamp_write(u, order, v, step, cap, steps)
+    return _clamp_write(u, order, v, step, cap, brackets)
 
 
 def residual_line_numpy(u, order, S, g):
@@ -311,8 +307,10 @@ def step_box(u, ids, M, caps, value, jets, res, at):
     step (delta = 0), as a weak line row is.  ``block_thomas`` solves
     the system over the slabs of nodes with one index along axis 0; the
     mixed differences couple a slab only to the slabs next to it.  The
-    update is halved until max |R| falls below its value before the step,
-    at most HALVINGS times; the last trial is kept.
+    update is halved until max |R| is at most its value before the step,
+    at most HALVINGS times; the last trial is kept.  A step at the
+    roundoff floor, whose update leaves max |R| where it was, so keeps its
+    first trial.
 
     ``at`` holds [(r, p, A), G] at the current u from one step to the
     next, ``res`` receives R before the step.  Ends in ``_clamp_write``:
@@ -366,6 +364,6 @@ def step_box(u, ids, M, caps, value, jets, res, at):
         u[ids] = trial
         jet = jets()
         at[:] = [jet, value(*jet)]
-        if np.abs(np.minimum(at[1], cap - trial)).max(initial=0.0) < worst:
+        if np.abs(np.minimum(at[1], cap - trial)).max(initial=0.0) <= worst:
             break
     return _clamp_write(u, ids, v, t * step, cap)

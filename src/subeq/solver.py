@@ -25,8 +25,8 @@ that profiles read, and any p that a jet-equivalence maps, is lagged).
 On boxes each iteration is a Newton (Howard) step with the subequation
 tree ("generic"): rows from difference quotients of the tree at the
 centred jets, mixed-derivative weights included, one block-tridiagonal
-solve, and the update halved until the worst residual falls.  Both
-Newton steps share one stall rule (STALL_STEPS steps without a new
+solve, and the update halved until the worst residual does not rise.
+Both Newton steps share one stall rule (STALL_STEPS steps without a new
 minimum of the worst residual); a failed or stalled step ends the solve
 with ConvergenceError.  Iterates started from a verified discrete
 subsolution increase monotonically where the scheme is monotone,
@@ -317,8 +317,8 @@ def _engine(spec: ProblemSpec, gf: GridFunction, caps, g, gtol, veps, engine):
     subequation tree.  A failed step (FloatingPointError), or STALL_STEPS
     steps in a row without a new minimum of the worst residual
     max |min(G, cap - u)|, end the solve with ConvergenceError.
-    ``brackets`` carries the bracket widths of the line step's node
-    solves from one step to the next.
+    ``brackets`` carries the bracket widths of the line step's weak-row
+    node solves from one step to the next.
     """
     M, F = spec.M, spec.F
     ids = M.interior_ids

@@ -249,14 +249,14 @@ class TestEngines:
         # min-type members with f' = 0 from the constant start: every row
         # starts at a tie, and rows where the angular branch is active have
         # no weight on the node value.  The solution is the parabola with
-        # d2 = -1, which the three-point second difference reproduces.
-        f = Profile.constant(-1.0)
-        F = {"lambda_min": hessian_branch(1, f, m=m), "plurisub": plurisub_trace(1, f, m=m),
-             "sigma_1": sigma_branch(1, m, f, m=m)}[member]
+        # d2 = -1, which the three-point second difference reproduces, in
+        # the 8 policy steps taken when every step solved every node.
         M = RadialModel.uniform(m, "sinh", 1.0, 3.0, 41)
-        u, cert = perron_dirichlet(ProblemSpec(F, M, {"inner": 0.0, "outer": 1.0}))
+        u, cert = perron_dirichlet(ProblemSpec(_min_member(m, member), M,
+                                               {"inner": 0.0, "outer": 1.0}))
         assert cert.passed and cert.params["engine"] == "numpy"
         assert np.abs(u.values - (-0.5 * M.r**2 + 2.5 * M.r - 2.0)).max() <= 10 * cert.tolerance
+        assert cert.counts["sweeps"] <= 8
 
     def test_line_engine_needs_a_lowered_tree(self):
         # every tree lowers: a jet-equivalence runs the line engine
@@ -338,6 +338,13 @@ def _five_point(M, slope, data, T=None):
     return np.linalg.solve(L, rhs)
 
 
+def _min_member(m, member):
+    """A min-type member with constant f = -1."""
+    f = Profile.constant(-1.0)
+    return {"lambda_min": hessian_branch(1, f, m=m), "plurisub": plurisub_trace(1, f, m=m),
+            "sigma_1": sigma_branch(1, m, f, m=m)}[member]
+
+
 def _exp_cos(c):
     return np.exp(c[:, 0]) * np.cos(c[:, 1])
 
@@ -416,6 +423,52 @@ class TestNodeSolve:
         K.vector_node_solve(counted, v0, cap, np.full(v0.size, step0), 0.0, np.inf)
         assert max(iters) > 10
         assert len(calls) == 1 + max(iters) + 1
+
+
+class TestWeakRowNodeSolves:
+    """The line policy step runs node solves only for its weak rows."""
+
+    def test_no_weak_row_no_node_solve(self, monkeypatch):
+        # the Laplacian's rows all weigh the node value through d2
+        def refuse(*args):
+            raise AssertionError("node solve in a step without a weak row")
+
+        monkeypatch.setattr(K, "vector_node_solve", refuse)
+        M = RadialModel.uniform(2, "sinh", 1.0, 6.0, 101)
+        _, cert = perron_dirichlet(ProblemSpec(laplace(LIN, m=2), M, {"inner": 0.0, "outer": -1.0},
+                                               scheme=SchemeParams(init="constant")))
+        assert cert.passed and cert.params["engine"] == "numpy"
+        assert cert.counts["sweeps"] > 0
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("member", ["lambda_min", "plurisub", "sigma_1"])
+    def test_batches_are_the_weak_rows(self, monkeypatch, m, member):
+        # with f constant a min member weighs the node value only through
+        # d2, so a row is weak where the d2 quotient at the step's jets is 0
+        F = _min_member(m, member)
+        M = RadialModel.uniform(m, "sinh", 1.0, 3.0, 41)
+        g = _ir.lower(F)
+        weak, batches = [], []
+        sweep, node_solve = K.sweep_line_numpy, K.vector_node_solve
+
+        def counted_sweep(u, order, S, *rest):
+            uL, v, uR = u[order - 1], u[order], u[order + 1]
+            du = S.du(uL, v, uR)
+            gdn = np.maximum(np.maximum((v - uL) / S.hL, (v - uR) / S.hR), 0.0)
+            g_d2 = K._slopes(g, [order, v, du, du * S.ang, S.d2(uL, v, uR), gdn])[2]
+            weak.append(int(np.count_nonzero(g_d2 == 0.0)))
+            return sweep(u, order, S, *rest)
+
+        def counted_node_solve(G, v0, *rest):
+            batches.append(v0.size)
+            return node_solve(G, v0, *rest)
+
+        monkeypatch.setattr(K, "sweep_line_numpy", counted_sweep)
+        monkeypatch.setattr(K, "vector_node_solve", counted_node_solve)
+        _, cert = perron_dirichlet(ProblemSpec(F, M, {"inner": 0.0, "outer": 1.0}))
+        assert cert.passed
+        assert any(weak) and not all(weak)
+        assert batches == [k for k in weak if k]
 
 
 class TestBlockThomas:
@@ -526,6 +579,31 @@ class TestBoxNewton:
         assert cert.passed and cert.params["engine"] == "generic"
         assert cert.counts["sweeps"] <= 10
         assert not any("note" in t for t in cert.trace)
+
+    def test_step_at_the_roundoff_floor_keeps_its_first_trial(self):
+        # at the discrete solution the update is at the float spacing of u
+        # and max |R| at its roundoff value, which the first trial does not
+        # raise: it is kept, one evaluation after the quotients
+        M = FlatBox(2, [(0.0, 1.0), (0.0, 1.0)], 1 / 8)
+        F = laplace(ZERO, m=2)
+        sol, _ = perron_dirichlet(ProblemSpec(F, M, {"side": _exp_cos}))
+        ids, gf = M.interior_ids, GridFunction(M, sol.values.copy())
+        jet = batch_jets(gf, ids)[1:]
+        calls = []
+
+        def value(r, p, A):
+            calls.append(1)
+            return F.value(ids, r, p, A)
+
+        K._jet_slopes(value, *jet)
+        quotients = len(calls)
+        at, res = [jet, F.value(ids, *jet)], np.empty(ids.size)
+        calls.clear()
+        out = K.step_box(gf.values, ids, M, np.full(M.n_nodes, np.inf), value,
+                         lambda: batch_jets(gf, ids)[1:], res, at)
+        assert 0.0 < np.abs(res).max() <= 1e-12
+        assert out[0] <= 1e-15
+        assert len(calls) == quotients + 1
 
     def test_oversized_blocks_are_an_input_error(self, monkeypatch):
         monkeypatch.setattr(K, "MAX_BLOCK_FLOATS", 10)
