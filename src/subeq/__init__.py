@@ -51,7 +51,6 @@ from .properties import (
 )
 from .solver import (
     ProblemSpec,
-    SchemeParams,
     comparison_check,
     make_barrier,
     perron_dirichlet,

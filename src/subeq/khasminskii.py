@@ -48,7 +48,6 @@ from .policy import DEFAULT_POLICY, NumericPolicy
 from .profiles import Profile
 from .solver import (
     ProblemSpec,
-    SchemeParams,
     make_barrier,
     solve_obstacle,
     verify_subharmonic,
@@ -255,7 +254,7 @@ def _run_stage(F, xi, eta_vals, M, pair, sched, radii, w_i, C_radius, i,
                 subM,
                 {"inner": 0.0, "outer": -(i + 1.0)},
                 obstacle=GridFunction(subM, gjk),
-                scheme=SchemeParams(warm_starts=tuple(cand)),
+                warm_starts=tuple(cand),
                 policy=policy,
             )
             sol, c = solve_obstacle(spec)

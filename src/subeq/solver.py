@@ -8,36 +8,38 @@ presolve rows all read the grid's one ``LineStencil``.
 Initialization: the constant min(boundary) - slack subsolution always
 applies; for linear members (laplace / infinity-Laplacian with linear f)
 a direct tridiagonal presolve is admitted as a warm start after an honest
-verification that it is a discrete subsolution.  The pointwise max of all
+verification that it is a discrete subsolution, as are the obstacle slack
+and the caller's ``ProblemSpec.warm_starts``.  The pointwise max of all
 verified candidates is used when it verifies itself.
 
 Solve core: perron_dirichlet and solve_obstacle are one solve (_solve)
 that differs only in its caps: +inf, or the obstacle g.  One set-up, one
 iteration loop (_iterate) and one certificate (_certificate), recomputed
 from the solution with the loop's scheme residual (_residual): the
-Dirichlet certificate is the obstacle one with no contact nodes.  One
-engine (_engine) supplies the iterations, and the grid picks its step.
-On line (radial / 1-D) grids each iteration is one Howard policy step
-over the line evaluator of _ir.lower, the tree read through the radial
-jet view ("numpy"): the contact set and the active branches are frozen,
-and one tridiagonal solve gives the update (the first difference |du|
-that profiles read, and any p that a jet-equivalence maps, is lagged).
-On boxes each iteration is a Newton (Howard) step with the subequation
-tree ("generic"): rows from difference quotients of the tree at the
-centred jets, mixed-derivative weights included, one block-tridiagonal
-solve, and the update halved until the worst residual does not rise.
-Both Newton steps share one stall rule (STALL_STEPS steps without a new
-minimum of the worst residual); a failed or stalled step ends the solve
-with ConvergenceError.  Iterates started from a verified discrete
-subsolution increase monotonically where the scheme is monotone,
-mirroring the Perron supremum.  The loop checks the scheme residual
-after every step whose largest node change is within the policy's
-convergence_tol -- the only ones that can be accepted.
+Dirichlet certificate is the obstacle one with no contact nodes.  The
+grid picks the step of the loop, and the grid's stencil picks the scheme
+residual.  On line (radial / 1-D) grids each step is one Howard policy
+step over the line evaluator of _ir.lower, the tree read through the
+radial jet view ("numpy"): the contact set and the active branches are
+frozen, and one tridiagonal solve gives the update (the first difference
+|du| that profiles read, and any p that a jet-equivalence maps, is
+lagged).  On boxes each step is a Newton (Howard) step with the
+subequation tree ("generic"): rows from difference quotients of the tree
+at the centred jets, mixed-derivative weights included, one
+block-tridiagonal solve, and the update halved until the worst residual
+does not rise.  The loop checks the scheme residual after every step
+whose largest node change is within the policy's convergence_tol -- the
+only ones that can be accepted -- and accepts within 0.45 membership_tol.
+A failed step, a stall (STALL_STEPS steps without a new minimum of the
+worst residual) or MAX_STEPS steps end the solve with ConvergenceError.
+Iterates started from a verified discrete subsolution increase
+monotonically where the scheme is monotone, mirroring the Perron
+supremum.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,20 +69,13 @@ from .subequations import (  # structural presolve detection
 )
 
 
-@dataclass(frozen=True)
-class SchemeParams:
-    max_sweeps: int = 2_000_000
-    init: object = "auto"              # "auto" | "constant" | ndarray (strict)
-    warm_starts: tuple = ()            # extra candidate arrays, verified non-strictly
-
-
 @dataclass
 class ProblemSpec:
     F: Subequation
     M: ModelManifold
     boundary: dict                      # tag -> scalar | callable(coords) | array
     obstacle: GridFunction | None = None
-    scheme: SchemeParams = field(default_factory=SchemeParams)
+    warm_starts: tuple = ()             # extra candidate arrays, verified non-strictly
     policy: NumericPolicy = DEFAULT_POLICY
 
     def conv_tol(self):
@@ -192,27 +187,19 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
             return True
         return False
 
-    if isinstance(spec.scheme.init, np.ndarray):
-        vals = spec.scheme.init.astype(float).copy()
-        vals[~interior] = bvals[~interior]
-        if not admissible(vals):
-            raise InitializationError("user initialization is not a discrete subsolution")
-        return vals, "user"
-
     bmin = np.nanmin(bvals)
     slack = 1e-2 * (1.0 + abs(bmin))
     for k in range(8):
         c = min(bmin - slack * 2.0**k, np.min(caps[interior], initial=np.inf))
         if offer("constant", np.full(M.n_nodes, c)):
             break
-    if spec.scheme.init == "auto":
-        pre = _try_presolve(F, M, bvals)
-        if pre is not None:
-            offer("presolve", pre)
-        if spec.obstacle is not None:
-            offer("obstacle-slack",
-                  np.minimum(spec.obstacle.values - 0.45 * M.min_spacing()**2, caps))
-    for wi, warm in enumerate(spec.scheme.warm_starts):
+    pre = _try_presolve(F, M, bvals)
+    if pre is not None:
+        offer("presolve", pre)
+    if spec.obstacle is not None:
+        offer("obstacle-slack",
+              np.minimum(spec.obstacle.values - 0.45 * M.min_spacing()**2, caps))
+    for wi, warm in enumerate(spec.warm_starts):
         offer(f"warm{wi}", np.minimum(np.asarray(warm, dtype=float), caps))
     if not candidates:
         raise InitializationError(
@@ -224,14 +211,14 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
                 or admissible(merged)):
             return merged, "max(" + ",".join(lbl for lbl, _ in candidates) + ")"
     # prefer the warmest single verified candidate
-    order = ["presolve"] + [f"warm{i}" for i in range(len(spec.scheme.warm_starts))]
+    order = ["presolve"] + [f"warm{i}" for i in range(len(spec.warm_starts))]
     order += ["obstacle-slack", "constant"]
     label, vals = min(candidates, key=lambda c: order.index(c[0]))
     return vals, label
 
 
 # ---------------------------------------------------------------------------
-# iteration engines
+# the Newton loop
 # ---------------------------------------------------------------------------
 
 
@@ -241,126 +228,92 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
 # members and of the committed scenarios never went more than 7 steps
 # without one.
 STALL_STEPS = 50
+# Newton steps one solve may take in all.
+MAX_STEPS = 2_000_000
 
 
-def _iterate(spec: ProblemSpec, u, caps, g):
-    """Newton steps from the subsolution u to the discrete fixed point.
+def _iterate(spec: ProblemSpec, u, caps):
+    """Newton steps from the subsolution u, updated in place, to the
+    discrete fixed point; returns (u, facts).
 
-    The engine supplies one step; ``_residual`` gives the scheme residual,
-    and convergence and acceptance are decided here.  The label is "numpy"
-    on line grids (g is the line evaluator), "generic" on boxes (g is None).
+    The grid picks the step: line grids take the policy steps of
+    ``K.sweep_line_numpy`` over the line evaluator of ``_ir.lower``
+    ("numpy" engine), boxes the Newton steps of ``K.step_box`` with the
+    subequation tree ("generic").  A step whose largest node change is
+    within convergence_tol is accepted when the scheme residual
+    (``_residual``) is within 0.45 membership_tol.  A failed step
+    (FloatingPointError), STALL_STEPS steps in a row without a new minimum
+    of the worst residual max |min(G, cap - u)| before a step, or MAX_STEPS
+    steps end the solve with ConvergenceError, whose message gives that
+    worst residual before the last step.  ``brackets`` carries the
+    bracket widths of the line step's weak-row node solves from one step
+    to the next.
     """
+    M, F = spec.M, spec.F
     conv_tol = spec.conv_tol()
     band = 0.45 * spec.membership_tol()
-    gtol = min(band, 1e-9)
-    veps = spec.policy.root_value_tol
-    engine = "generic" if g is None else "numpy"
-    gf = GridFunction(spec.M, u)  # shares the array; jets follow in-place updates
-    sweep = _engine(spec, gf, caps, g, gtol, veps, engine)
-    trace = []
-    min_signed = 0.0
-    max_ch = np.inf
-    sweeps = 0
+    ids = M.interior_ids
+    gf = GridFunction(M, u)  # shares the array; jets follow in-place updates
+    res = np.empty(ids.size)
+    if M.stencil is None:
+        engine, at = "generic", []
+
+        def step():
+            return K.step_box(u, ids, M, caps, lambda r, p, A: F.value(ids, r, p, A),
+                              lambda: batch_jets(gf, ids)[1:], res, at)
+    else:
+        engine, g, S = "numpy", _ir.lower(F), M.stencil.at(ids)
+        brackets = np.full(ids.size, 1e-3 * (1.0 + float(np.abs(u).max())))
+        gtol, veps = min(band, 1e-9), spec.policy.root_value_tol
+
+        def step():
+            return K.sweep_line_numpy(u, ids, S, caps, g, brackets, res, gtol, veps)
+
     free_band = 10 * conv_tol
-    zero_streak = 0
-
-    def worst():
-        ids, res = _residual(spec, gf, g)
-        free = u[ids] < caps[ids] - free_band
-        out = float(np.abs(res[free]).max(initial=0.0))
-        return max(out, float(np.maximum(-res[~free], 0.0).max(initial=0.0)))
-
-    while sweeps < spec.scheme.max_sweeps:
-        max_ch, min_ch = sweep()
-        sweeps += 1
+    trace, min_signed = [], 0.0
+    steps, best, since = 0, np.inf, 0
+    while True:
+        steps += 1
+        try:
+            max_ch, min_ch = step()
+        except FloatingPointError as e:
+            why = str(e)
+            break
+        before = float(np.abs(res).max(initial=0.0))  # max |R| before the step
+        best, since = (before, 0) if before < best else (best, since + 1)
+        if since >= STALL_STEPS:
+            why = f"no new minimum of the worst residual in {STALL_STEPS} steps"
+            break
         min_signed = min(min_signed, min_ch)
-        zero_streak = zero_streak + 1 if max_ch == 0.0 else 0
-        if not max_ch <= conv_tol:
-            continue  # no acceptance possible: skip the residual
-        res_worst = worst()
-        trace.append({"sweep": sweeps, "max_change": max_ch, "residual": res_worst})
-        if not res_worst <= band:
-            if zero_streak < 3:
-                continue
-            # exact step-invariance: the discrete fixed point at the
-            # root-resolution floor; accept within the full band (a NaN
-            # residual is not accepted)
-            if not res_worst <= spec.membership_tol():
-                break
-            trace.append({"sweep": sweeps, "note": "fixed point at roundoff floor"})
-        return u, {"sweeps": sweeps, "engine": engine, "trace": trace,
-                   "min_signed_change": min_signed}
+        if max_ch <= conv_tol:  # only such a step can be accepted
+            rids, r = _residual(spec, gf)
+            free = u[rids] < caps[rids] - free_band
+            worst = max(float(np.abs(r[free]).max(initial=0.0)),
+                        float(np.maximum(-r[~free], 0.0).max(initial=0.0)))
+            trace.append({"sweep": steps, "max_change": max_ch, "residual": worst})
+            if worst <= band:
+                return u, {"sweeps": steps, "engine": engine, "trace": trace,
+                           "min_signed_change": min_signed}
+        if steps >= MAX_STEPS:
+            why = f"MAX_STEPS = {MAX_STEPS} steps taken"
+            break
     raise ConvergenceError(
-        f"no convergence in {sweeps} sweeps ({engine} engine, "
-        f"last max_change={max_ch:.3e}, residual={worst():.3e})",
+        f"no convergence: {why} at step {steps} ({engine} engine, "
+        f"residual={float(np.abs(res).max(initial=0.0)):.3e})",
         diagnostics={"trace": trace[-20:]},
     )
 
 
-def _residual(spec: ProblemSpec, u: GridFunction, g):
+def _residual(spec: ProblemSpec, u: GridFunction):
     """Interior node ids and the scheme residual of u there: the line
-    evaluator g where the policy steps run, the tree at centred jets where
-    g is None.  The loop's acceptance check and the certificate both read
-    it."""
-    if g is None:
-        return _interior_residual(spec.F, u)
-    ids = spec.M.interior_ids
-    return ids, K.residual_line_numpy(u.values, ids, spec.M.stencil.at(ids), g)
-
-
-def _engine(spec: ProblemSpec, gf: GridFunction, caps, g, gtol, veps, engine):
-    """One Newton step over the interior nodes of gf, updated in place; the
-    grid picks the step.
-
-    Line grids take the policy steps of ``K.sweep_line_numpy`` over the
-    line evaluator g, boxes the Newton steps of ``K.step_box`` with the
-    subequation tree.  A failed step (FloatingPointError), or STALL_STEPS
-    steps in a row without a new minimum of the worst residual
-    max |min(G, cap - u)|, end the solve with ConvergenceError.
-    ``brackets`` carries the bracket widths of the line step's weak-row
-    node solves from one step to the next.
-    """
-    M, F = spec.M, spec.F
-    ids = M.interior_ids
-    u = gf.values
-    res = np.empty(ids.size)
-    steps, best, since = 0, np.inf, 0
-
+    evaluator of ``_ir.lower`` on grids with a line stencil, the tree at
+    centred jets on boxes.  The loop's acceptance check and the
+    certificate both read it."""
+    M = spec.M
     if M.stencil is None:
-        def value(r, p, A):
-            return F.value(ids, r, p, A)
-
-        def jets():
-            return batch_jets(gf, ids)[1:]
-
-        at = []
-
-        def newton():
-            return K.step_box(u, ids, M, caps, value, jets, res, at)
-    else:
-        S = M.stencil.at(ids)
-        brackets = np.full(ids.size, 1e-3 * (1.0 + float(np.abs(u).max())))
-
-        def newton():
-            return K.sweep_line_numpy(u, ids, S, caps, g, brackets, res, gtol, veps)
-
-    def sweep():
-        nonlocal steps, best, since
-        steps += 1
-        try:
-            out = newton()
-            worst = float(np.abs(res).max(initial=0.0))
-            best, since = (worst, 0) if worst < best else (best, since + 1)
-            if since >= STALL_STEPS:
-                raise FloatingPointError(
-                    f"no new minimum of the worst residual in {STALL_STEPS} steps")
-            return out
-        except FloatingPointError as e:
-            raise ConvergenceError(
-                f"no convergence: {e} at policy step {steps} ({engine} engine, "
-                f"residual={float(np.abs(res).max(initial=0.0)):.3e})") from None
-
-    return sweep
+        return _interior_residual(spec.F, u)
+    ids = M.interior_ids
+    return ids, K.residual_line_numpy(u.values, ids, M.stencil.at(ids), _ir.lower(spec.F))
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +334,9 @@ def _comparison_regime(F: Subequation) -> str:
 
 
 def _solve(spec: ProblemSpec, caps):
-    """The solve core: boundary data, verified initial subsolution, the line
-    evaluator (line grids only), the monotone iteration with node values
-    capped at caps, and the certificate of its result.  Returns
-    (u, certificate).
+    """The solve core: boundary data, verified initial subsolution, the
+    monotone iteration with node values capped at caps, and the
+    certificate of its result.  Returns (u, certificate).
     """
     t0 = time.perf_counter()
     M = spec.M
@@ -392,18 +344,15 @@ def _solve(spec: ProblemSpec, caps):
     bd = ~M.interior_mask
     if np.any(bvals[bd] > caps[bd] + 1e-12):
         raise PreconditionError("boundary data must satisfy phi <= g on the boundary")
-    g = _ir.lower(spec.F)
-    if M.stencil is None:
-        g = None  # boxes run the tree
     u0, init_label = _initial_subsolution(spec, bvals, caps)
-    u, facts = _iterate(spec, u0.copy(), caps, g)
-    cert = _certificate(spec, u, caps, g, {**facts, "init": init_label})
+    u, facts = _iterate(spec, u0.copy(), caps)
+    cert = _certificate(spec, u, caps, {**facts, "init": init_label})
     cert.wall_time = time.perf_counter() - t0
     return GridFunction(M, u), cert
 
 
-def _certificate(spec: ProblemSpec, u, caps, g, facts) -> Certificate:
-    """A solve's certificate from (spec, u, caps, g) and the facts the
+def _certificate(spec: ProblemSpec, u, caps, facts) -> Certificate:
+    """A solve's certificate from (spec, u, caps) and the facts the
     iteration reports of itself: sweeps, engine, init, trace and
     min_signed_change.
 
@@ -417,7 +366,7 @@ def _certificate(spec: ProblemSpec, u, caps, g, facts) -> Certificate:
     M, tol = spec.M, spec.membership_tol()
     gf = GridFunction(M, u)
     ids, res = _interior_residual(spec.F, gf)
-    sres = res if g is None else _residual(spec, gf, g)[1]
+    sres = res if M.stencil is None else _residual(spec, gf)[1]
     gap = caps[ids] - u[ids]
     harmonic = np.minimum(sres, gap)     # defining value of F^g at scheme jets
     contact = gap <= tol
