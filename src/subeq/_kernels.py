@@ -121,14 +121,18 @@ def block_thomas(lo, di, up, rhs):
     return d
 
 
-def _quotient(value, x, size, bump=1e-7):
+# relative bump of the difference quotients (``_quotient``)
+QUOTIENT_BUMP = 1e-7
+
+
+def _quotient(value, x, size):
     """Central difference quotients of ``value`` in a jet entry, at x.
 
     ``x`` holds the entry at every node (or several entries stacked) and
     ``size`` the node's largest jet entry, broadcast against x.  The bump
-    is ``bump * (1 + |x|)`` rounded up to a power of two, taken about x
-    rounded to a multiple of ``unit``, the float spacing at 256 times
-    ``size`` (a shift far below the bump).  The float spacing of a sum of
+    is ``QUOTIENT_BUMP * (1 + |x|)`` rounded up to a power of two, taken
+    about x rounded to a multiple of ``unit``, the float spacing at 256
+    times ``size`` (a shift far below the bump).  The float spacing of a sum of
     jet entries with small integer weights then divides the bumped span,
     so both bumped sums round alike and an affine evaluator such as the
     Laplacian gets exact quotients, unless a partial sum crosses a power
@@ -140,7 +144,7 @@ def _quotient(value, x, size, bump=1e-7):
     (1 + |d2|) near a line solution, blends their gradients.
     """
     unit = np.spacing(256.0 * (1.0 + size))
-    d = np.maximum(np.exp2(np.ceil(np.log2(bump * (1.0 + np.abs(x))))), unit)
+    d = np.maximum(np.exp2(np.ceil(np.log2(QUOTIENT_BUMP * (1.0 + np.abs(x))))), unit)
     x = np.rint(x / unit) * unit
     hi, lo = x + d, x - d
     return (value(hi) - value(lo)) / (hi - lo)

@@ -69,13 +69,15 @@ class SymMatrix:
         object.__setattr__(self, "packed", packed)
 
     @staticmethod
-    def from_full(mat, sym_tol: float = 1e-9) -> "SymMatrix":
+    def from_full(mat) -> "SymMatrix":
+        """The symmetric part of a square matrix that is symmetric within
+        1e-9 (1 + max |entry|)."""
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InputError("from_full expects a square matrix")
         _check_finite(mat, "SymMatrix entries")
         scale = 1.0 + np.abs(mat).max()
-        if np.abs(mat - mat.T).max() > sym_tol * scale:
+        if np.abs(mat - mat.T).max() > 1e-9 * scale:
             raise InputError("matrix is not symmetric")
         m = mat.shape[0]
         sym = 0.5 * (mat + mat.T)
@@ -179,24 +181,22 @@ def eigenvalues_sym_batch(A: np.ndarray) -> np.ndarray:
 def sigma_k(lam, k: int) -> float:
     """k-th elementary symmetric polynomial of the values ``lam``.
 
-    Uses the product recurrence e_j <- e_j + x e_{j-1}, which is exact in
-    exact arithmetic and well behaved for mixed signs.
+    Uses the product recurrence of ``_sigma_shifted_batch`` with no shift.
     """
     lam = np.asarray(lam, dtype=float)
     m = lam.size
     if not (1 <= k <= m):
         raise InputError(f"sigma_k order k={k} out of range [1, {m}]")
     _check_finite(lam, "sigma_k arguments")
-    e = np.zeros(k + 1)
-    e[0] = 1.0
-    for x in lam:
-        for j in range(k, 0, -1):
-            e[j] += x * e[j - 1]
-    return float(e[k])
+    return float(_sigma_shifted_batch(lam.reshape(1, m), np.zeros(1), k)[0])
 
 
 def _sigma_shifted_batch(lam: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
-    """sigma_k(lam + t) for a batch: lam (n, m), t (n,) -> (n,)."""
+    """sigma_k(lam + t) for a batch: lam (n, m), t (n,) -> (n,).
+
+    Uses the product recurrence e_j <- e_j + x e_{j-1}, which is exact in
+    exact arithmetic and well behaved for mixed signs.
+    """
     n, m = lam.shape
     e = np.zeros((n, k + 1))
     e[:, 0] = 1.0

@@ -54,6 +54,13 @@ from .solver import (
 )
 from .subequations import Subequation, eikonal_relaxed, intersect, laplace
 
+# how far h must fall from its inner third to its outer end (PairKh)
+MIN_DROP = 0.5
+# the radial ODE oracle's blow-up threshold: a solution past it passes
+ODE_THRESHOLD = 1e6
+# the slope cap below 1 of the Ekeland distance potential
+SLOPE_CAP = 0.99
+
 
 @dataclass
 class PairKh:
@@ -66,7 +73,6 @@ class PairKh:
 
     M: _RadialBase
     h: GridFunction
-    min_drop: float = 0.5
 
     def __post_init__(self):
         if not isinstance(self.M, _RadialBase):
@@ -81,10 +87,10 @@ class PairKh:
         near = float(hv[1:max(2, n // 3)].min())
         far = float(hv[-1])
         tail = hv[n // 2:]
-        if not (far <= near - self.min_drop and np.all(np.diff(tail) <= 1e-9)):
+        if not (far <= near - MIN_DROP and np.all(np.diff(tail) <= 1e-9)):
             raise ConstructionError(
                 "h does not diverge along the exhaustion (outer drop "
-                f"{near - far:.3g} < required {self.min_drop:g})")
+                f"{near - far:.3g} < required {MIN_DROP:g})")
 
     @property
     def r_K(self) -> float:
@@ -109,11 +115,6 @@ class Schedule:
             raise InputError("exhaustion radii must be strictly increasing")
 
 
-def _default_radii(M: _RadialBase, count: int = 10):
-    r0, r1 = M.r[0], M.r[-1]
-    return tuple(r0 + (r1 - r0) * (j + 1) / (count + 1) for j in range(count))
-
-
 def build_potential(F: Subequation, pair: PairKh, sched: Schedule,
                     xi: Profile | None = None,
                     policy: NumericPolicy = DEFAULT_POLICY):
@@ -122,10 +123,14 @@ def build_potential(F: Subequation, pair: PairKh, sched: Schedule,
     With ``xi`` given, the construction couples F with the relaxed eikonal
     E_xi^eta (eta supported on a collar of ∂K, sized from the barrier
     gradient) and certifies pure E_xi membership outside the collar.
+    Without ``sched.radii`` the exhaustion is ten radii evenly spaced
+    strictly inside the grid.
     """
     t0 = time.perf_counter()
     M = pair.M
-    radii = np.asarray(sched.radii if sched.radii else _default_radii(M), dtype=float)
+    r0, r1 = M.r[0], M.r[-1]
+    default = tuple(r0 + (r1 - r0) * j / 11 for j in range(1, 11))
+    radii = np.asarray(sched.radii or default, dtype=float)
     if radii[-1] >= M.r[-1] - 1e-12:
         raise InputError("exhaustion radii must stay strictly inside the grid")
     hv = pair.h.values
@@ -167,7 +172,7 @@ def build_potential(F: Subequation, pair: PairKh, sched: Schedule,
 
     for i in range(sched.i_max):
         w_next, entry = _run_stage(F, xi_solve, eta_vals, M, pair, sched, radii, w,
-                                   C_radius, i, barrier, policy)
+                                   C_radius, i, policy)
         stage_trace.append(entry)
         C_radius = entry["C_radius"]
         w = w_next
@@ -192,8 +197,7 @@ def build_potential(F: Subequation, pair: PairKh, sched: Schedule,
     return wgf, cert
 
 
-def _run_stage(F, xi, eta_vals, M, pair, sched, radii, w_i, C_radius, i,
-               barrier, policy):
+def _run_stage(F, xi, eta_vals, M, pair, sched, radii, w_i, C_radius, i, policy):
     hv = pair.h.values
     pinch_factor = 1.0 - 2.0 ** (-(i + 2))
     gap_target = sched.eps / 2.0**i
@@ -219,7 +223,6 @@ def _run_stage(F, xi, eta_vals, M, pair, sched, radii, w_i, C_radius, i,
     gap_radius = radii[min(max(i, 1) - 1, radii.size - 1)]
     gap_mask_full = (M.r <= gap_radius + 1e-12) & M.interior_mask
 
-    beta_patch = np.maximum(barrier.beta.values, -(i + 1.0))
     prev_j_solution = None
     entry = {"stage": i, "psi_gaps": [], "sweeps": 0}
     gap = np.inf
@@ -234,9 +237,7 @@ def _run_stage(F, xi, eta_vals, M, pair, sched, radii, w_i, C_radius, i,
         if xi is not None:
             F_sub = intersect(F, eikonal_relaxed(xi, eta_vals[ids], m=F.m))
         lam_j = -np.clip((subM.r - ramp_lo) / max(ramp_hi - ramp_lo, 1e-9), 0.0, 1.0)
-        warm = [np.minimum(beta_patch[ids], 0.0)]
-        if prev_j_solution is not None:
-            warm.append(prev_j_solution[ids])
+        warm = [] if prev_j_solution is None else [prev_j_solution[ids]]
         psi_prev_sol = None
         u_sub = None
         sweeps = 0
@@ -286,15 +287,14 @@ def _run_stage(F, xi, eta_vals, M, pair, sched, radii, w_i, C_radius, i,
 # ---------------------------------------------------------------------------
 
 
-def radial_khasminskii_test(warp, m: int, lam: float, r_range,
-                            threshold: float = 1e6, trend_window: float = 0.1,
-                            n_out: int = 400):
+def radial_khasminskii_test(warp, m: int, lam: float, r_range):
     """Integrate w'' + (m-1)(g'/g) w' = lam w outward from w=1, w'=0.
 
-    Pass: the solution blows past ``threshold`` with increasing trend --
-    w itself is then a Khas'minskii function for {tr A >= lam r}.  Fail:
-    the solution stays bounded with vanishing derivative trend.  Returns
-    (verdict, r, w, trace) with verdict in {"Pass", "Fail", "Inconclusive"}.
+    Pass: the solution blows past ``ODE_THRESHOLD`` with increasing trend
+    over the last tenth of the range -- w itself is then a Khas'minskii
+    function for {tr A >= lam r}.  Fail: the solution stays bounded with
+    vanishing derivative trend.  Returns (verdict, r, w, trace) with verdict
+    in {"Pass", "Fail", "Inconclusive"}, w resampled on 400 nodes.
     """
     if lam <= 0:
         raise InputError("need lam > 0")
@@ -309,11 +309,11 @@ def radial_khasminskii_test(warp, m: int, lam: float, r_range,
 
     try:
         ts, ys, status = integrate(rhs, r0, [1.0, 0.0], r1,
-                                   stop_above=threshold, max_step=(r1 - r0) / 50)
+                                   stop_above=ODE_THRESHOLD, max_step=(r1 - r0) / 50)
     except NumericalError as e:
         return "Inconclusive", None, None, {"error": str(e), **e.diagnostics}
     w, dw = ys[:, 0], ys[:, 1]
-    tail = ts >= ts[-1] - trend_window * (ts[-1] - r0)
+    tail = ts >= ts[-1] - 0.1 * (ts[-1] - r0)
     trend = float(np.mean(dw[tail]))
     wmax = float(np.abs(w).max())
     # projected remaining growth: a saturating solution creeps at a rate whose
@@ -323,12 +323,13 @@ def radial_khasminskii_test(warp, m: int, lam: float, r_range,
     dw_falling = dw_tail.size < 2 or dw_tail[-1] <= dw_tail[0] * (1 + 1e-6) + 1e-12
     trace = {"status": status, "w_end": float(w[-1]), "trend": trend,
              "rel_growth": float(rel_growth),
-             "r_end": float(ts[-1]), "threshold": threshold}
-    grid = np.linspace(r0, ts[-1], n_out)
+             "r_end": float(ts[-1]), "threshold": ODE_THRESHOLD}
+    grid = np.linspace(r0, ts[-1], 400)
     wg = _hermite_resample(ts, w, dw, grid)
     if status == "threshold" and trend > 0 and np.all(np.diff(w) >= -1e-12 * wmax):
         return "Pass", grid, wg, trace
-    if status == "done" and abs(w[-1]) < threshold and rel_growth <= 0.05 and dw_falling:
+    if (status == "done" and abs(w[-1]) < ODE_THRESHOLD and rel_growth <= 0.05
+            and dw_falling):
         return "Fail", grid, wg, trace
     return "Inconclusive", grid, wg, trace
 
@@ -354,13 +355,13 @@ def _hermite_resample(ts, w, dw, grid):
 # ---------------------------------------------------------------------------
 
 
-def ekeland_potential(pair: PairKh, policy: NumericPolicy = DEFAULT_POLICY,
-                      slope_cap: float = 0.99):
+def ekeland_potential(pair: PairKh, policy: NumericPolicy = DEFAULT_POLICY):
     """Distance-based potential w = G(-r) with 0 < G' < 1, G'' >= 0, G >= h.
 
     The slope schedule is the greedy concave envelope below |h| anchored at
-    ∂K, capped under 1; the result is eikonal- and infinity-Laplacian
-    subharmonic by construction, which the certificate verifies discretely.
+    ∂K, capped at ``SLOPE_CAP`` under 1; the result is eikonal- and
+    infinity-Laplacian subharmonic by construction, which the certificate
+    verifies discretely.
     Refused on incomplete punctured models: the distance to the puncture is
     finite, so no |∇w| <= 1 exhaustion can diverge there.
     """
@@ -375,11 +376,11 @@ def ekeland_potential(pair: PairKh, policy: NumericPolicy = DEFAULT_POLICY,
     n = M.n_nodes
     slopes = np.empty(n)
     C = np.zeros(n)
-    prev_slope = slope_cap
+    prev_slope = SLOPE_CAP
     for idx in range(1, n):
         dr = r[idx] - r[idx - 1]
         room = (-hv[idx]) - C[idx - 1]
-        s = min(prev_slope, slope_cap, max(room, 0.0) / dr)
+        s = min(prev_slope, SLOPE_CAP, max(room, 0.0) / dr)
         C[idx] = C[idx - 1] + s * dr
         slopes[idx] = s
         prev_slope = s
@@ -388,7 +389,7 @@ def ekeland_potential(pair: PairKh, policy: NumericPolicy = DEFAULT_POLICY,
     tol = policy.membership_tol
     from .subequations import eikonal, inf_laplacian
     cert = Certificate(name="ekeland_potential", passed=True, tolerance=tol,
-                       params={"slope_cap": slope_cap,
+                       params={"slope_cap": SLOPE_CAP,
                                "final_slope": float(slopes[-1])})
     ce = verify_subharmonic(eikonal(1.0, m=M.m), w, M, tol=tol)
     ci = verify_subharmonic(inf_laplacian(0.0, m=M.m), w, M, tol=tol)
@@ -408,15 +409,14 @@ def ekeland_potential(pair: PairKh, policy: NumericPolicy = DEFAULT_POLICY,
 # ---------------------------------------------------------------------------
 
 
-def log_transform(gfun: GridFunction, lam: float, mu: float,
-                  tol: float = 1e-6, precond_tol: float | None = None):
+def log_transform(gfun: GridFunction, lam: float, mu: float, tol: float = 1e-6):
     """w = -mu log g for 1 <= g with ∇dg <= lam^2 g <,>: returns (w, certificate).
 
     Verifies the derived bounds |∇w| <= mu lam + tol and
     lambda_min(∇dw) >= -mu lam^2 - tol, plus the intermediate gradient
     bound |∇g| <= lam g + tol that the flow-line comparison argument
     yields.  The Hessian precondition check runs at a discretization-aware
-    tolerance (O(h^2) inflation) unless ``precond_tol`` is given.
+    tolerance (O(h^2) inflation).
     """
     t0 = time.perf_counter()
     if not (0 < mu < 1):
@@ -430,9 +430,7 @@ def log_transform(gfun: GridFunction, lam: float, mu: float,
     ids, rr, pp, AA = batch_jets(gfun)
     lam_max = eigenvalues_sym_batch(AA)[:, -1]
     gmax = float(gv.max())
-    if precond_tol is None:
-        h = M.min_spacing()
-        precond_tol = max(tol, 0.5 * h**2 * lam**2 * gmax)
+    precond_tol = max(tol, 0.5 * M.min_spacing()**2 * lam**2 * gmax)
     bad = lam_max - lam**2 * gv[ids]
     if bad.max(initial=-np.inf) > precond_tol:
         worst_nodes = ids[np.argsort(bad)[-5:]]
@@ -469,20 +467,20 @@ def log_transform(gfun: GridFunction, lam: float, mu: float,
 
 
 def punctured_example_check(m: int, lam: float, M: PuncturedEuclidean | None = None,
-                            r_min: float = 0.05, r_max: float = 4.0, n: int = 600,
-                            tol: float = 1e-8):
+                            r_min: float = 0.05, tol: float = 1e-8):
     """Membership of the explicit punctured-space potential in {tr A >= lam r}.
 
     w = -|x|^2 - |x|^(2-m) for m >= 3, and -|x|^2 + log|x| for m = 2;
     evaluated with exact radial derivatives, so the residual tr A - lam w
     is roundoff-accurate.  Reports the empirical compact K where
-    membership fails, which shrinks as lam grows.
+    membership fails, which shrinks as lam grows.  Without ``M`` the check
+    runs on 600 nodes over [r_min, 4].
     """
     t0 = time.perf_counter()
     if m < 2:
         raise InputError("need m >= 2")
     if M is None:
-        M = PuncturedEuclidean(m, r_min, r_max, n)
+        M = PuncturedEuclidean(m, r_min, 4.0, 600)
     r = M.r
     if m == 2:
         w = -(r**2) + np.log(r)

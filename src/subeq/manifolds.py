@@ -351,12 +351,8 @@ class Exhaustion:
         return self.masks[j]
 
 
-def make_exhaustion(M: ModelManifold, j_max: int, radii=None) -> Exhaustion:
-    """Nested metric balls / sub-boxes; see the manifold kinds for the shapes.
-
-    ``radii`` overrides the automatic schedule on radial kinds (outer radii
-    for RadialModel, symmetric log-fractions for PuncturedEuclidean).
-    """
+def make_exhaustion(M: ModelManifold, j_max: int) -> Exhaustion:
+    """Nested metric balls / sub-boxes; see the manifold kinds for the shapes."""
     if j_max < 2:
         raise InputError("need j_max >= 2")
     if isinstance(M, PuncturedEuclidean):
@@ -371,11 +367,8 @@ def make_exhaustion(M: ModelManifold, j_max: int, radii=None) -> Exhaustion:
             masks.append(mask)
         return Exhaustion(M, _dedup_strict(masks, M))
     if isinstance(M, _RadialBase):
-        if radii is None:
-            r0, r1 = M.r[0], M.r[-1]
-            radii = [r0 + (r1 - r0) * j / j_max for j in range(1, j_max + 1)]
-        if len(radii) != j_max or np.any(np.diff(radii) <= 0):
-            raise InputError("radii must be strictly increasing, length j_max")
+        r0, r1 = M.r[0], M.r[-1]
+        radii = [r0 + (r1 - r0) * j / j_max for j in range(1, j_max + 1)]
         masks = [(M.r <= rad + 1e-12) & M.interior_mask for rad in radii]
         masks[-1] = M.interior_mask.copy()
         return Exhaustion(M, _dedup_strict(masks, M))
@@ -478,14 +471,16 @@ def discrete_jet(u: GridFunction, node: int) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-def volume_growth_test(warp, m: int, r_max: float, step: float = 1e-2) -> tuple:
+def volume_growth_test(warp, m: int, r_max: float) -> tuple:
     """Grigor'yan-type sufficient test: diverges iff r / log vol(B_r) is
     not integrable at infinity, judged from the log-log slope of the
-    integrand over the last decade of the partial integrals.
+    integrand over the last decade of the partial integrals, sampled at
+    r = 0.01, 0.02, ..., r_max.
 
     Returns (verdict, trace) with verdict in {"Diverges", "Converges"}.
     """
     warp = get_warp(warp)
+    step = 1e-2
     r = np.arange(step, r_max + step / 2, step)
     gv = warp.g(r)
     if np.any(~np.isfinite(gv)) or np.any(gv <= 0):
@@ -500,7 +495,7 @@ def volume_growth_test(warp, m: int, r_max: float, step: float = 1e-2) -> tuple:
     tail = r >= r_max / 10.0
     sel = tail & ok
     if sel.sum() < 8:
-        raise DomainError("not enough tail samples; increase r_max or lower step")
+        raise DomainError("not enough tail samples; increase r_max")
     slope = np.polyfit(np.log(r[sel]), np.log(integrand[sel]), 1)[0]
     verdict = "Diverges" if slope >= -1.0 else "Converges"
     trace = {

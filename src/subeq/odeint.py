@@ -25,21 +25,26 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
 
+# per-step error tolerances and the step budget of one integration
+RTOL = 1e-8
+ATOL = 1e-10
+MAX_STEPS = 200_000
 
-def integrate(f, t0: float, y0, t1: float, rtol: float = 1e-8, atol: float = 1e-10,
-              max_step: float | None = None, stop_above: float | None = None,
-              max_steps: int = 200_000):
+
+def integrate(f, t0: float, y0, t1: float, max_step: float | None = None,
+              stop_above: float | None = None):
     """Integrate y' = f(t, y) from t0 to t1 > t0.
 
-    Returns (ts, ys, status) with status 'done' or 'threshold' (|y_0|
-    exceeded ``stop_above``).
+    Steps are accepted at the RMS error within ATOL + RTOL |y|, and at most
+    MAX_STEPS are taken.  Returns (ts, ys, status) with status 'done' or
+    'threshold' (|y_0| exceeded ``stop_above``).
     """
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
     h = min((t1 - t0) / 100.0, max_step or np.inf)
     ts, ys = [t], [y.copy()]
     ks = [None] * 7
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if t >= t1:
             return np.array(ts), np.array(ys), "done"
         h = min(h, t1 - t)
@@ -59,7 +64,7 @@ def integrate(f, t0: float, y0, t1: float, rtol: float = 1e-8, atol: float = 1e-
             continue
         y5 = y + h * sum(b * k for b, k in zip(_B5, ks))
         y4 = y + h * sum(b * k for b, k in zip(_B4, ks))
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y5))
         err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
         if err <= 1.0 or h <= 1e-13 * (1 + abs(t)):
             t += h
@@ -76,4 +81,4 @@ def integrate(f, t0: float, y0, t1: float, rtol: float = 1e-8, atol: float = 1e-
             raise NumericalError("step size underflow (stiff blow-up?)",
                                  diagnostics={"t": t, "y": y.tolist()})
     raise NumericalError("ODE step budget exhausted",
-                         diagnostics={"t": t, "steps": max_steps})
+                         diagnostics={"t": t, "steps": MAX_STEPS})

@@ -27,7 +27,7 @@ class Profile:
     value: float = 0.0
     xs: np.ndarray | None = None
     ys: np.ndarray | None = None
-    flags: dict = field(default_factory=dict, compare=False)
+    flags: dict = field(default_factory=dict, compare=False, init=False)
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -157,8 +157,6 @@ class AProfile:
     name: str
     a: callable
     da: callable
-    kind: str = "generic"  # "power" | "mean_curvature" | "const" | "generic"
-    param: float = 0.0
 
     def lam1(self, t):
         t = np.asarray(t, dtype=float)
@@ -189,7 +187,7 @@ class AProfile:
     def constant(c: float = 1.0) -> "AProfile":
         return AProfile(
             name=f"const_{c:g}", a=lambda t: c + 0.0 * np.asarray(t),
-            da=lambda t: 0.0 * np.asarray(t), kind="const", param=float(c),
+            da=lambda t: 0.0 * np.asarray(t),
         ).validate()
 
     @staticmethod
@@ -200,7 +198,6 @@ class AProfile:
             name=f"p_laplace_{k:g}",
             a=lambda t: np.asarray(t, dtype=float) ** (k - 2.0),
             da=lambda t: (k - 2.0) * np.asarray(t, dtype=float) ** (k - 3.0),
-            kind="power", param=float(k),
         ).validate()
 
     @staticmethod
@@ -210,5 +207,4 @@ class AProfile:
             a=lambda t: (1.0 + np.asarray(t, dtype=float) ** 2) ** -0.5,
             da=lambda t: -np.asarray(t, dtype=float)
             * (1.0 + np.asarray(t, dtype=float) ** 2) ** -1.5,
-            kind="mean_curvature",
         ).validate()

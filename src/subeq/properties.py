@@ -70,7 +70,6 @@ def _boundary_of(M: ModelManifold, U: np.ndarray) -> np.ndarray:
 
 
 def ahlfors_violation_check(F_dual: Subequation, U, u: GridFunction,
-                            tol: float | None = None,
                             membership_tol: float | None = None,
                             boundary_mask=None,
                             policy: NumericPolicy = DEFAULT_POLICY) -> Verdict:
@@ -79,15 +78,16 @@ def ahlfors_violation_check(F_dual: Subequation, U, u: GridFunction,
     Membership is verified for H = F_dual ∪ {r <= 0} at the interior nodes
     of U (nodes where u <= 0 are automatically members).  With a valid
     certificate, the verdict Fails iff the interior sup exceeds the
-    boundary sup of u^+ by more than ``tol``; a broken membership
-    certificate yields Inconclusive ("membership-fail"), never Fails.
+    boundary sup of u^+ by more than the policy's comparison_tol; a broken
+    membership certificate yields Inconclusive ("membership-fail"), never
+    Fails.
 
     ``boundary_mask`` overrides the computed boundary of U: passing only the
     inner rim renders the outer grid rim as "at infinity" (the reading used
     when U stands for the exterior X \\ K of a complete model).
     """
     M = u.manifold
-    tol = policy.comparison_tol if tol is None else tol
+    tol = policy.comparison_tol
     membership_tol = policy.membership_tol if membership_tol is None else membership_tol
     U = np.asarray(U, dtype=bool)
     uv = u.values
@@ -123,10 +123,10 @@ def ahlfors_violation_check(F_dual: Subequation, U, u: GridFunction,
 
 def liouville_check(F_dual: Subequation, u: GridFunction,
                     M: ModelManifold | None = None,
-                    tol: float = 1e-8, membership_tol: float | None = None,
+                    membership_tol: float | None = None,
                     policy: NumericPolicy = DEFAULT_POLICY) -> Verdict:
     """Fails iff u >= 0 is bounded, dual-membership holds everywhere, and u
-    is nonconstant beyond ``tol`` (a Liouville witness)."""
+    is nonconstant beyond 1e-8 (a Liouville witness)."""
     M = M or u.manifold
     uv = u.values
     if np.any(uv < -1e-12):
@@ -135,7 +135,7 @@ def liouville_check(F_dual: Subequation, u: GridFunction,
     cert = verify_subharmonic(F_dual, u, M, tol=membership_tol)
     spread = float(uv.max() - uv.min())
     cert.worst["spread"] = spread
-    if cert.passed and spread > tol:
+    if cert.passed and spread > 1e-8:
         return Verdict("liouville", Outcome.FAILS, "candidate-check",
                        witness=u, certificate=cert,
                        notes=[f"nonconstant witness with spread {spread:.3e}"])
@@ -205,20 +205,18 @@ def _combine_oracles(ode_verdict: str, vol_verdict: str) -> tuple:
 
 
 def stochastic_completeness(warp, m: int, lam: float = 1.0,
-                            r_range=(0.1, 30.0), vol_r_max: float | None = None) -> Verdict:
+                            r_range=(0.1, 30.0)) -> Verdict:
     """Verdict for the Liouville property of {tr A >= lam r} on a radial model
     (stochastic completeness), decided by the radial Khas'minskii ODE and the
-    volume-growth oracles.
+    volume-growth oracles (the latter out to r = min(r_range[-1], 8)).
 
     A Fails verdict attaches the bounded increasing radial solution,
     normalized, as a nonconstant Liouville witness, re-verified on a grid at
     a discretization-aware tolerance.
     """
     ode_v, r_grid, w_ode, ode_trace = radial_khasminskii_test(warp, m, lam, r_range)
-    if vol_r_max is None:
-        vol_r_max = min(float(r_range[-1]), 8.0)
     try:
-        vol_v, vol_trace = volume_growth_test(warp, m, vol_r_max)
+        vol_v, vol_trace = volume_growth_test(warp, m, min(float(r_range[-1]), 8.0))
     except SubeqError as e:  # domain failures leave the volume oracle silent
         vol_v, vol_trace = "Inconclusive", {"error": str(e)}
     result, provenance = _combine_oracles(ode_v, vol_v)

@@ -460,11 +460,10 @@ def verify_subharmonic(F: Subequation, u: GridFunction, M: ModelManifold | None 
 
 
 def comparison_check(F: Subequation, u: GridFunction, v: GridFunction,
-                     K=None, tol: float | None = None,
-                     precheck_tol: float | None = None,
-                     policy: NumericPolicy = DEFAULT_POLICY) -> Certificate:
+                     K=None, policy: NumericPolicy = DEFAULT_POLICY) -> Certificate:
     """Zero maximum principle on K: max_K (u+v) <= max_{boundary K} (u+v)^+ + tol,
-    for u F-subharmonic and v dual-F-subharmonic (verified first).
+    tol the policy's comparison_tol, for u F-subharmonic and v
+    dual-F-subharmonic (verified first, within 100 membership_tol).
 
     On failure the certificate carries the interior max node and a
     doubled-variable diagnostic: the penalized pair maxima of
@@ -472,8 +471,8 @@ def comparison_check(F: Subequation, u: GridFunction, v: GridFunction,
     """
     t0 = time.perf_counter()
     M = u.manifold
-    tol = policy.comparison_tol if tol is None else tol
-    precheck_tol = (100 * policy.membership_tol if precheck_tol is None else precheck_tol)
+    tol = policy.comparison_tol
+    precheck_tol = 100 * policy.membership_tol
     K = np.ones(M.n_nodes, dtype=bool) if K is None else np.asarray(K, dtype=bool)
     cu = verify_subharmonic(F, u, M, tol=precheck_tol, region=K & M.interior_mask)
     cv = verify_subharmonic(dual_of(F), v, M, tol=precheck_tol, region=K & M.interior_mask)
@@ -508,10 +507,10 @@ def comparison_check(F: Subequation, u: GridFunction, v: GridFunction,
     return cert
 
 
-def _doubled_variable_diag(M, uv, vv, K, max_nodes=256):
+def _doubled_variable_diag(M, uv, vv, K):
     ids = np.where(K)[0]
-    if ids.size > max_nodes:
-        ids = ids[:: ids.size // max_nodes + 1]
+    if ids.size > 256:
+        ids = ids[:: ids.size // 256 + 1]
     c = M.coords[ids]
     d2 = ((c[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
     out = []
@@ -541,13 +540,14 @@ class BarrierResult:
 def make_barrier(F: Subequation, M: ModelManifold, omega_mask, boundary_ids,
                  rho: GridFunction, s_grid=(0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
                  t_grid=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
-                 collar_width: float | None = None,
                  margin: float | None = None,
                  policy: NumericPolicy = DEFAULT_POLICY) -> BarrierResult:
     """Search beta = t (rho + s rho^2) for a strictly F-subharmonic barrier.
 
     rho must be a defining function: zero on the boundary piece, negative on
     the omega side near it, with non-vanishing discrete gradient there.
+    The collar is the interior omega nodes within ``4 M.min_spacing()`` of
+    the boundary piece.
     Certification asks the fiber distance from each collar jet to the
     boundary of F to stay above ``margin`` -- not only at t but along an
     escalating t-ladder (t, 4t, 16t, 64t), the desk-scale rendering of the
@@ -567,11 +567,11 @@ def make_barrier(F: Subequation, M: ModelManifold, omega_mask, boundary_ids,
         raise PreconditionError("rho must vanish on the boundary piece")
     bc = M.coords[boundary_ids]
     dist = np.min(np.linalg.norm(M.coords[:, None, :] - bc[None, :, :], axis=2), axis=1)
-    if collar_width is None:
-        collar_width = 4.0 * M.min_spacing()
+    collar_width = 4.0 * M.min_spacing()
     collar = omega_mask & M.interior_mask & (dist <= collar_width)
     if not np.any(collar):
-        raise PreconditionError("empty collar: enlarge collar_width")
+        raise PreconditionError("empty collar: no interior omega node within "
+                                "4 grid spacings of the boundary piece")
     if np.any(rv[collar] >= 0):
         raise PreconditionError("rho must be negative inside omega near the boundary")
     ids = np.where(collar)[0]

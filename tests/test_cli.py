@@ -138,8 +138,11 @@ class TestRun:
         lambda sc: sc["params"].update(boundary=[1, 2]),
         lambda sc: sc.update(subequation={"kind": "intersect", "parts": 3}),
         lambda sc: sc["params"].update(boundary={"nosuch": 1.0}),
+        lambda sc: sc.update(manifold={"kind": "radial", "m": 3, "warp": "euclidean",
+                                       "r_lo": -1.0, "r_hi": 2.0, "n": 201}),
     ], ids=["no-boundary", "no-f", "f-not-an-object", "boundary-value-not-a-number",
-            "boundary-not-an-object", "parts-not-an-array", "unknown-boundary-tag"])
+            "boundary-not-an-object", "parts-not-an-array", "unknown-boundary-tag",
+            "warp-not-positive"])
     def test_malformed_scenario_exit_4(self, tmp_path, capsys, edit):
         sc = json.loads(SCENARIO_DIR.joinpath("dirichlet_annulus.json").read_text())
         edit(sc)
@@ -202,6 +205,15 @@ class TestRun:
         assert main(["run", sc, "--out", str(tmp_path / "out"), "--no-plots"]) == 0
         assert seen == [DEFAULT_POLICY]
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_tol_must_be_finite_positive(self, tmp_path, capsys, tol):
+        out = tmp_path / "out"
+        path = str(SCENARIO_DIR / "dirichlet_annulus.json")
+        assert main(["run", path, "--out", str(out), f"--tol={tol}", "--no-plots"]) == 4
+        err = capsys.readouterr().err
+        assert "input error" in err and "--tol" in err and str(float(tol)) in err
+        assert not out.exists()
 
     def test_tol_rejected_where_it_cannot_apply(self, tmp_path):
         for task in ("duality_audit", "garding_audit", "log_transform", "stochastic"):
