@@ -316,8 +316,9 @@ def step_box(u, ids, M, caps, value, jets, res, at):
     roundoff floor, whose update leaves max |R| where it was, so keeps its
     first trial.
 
-    ``at`` holds [(r, p, A), G] at the current u from one step to the
-    next, ``res`` receives R before the step.  Ends in ``_clamp_write``:
+    ``at`` holds [(r, p, A), G] at the current u, filled by the caller
+    before the first step and by each step at the trial it keeps; ``res``
+    receives R before the step.  Ends in ``_clamp_write``:
     returns (max |change|, min change).  Raises FloatingPointError naming
     a singular block or a non-finite step, with u unchanged, and
     InputError when the blocks exceed MAX_BLOCK_FLOATS.
@@ -327,9 +328,6 @@ def step_box(u, ids, M, caps, value, jets, res, at):
     if 3 * nb * k * k > MAX_BLOCK_FLOATS:
         raise InputError(f"box too large for the Newton step: {nb} slabs of {k} nodes need "
                          f"{3 * nb * k * k} block floats, over MAX_BLOCK_FLOATS = {MAX_BLOCK_FLOATS}")
-    if not at:
-        jet = jets()
-        at[:] = [jet, value(*jet)]
     (r, p, A), G = at
     v, cap = u[ids], caps[ids]
     np.minimum(G, cap - v, out=res)

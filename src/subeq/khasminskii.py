@@ -47,6 +47,7 @@ from .odeint import integrate
 from .policy import DEFAULT_POLICY, NumericPolicy
 from .profiles import Profile
 from .solver import (
+    COLLAR_SPACINGS,
     ProblemSpec,
     make_barrier,
     solve_obstacle,
@@ -144,7 +145,7 @@ def build_potential(F: Subequation, pair: PairKh, sched: Schedule,
         raise PreconditionError(
             "no F-barrier at height 0 on the inner boundary ∂K",
             detail={"best_margin": barrier.margin})
-    collar_width = 4.0 * M.min_spacing()
+    collar_width = COLLAR_SPACINGS * M.min_spacing()
     eta_vals = None
     xi_solve = xi
     if xi is not None:

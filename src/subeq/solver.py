@@ -5,11 +5,12 @@ with centred jets from ``batch_jets``; obstacle problems solve
 min(G, g - u) = 0.  On line grids the jets, the policy-step rows and the
 presolve rows all read the grid's one ``LineStencil``.
 
-Initialization: the constant min(boundary) - slack subsolution always
-applies; for linear members (laplace / infinity-Laplacian with linear f)
-a direct tridiagonal presolve is admitted as a warm start after an honest
-verification that it is a discrete subsolution, as are the obstacle slack
-and the caller's ``ProblemSpec.warm_starts``.  The pointwise max of all
+Initialization: for linear members (laplace / infinity-Laplacian with
+linear f) a direct tridiagonal presolve is admitted as a warm start after
+an honest verification that it is a discrete subsolution, as are the
+obstacle slack and the caller's ``ProblemSpec.warm_starts``.  The
+constant min(boundary) - slack subsolution is offered too, unless the
+verified presolve already lies above it.  The pointwise max of all
 verified candidates is used when it verifies itself.
 
 Solve core: perron_dirichlet and solve_obstacle are one solve (_solve)
@@ -27,9 +28,10 @@ lagged).  On boxes each step is a Newton (Howard) step with the
 subequation tree ("generic"): rows from difference quotients of the tree
 at the centred jets, mixed-derivative weights included, one
 block-tridiagonal solve, and the update halved until the worst residual
-does not rise.  The loop checks the scheme residual after every step
-whose largest node change is within the policy's convergence_tol -- the
-only ones that can be accepted -- and accepts within 0.45 membership_tol.
+does not rise.  The loop checks the scheme residual of the start and
+after every step whose largest node change is within the policy's
+convergence_tol -- the only ones that can be accepted -- and accepts
+within 0.45 membership_tol: a start that already meets it takes no step.
 A failed step, a stall (STALL_STEPS steps without a new minimum of the
 worst residual) or MAX_STEPS steps end the solve with ConvergenceError.
 Iterates started from a verified discrete subsolution increase
@@ -189,13 +191,16 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
 
     bmin = np.nanmin(bvals)
     slack = 1e-2 * (1.0 + abs(bmin))
-    for k in range(8):
-        c = min(bmin - slack * 2.0**k, np.min(caps[interior], initial=np.inf))
-        if offer("constant", np.full(M.n_nodes, c)):
-            break
+    cmax = np.min(caps[interior], initial=np.inf)
     pre = _try_presolve(F, M, bvals)
-    if pre is not None:
-        offer("presolve", pre)
+    presolved = pre is not None and offer("presolve", pre)
+    # every constant offered is <= the warmest one, so a verified presolve
+    # above it would be the pointwise max anyway
+    if not (presolved and np.all(pre >= min(bmin - slack, cmax))):
+        for k in range(8):
+            if offer("constant", np.full(M.n_nodes, min(bmin - slack * 2.0**k, cmax))):
+                candidates.insert(0, candidates.pop())  # labels list the constant first
+                break
     if spec.obstacle is not None:
         offer("obstacle-slack",
               np.minimum(spec.obstacle.values - 0.45 * M.min_spacing()**2, caps))
@@ -239,9 +244,12 @@ def _iterate(spec: ProblemSpec, u, caps):
     The grid picks the step: line grids take the policy steps of
     ``K.sweep_line_numpy`` over the line evaluator of ``_ir.lower``
     ("numpy" engine), boxes the Newton steps of ``K.step_box`` with the
-    subequation tree ("generic").  A step whose largest node change is
-    within convergence_tol is accepted when the scheme residual
-    (``_residual``) is within 0.45 membership_tol.  A failed step
+    subequation tree ("generic").  The start, and every step whose
+    largest node change is within convergence_tol, is accepted when the
+    scheme residual is within 0.45 membership_tol; each such check adds
+    one trace entry, the start's with sweep 0.  The check reads the
+    values ``_residual`` gives: on boxes the G that ``K.step_box`` keeps
+    in ``at`` for the current u.  A failed step
     (FloatingPointError), STALL_STEPS steps in a row without a new minimum
     of the worst residual max |min(G, cap - u)| before a step, or MAX_STEPS
     steps end the solve with ConvergenceError, whose message gives that
@@ -256,11 +264,22 @@ def _iterate(spec: ProblemSpec, u, caps):
     gf = GridFunction(M, u)  # shares the array; jets follow in-place updates
     res = np.empty(ids.size)
     if M.stencil is None:
-        engine, at = "generic", []
+        engine = "generic"
+
+        def value(r, p, A):
+            return F.value(ids, r, p, A)
+
+        def jets():
+            return batch_jets(gf, ids)[1:]
+
+        jet = jets()
+        at = [jet, value(*jet)]  # jets and G at the current u, kept by each step
 
         def step():
-            return K.step_box(u, ids, M, caps, lambda r, p, A: F.value(ids, r, p, A),
-                              lambda: batch_jets(gf, ids)[1:], res, at)
+            return K.step_box(u, ids, M, caps, value, jets, res, at)
+
+        def scheme():
+            return at[1]
     else:
         engine, g, S = "numpy", _ir.lower(F), M.stencil.at(ids)
         brackets = np.full(ids.size, 1e-3 * (1.0 + float(np.abs(u).max())))
@@ -269,10 +288,25 @@ def _iterate(spec: ProblemSpec, u, caps):
         def step():
             return K.sweep_line_numpy(u, ids, S, caps, g, brackets, res, gtol, veps)
 
+        def scheme():
+            return K.residual_line_numpy(u, ids, S, g)
+
     free_band = 10 * conv_tol
     trace, min_signed = [], 0.0
-    steps, best, since = 0, np.inf, 0
+    steps, best, since, max_ch = 0, np.inf, 0, 0.0
     while True:
+        if max_ch <= conv_tol:  # the start, and every step that can be accepted
+            r = scheme()
+            free = u[ids] < caps[ids] - free_band
+            worst = max(float(np.abs(r[free]).max(initial=0.0)),
+                        float(np.maximum(-r[~free], 0.0).max(initial=0.0)))
+            trace.append({"sweep": steps, "max_change": max_ch, "residual": worst})
+            if worst <= band:
+                return u, {"sweeps": steps, "engine": engine, "trace": trace,
+                           "min_signed_change": min_signed}
+        if steps >= MAX_STEPS:
+            why = f"MAX_STEPS = {MAX_STEPS} steps taken"
+            break
         steps += 1
         try:
             max_ch, min_ch = step()
@@ -285,18 +319,6 @@ def _iterate(spec: ProblemSpec, u, caps):
             why = f"no new minimum of the worst residual in {STALL_STEPS} steps"
             break
         min_signed = min(min_signed, min_ch)
-        if max_ch <= conv_tol:  # only such a step can be accepted
-            rids, r = _residual(spec, gf)
-            free = u[rids] < caps[rids] - free_band
-            worst = max(float(np.abs(r[free]).max(initial=0.0)),
-                        float(np.maximum(-r[~free], 0.0).max(initial=0.0)))
-            trace.append({"sweep": steps, "max_change": max_ch, "residual": worst})
-            if worst <= band:
-                return u, {"sweeps": steps, "engine": engine, "trace": trace,
-                           "min_signed_change": min_signed}
-        if steps >= MAX_STEPS:
-            why = f"MAX_STEPS = {MAX_STEPS} steps taken"
-            break
     raise ConvergenceError(
         f"no convergence: {why} at step {steps} ({engine} engine, "
         f"residual={float(np.abs(res).max(initial=0.0)):.3e})",
@@ -307,8 +329,8 @@ def _iterate(spec: ProblemSpec, u, caps):
 def _residual(spec: ProblemSpec, u: GridFunction):
     """Interior node ids and the scheme residual of u there: the line
     evaluator of ``_ir.lower`` on grids with a line stencil, the tree at
-    centred jets on boxes.  The loop's acceptance check and the
-    certificate both read it."""
+    centred jets on boxes.  The certificate reads it; the loop's
+    acceptance check reads the same values from its step's evaluator."""
     M = spec.M
     if M.stencil is None:
         return _interior_residual(spec.F, u)
@@ -527,6 +549,12 @@ def _doubled_variable_diag(M, uv, vv, K):
     return out
 
 
+# The collar of a boundary piece: the interior nodes within this many
+# smallest grid spacings of it.  ``make_barrier`` certifies its barrier
+# there, and ``khasminskii.build_potential`` relaxes the eikonal there.
+COLLAR_SPACINGS = 4.0
+
+
 @dataclass
 class BarrierResult:
     ok: bool
@@ -546,8 +574,8 @@ def make_barrier(F: Subequation, M: ModelManifold, omega_mask, boundary_ids,
 
     rho must be a defining function: zero on the boundary piece, negative on
     the omega side near it, with non-vanishing discrete gradient there.
-    The collar is the interior omega nodes within ``4 M.min_spacing()`` of
-    the boundary piece.
+    The collar is the interior omega nodes within
+    ``COLLAR_SPACINGS * M.min_spacing()`` of the boundary piece.
     Certification asks the fiber distance from each collar jet to the
     boundary of F to stay above ``margin`` -- not only at t but along an
     escalating t-ladder (t, 4t, 16t, 64t), the desk-scale rendering of the
@@ -567,11 +595,11 @@ def make_barrier(F: Subequation, M: ModelManifold, omega_mask, boundary_ids,
         raise PreconditionError("rho must vanish on the boundary piece")
     bc = M.coords[boundary_ids]
     dist = np.min(np.linalg.norm(M.coords[:, None, :] - bc[None, :, :], axis=2), axis=1)
-    collar_width = 4.0 * M.min_spacing()
+    collar_width = COLLAR_SPACINGS * M.min_spacing()
     collar = omega_mask & M.interior_mask & (dist <= collar_width)
     if not np.any(collar):
         raise PreconditionError("empty collar: no interior omega node within "
-                                "4 grid spacings of the boundary piece")
+                                f"{COLLAR_SPACINGS:g} grid spacings of the boundary piece")
     if np.any(rv[collar] >= 0):
         raise PreconditionError("rho must be negative inside omega near the boundary")
     ids = np.where(collar)[0]

@@ -54,6 +54,29 @@ def test_committed_scenario_exit_code(path, tmp_path):
     assert all(c.get("params", {}).get("engine", "numpy") == "numpy" for c in certs)
 
 
+@pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
+def test_committed_scenario_deterministic(path, tmp_path):
+    # two runs: the same report.json apart from timestamp, the same CSVs
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        main(["run", str(path), "--out", str(out), "--no-plots"])
+    reports = [json.loads((out / "report.json").read_text()) for out in outs]
+    for r in reports:
+        r.pop("timestamp")
+    assert json.dumps(reports[0]) == json.dumps(reports[1])
+    csvs = [sorted(p.name for p in out.glob("*.csv")) for out in outs]
+    assert csvs[0] == csvs[1] and csvs[0]
+    for name in csvs[0]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_python_m_subeq():
+    env = dict(os.environ, PYTHONPATH=str(Path(subeq.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-m", "subeq", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0 and out.stdout.startswith("usage: subeq")
+
+
 def test_import_leaves_openssl_unloaded():
     # the spectral memo hashes with _blake2; hashlib would load OpenSSL
     # (_hashlib), several MB of resident memory in every run

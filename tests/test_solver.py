@@ -69,8 +69,8 @@ class TestDirichletOracles:
                                                {"inner": 0.0, "outer": 1.0}))
         assert cert.passed
         assert np.abs(u.values - (M.r - 1.0) / 4.0).max() <= 1e-8
-        # the presolve is exact: the first sweep changes nothing and is accepted
-        assert cert.counts["sweeps"] == 1
+        # the presolve is exact: the verified start is accepted before any step
+        assert cert.counts["sweeps"] == 0
 
     @pytest.mark.parametrize("M, bc", [
         (PuncturedEuclidean(3, 1.0, 2.0, 201), {"inner": 1.0, "outer": 0.0}),
@@ -79,11 +79,12 @@ class TestDirichletOracles:
     ], ids=["punctured-log", "box-1d", "radial-sinh"])
     def test_presolve_exact_on_every_line_grid(self, M, bc):
         # the presolve rows and the sweep read one stencil, so the presolved
-        # start is the discrete fixed point on every line-grid kind
+        # start is the discrete fixed point on every line-grid kind, accepted
+        # before any step
         u, cert = perron_dirichlet(ProblemSpec(laplace(LIN, m=M.m), M, bc))
         assert cert.passed
         assert "presolve" in cert.params["init"]
-        assert cert.counts["sweeps"] == 1
+        assert cert.counts["sweeps"] == 0
 
     def test_monotone_iterates_from_constant(self, monkeypatch):
         monkeypatch.setattr(solver, "_try_presolve", lambda *a: None)
@@ -728,9 +729,15 @@ def _box_obstacle():
     return ProblemSpec(hessian_branch(1, ZERO, m=1), M, {"side": -0.1}, obstacle=g)
 
 
+def _capacitor():
+    M = RadialModel.uniform(2, "sinh", 1.0, 5.0, 161)
+    return ProblemSpec(inf_laplacian(0.0, m=2), M, {"inner": 0.0, "outer": 1.0})
+
+
 # (spec, engine the solve must run)
 CERT_CASES = {
     "line-dirichlet": (_line_dirichlet, "numpy"),
+    "line-capacitor": (_capacitor, "numpy"),  # accepted at its start
     "line-jetequiv": (_line_jetequiv, "numpy"),
     "box-newton": (_box_newton, "generic"),
     "line-obstacle": (_line_obstacle, "numpy"),
@@ -798,6 +805,93 @@ class TestCertificate:
         assert list(cert.params) == ["engine", "init", "comparison_regime",
                                      "monotone_iterates"]
         assert list(cert.residuals) == ["membership", "obstacle_gap", "complementarity"]
+
+
+class TestVerifiedStart:
+    """The loop checks its verified start before any step."""
+
+    def test_zero_step_solve_returns_the_presolve(self):
+        spec = _capacitor()
+        M = spec.M
+        bvals = solver.boundary_values(M, spec.boundary)
+        pre = solver._try_presolve(spec.F, M, bvals)
+        pre[~M.interior_mask] = bvals[~M.interior_mask]
+        u, cert = perron_dirichlet(spec)
+        assert u.values.tobytes() == pre.tobytes()
+        assert cert.passed and cert.counts["sweeps"] == 0
+        assert cert.params["init"] == "presolve"
+        assert cert.params["monotone_iterates"] is True
+        [entry] = cert.trace
+        assert entry["sweep"] == 0 and entry["max_change"] == 0.0
+        assert entry["residual"] <= 0.45 * spec.membership_tol()
+
+    @pytest.mark.parametrize("make", [
+        lambda: ProblemSpec(laplace(LIN, m=3), RadialModel.uniform(3, "euclidean", 1.0, 2.0, 81),
+                            {"inner": 1.0, "outer": 0.0}),
+        _box_newton,
+    ], ids=["line", "box"])
+    def test_start_outside_the_band_then_steps(self, monkeypatch, make):
+        # from the constant start both solves take the 2 steps they took
+        # when the loop checked only after a step
+        monkeypatch.setattr(solver, "_try_presolve", lambda *a: None)
+        spec = make()
+        _, cert = perron_dirichlet(spec)
+        assert cert.passed and cert.params["init"] == "constant"
+        assert cert.counts["sweeps"] == 2
+        assert [t["sweep"] for t in cert.trace] == [0, 2]
+        assert cert.trace[0]["max_change"] == 0.0
+        assert cert.trace[0]["residual"] > 0.45 * spec.membership_tol()
+
+    def test_capacitor_start_is_one_admissibility_check(self, monkeypatch):
+        spec = _capacitor()
+        M = spec.M
+        calls = []
+        check = solver._interior_residual
+
+        def counted(*args):
+            calls.append(1)
+            return check(*args)
+
+        monkeypatch.setattr(solver, "_interior_residual", counted)
+        caps = np.full(M.n_nodes, np.inf)
+        _, label = solver._initial_subsolution(
+            spec, solver.boundary_values(M, spec.boundary), caps)
+        assert label == "presolve"
+        assert len(calls) == 1
+
+    def test_presolve_below_the_warmest_constant_keeps_the_max(self):
+        # u'' = u with data 1/1: the presolve dips to ~0.887, below the
+        # warmest constant 1 - 0.02, and a lower constant verifies too
+        M = FlatBox(1, [(0.0, 1.0)], 1 / 100)
+        spec = ProblemSpec(laplace(LIN, m=1), M, {"side": 1.0})
+        pre = solver._try_presolve(spec.F, M, solver.boundary_values(M, spec.boundary))
+        assert pre.min() < 1.0 - 0.02
+        u, cert = perron_dirichlet(spec)
+        assert cert.passed
+        assert cert.params["init"] == "max(constant,presolve)"
+        assert cert.counts["sweeps"] == 0
+
+    def test_box_check_reads_the_scheme_residual(self, monkeypatch):
+        # the check reads the G that the box step keeps for the current u:
+        # at the start, and at the trial each step keeps
+        spec = _box_newton()
+        step_box, steps = K.step_box, []
+
+        def checked(u, ids, M, caps, value, jets, res, at):
+            def current():
+                S = solver._residual(spec, GridFunction(M, u.copy()))[1]
+                return at[1].tobytes() == S.tobytes()
+
+            assert current()
+            out = step_box(u, ids, M, caps, value, jets, res, at)
+            assert current()
+            steps.append(out)
+            return out
+
+        monkeypatch.setattr(K, "step_box", checked)
+        _, cert = perron_dirichlet(spec)
+        assert cert.passed and cert.params["engine"] == "generic"
+        assert len(steps) == cert.counts["sweeps"] > 0
 
 
 class TestVerifySubharmonic:
