@@ -78,23 +78,30 @@ def _upwind(v, uL, uR, hl, hr):
 def thomas(lo, di, up, rhs):
     """Solve the tridiagonal system lo x[i-1] + di x[i] + up x[i+1] = rhs.
 
-    The recurrences run over Python floats, which is several times faster
-    than indexing numpy arrays element by element; a zero pivot raises
+    ``lo[0]`` and ``up[-1]`` are ignored.  The recurrences run over Python
+    floats, which is several times faster than indexing numpy arrays
+    element by element: one forward pass over the zipped rows, one
+    backward pass over the reversed lists.  A zero pivot raises
     ZeroDivisionError.
     """
-    lo, di, up, rhs = lo.tolist(), di.tolist(), up.tolist(), rhs.tolist()
-    n = len(di)
-    c = [0.0] * n
-    d = [0.0] * n
-    c[0] = up[0] / di[0]
-    d[0] = rhs[0] / di[0]
-    for i in range(1, n):
-        denom = di[i] - lo[i] * c[i - 1]
-        c[i] = up[i] / denom
-        d[i] = (rhs[i] - lo[i] * d[i - 1]) / denom
-    for i in range(n - 2, -1, -1):
-        d[i] -= c[i] * d[i + 1]
-    return np.array(d)
+    rows = zip(lo.tolist(), di.tolist(), up.tolist(), rhs.tolist())
+    _, b, a, r = next(rows)
+    c, d = a / b, r / b  # the first row reads no lo
+    cs, ds = [c], [d]
+    for l, b, a, r in rows:
+        denom = b - l * c
+        c = a / denom
+        d = (r - l * d) / denom
+        cs.append(c)
+        ds.append(d)
+    cs.pop()
+    x = ds.pop()
+    xs = [x]
+    for c, d in zip(reversed(cs), reversed(ds)):
+        x = d - c * x
+        xs.append(x)
+    xs.reverse()
+    return np.array(xs)
 
 
 def block_thomas(lo, di, up, rhs):

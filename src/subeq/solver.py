@@ -15,9 +15,14 @@ verified candidates is used when it verifies itself.
 
 Solve core: perron_dirichlet and solve_obstacle are one solve (_solve)
 that differs only in its caps: +inf, or the obstacle g.  One set-up, one
-iteration loop (_iterate) and one certificate (_certificate), recomputed
-from the solution with the loop's scheme residual (_residual): the
-Dirichlet certificate is the obstacle one with no contact nodes.  The
+iteration loop (_iterate) and one certificate (_certificate) of the
+returned solution.  The certificate reads the residuals of that solution
+which the solve computed: the scheme residual of the loop's last
+acceptance check, and the centred residual of the start's admissibility
+check (a solve that took no step), of the box check, or evaluated once
+after a line solve's steps.  Recomputing them from the solution
+(_residual, _interior_residual) gives the same bytes.  The Dirichlet
+certificate is the obstacle one with no contact nodes.  The
 grid picks the step of the loop, and the grid's stencil picks the scheme
 residual.  On line (radial / 1-D) grids each step is one Howard policy
 step over the line evaluator of _ir.lower, the tree read through the
@@ -167,7 +172,8 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
 
     Verification tolerates the roundoff floor of the assembled operator
     (~eps * 2/h_min^2 * scale): a candidate is a subsolution up to solver
-    roundoff, which the monotone iteration absorbs.
+    roundoff, which the monotone iteration absorbs.  Returns (u0, label,
+    the centred residual of u0 that verified it).
     """
     M, F = spec.M, spec.F
     interior = M.interior_mask
@@ -176,18 +182,18 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
                       100 * 2.2e-16 * scale * 2.0 / M.min_spacing() ** 2)
     candidates = []
 
-    def admissible(vals):
+    def admissible(vals):  # the centred residual of vals if it verifies, else None
         if np.any(vals[interior] > caps[interior] + 1e-14):
-            return False
+            return None
         _, res = _interior_residual(F, GridFunction(M, vals))
-        return not (res.size and res.min() < -verify_band)
+        return None if res.size and res.min() < -verify_band else res
 
     def offer(label, vals):
         vals[~interior] = bvals[~interior]
-        if admissible(vals):
-            candidates.append((label, vals))
-            return True
-        return False
+        res = admissible(vals)
+        if res is not None:
+            candidates.append((label, vals, res))
+        return res is not None
 
     bmin = np.nanmin(bvals)
     slack = 1e-2 * (1.0 + abs(bmin))
@@ -210,16 +216,19 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
         raise InitializationError(
             "no verified discrete subsolution found (boundary data infeasible for F?)")
     if len(candidates) > 1:
-        merged = np.maximum.reduce([v for _, v in candidates])
-        # a max equal to a verified candidate needs no check of its own
-        if (any(np.array_equal(merged, v) for _, v in candidates)
-                or admissible(merged)):
-            return merged, "max(" + ",".join(lbl for lbl, _ in candidates) + ")"
+        merged = np.maximum.reduce([v for _, v, _ in candidates])
+        # a max with the bytes of a verified candidate needs no check of its own
+        key = merged.tobytes()
+        res = next((r for _, v, r in candidates if v.tobytes() == key), None)
+        if res is None:
+            res = admissible(merged)
+        if res is not None:
+            return merged, "max(" + ",".join(c[0] for c in candidates) + ")", res
     # prefer the warmest single verified candidate
     order = ["presolve"] + [f"warm{i}" for i in range(len(spec.warm_starts))]
     order += ["obstacle-slack", "constant"]
-    label, vals = min(candidates, key=lambda c: order.index(c[0]))
-    return vals, label
+    label, vals, res = min(candidates, key=lambda c: order.index(c[0]))
+    return vals, label, res
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +248,8 @@ MAX_STEPS = 2_000_000
 
 def _iterate(spec: ProblemSpec, u, caps):
     """Newton steps from the subsolution u, updated in place, to the
-    discrete fixed point; returns (u, facts).
+    discrete fixed point; returns (u, the scheme residual of the check
+    that accepted u, facts).
 
     The grid picks the step: line grids take the policy steps of
     ``K.sweep_line_numpy`` over the line evaluator of ``_ir.lower``
@@ -302,8 +312,8 @@ def _iterate(spec: ProblemSpec, u, caps):
                         float(np.maximum(-r[~free], 0.0).max(initial=0.0)))
             trace.append({"sweep": steps, "max_change": max_ch, "residual": worst})
             if worst <= band:
-                return u, {"sweeps": steps, "engine": engine, "trace": trace,
-                           "min_signed_change": min_signed}
+                return u, r, {"sweeps": steps, "engine": engine, "trace": trace,
+                              "min_signed_change": min_signed}
         if steps >= MAX_STEPS:
             why = f"MAX_STEPS = {MAX_STEPS} steps taken"
             break
@@ -329,8 +339,9 @@ def _iterate(spec: ProblemSpec, u, caps):
 def _residual(spec: ProblemSpec, u: GridFunction):
     """Interior node ids and the scheme residual of u there: the line
     evaluator of ``_ir.lower`` on grids with a line stencil, the tree at
-    centred jets on boxes.  The certificate reads it; the loop's
-    acceptance check reads the same values from its step's evaluator."""
+    centred jets on boxes.  The loop's acceptance check computes the same
+    values with its step's evaluator, and the certificate reads the
+    check's; recomputing them here gives the same bytes."""
     M = spec.M
     if M.stencil is None:
         return _interior_residual(spec.F, u)
@@ -366,29 +377,37 @@ def _solve(spec: ProblemSpec, caps):
     bd = ~M.interior_mask
     if np.any(bvals[bd] > caps[bd] + 1e-12):
         raise PreconditionError("boundary data must satisfy phi <= g on the boundary")
-    u0, init_label = _initial_subsolution(spec, bvals, caps)
-    u, facts = _iterate(spec, u0.copy(), caps)
-    cert = _certificate(spec, u, caps, {**facts, "init": init_label})
+    u0, init_label, start_res = _initial_subsolution(spec, bvals, caps)
+    u, sres, facts = _iterate(spec, u0.copy(), caps)
+    if M.stencil is None:  # the box check's G is the centred residual
+        res = sres
+    elif facts["sweeps"]:
+        res = _interior_residual(spec.F, GridFunction(M, u))[1]
+    else:  # no step: u is the start that the admissibility check verified
+        res = start_res
+    cert = _certificate(spec, u, caps, res, sres, {**facts, "init": init_label})
     cert.wall_time = time.perf_counter() - t0
     return GridFunction(M, u), cert
 
 
-def _certificate(spec: ProblemSpec, u, caps, facts) -> Certificate:
-    """A solve's certificate from (spec, u, caps) and the facts the
+def _certificate(spec: ProblemSpec, u, caps, res, sres, facts) -> Certificate:
+    """A solve's certificate from (spec, u, caps), the residuals of u at
+    the interior nodes that the solve computed, and the facts the
     iteration reports of itself: sweeps, engine, init, trace and
-    min_signed_change.
+    min_signed_change.  ``res`` is the centred residual
+    (``_interior_residual``) and ``sres`` the scheme residual
+    (``_residual``); recomputing them from u gives the same bytes, so the
+    certificate is a function of (spec, u, caps) and the facts.
 
-    It checks F^g = F ∩ {r <= caps} at the scheme (``_residual``) and the
-    centred jets of u.  Nodes one stencil width from the contact set
+    It checks F^g = F ∩ {r <= caps} at the scheme and the centred jets
+    of u.  Nodes one stencil width from the contact set
     (caps - u <= tol) are exempt from two-sided harmonicity and the dual
     residual: discrete jets straddle the free boundary.  Without a cap
     (caps = +inf) there are no contact nodes, and the same formulas give
     the Dirichlet values; only names and pass rules are per kind.
     """
     M, tol = spec.M, spec.membership_tol()
-    gf = GridFunction(M, u)
-    ids, res = _interior_residual(spec.F, gf)
-    sres = res if M.stencil is None else _residual(spec, gf)[1]
+    ids = M.interior_ids
     gap = caps[ids] - u[ids]
     harmonic = np.minimum(sres, gap)     # defining value of F^g at scheme jets
     contact = gap <= tol

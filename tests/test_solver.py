@@ -490,6 +490,58 @@ class TestWeakRowNodeSolves:
         assert batches == [k for k in weak if k]
 
 
+def _thomas_by_index(lo, di, up, rhs):
+    """The indexed recurrences that ``K.thomas`` runs over zipped and reversed lists."""
+    lo, di, up, rhs = lo.tolist(), di.tolist(), up.tolist(), rhs.tolist()
+    n = len(di)
+    c, d = [0.0] * n, [0.0] * n
+    c[0], d[0] = up[0] / di[0], rhs[0] / di[0]
+    for i in range(1, n):
+        denom = di[i] - lo[i] * c[i - 1]
+        c[i] = up[i] / denom
+        d[i] = (rhs[i] - lo[i] * d[i - 1]) / denom
+    for i in range(n - 2, -1, -1):
+        d[i] -= c[i] * d[i + 1]
+    return np.array(d)
+
+
+def _tridiagonal(n, seed):
+    rng = np.random.default_rng(seed)
+    lo, up = rng.uniform(-1.0, 1.0, (2, n))
+    return lo, rng.uniform(2.5, 3.0, n), up, rng.normal(size=n)
+
+
+class TestThomas:
+    @pytest.mark.parametrize("n", [1, 2, 3, 200])
+    def test_matches_dense_solve(self, n):
+        lo, di, up, rhs = _tridiagonal(n, n)
+        dense = np.diag(di) + np.diag(lo[1:], -1) + np.diag(up[:-1], 1)
+        assert np.abs(K.thomas(lo, di, up, rhs) - np.linalg.solve(dense, rhs)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 200, 2021])
+    def test_matches_the_indexed_recurrences_bitwise(self, n):
+        lo, di, up, rhs = _tridiagonal(n, n)
+        rhs[::3] = -0.0  # signed zeros pass through the first row as they did
+        lo[0] = up[-1] = np.nan
+        assert K.thomas(lo, di, up, rhs).tobytes() == _thomas_by_index(lo, di, up, rhs).tobytes()
+
+    def test_ends_of_the_band_are_ignored(self):
+        lo, di, up, rhs = _tridiagonal(6, 0)
+        x = K.thomas(lo, di, up, rhs)
+        lo[0] = up[-1] = np.nan
+        assert K.thomas(lo, di, up, rhs).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_zero_pivot_raises(self, row):
+        lo, di, up = np.zeros(3), np.ones(3), np.zeros(3)
+        if row:  # pivot 1 - lo[2] up[1] / 1 = 0
+            lo[2] = up[1] = 1.0
+        else:
+            di[0] = 0.0
+        with pytest.raises(ZeroDivisionError):
+            K.thomas(lo, di, up, np.ones(3))
+
+
 class TestBlockThomas:
     @pytest.mark.parametrize("k", [1, 3, 31])
     def test_matches_dense_solve(self, k):
@@ -734,10 +786,18 @@ def _capacitor():
     return ProblemSpec(inf_laplacian(0.0, m=2), M, {"inner": 0.0, "outer": 1.0})
 
 
+def _merged_start():
+    # u'' = u with data 1/1: the presolve dips to ~0.887, below the
+    # warmest constant 1 - 0.02, and a lower constant verifies too
+    M = FlatBox(1, [(0.0, 1.0)], 1 / 100)
+    return ProblemSpec(laplace(LIN, m=1), M, {"side": 1.0})
+
+
 # (spec, engine the solve must run)
 CERT_CASES = {
     "line-dirichlet": (_line_dirichlet, "numpy"),
     "line-capacitor": (_capacitor, "numpy"),  # accepted at its start
+    "line-merged-start": (_merged_start, "numpy"),  # accepted at max(constant,presolve)
     "line-jetequiv": (_line_jetequiv, "numpy"),
     "box-newton": (_box_newton, "generic"),
     "line-obstacle": (_line_obstacle, "numpy"),
@@ -746,13 +806,16 @@ CERT_CASES = {
 
 
 def _recertify(spec, u, cert):
-    """The certificate of u alone, with the iteration facts the solve reported."""
+    """The certificate of u alone, both residuals computed afresh, with the
+    iteration facts the solve reported."""
     M = spec.M
     caps = np.full(M.n_nodes, np.inf) if spec.obstacle is None else spec.obstacle.values
     facts = {"sweeps": cert.counts["sweeps"], "engine": cert.params["engine"],
              "init": cert.params["init"], "trace": cert.trace,
              "min_signed_change": 0.0 if cert.params["monotone_iterates"] else -1.0}
-    return solver._certificate(spec, u, caps, facts)
+    gf = GridFunction(M, u)
+    return solver._certificate(spec, u, caps, solver._interior_residual(spec.F, gf)[1],
+                               solver._residual(spec, gf)[1], facts)
 
 
 class TestCertificate:
@@ -854,16 +917,14 @@ class TestVerifiedStart:
 
         monkeypatch.setattr(solver, "_interior_residual", counted)
         caps = np.full(M.n_nodes, np.inf)
-        _, label = solver._initial_subsolution(
+        _, label, _ = solver._initial_subsolution(
             spec, solver.boundary_values(M, spec.boundary), caps)
         assert label == "presolve"
         assert len(calls) == 1
 
     def test_presolve_below_the_warmest_constant_keeps_the_max(self):
-        # u'' = u with data 1/1: the presolve dips to ~0.887, below the
-        # warmest constant 1 - 0.02, and a lower constant verifies too
-        M = FlatBox(1, [(0.0, 1.0)], 1 / 100)
-        spec = ProblemSpec(laplace(LIN, m=1), M, {"side": 1.0})
+        spec = _merged_start()
+        M = spec.M
         pre = solver._try_presolve(spec.F, M, solver.boundary_values(M, spec.boundary))
         assert pre.min() < 1.0 - 0.02
         u, cert = perron_dirichlet(spec)
@@ -892,6 +953,61 @@ class TestVerifiedStart:
         _, cert = perron_dirichlet(spec)
         assert cert.passed and cert.params["engine"] == "generic"
         assert len(steps) == cert.counts["sweeps"] > 0
+
+
+def _residual_calls(monkeypatch, spec):
+    """Solve spec, counting the centred (``solver._interior_residual``) and
+    line scheme (``K.residual_line_numpy``) residual evaluations.  Returns
+    the certificate and the counts: "start", the centred ones made while
+    the start is chosen, "after_loop", those made after the Newton loop,
+    and the totals "centred" and "line"."""
+    n = {"centred": 0, "line": 0}
+    centred, line = solver._interior_residual, K.residual_line_numpy
+    init, iterate = solver._initial_subsolution, solver._iterate
+
+    def counted(key, f):
+        def call(*args):
+            n[key] += 1
+            return f(*args)
+        return call
+
+    def marked(key, f):
+        def call(*args):
+            out = f(*args)
+            n[key] = n["centred"]
+            return out
+        return call
+
+    monkeypatch.setattr(solver, "_interior_residual", counted("centred", centred))
+    monkeypatch.setattr(K, "residual_line_numpy", counted("line", line))
+    monkeypatch.setattr(solver, "_initial_subsolution", marked("start", init))
+    monkeypatch.setattr(solver, "_iterate", marked("loop", iterate))
+    _, cert = perron_dirichlet(spec)
+    assert cert.passed
+    n["after_loop"] = n["centred"] - n.pop("loop")
+    return cert, n
+
+
+class TestResidualEvaluations:
+    """The certificate reads the residuals the solve computed."""
+
+    def test_zero_step_solve_evaluates_each_residual_once(self, monkeypatch):
+        cert, n = _residual_calls(monkeypatch, _capacitor())
+        assert cert.counts["sweeps"] == 0
+        assert n["centred"] == n["line"] == 1
+
+    def test_stepped_line_solve_adds_one_centred_evaluation(self, monkeypatch):
+        # from the constant start: the presolve would be accepted with no step
+        monkeypatch.setattr(solver, "_try_presolve", lambda *a: None)
+        cert, n = _residual_calls(monkeypatch, _line_dirichlet())
+        assert cert.counts["sweeps"] > 0
+        assert n["line"] == len(cert.trace)  # one per acceptance check
+        assert n["centred"] == n["start"] + 1
+
+    def test_box_solve_evaluates_nothing_after_the_loop(self, monkeypatch):
+        cert, n = _residual_calls(monkeypatch, _box_newton())
+        assert cert.counts["sweeps"] > 0
+        assert n["after_loop"] == n["line"] == 0
 
 
 class TestVerifySubharmonic:
