@@ -41,7 +41,7 @@ from .manifolds import (
     PuncturedEuclidean,
     RadialModel,
 )
-from .policy import DEFAULT_POLICY
+from .policy import DEFAULT_POLICY, NumericPolicy
 from .profiles import AProfile, Profile
 from .properties import (
     Outcome,
@@ -265,8 +265,7 @@ def _task_khasminskii(sc, M, F, params, policy):
     h = parse_fn(params.get("h", {"kind": "named", "name": "neg_log1p"}))(M.r)
     pair = PairKh(M, GridFunction(M, h))
     sched = Schedule(eps=params.get("eps", 0.5), i_max=params.get("i_max", 3),
-                     radii=tuple(params["radii"]) if "radii" in params else (),
-                     psi_count=params.get("psi_count", 2))
+                     radii=tuple(params["radii"]) if "radii" in params else ())
     xi = parse_profile(params["xi"]) if "xi" in params else None
     w, cert = build_potential(F, pair, sched, xi=xi, policy=policy)
     payload = {"task": "khasminskii", "passed": cert.passed,
@@ -280,7 +279,7 @@ def _task_khasminskii(sc, M, F, params, policy):
 def _task_ahlfors(sc, M, F, params, policy):
     verdicts, summary = ahlfors_falsification_suite(
         F, M, params.get("r_K", float(M.r[1])),
-        n_random=params.get("n_random", 8), seed=sc.get("seed", 0), policy=policy)
+        seed=sc.get("seed", 0), policy=policy)
     payload = {"task": "ahlfors", "summary": summary,
                "verdicts": [v.to_json_dict() for v in verdicts],
                "passed": summary["fails"] == 0}
@@ -399,7 +398,7 @@ def run_scenario(path, out_dir=None, tol=None, seed=None, plots=True):
             raise InputError(f"--tol must be finite and positive, got {tol!r}")
         if sc["task"] in _FIXED_TOL_TASKS:
             raise InputError(f"--tol does not apply to task '{sc['task']}'")
-        policy = DEFAULT_POLICY.with_(membership_tol=tol, comparison_tol=tol)
+        policy = NumericPolicy(membership_tol=tol)
     task = sc["task"]
     out_dir = Path(out_dir or sc.get("out", f"out_{task}"))
     M = parse_manifold(sc["manifold"]) if "manifold" in sc else None

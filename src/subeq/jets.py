@@ -36,10 +36,11 @@ from _blake2 import blake2b
 import numpy as np
 
 from .errors import DomainError, InputError, NumericalError
-from .policy import DEFAULT_POLICY, NumericPolicy
 from .profiles import AProfile
 
 MAX_DIM = 8
+FRAME_TOL = 1e-10  # orthonormality of trace_on_frame's frames
+GARDING_TOL = 1e-10  # sigma_k residual bound of a Garding root, relative
 
 
 def _check_finite(arr, what: str):
@@ -207,12 +208,12 @@ def _sigma_shifted_batch(lam: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
     return e[:, k]
 
 
-def garding_eigenvalues(A: SymMatrix, k: int, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def garding_eigenvalues(A: SymMatrix, k: int) -> np.ndarray:
     """Ascending branch eigenvalues mu_1^(k) <= ... <= mu_k^(k) of sigma_k at A.
 
     These are the negatives of the k real roots of t -> sigma_k(lambda(A) + t),
     real by hyperbolicity in the direction (1,...,1); their sigma_k residual
-    is checked against ``policy.garding_tol``.
+    is checked against ``GARDING_TOL``.
     """
     m = A.m
     if not (1 <= k <= m):
@@ -222,7 +223,7 @@ def garding_eigenvalues(A: SymMatrix, k: int, policy: NumericPolicy = DEFAULT_PO
     # residual audit against the declared bound
     scale = 1.0 + float(np.abs(lam).max()) ** k
     resid = np.abs(_sigma_shifted_batch(np.repeat(lam[None, :], k, axis=0), -mu, k))
-    if np.any(resid > policy.garding_tol * scale * comb(m, k)):
+    if np.any(resid > GARDING_TOL * scale * comb(m, k)):
         raise NumericalError(
             "garding root residual above tolerance",
             diagnostics={"eigenvalues": lam.tolist(), "k": k, "residuals": resid.tolist()},
@@ -387,14 +388,14 @@ class RadialView:
                           self.d2[mask], self.grad_up[mask], self.m)
 
 
-def trace_on_frame(A: SymMatrix, V, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def trace_on_frame(A: SymMatrix, V) -> float:
     """Sum of A(v_i, v_i) over an orthonormal k-frame V (list of m-vectors)."""
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[1] != A.m:
         raise InputError("frame vectors must be m-vectors")
     _check_finite(V, "frame")
     gram = V @ V.T
-    if np.abs(gram - np.eye(V.shape[0])).max() > policy.frame_tol:
+    if np.abs(gram - np.eye(V.shape[0])).max() > FRAME_TOL:
         raise InputError("frame is not orthonormal to tolerance")
     return float(np.einsum("ki,ij,kj->", V, A.full, V))
 

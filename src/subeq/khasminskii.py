@@ -61,6 +61,8 @@ MIN_DROP = 0.5
 ODE_THRESHOLD = 1e6
 # the slope cap below 1 of the Ekeland distance potential
 SLOPE_CAP = 0.99
+# continuous obstacle approximants per stage solve before the exact one
+PSI_COUNT = 2
 
 
 @dataclass
@@ -105,7 +107,6 @@ class Schedule:
     eps: float = 0.5
     i_max: int = 3
     radii: tuple = ()          # exhaustion radii D_1 < D_2 < ... (< r_max)
-    psi_count: int = 2         # continuous approximants per stage before the exact solve
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -140,7 +141,7 @@ def build_potential(F: Subequation, pair: PairKh, sched: Schedule,
     # in these models are F-convex at height 0)
     rho = GridFunction(M, M.r[0] - M.r)
     barrier = make_barrier(F, M, np.ones(M.n_nodes, dtype=bool),
-                           np.array([0]), rho, policy=policy)
+                           np.array([0]), rho)
     if not barrier.ok:
         raise PreconditionError(
             "no F-barrier at height 0 on the inner boundary ∂K",
@@ -242,7 +243,7 @@ def _run_stage(F, xi, eta_vals, M, pair, sched, radii, w_i, C_radius, i, policy)
         psi_prev_sol = None
         u_sub = None
         sweeps = 0
-        ks = list(range(1, sched.psi_count + 1)) + [None]
+        ks = list(range(1, PSI_COUNT + 1)) + [None]
         for k in ks:
             psi = make_psi(k)[ids]
             gjk = np.minimum(psi + lam_j, 0.0)
@@ -250,7 +251,7 @@ def _run_stage(F, xi, eta_vals, M, pair, sched, radii, w_i, C_radius, i, policy)
             if psi_prev_sol is not None and k is not None and k > 1:
                 cand.append(psi_prev_sol - (1.0 / (k - 1) - 1.0 / k))
             if psi_prev_sol is not None and k is None:
-                cand.append(psi_prev_sol - 1.0 / sched.psi_count)
+                cand.append(psi_prev_sol - 1.0 / PSI_COUNT)
             spec = ProblemSpec(
                 F_sub,
                 subM,

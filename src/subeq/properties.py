@@ -78,7 +78,7 @@ def ahlfors_violation_check(F_dual: Subequation, U, u: GridFunction,
     Membership is verified for H = F_dual ∪ {r <= 0} at the interior nodes
     of U (nodes where u <= 0 are automatically members).  With a valid
     certificate, the verdict Fails iff the interior sup exceeds the
-    boundary sup of u^+ by more than the policy's comparison_tol; a broken
+    boundary sup of u^+ by more than the policy's membership_tol; a broken
     membership certificate yields Inconclusive ("membership-fail"), never
     Fails.
 
@@ -87,8 +87,8 @@ def ahlfors_violation_check(F_dual: Subequation, U, u: GridFunction,
     when U stands for the exterior X \\ K of a complete model).
     """
     M = u.manifold
-    tol = policy.comparison_tol
-    membership_tol = policy.membership_tol if membership_tol is None else membership_tol
+    tol = policy.membership_tol
+    membership_tol = tol if membership_tol is None else membership_tol
     U = np.asarray(U, dtype=bool)
     uv = u.values
     if np.any(~np.isfinite(uv[U])):
@@ -123,15 +123,13 @@ def ahlfors_violation_check(F_dual: Subequation, U, u: GridFunction,
 
 def liouville_check(F_dual: Subequation, u: GridFunction,
                     M: ModelManifold | None = None,
-                    membership_tol: float | None = None,
-                    policy: NumericPolicy = DEFAULT_POLICY) -> Verdict:
+                    membership_tol: float | None = None) -> Verdict:
     """Fails iff u >= 0 is bounded, dual-membership holds everywhere, and u
     is nonconstant beyond 1e-8 (a Liouville witness)."""
     M = M or u.manifold
     uv = u.values
     if np.any(uv < -1e-12):
         raise InputError("liouville candidates must be non-negative")
-    membership_tol = policy.membership_tol if membership_tol is None else membership_tol
     cert = verify_subharmonic(F_dual, u, M, tol=membership_tol)
     spread = float(uv.max() - uv.min())
     cert.worst["spread"] = spread
@@ -250,9 +248,11 @@ def stochastic_completeness(warp, m: int, lam: float = 1.0,
 # falsification suite for the main duality direction
 # ---------------------------------------------------------------------------
 
+# random bump candidates of the suite: N_RANDOM // 2 per dual-harmonic solve
+N_RANDOM = 8
 
-def ahlfors_falsification_suite(F: Subequation, M: _RadialBase, r_K: float,
-                                n_random: int = 8, seed: int = 0,
+
+def ahlfors_falsification_suite(F: Subequation, M: _RadialBase, r_K: float, seed: int = 0,
                                 policy: NumericPolicy = DEFAULT_POLICY):
     """Candidate-witness search for the Ahlfors property of dual(F) on X \\ K.
 
@@ -288,7 +288,7 @@ def ahlfors_falsification_suite(F: Subequation, M: _RadialBase, r_K: float,
         check(sol.values, f"solve[outer={inner}]")
         for c in (0.25 * inner, 0.5 * inner):
             check(np.maximum(sol.values - c, 0.0), f"truncate[{c:g}]")
-        for _ in range(n_random // 2):
+        for _ in range(N_RANDOM // 2):
             at = rng.integers(2, subM.n_nodes - 2)
             width = max(3, subM.n_nodes // 20)
             prof = np.exp(-0.5 * ((np.arange(subM.n_nodes) - at) / width) ** 2)

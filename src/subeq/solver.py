@@ -34,11 +34,12 @@ subequation tree ("generic"): rows from difference quotients of the tree
 at the centred jets, mixed-derivative weights included, one
 block-tridiagonal solve, and the update halved until the worst residual
 does not rise.  The loop checks the scheme residual of the start and
-after every step whose largest node change is within the policy's
-convergence_tol -- the only ones that can be accepted -- and accepts
-within 0.45 membership_tol: a start that already meets it takes no step.
-A failed step, a stall (STALL_STEPS steps without a new minimum of the
-worst residual) or MAX_STEPS steps end the solve with ConvergenceError.
+after every step whose largest node change is within convergence_tol --
+the only ones that can be accepted -- and accepts within 0.45
+membership_tol: a start that already meets it takes no step.  A failed
+step, a stall (STALL_STEPS steps without a new minimum of the worst
+residual), two steps in a row that change no node or MAX_STEPS steps
+end the solve with ConvergenceError.
 Iterates started from a verified discrete subsolution increase
 monotonically where the scheme is monotone, mirroring the Perron
 supremum.
@@ -178,7 +179,7 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
     M, F = spec.M, spec.F
     interior = M.interior_mask
     scale = 1.0 + float(np.nanmax(np.abs(bvals)))
-    verify_band = max(100 * spec.policy.root_value_tol,
+    verify_band = max(100 * ROOT_VALUE_TOL,
                       100 * 2.2e-16 * scale * 2.0 / M.min_spacing() ** 2)
     candidates = []
 
@@ -244,12 +245,16 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
 STALL_STEPS = 50
 # Newton steps one solve may take in all.
 MAX_STEPS = 2_000_000
+# relative value resolution of node bisection: near machine ulp, so node
+# residuals reach the membership band even at Lipschitz ~ 2/h^2
+ROOT_VALUE_TOL = 1e-15
 
 
-def _iterate(spec: ProblemSpec, u, caps):
+def _iterate(spec: ProblemSpec, u, caps, start_res):
     """Newton steps from the subsolution u, updated in place, to the
     discrete fixed point; returns (u, the scheme residual of the check
-    that accepted u, facts).
+    that accepted u, facts).  On boxes ``start_res``, the centred residual
+    that verified the start u, is the G of the first step.
 
     The grid picks the step: line grids take the policy steps of
     ``K.sweep_line_numpy`` over the line evaluator of ``_ir.lower``
@@ -261,11 +266,13 @@ def _iterate(spec: ProblemSpec, u, caps):
     values ``_residual`` gives: on boxes the G that ``K.step_box`` keeps
     in ``at`` for the current u.  A failed step
     (FloatingPointError), STALL_STEPS steps in a row without a new minimum
-    of the worst residual max |min(G, cap - u)| before a step, or MAX_STEPS
-    steps end the solve with ConvergenceError, whose message gives that
-    worst residual before the last step.  ``brackets`` carries the
-    bracket widths of the line step's weak-row node solves from one step
-    to the next.
+    of the worst residual max |min(G, cap - u)| before a step, a second
+    step in a row that changes no node (u, ``at`` and the floored
+    ``brackets`` stay as they were, so every later step repeats it) or
+    MAX_STEPS steps end the solve with ConvergenceError, whose message
+    gives that worst residual before the last step.  ``brackets`` carries
+    the bracket widths of the line step's weak-row node solves from one
+    step to the next.
     """
     M, F = spec.M, spec.F
     conv_tol = spec.conv_tol()
@@ -282,8 +289,7 @@ def _iterate(spec: ProblemSpec, u, caps):
         def jets():
             return batch_jets(gf, ids)[1:]
 
-        jet = jets()
-        at = [jet, value(*jet)]  # jets and G at the current u, kept by each step
+        at = [jets(), start_res]  # jets and G at the current u, kept by each step
 
         def step():
             return K.step_box(u, ids, M, caps, value, jets, res, at)
@@ -293,7 +299,7 @@ def _iterate(spec: ProblemSpec, u, caps):
     else:
         engine, g, S = "numpy", _ir.lower(F), M.stencil.at(ids)
         brackets = np.full(ids.size, 1e-3 * (1.0 + float(np.abs(u).max())))
-        gtol, veps = min(band, 1e-9), spec.policy.root_value_tol
+        gtol, veps = min(band, 1e-9), ROOT_VALUE_TOL
 
         def step():
             return K.sweep_line_numpy(u, ids, S, caps, g, brackets, res, gtol, veps)
@@ -303,7 +309,7 @@ def _iterate(spec: ProblemSpec, u, caps):
 
     free_band = 10 * conv_tol
     trace, min_signed = [], 0.0
-    steps, best, since, max_ch = 0, np.inf, 0, 0.0
+    steps, best, since, max_ch, unchanged = 0, np.inf, 0, 0.0, 0
     while True:
         if max_ch <= conv_tol:  # the start, and every step that can be accepted
             r = scheme()
@@ -327,6 +333,10 @@ def _iterate(spec: ProblemSpec, u, caps):
         best, since = (before, 0) if before < best else (best, since + 1)
         if since >= STALL_STEPS:
             why = f"no new minimum of the worst residual in {STALL_STEPS} steps"
+            break
+        unchanged = unchanged + 1 if max_ch == 0.0 else 0
+        if unchanged == 2:
+            why = "two steps in a row changed no node"
             break
         min_signed = min(min_signed, min_ch)
     raise ConvergenceError(
@@ -378,7 +388,7 @@ def _solve(spec: ProblemSpec, caps):
     if np.any(bvals[bd] > caps[bd] + 1e-12):
         raise PreconditionError("boundary data must satisfy phi <= g on the boundary")
     u0, init_label, start_res = _initial_subsolution(spec, bvals, caps)
-    u, sres, facts = _iterate(spec, u0.copy(), caps)
+    u, sres, facts = _iterate(spec, u0.copy(), caps, start_res)
     if M.stencil is None:  # the box check's G is the centred residual
         res = sres
     elif facts["sweeps"]:
@@ -473,16 +483,15 @@ def solve_obstacle(spec: ProblemSpec):
 
 
 def verify_subharmonic(F: Subequation, u: GridFunction, M: ModelManifold | None = None,
-                       tol: float | None = None, region=None,
-                       policy: NumericPolicy = DEFAULT_POLICY) -> Certificate:
+                       tol: float | None = None, region=None) -> Certificate:
     """Discrete F-subharmonicity: jets at interior nodes classify inside F.
 
-    Nodes flagged -inf are skipped (USC convention); ``region`` restricts
-    to a node mask.
+    ``tol`` defaults to the default membership_tol.  Nodes flagged -inf
+    are skipped (USC convention); ``region`` restricts to a node mask.
     """
     t0 = time.perf_counter()
     M = M or u.manifold
-    tol = policy.membership_tol if tol is None else tol
+    tol = DEFAULT_POLICY.membership_tol if tol is None else tol
     ids = None
     if region is not None:
         ids = np.where(np.asarray(region, dtype=bool) & M.interior_mask)[0]
@@ -501,9 +510,9 @@ def verify_subharmonic(F: Subequation, u: GridFunction, M: ModelManifold | None 
 
 
 def comparison_check(F: Subequation, u: GridFunction, v: GridFunction,
-                     K=None, policy: NumericPolicy = DEFAULT_POLICY) -> Certificate:
+                     K=None) -> Certificate:
     """Zero maximum principle on K: max_K (u+v) <= max_{boundary K} (u+v)^+ + tol,
-    tol the policy's comparison_tol, for u F-subharmonic and v
+    tol the default membership_tol, for u F-subharmonic and v
     dual-F-subharmonic (verified first, within 100 membership_tol).
 
     On failure the certificate carries the interior max node and a
@@ -512,8 +521,8 @@ def comparison_check(F: Subequation, u: GridFunction, v: GridFunction,
     """
     t0 = time.perf_counter()
     M = u.manifold
-    tol = policy.comparison_tol
-    precheck_tol = 100 * policy.membership_tol
+    tol = DEFAULT_POLICY.membership_tol
+    precheck_tol = 100 * tol
     K = np.ones(M.n_nodes, dtype=bool) if K is None else np.asarray(K, dtype=bool)
     cu = verify_subharmonic(F, u, M, tol=precheck_tol, region=K & M.interior_mask)
     cv = verify_subharmonic(dual_of(F), v, M, tol=precheck_tol, region=K & M.interior_mask)
@@ -568,6 +577,8 @@ def _doubled_variable_diag(M, uv, vv, K):
     return out
 
 
+# The fiber distance make_barrier asks of every collar jet by default.
+BARRIER_MARGIN = 1e-6
 # The collar of a boundary piece: the interior nodes within this many
 # smallest grid spacings of it.  ``make_barrier`` certifies its barrier
 # there, and ``khasminskii.build_potential`` relaxes the eikonal there.
@@ -587,8 +598,7 @@ class BarrierResult:
 def make_barrier(F: Subequation, M: ModelManifold, omega_mask, boundary_ids,
                  rho: GridFunction, s_grid=(0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
                  t_grid=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
-                 margin: float | None = None,
-                 policy: NumericPolicy = DEFAULT_POLICY) -> BarrierResult:
+                 margin: float = BARRIER_MARGIN) -> BarrierResult:
     """Search beta = t (rho + s rho^2) for a strictly F-subharmonic barrier.
 
     rho must be a defining function: zero on the boundary piece, negative on
@@ -605,7 +615,6 @@ def make_barrier(F: Subequation, M: ModelManifold, omega_mask, boundary_ids,
     The smallest certified (s, t) pair (s first, then t) is returned.
     """
     t0 = time.perf_counter()
-    margin = policy.barrier_margin if margin is None else margin
     omega_mask = np.asarray(omega_mask, dtype=bool)
     boundary_ids = np.asarray(boundary_ids, dtype=int)
     rv = rho.values
@@ -630,7 +639,7 @@ def make_barrier(F: Subequation, M: ModelManifold, omega_mask, boundary_ids,
         if np.any(np.linalg.norm(p, axis=1) < 1e-12):
             return False, 0.0
         k = int(np.argmax(np.append(F.value(ids, r, p, A) <= 0, True)))
-        d = distance_to_boundary(F, ids[:k], r[:k], p[:k], A[:k], policy=policy).value
+        d = distance_to_boundary(F, ids[:k], r[:k], p[:k], A[:k]).value
         j = int(np.argmax(np.append(d < margin, True)))
         worst = float(np.min(d[:j + 1], initial=np.inf))
         if j == k < ids.size:

@@ -33,7 +33,7 @@ import numpy as np
 from .certificates import Certificate
 from .errors import ConstructionError, InputError
 from .jets import MAX_DIM, DenseView, Jet
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import DEFAULT_POLICY
 from .profiles import AProfile, Profile
 
 
@@ -122,13 +122,12 @@ class Subequation:
         return f"<Subequation {self.meta.tag} m={self.m}>"
 
 
-def contains(F: Subequation, x, jet: Jet,
-             policy: NumericPolicy = DEFAULT_POLICY) -> Region:
+def contains(F: Subequation, x, jet: Jet) -> Region:
     """Classify a jet against F_x: Interior (G > tol), Boundary, Exterior,
-    tol the policy's membership_tol."""
+    tol the default membership_tol."""
     if jet.m != F.m:
         raise InputError("jet dimension does not match subequation")
-    tol = policy.membership_tol
+    tol = DEFAULT_POLICY.membership_tol
     g = F.value_jet(x, jet)
     if g > tol:
         return Region.INTERIOR
@@ -596,12 +595,15 @@ def _norms(X):
     return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
 
 
-def distance_to_boundary(F: Subequation, x, r, p=None, A=None,
-                         policy: NumericPolicy = DEFAULT_POLICY) -> BoundaryDistance:
+# |G| at or below this is a jet on the boundary of F (distance 0)
+ABS_TOL = 1e-10
+
+
+def distance_to_boundary(F: Subequation, x, r, p=None, A=None) -> BoundaryDistance:
     """Fiber distance from each jet to the boundary of F_x (flat fiber metric).
 
     Jets come as in `Subequation.value`; a `Jet` passed as ``r`` is a batch
-    of one and gives a float and a bool.  |G| <= ``policy.abs_tol`` is 0.
+    of one and gives a float and a bool.  |G| <= ``ABS_TOL`` is 0.
     Else up to five rays towards the other sign of G are searched: steepest
     G-change (central differences), the r-shift, the trace shift and
     +-p/|p|.  Each brackets its crossing at t = 1, 2, 4, ... <= 64 and
@@ -622,7 +624,7 @@ def distance_to_boundary(F: Subequation, x, r, p=None, A=None,
 
     g0 = F.value(xs, r, p, A)
     dist = np.zeros(n)
-    todo = np.flatnonzero(~(np.abs(g0) <= policy.abs_tol))
+    todo = np.flatnonzero(~(np.abs(g0) <= ABS_TOL))
     if todo.size:
         c0 = _jet_coords(r[todo], p[todo], A[todo])
         k, K = c0.shape
@@ -672,13 +674,13 @@ def distance_to_boundary(F: Subequation, x, r, p=None, A=None,
 
 
 def audit_PNT(F: Subequation, n: int = 100_000,
-              seed: int = 0, policy: NumericPolicy = DEFAULT_POLICY) -> Certificate:
+              seed: int = 0) -> Certificate:
     """Sample-test positivity (P), negativity (N) and interior approximability.
 
     The sampled jets have r and p normal with standard deviation 2 and
     GOE-like A = B + B^T, B standard normal, with no base point.
     Violations are data, not errors: the certificate lists worst magnitudes
-    and counts; `passed` means zero violations beyond the policy band.
+    and counts; `passed` means zero violations beyond membership_tol.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -687,7 +689,7 @@ def audit_PNT(F: Subequation, n: int = 100_000,
     B = rng.standard_normal((n, F.m, F.m))
     A = B + np.transpose(B, (0, 2, 1))
     g = F.value(None, r, p, A)
-    tol = policy.membership_tol
+    tol = DEFAULT_POLICY.membership_tol
 
     # (P): adding a random PSD matrix must not decrease G
     B = rng.standard_normal((n, F.m, F.m))

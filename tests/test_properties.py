@@ -6,6 +6,7 @@ import pytest
 import subeq.properties
 from subeq.errors import ConvergenceError, DomainError, InputError
 from subeq.manifolds import FlatBox, GridFunction, RadialModel
+from subeq.policy import NumericPolicy
 from subeq.profiles import Profile
 from subeq.properties import (
     Outcome,
@@ -71,6 +72,20 @@ class TestAhlforsCheck:
         v = ahlfors_violation_check(Fd, U, GridFunction(M, -np.ones(M.n_nodes)))
         assert v.result is Outcome.HOLDS
         assert any("not in scope" in n for n in v.certificate.notes)
+
+    def test_sup_gap_slack_is_the_membership_tol(self):
+        # a concave member of {u'' >= -1} whose interior sup exceeds its
+        # boundary sup (0) by 1e-7: inside the band of --tol 1e-6, beyond
+        # the default band
+        M, x, U = box_setup()
+        Fd = dual(laplace(Profile.constant(1.0), m=1))
+        u = GridFunction(M, 4e-7 * x * (1.0 - x))
+        loose = ahlfors_violation_check(Fd, U, u, policy=NumericPolicy(membership_tol=1e-6))
+        strict = ahlfors_violation_check(Fd, U, u)
+        assert loose.certificate.worst["sup_gap"] == strict.certificate.worst["sup_gap"]
+        assert abs(strict.certificate.worst["sup_gap"] - 1e-7) <= 1e-20
+        assert loose.result is Outcome.HOLDS
+        assert strict.result is Outcome.FAILS
 
     def test_fails_requires_witness_invariant(self):
         with pytest.raises(InputError):

@@ -11,7 +11,6 @@ from subeq import solver
 from subeq.errors import ConvergenceError, InitializationError, InputError, PreconditionError
 from subeq.jets import Jet, SymMatrix
 from subeq.manifolds import FlatBox, GridFunction, PuncturedEuclidean, RadialModel, batch_jets
-from subeq.policy import DEFAULT_POLICY
 from subeq.profiles import AProfile, Profile
 from subeq.solver import (
     ProblemSpec,
@@ -24,6 +23,7 @@ from subeq.solver import (
 )
 from subeq.subequations import (
     JetEquivalence,
+    Subequation,
     apply_jet_equivalence,
     below_zero_cap,
     distance_to_boundary,
@@ -254,6 +254,29 @@ class TestEngines:
                              str(e.value))
         assert found and found.group(2) == engine
         assert int(found.group(1)) < 2 * STALL_STEPS
+
+    @pytest.mark.parametrize("M, bc, kernel, step", [
+        (RADIAL_41, {"inner": 0.0, "outer": 1.0}, "sweep_line_numpy", 18),
+        (BOX_8, {"side": lambda c: c[:, 0] * c[:, 1]}, "step_box", 2),
+    ], ids=["line", "box"])
+    def test_second_unchanged_step_ends_the_solve(self, monkeypatch, M, bc, kernel, step):
+        # a step that changes no node leaves what the next step reads as it
+        # was, so the next one repeats it; the stall rule ended these
+        # solves at steps 52 and 51
+        real, changes = getattr(K, kernel), []
+
+        def logged(*args):
+            out = real(*args)
+            changes.append(out[0])
+            return out
+
+        monkeypatch.setattr(K, kernel, logged)
+        with pytest.raises(ConvergenceError,
+                           match=rf"two steps in a row changed no node at step {step} "):
+            perron_dirichlet(ProblemSpec(dual(eikonal(XI1, m=2)), M, bc))
+        assert len(changes) == step
+        # the last two steps changed nothing, and the one before them did
+        assert changes[-2:] == [0.0, 0.0] and 0.0 not in changes[-3:-2]
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("member", ["lambda_min", "plurisub", "sigma_1"])
@@ -1009,6 +1032,33 @@ class TestResidualEvaluations:
         assert cert.counts["sweeps"] > 0
         assert n["after_loop"] == n["line"] == 0
 
+    def test_box_loop_takes_the_start_residual(self, monkeypatch):
+        # the G that verified the start is the first step's G: after the
+        # start is chosen, the first tree evaluation is inside a step
+        events = []
+        value, init, step_box = Subequation.value, solver._initial_subsolution, K.step_box
+
+        def called(key, f):
+            def call(*args):
+                events.append(key)
+                return f(*args)
+            return call
+
+        def returned(key, f):
+            def call(*args):
+                out = f(*args)
+                events.append(key)
+                return out
+            return call
+
+        monkeypatch.setattr(Subequation, "value", called("value", value))
+        monkeypatch.setattr(solver, "_initial_subsolution", returned("start", init))
+        monkeypatch.setattr(K, "step_box", called("step", step_box))
+        _, cert = perron_dirichlet(_box_newton())
+        assert cert.passed and cert.counts["sweeps"] == 2
+        assert events[events.index("start") + 1] == "step"
+        assert events.count("value") == 33  # 34 when the loop evaluated its start again
+
 
 class TestVerifySubharmonic:
     def test_quadratic_pass_and_fail(self):
@@ -1109,7 +1159,7 @@ def _collar(M, boundary_ids):
     return np.where(M.interior_mask & (dist <= 4.0 * M.min_spacing()))[0]
 
 
-def _barrier_reference(F, M, boundary_ids, rho, margin=DEFAULT_POLICY.barrier_margin,
+def _barrier_reference(F, M, boundary_ids, rho, margin=solver.BARRIER_MARGIN,
                        s_grid=(0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
                        t_grid=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)):
     """make_barrier's search with one-jet calls, node by node along the collar;
