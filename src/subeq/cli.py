@@ -26,7 +26,7 @@ from .errors import (
     NumericalError,
     SubeqError,
 )
-from .jets import garding_eigenvalues_batch
+from .jets import DenseView
 from .khasminskii import (
     PairKh,
     Schedule,
@@ -456,27 +456,22 @@ def duality_involution_suite(seed=0, n=10_000, ms=(2, 3, 4)) -> Certificate:
     checked = 0
     for m in ms:
         for F in _catalog(m):
-            r = 2.0 * rng.standard_normal(n)
-            p = 2.0 * rng.standard_normal((n, m))
-            B = rng.standard_normal((n, m, m))
-            A = B + np.transpose(B, (0, 2, 1))
+            r, p, A = SU._random_jets(rng, n, m)
+            J = DenseView(None, r, p, A)
             Fd = F.dual()
-            lhs = Fd.value(None, r, p, A)
-            rhs = -F.value(None, -r, -p, -A)
+            lhs = Fd._value(J)
+            rhs = -F._value(DenseView(None, -r, -p, -A))
             worst_ident = max(worst_ident, float(np.abs(lhs - rhs).max()))
-            g0 = F.value(None, r, p, A)
-            g2 = F.dual().dual().value(None, r, p, A)
+            g0 = F._value(J)
+            g2 = Fd.dual()._value(J)
             off_band = np.abs(g0) > tol
             worst_invol += int((np.sign(g0[off_band]) != np.sign(g2[off_band])).sum())
             checked += 1
         E = SU.eikonal(1.0, m=m)
         L = SU.laplace(Profile.linear(1.0), m=m)
-        r = 2.0 * rng.standard_normal(n)
-        p = 2.0 * rng.standard_normal((n, m))
-        B = rng.standard_normal((n, m, m))
-        A = B + np.transpose(B, (0, 2, 1))
-        lhs = SU.dual(SU.intersect(L, E)).value(None, r, p, A)
-        rhs = SU.union(SU.dual(L), SU.dual(E)).value(None, r, p, A)
+        J = DenseView(None, *SU._random_jets(rng, n, m))
+        lhs = SU.dual(SU.intersect(L, E))._value(J)
+        rhs = SU.union(SU.dual(L), SU.dual(E))._value(J)
         worst_demorgan += int((np.abs(lhs - rhs) > tol).sum())
     return Certificate(
         name="duality_involution", tolerance=tol,
@@ -501,11 +496,10 @@ def garding_identity_suite(seed=0, n=1000, m_max=6, tol=1e-9) -> Certificate:
         A = B + np.transpose(B, (0, 2, 1))
         C = rng.standard_normal((n, m, m))
         P = np.einsum("nik,njk->nij", C, C) / m
+        chains = [DenseView(None, None, None, S) for S in (A, -A, A + P)]
         for k in range(1, m + 1):
-            mu = garding_eigenvalues_batch(A, k)
-            mu_neg = garding_eigenvalues_batch(-A, k)
+            mu, mu_neg, mu_p = (J.garding(k) for J in chains)
             worst_dual = max(worst_dual, float(np.abs(mu_neg + mu[:, ::-1]).max()))
-            mu_p = garding_eigenvalues_batch(A + P, k)
             worst_mono = max(worst_mono, float((mu - mu_p).max()))
     return Certificate(
         name="garding_identity", tolerance=tol,
@@ -518,13 +512,14 @@ def garding_identity_suite(seed=0, n=1000, m_max=6, tol=1e-9) -> Certificate:
 
 
 def pn_audit_suite(seed=0) -> Certificate:
-    """``audit_PNT`` of every catalog member for m = 2, 3, on 20,000 jets each."""
+    """``audit_PNT`` of every catalog member for m = 2, 3: one sample of
+    20,000 jets per m, drawn and decomposed once for all nine members."""
     t0 = time.perf_counter()
     cert = Certificate(name="pn_audits", passed=True, tolerance=DEFAULT_POLICY.membership_tol)
     for m in (2, 3):
+        views = SU._pnt_views(m, 20_000, seed)
         for F in _catalog(m):
-            sub = SU.audit_PNT(F, n=20_000, seed=seed)
-            cert.merge_child(sub, f"{F.meta.tag}[m={m}]")
+            cert.merge_child(SU._audit_PNT(F, views, seed), f"{F.meta.tag}[m={m}]")
     cert.wall_time = time.perf_counter() - t0
     return cert
 

@@ -13,25 +13,18 @@ roots of the derivative of a polynomial with roots d_1..d_j are the
 eigenvalues of diag(d) compressed to the complement of (1,...,1), so each
 level is one small symmetric eigenvalue problem of the level above.
 
-Batch spectra are memoized on content.  ``eigenvalues_sym_batch`` keys
-each stack on its shape, its dtype and a 16-byte BLAKE2b digest of its
-contiguous bytes, and keeps the last ``_MEMO_RECORDS`` stacks (LRU).  A
-record holds the spectrum and every Garding level above the mean computed
-from it so far, so an F, its dual and the members of a suite evaluated on
-one batch decompose it once.  Records are shared, so their arrays are
-read-only; a stack edited in place has a new key.  The spectrum of -A is
-decomposed, never derived from that of A, so duality checks on spectra
+A jet-batch view owns its spectrum: ``DenseView`` decomposes its stack on
+the first read of ``eigs`` and keeps it, with every Garding level above the
+mean computed from it so far, in its ``levels``, so an F, its dual and the
+members of a suite evaluated on one view decompose it once.  Stored levels
+are read-only, and ``take(mask)`` starts a fresh view.  The spectrum of -A
+is decomposed, never derived from that of A, so duality checks on spectra
 stay real.
 """
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from math import comb
-
-# not hashlib, which would also load OpenSSL (about 3.6 MB of resident memory)
-from _blake2 import blake2b
 
 import numpy as np
 
@@ -151,32 +144,9 @@ def eigenvalues_sym(A: SymMatrix) -> np.ndarray:
     return np.linalg.eigvalsh(A.full)
 
 
-# the most any caller reuses: garding_identity_suite's A, -A and A + P at every k
-_MEMO_RECORDS = 3
-_memo: OrderedDict = OrderedDict()
-_memo_lock = threading.Lock()
-
-
 def eigenvalues_sym_batch(A: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a (n, m, m) stack of symmetric matrices.
-
-    Memoized on the stack's content (see the module docstring); the
-    result is read-only.
-    """
-    A = np.ascontiguousarray(A)
-    key = (A.shape, A.dtype.str, blake2b(A.data, digest_size=16).digest())
-    with _memo_lock:
-        rec = _memo.get(key)
-        if rec is not None:
-            _memo.move_to_end(key)
-            return rec[A.shape[-1]]
-    lam = np.linalg.eigvalsh(A)
-    lam.flags.writeable = False
-    with _memo_lock:
-        _memo[key] = {A.shape[-1]: lam}
-        if len(_memo) > _MEMO_RECORDS:
-            _memo.popitem(last=False)
-    return lam
+    """Ascending eigenvalues of a (n, m, m) stack of symmetric matrices."""
+    return np.linalg.eigvalsh(A)
 
 
 def sigma_k(lam, k: int) -> float:
@@ -260,7 +230,8 @@ def _garding_level(levels: dict, k: int) -> np.ndarray:
     """Level k of the chain whose top level m = max(levels) is sorted.
 
     Continues from the deepest stored level above k and stores every level
-    it computes in ``levels``; level 1, the mean of level m, is not stored.
+    it computes in ``levels``, read-only; level 1, the mean of level m, is
+    not stored.
     """
     m = max(levels)
     if not (1 <= k <= m):
@@ -272,24 +243,13 @@ def _garding_level(levels: dict, k: int) -> np.ndarray:
         for j in range(min(i for i in levels if i > k), k, -1):
             Q = _COMPRESS[j]
             levels[j - 1] = np.linalg.eigvalsh(np.einsum("ia,ni,ib->nab", Q, levels[j], Q))
+            levels[j - 1].flags.writeable = False
     return levels[k]
 
 
 def garding_eigenvalues_batch(A: np.ndarray, k: int) -> np.ndarray:
-    """Branch eigenvalues for a (n, m, m) stack -> (n, k), ascending.
-
-    Levels 2..m join the memo record of A's spectrum and are read-only.
-    """
-    lam = eigenvalues_sym_batch(A)
-    with _memo_lock:
-        levels = next((rec for rec in _memo.values() if rec.get(lam.shape[-1]) is lam), None)
-        if levels is not None:
-            mu = _garding_level(levels, k)
-            for level in levels.values():
-                level.flags.writeable = False
-            return mu
-    # a spectrum that did not come from the memo (an evicted or replaced record)
-    return _garding_from_eigs_batch(lam, k)
+    """Branch eigenvalues for a (n, m, m) stack -> (n, k), ascending."""
+    return _garding_from_eigs_batch(eigenvalues_sym_batch(A), k)
 
 
 # ---------------------------------------------------------------------------
@@ -306,20 +266,29 @@ class DenseView:
     p != 0, the second derivative along p as ``dir2`` = A(p, p) / |p|^2 and
     ``dir2_unit`` = A(phat, phat): one quantity in two roundings, so the
     infinity Laplacian and the quasilinear family keep their dense values.
-    ``take(mask)`` is the sub-batch at a boolean mask.
+    ``take(mask)`` is the sub-batch at a boolean mask.  A dense view keeps
+    its spectrum (level m) and the Garding levels from it in ``levels``.
     """
 
-    __slots__ = ("x", "r", "p", "A", "m")
+    __slots__ = ("x", "r", "p", "A", "m", "levels")
 
     def __init__(self, x, r, p, A):
-        self.x, self.r, self.p, self.A, self.m = x, r, p, A, p.shape[1]
+        self.x, self.r, self.p, self.A, self.m = x, r, p, A, A.shape[-1]
+        self.levels = {}
 
-    eigs = property(lambda self: eigenvalues_sym_batch(self.A))
     trace = property(lambda self: np.trace(self.A, axis1=1, axis2=2))
     grad = grad_up = property(lambda self: np.linalg.norm(self.p, axis=1))
 
+    @property
+    def eigs(self):
+        if not self.levels:
+            self.levels[self.m] = eigenvalues_sym_batch(self.A)
+            self.levels[self.m].flags.writeable = False
+        return self.levels[self.m]
+
     def garding(self, k):
-        return garding_eigenvalues_batch(self.A, k)
+        self.eigs  # the top level of the chain
+        return _garding_level(self.levels, k)
 
     @property
     def dir2(self):

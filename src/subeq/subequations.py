@@ -97,8 +97,8 @@ class Subequation:
     rows = None
 
     def __init__(self, m: int, meta: SubeqMeta):
-        if m < 1:
-            raise InputError("dimension must be >= 1")
+        if not (1 <= m <= MAX_DIM):
+            raise InputError(f"dimension must be in [1, {MAX_DIM}], got {m}")
         self.m = m
         self.meta = meta
 
@@ -682,24 +682,41 @@ def audit_PNT(F: Subequation, n: int = 100_000,
     Violations are data, not errors: the certificate lists worst magnitudes
     and counts; `passed` means zero violations beyond membership_tol.
     """
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    r = 2.0 * rng.standard_normal(n)
-    p = 2.0 * rng.standard_normal((n, F.m))
-    B = rng.standard_normal((n, F.m, F.m))
-    A = B + np.transpose(B, (0, 2, 1))
-    g = F.value(None, r, p, A)
-    tol = DEFAULT_POLICY.membership_tol
+    return _audit_PNT(F, _pnt_views(F.m, n, seed), seed)
 
-    # (P): adding a random PSD matrix must not decrease G
-    B = rng.standard_normal((n, F.m, F.m))
-    P = np.einsum("nik,njk->nij", B, B) / F.m
-    gP = F.value(None, r, p, A + P)
-    p_viol = g - gP
-    # (N): decreasing r must not decrease G
+
+def _random_jets(rng, n, m):
+    """n jets: r and p normal with standard deviation 2, A = B + B^T with B
+    standard normal."""
+    r = 2.0 * rng.standard_normal(n)
+    p = 2.0 * rng.standard_normal((n, m))
+    B = rng.standard_normal((n, m, m))
+    return r, p, B + np.transpose(B, (0, 2, 1))
+
+
+def _pnt_views(m, n, seed):
+    """audit_PNT's sample as views: J, J with a random PSD matrix added to A
+    (P), and J with r lowered (N), which shares J's spectrum."""
+    rng = np.random.default_rng(seed)
+    r, p, A = _random_jets(rng, n, m)
+    B = rng.standard_normal((n, m, m))
+    P = np.einsum("nik,njk->nij", B, B) / m
     dr = np.abs(rng.standard_normal(n)) + 1e-3
-    gN = F.value(None, r - dr, p, A)
-    n_viol = g - gN
+    J = DenseView(None, r, p, A)
+    JN = DenseView(None, r - dr, p, A)
+    JN.levels = J.levels
+    return J, DenseView(None, r, p, A + P), JN
+
+
+def _audit_PNT(F, views, seed):
+    t0 = time.perf_counter()
+    J, JP, JN = views
+    g = F._value(J)
+    tol = DEFAULT_POLICY.membership_tol
+    # (P): adding a random PSD matrix must not decrease G
+    p_viol = g - F._value(JP)
+    # (N): decreasing r must not decrease G
+    n_viol = g - F._value(JN)
 
     # (T) proxy: boundary jets must admit interior jets within every radius
     band = np.abs(g) <= 10 * tol
@@ -713,9 +730,9 @@ def audit_PNT(F: Subequation, n: int = 100_000,
             (-1.0, 0.0),  # r - delta
             (-1.0, 1.0),
         ):
-            rr = r[band] + shift[0] * delta
-            AA = A[band] + shift[1] * delta * np.eye(F.m)
-            ok |= F.value(None, rr, p[band], AA) > 0
+            rr = J.r[band] + shift[0] * delta
+            AA = J.A[band] + shift[1] * delta * np.eye(F.m)
+            ok |= F._value(DenseView(None, rr, J.p[band], AA)) > 0
         t_fail = int((~ok).sum())
 
     worst = {
@@ -732,6 +749,6 @@ def audit_PNT(F: Subequation, n: int = 100_000,
     return Certificate(
         name=f"audit_PNT[{F.meta.tag}]", passed=passed, tolerance=tol,
         worst=worst, counts=counts,
-        params={"n": n, "seed": seed, "m": F.m},
+        params={"n": J.r.size, "seed": seed, "m": F.m},
         wall_time=time.perf_counter() - t0,
     )

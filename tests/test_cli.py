@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import subeq
 from subeq.cli import (
+    _catalog,
     duality_involution_suite,
     garding_identity_suite,
     main,
@@ -16,9 +18,11 @@ from subeq.cli import (
     parse_fn,
     parse_profile,
     parse_subequation,
+    pn_audit_suite,
     run_audit,
 )
 from subeq.errors import InputError
+from subeq.subequations import audit_PNT
 
 
 def write_scenario(tmp_path, name, payload):
@@ -78,7 +82,7 @@ def test_python_m_subeq():
 
 
 def test_import_leaves_openssl_unloaded():
-    # the spectral memo hashes with _blake2; hashlib would load OpenSSL
+    # nothing in subeq hashes; importing hashlib would load OpenSSL
     # (_hashlib), several MB of resident memory in every run
     env = dict(os.environ, PYTHONPATH=str(Path(subeq.__file__).resolve().parents[1]))
     code = "import sys, subeq.cli; sys.exit('_hashlib' in sys.modules)"
@@ -163,9 +167,12 @@ class TestRun:
         lambda sc: sc["params"].update(boundary={"nosuch": 1.0}),
         lambda sc: sc.update(manifold={"kind": "radial", "m": 3, "warp": "euclidean",
                                        "r_lo": -1.0, "r_hi": 2.0, "n": 201}),
+        lambda sc: (sc["manifold"].update(m=9),
+                    sc.update(subequation={"kind": "sigma_branch", "j": 1, "k": 2,
+                                           "f": {"kind": "linear", "slope": 0.0}})),
     ], ids=["no-boundary", "no-f", "f-not-an-object", "boundary-value-not-a-number",
             "boundary-not-an-object", "parts-not-an-array", "unknown-boundary-tag",
-            "warp-not-positive"])
+            "warp-not-positive", "dimension-above-max"])
     def test_malformed_scenario_exit_4(self, tmp_path, capsys, edit):
         sc = json.loads(SCENARIO_DIR.joinpath("dirichlet_annulus.json").read_text())
         edit(sc)
@@ -173,6 +180,21 @@ class TestRun:
         assert main(["run", path, "--out", str(tmp_path / "out"), "--no-plots"]) == 4
         err = capsys.readouterr().err
         assert "input error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("stem,params", [
+        ("capacity_sinh", {"radii": "abc"}),
+        ("capacity_sinh", {"r_K": "abc"}),
+        ("khasminskii_sinh", {"eps": "x"}),
+        ("khasminskii_sinh", {"i_max": 2.5}),
+    ], ids=["radii-string", "r_K-string", "eps-string", "i_max-float"])
+    def test_param_of_wrong_type_exit_4(self, tmp_path, capsys, stem, params):
+        sc = json.loads(SCENARIO_DIR.joinpath(f"{stem}.json").read_text())
+        sc["params"].update(params)
+        path = write_scenario(tmp_path, "bad.json", sc)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--no-plots"]) == 4
+        err = capsys.readouterr().err
+        assert "input error" in err and "Traceback" not in err
+        assert f"scenario.params.{next(iter(params))}" in err
 
     def test_capacity_scenario(self, tmp_path):
         sc = write_scenario(tmp_path, "c.json", {
@@ -308,6 +330,32 @@ class TestAudit:
         assert not cert.passed
         assert cert.name == "duality_involution"
         assert cert.worst["dual_identity"] > 1e-9
+
+    def test_suites_decompose_each_batch_once(self, monkeypatch):
+        # every suite evaluates on views that own their spectra: F, its dual
+        # and its double dual, the Garding levels of A, -A and A + P for all
+        # k, and the nine P/N members of one sample share the decompositions
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        counts = {}
+        for suite in (duality_involution_suite, garding_identity_suite, pn_audit_suite):
+            calls.clear()
+            assert suite(seed=0).passed
+            counts[suite.__name__] = len(calls)
+        assert counts == {"duality_involution_suite": 30, "garding_identity_suite": 45,
+                          "pn_audit_suite": 6}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pn_suite_merges_audit_pnt(self, seed):
+        # the suite's shared views give each member what audit_PNT alone gives
+        suite = pn_audit_suite(seed=seed)
+        for m in (2, 3):
+            for F in _catalog(m):
+                alone = audit_PNT(F, n=20_000, seed=seed)
+                prefix = f"{F.meta.tag}[m={m}]."
+                assert alone.worst == {k: suite.worst[prefix + k] for k in alone.worst}
+                assert alone.counts == {k: suite.counts[prefix + k] for k in alone.counts}
 
     def test_tightened_tolerance_fails_documented(self):
         # tightening below the measured floating-point floor produces the

@@ -9,9 +9,9 @@ import itertools
 import numpy as np
 import pytest
 
-from subeq import jets
 from subeq.errors import DomainError, InputError
 from subeq.jets import (
+    DenseView,
     Jet,
     SymMatrix,
     eigenvalues_sym,
@@ -20,9 +20,13 @@ from subeq.jets import (
     garding_eigenvalues_batch,
     quasilinear_T,
     sigma_k,
+    _garding_from_eigs_batch,
     trace_on_frame,
 )
 from subeq.profiles import AProfile
+
+
+eigvalsh_plain = np.linalg.eigvalsh
 
 
 def rand_sym(rng, m, n=None):
@@ -161,7 +165,6 @@ class TestGarding:
     def test_shift_equivariance_and_permutation(self):
         rng = np.random.default_rng(6)
         lam = rng.standard_normal(5)
-        from subeq.jets import _garding_from_eigs_batch
         for k in (1, 3, 5):
             mu = _garding_from_eigs_batch(lam[None], k)[0]
             mu_s = _garding_from_eigs_batch((lam + 0.7)[None], k)[0]
@@ -190,11 +193,10 @@ class TestGarding:
             garding_eigenvalues(SymMatrix.identity(3), 4)
 
 
-class TestSpectralMemo:
+class TestDenseViewSpectrum:
     @pytest.fixture
     def decompositions(self, monkeypatch):
-        """Empty memo; returns the list of shapes np.linalg.eigvalsh is called on."""
-        jets._memo.clear()
+        """The list of shapes np.linalg.eigvalsh is called on."""
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -203,62 +205,56 @@ class TestSpectralMemo:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        yield shapes
-        jets._memo.clear()
+        return shapes
 
-    def test_repeat_and_copy_decomposed_once(self, decompositions):
+    @staticmethod
+    def view(A):
+        n, m = A.shape[:2]
+        return DenseView(None, np.zeros(n), np.ones((n, m)), A)
+
+    def test_eigs_decomposed_once(self, decompositions):
         A = rand_sym(np.random.default_rng(21), 4, 50)
-        expect = np.linalg.eigvalsh(A)
-        decompositions.clear()
-        for B in (A, A.copy(), np.asfortranarray(A)):
-            assert np.array_equal(eigenvalues_sym_batch(B), expect)
+        J = self.view(A)
+        first = J.eigs
+        assert J.eigs is first
         assert decompositions == [A.shape]
+        assert np.array_equal(first, eigvalsh_plain(A))
+        # a sub-batch is a fresh view with its own spectrum
+        assert np.array_equal(J.take(np.arange(50) < 20).eigs, first[:20])
+        assert decompositions == [A.shape, (20, 4, 4)]
 
-    def test_in_place_edit_gives_new_spectrum(self, decompositions):
-        A = rand_sym(np.random.default_rng(22), 3, 20)
-        eigenvalues_sym_batch(A)
-        A[0] = np.diag([5.0, 6.0, 7.0])
-        ev = eigenvalues_sym_batch(A)
-        assert np.array_equal(ev[0], [5.0, 6.0, 7.0])
-        assert np.array_equal(ev, np.linalg.eigvalsh(A))
+    def test_garding_levels_continue_the_chain(self, decompositions):
+        rng = np.random.default_rng(24)
+        for m in range(2, 7):
+            A = rand_sym(rng, m, 100)
+            lam = eigvalsh_plain(A)
+            expect = {k: _garding_from_eigs_batch(lam, k) for k in range(1, m + 1)}
+            decompositions.clear()
+            J = self.view(A)
+            for k in [*range(m, 0, -1), *range(1, m + 1)]:
+                assert np.array_equal(J.garding(k), expect[k]), (m, k)
+            # the spectrum and each compressed level m-1, ..., 2 once
+            assert decompositions == [(100, j, j) for j in range(m, 1, -1)]
+            assert sorted(J.levels) == list(range(2, m + 1))
 
-    def test_results_read_only(self, decompositions):
-        A = rand_sym(np.random.default_rng(23), 4, 10)
-        # the spectrum is checked before a garding call shares its record
-        outs = [eigenvalues_sym_batch(A)]
+    def test_stored_levels_read_only(self):
+        J = self.view(rand_sym(np.random.default_rng(23), 4, 10))
+        # the spectrum is checked before a garding call extends the chain
+        outs = [J.eigs]
         assert not outs[0].flags.writeable
-        outs += [garding_eigenvalues_batch(A, k) for k in (2, 4)]
+        outs += [J.garding(k) for k in (2, 4)]
+        outs += list(J.levels.values())
         for out in outs:
             with pytest.raises(ValueError):
                 out[0, 0] = 1.0
 
-    def test_garding_levels_continue_the_chain(self, decompositions):
-        from subeq.jets import _garding_from_eigs_batch
-        rng = np.random.default_rng(24)
-        for m in range(2, 7):
-            A = rand_sym(rng, m, 100)
-            lam = np.linalg.eigvalsh(A)
-            expect = {k: _garding_from_eigs_batch(lam, k) for k in range(1, m + 1)}
-            decompositions.clear()
-            for k in [*range(m, 0, -1), *range(1, m + 1)]:
-                assert np.array_equal(garding_eigenvalues_batch(A, k), expect[k]), (m, k)
-            # the spectrum and each compressed level m-1, ..., 2 once
-            assert decompositions == [(100, j, j) for j in range(m, 1, -1)]
-
-    def test_bounded_least_recently_used(self, decompositions):
+    def test_garding_batch_is_one_chain(self):
         rng = np.random.default_rng(25)
-        for m in (2, 3, 2, 4, 5, 3):
-            eigenvalues_sym_batch(rand_sym(rng, m, 8))
-            garding_eigenvalues_batch(rand_sym(rng, m, 8), 1)
-            assert len(jets._memo) <= 3
-        A, B, C, D = (rand_sym(rng, 3, 8) for _ in range(4))
-        for X in (A, B, C, A, D):
-            eigenvalues_sym_batch(X)
-        decompositions.clear()
-        eigenvalues_sym_batch(A)
-        assert decompositions == []
-        eigenvalues_sym_batch(B)
-        assert decompositions == [B.shape]
+        for m in range(1, 7):
+            A = rand_sym(rng, m, 40)
+            for k in range(1, m + 1):
+                expect = _garding_from_eigs_batch(eigvalsh_plain(A), k)
+                assert np.array_equal(garding_eigenvalues_batch(A, k), expect), (m, k)
 
 
 class TestTraceOnFrame:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from subeq.errors import ConstructionError, InputError
-from subeq.jets import Jet, SymMatrix
+from subeq.jets import MAX_DIM, Jet, SymMatrix
 from subeq.profiles import AProfile, Profile
 from subeq.subequations import (
     JetEquivalence,
@@ -72,6 +72,12 @@ class TestContains:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             contains(laplace(LIN, m=2), None, Jet(0.0, np.zeros(3), SymMatrix.zero(3)))
+
+    def test_dimension_capped_at_max_dim(self):
+        # the spectral kernels compress up to MAX_DIM = 8 only
+        sigma_branch(1, 2, LIN, m=MAX_DIM)
+        with pytest.raises(InputError, match=r"\[1, 8\], got 9"):
+            sigma_branch(1, 2, LIN, m=MAX_DIM + 1)
 
 
 class TestDuality:
