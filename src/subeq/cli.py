@@ -26,7 +26,7 @@ from .errors import (
     NumericalError,
     SubeqError,
 )
-from .jets import DenseView
+from .jets import MAX_DIM, DenseView
 from .khasminskii import (
     PairKh,
     Schedule,
@@ -448,6 +448,9 @@ def duality_involution_suite(seed=0, n=10_000, ms=(2, 3, 4)) -> Certificate:
     1e-9, dual(dual F) classifies like F off the band |G| <= 1e-9, and
     intersections dualize to unions (sampled)."""
     t0 = time.perf_counter()
+    if n < 1 or not ms:
+        raise InputError("duality audit needs n >= 1 jets and a non-empty 'ms', "
+                         f"got n={n}, ms={list(ms)}")
     tol = 1e-9
     rng = np.random.default_rng(seed)
     worst_ident = 0.0
@@ -488,6 +491,9 @@ def duality_involution_suite(seed=0, n=10_000, ms=(2, 3, 4)) -> Certificate:
 def garding_identity_suite(seed=0, n=1000, m_max=6, tol=1e-9) -> Certificate:
     """mu_j^(k)(-A) = -mu_{k-j+1}^(k)(A) and PSD monotonicity on random data."""
     t0 = time.perf_counter()
+    if n < 1 or not (2 <= m_max <= MAX_DIM):
+        raise InputError(f"Garding audit needs n >= 1 and 2 <= m_max <= {MAX_DIM}, "
+                         f"got n={n}, m_max={m_max}")
     rng = np.random.default_rng(seed)
     worst_dual = 0.0
     worst_mono = 0.0

@@ -7,18 +7,19 @@ compact set K: balls in such models have F-convex boundary at height zero,
 so a barrier on ∂K replaces the gluing surgery of the general theory (the
 barrier precondition is checked, not assumed).  Stages produce a
 decreasing sequence w_0 = 0 >= w_1 >= ... by solving obstacle problems
-with obstacles psi_k + lambda_j (ramp lambda_j: 0 on ∂K, -1 outside D_{j-1})
-and boundary data 0 on ∂K, -i-1 on ∂D_j, advancing j until the stage
-conditions hold:
+with obstacle min(w_i + lambda_j, 0) (ramp lambda_j: 0 on ∂K, -1 outside
+D_{j-1}) and boundary data 0 on ∂K, -i-1 on ∂D_j, advancing j until the
+stage conditions hold:
 
     (monotone)  w_{i+1} <= w_i,
     (pinch)     (1 - 2^{-i-2}) h < w_{i+1},
     (escape)    w_{i+1} = -i-1 outside the chosen D_j,
     (gap)       sup_{D_i \\ K} |w_{i+1} - w_i| <= eps / 2^i.
 
-On a finite grid every stage output is already continuous, so after the
-psi_k ladder the stage closes with an exact-obstacle solve (psi = w_i);
-the psi_k solves are kept as the monotone-approximation trace.
+The paper approximates an upper semicontinuous w_i from above by
+continuous obstacles psi_k; on a finite grid every stage output is
+already continuous, so w_i is itself the obstacle, and a stage makes one
+obstacle solve per exhaustion radius it tries.
 """
 from __future__ import annotations
 
@@ -61,8 +62,6 @@ MIN_DROP = 0.5
 ODE_THRESHOLD = 1e6
 # the slope cap below 1 of the Ekeland distance potential
 SLOPE_CAP = 0.99
-# continuous obstacle approximants per stage solve before the exact one
-PSI_COUNT = 2
 
 
 @dataclass
@@ -150,7 +149,9 @@ def build_potential(F: Subequation, pair: PairKh, sched: Schedule,
     eta_vals = None
     xi_solve = xi
     if xi is not None:
-        beta_grad = np.abs(np.gradient(barrier.beta.values, M.r))
+        ids = M.interior_ids
+        b = barrier.beta.values
+        beta_grad = np.abs(M.stencil.at(ids).du(b[ids - 1], b[ids], b[ids + 1]))
         eta_peak = float(beta_grad.max()) + 1.0
         collar_width = max(collar_width, 0.75)
         eta_vals = eta_peak * np.clip(1.0 - (M.r - M.r[0]) / collar_width, 0.0, 1.0)
@@ -171,6 +172,8 @@ def build_potential(F: Subequation, pair: PairKh, sched: Schedule,
                            "radii": radii.tolist(),
                            "coupled_eikonal": xi is not None,
                            "barrier": {"s": barrier.s, "t": barrier.t}})
+    if xi is not None:
+        cert.params["eta_peak"] = eta_peak
 
     for i in range(sched.i_max):
         w_next, entry = _run_stage(F, xi_solve, eta_vals, M, pair, sched, radii, w,
@@ -208,25 +211,11 @@ def _run_stage(F, xi, eta_vals, M, pair, sched, radii, w_i, C_radius, i, policy)
     if j0 + 1 >= radii.size:
         raise ScheduleError(f"stage {i}: exhaustion too short for j0={j0}",
                             achieved={"C_radius": C_radius})
-    taper = np.clip((radii[j0] - M.r) / max(radii[j0] - radii[j0 - 1], 1e-9), 0.0, 1.0)
-    beyond_j0 = M.r >= radii[j0] - 1e-12
-
-    def make_psi(k: int | None):
-        if k is None:
-            return w_i.copy()
-        psi = w_i + taper / k
-        sm = psi.copy()
-        sm[1:-1] = 0.25 * (psi[:-2] + 2 * psi[1:-1] + psi[2:])
-        psi = np.maximum(np.minimum(sm, 0.0), w_i)
-        psi[beyond_j0] = -float(i)
-        return np.maximum(psi, w_i)
-
     # gap measured on D_i \ K (D_1 for the opening stage)
     gap_radius = radii[min(max(i, 1) - 1, radii.size - 1)]
     gap_mask_full = (M.r <= gap_radius + 1e-12) & M.interior_mask
 
-    prev_j_solution = None
-    entry = {"stage": i, "psi_gaps": [], "sweeps": 0}
+    entry = {"stage": i, "sweeps": 0}
     gap = np.inf
     pinch_ok = monotone_ok = False
     for jx in range(j0 + 1, radii.size):
@@ -239,37 +228,17 @@ def _run_stage(F, xi, eta_vals, M, pair, sched, radii, w_i, C_radius, i, policy)
         if xi is not None:
             F_sub = intersect(F, eikonal_relaxed(xi, eta_vals[ids], m=F.m))
         lam_j = -np.clip((subM.r - ramp_lo) / max(ramp_hi - ramp_lo, 1e-9), 0.0, 1.0)
-        warm = [] if prev_j_solution is None else [prev_j_solution[ids]]
-        psi_prev_sol = None
-        u_sub = None
-        sweeps = 0
-        ks = list(range(1, PSI_COUNT + 1)) + [None]
-        for k in ks:
-            psi = make_psi(k)[ids]
-            gjk = np.minimum(psi + lam_j, 0.0)
-            cand = list(warm)
-            if psi_prev_sol is not None and k is not None and k > 1:
-                cand.append(psi_prev_sol - (1.0 / (k - 1) - 1.0 / k))
-            if psi_prev_sol is not None and k is None:
-                cand.append(psi_prev_sol - 1.0 / PSI_COUNT)
-            spec = ProblemSpec(
-                F_sub,
-                subM,
-                {"inner": 0.0, "outer": -(i + 1.0)},
-                obstacle=GridFunction(subM, gjk),
-                warm_starts=tuple(cand),
-                policy=policy,
-            )
-            sol, c = solve_obstacle(spec)
-            sweeps += c.counts["sweeps"]
-            if psi_prev_sol is not None:
-                entry["psi_gaps"].append(float(np.abs(sol.values - psi_prev_sol).max()))
-            psi_prev_sol = sol.values
-            u_sub = sol.values
-        entry["sweeps"] += sweeps
+        spec = ProblemSpec(
+            F_sub,
+            subM,
+            {"inner": 0.0, "outer": -(i + 1.0)},
+            obstacle=GridFunction(subM, np.minimum(w_i[ids] + lam_j, 0.0)),
+            policy=policy,
+        )
+        sol, c = solve_obstacle(spec)
+        entry["sweeps"] += c.counts["sweeps"]
         u_full = np.full(M.n_nodes, -(i + 1.0))
-        u_full[ids] = u_sub
-        prev_j_solution = u_full
+        u_full[ids] = sol.values
         monotone_ok = bool(np.all(u_full <= w_i + 1e-10))
         pinch_ok = bool(np.all(pinch_factor * hv < u_full + 1e-12))
         gap = float(np.abs((u_full - w_i)[gap_mask_full]).max(initial=0.0))

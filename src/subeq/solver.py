@@ -7,11 +7,12 @@ presolve rows all read the grid's one ``LineStencil``.
 
 Initialization: for linear members (laplace / infinity-Laplacian with
 linear f) a direct tridiagonal presolve is admitted as a warm start after
-an honest verification that it is a discrete subsolution, as are the
-obstacle slack and the caller's ``ProblemSpec.warm_starts``.  The
-constant min(boundary) - slack subsolution is offered too, unless the
-verified presolve already lies above it.  The pointwise max of all
-verified candidates is used when it verifies itself.
+an honest verification that it is a discrete subsolution, as is the
+obstacle slack.  The constant min(boundary) - slack subsolution is
+offered too, unless the verified presolve already lies above it.  The
+pointwise max of all verified candidates is used when it verifies
+itself.  A solve has no setting of its own: a ``ProblemSpec`` is the
+problem (F, grid, boundary data, obstacle) and the run's tolerance.
 
 Solve core: perron_dirichlet and solve_obstacle are one solve (_solve)
 that differs only in its caps: +inf, or the obstacle g.  One set-up, one
@@ -83,7 +84,6 @@ class ProblemSpec:
     M: ModelManifold
     boundary: dict                      # tag -> scalar | callable(coords) | array
     obstacle: GridFunction | None = None
-    warm_starts: tuple = ()             # extra candidate arrays, verified non-strictly
     policy: NumericPolicy = DEFAULT_POLICY
 
     def conv_tol(self):
@@ -211,8 +211,6 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
     if spec.obstacle is not None:
         offer("obstacle-slack",
               np.minimum(spec.obstacle.values - 0.45 * M.min_spacing()**2, caps))
-    for wi, warm in enumerate(spec.warm_starts):
-        offer(f"warm{wi}", np.minimum(np.asarray(warm, dtype=float), caps))
     if not candidates:
         raise InitializationError(
             "no verified discrete subsolution found (boundary data infeasible for F?)")
@@ -226,8 +224,7 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
         if res is not None:
             return merged, "max(" + ",".join(c[0] for c in candidates) + ")", res
     # prefer the warmest single verified candidate
-    order = ["presolve"] + [f"warm{i}" for i in range(len(spec.warm_starts))]
-    order += ["obstacle-slack", "constant"]
+    order = ["presolve", "obstacle-slack", "constant"]
     label, vals, res = min(candidates, key=lambda c: order.index(c[0]))
     return vals, label, res
 

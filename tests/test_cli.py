@@ -196,6 +196,20 @@ class TestRun:
         assert "input error" in err and "Traceback" not in err
         assert f"scenario.params.{next(iter(params))}" in err
 
+    @pytest.mark.parametrize("task,params", [
+        ("garding_audit", {"m_max": 9, "n": 10}),
+        ("garding_audit", {"m_max": 1, "n": 10}),
+        ("garding_audit", {"n": 0}),
+        ("duality_audit", {"n": 0, "ms": [2]}),
+        ("duality_audit", {"n": 10, "ms": []}),
+    ], ids=["m_max-above-max-dim", "m_max-below-2", "garding-n-0", "duality-n-0",
+            "ms-empty"])
+    def test_audit_param_out_of_range_exit_4(self, tmp_path, capsys, task, params):
+        path = write_scenario(tmp_path, "bad.json", {"task": task, "params": params})
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--no-plots"]) == 4
+        err = capsys.readouterr().err
+        assert "input error" in err and "Traceback" not in err
+
     def test_capacity_scenario(self, tmp_path):
         sc = write_scenario(tmp_path, "c.json", {
             "task": "capacity", "seed": 0,

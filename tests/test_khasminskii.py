@@ -3,7 +3,8 @@ the log transform, and the punctured-space explicit potential."""
 import numpy as np
 import pytest
 
-from subeq.errors import ConstructionError, InputError, PreconditionError
+import subeq.khasminskii as KH
+from subeq.errors import ConstructionError, InputError, PreconditionError, ScheduleError
 from subeq.khasminskii import (
     PairKh,
     Schedule,
@@ -15,10 +16,11 @@ from subeq.khasminskii import (
 )
 from subeq.manifolds import GridFunction, PuncturedEuclidean, RadialModel
 from subeq.profiles import Profile
-from subeq.solver import verify_subharmonic
+from subeq.solver import solve_obstacle, verify_subharmonic
 from subeq.subequations import laplace
 
 LIN = Profile.linear(1.0)
+RADII = tuple(np.arange(3.0, 38.6, 2.5))
 
 
 def sinh_pair(r_max=40.0, n=400):
@@ -89,6 +91,49 @@ class TestBuildPotential:
         assert cert.passed, (cert.worst, cert.notes)
         assert cert.params["coupled_eikonal"]
         assert any(k.startswith("eikonal_exterior") for k in cert.worst)
+        # one plus the largest |beta'| by the line stencil at interior nodes
+        assert cert.params["eta_peak"] == pytest.approx(57.806, abs=1e-3)
+
+    @pytest.fixture
+    def obstacle_solves(self, monkeypatch):
+        """The node counts of the domains of every stage obstacle solve."""
+        domains = []
+
+        def counting(spec):
+            domains.append(spec.M.n_nodes)
+            return solve_obstacle(spec)
+
+        monkeypatch.setattr(KH, "solve_obstacle", counting)
+        return domains
+
+    @pytest.mark.parametrize("eps,j_radii,solves", [
+        (0.5, [13.0, 23.0, 33.0], 3),
+        (0.002, [18.0, 28.0, 38.0], 5),   # stage 0 advances twice
+    ])
+    def test_one_obstacle_solve_per_radius_tried(self, obstacle_solves, eps,
+                                                 j_radii, solves):
+        M, pair = sinh_pair()
+        w, cert = build_potential(laplace(LIN, m=2), pair,
+                                  Schedule(eps=eps, i_max=3, radii=RADII))
+        assert cert.passed
+        assert [e["j_radius"] for e in cert.trace] == j_radii
+        # each radius tried is one solve on its own domain D_j
+        assert len(obstacle_solves) == solves == len(set(obstacle_solves))
+
+    def test_gap_budget_exhausted(self, obstacle_solves):
+        M, pair = sinh_pair()
+        sched = Schedule(eps=1e-4, i_max=3, radii=(3.0, 5.5, 8.0, 10.5, 13.0))
+        with pytest.raises(ScheduleError, match="stage 0: exhaustion budget exhausted") as e:
+            build_potential(laplace(LIN, m=2), pair, sched)
+        assert e.value.achieved["gap"] == pytest.approx(0.01045, abs=1e-5)
+        assert e.value.achieved["gap_target"] == 1e-4
+        assert len(obstacle_solves) == 1   # the one radius past j0
+
+    def test_exhaustion_too_short(self):
+        M, pair = sinh_pair()
+        with pytest.raises(ScheduleError, match="stage 3: exhaustion too short"):
+            build_potential(laplace(LIN, m=2), pair,
+                            Schedule(eps=0.5, i_max=5, radii=RADII))
 
     def test_schedule_validation(self):
         with pytest.raises(InputError):
