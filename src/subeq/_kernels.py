@@ -12,7 +12,8 @@ cross and diagonal stencil, solved slab by slab with ``block_thomas``,
 and halves its update until the worst residual does not rise.  Both
 steps build their rows from the difference quotients of one rule
 (``_quotient``, through ``_slopes`` and ``_jet_slopes``) and end in one
-clamped update (``_clamp_write``).
+clamped update (``_clamp_write``).  Neither step carries state to the
+next, so a step is a function of the iterate alone.
 """
 from __future__ import annotations
 
@@ -202,21 +203,18 @@ def _jet_slopes(value, r, p, A):
     return g_r, g_p, g_A
 
 
-def _clamp_write(u, ids, v, step, cap, brackets=None):
+def _clamp_write(u, ids, v, step, cap):
     """Write the update min(v + step, cap) of the values v = u[ids] into u.
 
-    Returns (max |change|, min change); ``brackets``, when given, receives
-    4 |change| (at least 1e-9) as the next bracket widths of the node solves.
+    Returns (max |change|, min change).
     """
     new = np.minimum(v + step, cap)
     ch = new - v
     u[ids] = new
-    if brackets is not None:
-        brackets[:] = np.maximum(4.0 * np.abs(ch), 1e-9)
     return float(np.abs(ch).max(initial=0.0)), float(ch.min(initial=0.0))
 
 
-def sweep_line_numpy(u, order, S, caps, g, brackets, res, gtol, veps):
+def sweep_line_numpy(u, order, S, caps, g, res, gtol, veps):
     """One Howard policy step on R(u) = min(G(u), cap - u) at the nodes ``order``.
 
     ``order`` lists the interior nodes of the line in grid order and ``S``
@@ -233,14 +231,15 @@ def sweep_line_numpy(u, order, S, caps, g, brackets, res, gtol, veps):
     branch of a min is active and f is constant), is linearized at its
     node root instead, where G = 0 puts a branch that does:
     ``vector_node_solve`` finds, for the weak rows only, the largest value
-    <= cap with G >= 0 with the neighbours and du frozen (bracket widths
-    ``brackets``); the roots are not written to u.  A row that has no such
-    weight there either is left out of the step.  A step without a weak
-    row runs no node solve.
+    <= cap with G >= 0 with the neighbours and du frozen, from the bracket
+    width 1e-3 (1 + |v|) of each row; the roots are not written to u.  A
+    row that has no such weight there either is left out of the step.  A
+    step without a weak row runs no node solve.  The step keeps no state:
+    it is a function of u alone.
 
     ``res`` receives R before the step.  Ends in ``_clamp_write``: returns
-    (max |change|, min change) and stores 4 |change| as the next bracket
-    widths; raises FloatingPointError at a zero or non-finite pivot.
+    (max |change|, min change); raises FloatingPointError at a zero or
+    non-finite pivot.
     """
     v = u[order]
     uL, uR = u[order - 1], u[order + 1]
@@ -271,7 +270,7 @@ def sweep_line_numpy(u, order, S, caps, g, brackets, res, gtol, veps):
         def node_G(y):
             return g(o, y, du, aa, b0 + s.aC * y, _upwind(y, l, r, s.hL, s.hR))
 
-        roots = vector_node_solve(node_G, x, cap[w], brackets[w], gtol, veps)
+        roots = vector_node_solve(node_G, x, cap[w], 1e-3 * (1.0 + np.abs(x)), gtol, veps)
         G_r, row_lo[w], row_di[w], row_up[w], weak[w] = linearize(o, roots, l, r, s)
         G[w] = G_r + row_di[w] * (x - roots)  # that row's value at v
     solved = cap - v >= G
@@ -284,7 +283,7 @@ def sweep_line_numpy(u, order, S, caps, g, brackets, res, gtol, veps):
         raise FloatingPointError("zero pivot") from None
     if not np.all(np.isfinite(step)) or not np.all(np.isfinite(di)):
         raise FloatingPointError("non-finite pivot or step")
-    return _clamp_write(u, order, v, step, cap, brackets)
+    return _clamp_write(u, order, v, step, cap)
 
 
 def residual_line_numpy(u, order, S, g):

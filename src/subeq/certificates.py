@@ -2,8 +2,10 @@
 
 A ``Certificate`` collects per-node residual arrays, worst violations,
 an iteration trace and the parameters that produced it.  Serialization
-to report.json + CSV sidecars lives in :mod:`subeq.reports`; wall time
-is kept out of the JSON payload so repeated runs are byte-identical.
+to report.json + CSV sidecars lives in :mod:`subeq.reports`.  A
+certificate holds no wall time: the runner (:mod:`subeq.cli`) times each
+task or audit suite and writes the ``timing.txt`` sidecar, so repeated
+runs give byte-identical certificates.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ class Certificate:
     residuals: dict = field(default_factory=dict)  # label -> ndarray (CSV sidecar)
     trace: list = field(default_factory=list)      # list of per-stage dicts
     notes: list = field(default_factory=list)
-    wall_time: float = 0.0
 
     def merge_child(self, child: "Certificate", prefix: str) -> None:
         self.passed = self.passed and child.passed

@@ -23,7 +23,6 @@ obstacle solve per exhaustion radius it tries.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +53,7 @@ from .solver import (
     solve_obstacle,
     verify_subharmonic,
 )
-from .subequations import Subequation, eikonal_relaxed, intersect, laplace
+from .subequations import Subequation, eikonal, eikonal_relaxed, inf_laplacian, intersect, laplace
 
 # how far h must fall from its inner third to its outer end (PairKh)
 MIN_DROP = 0.5
@@ -127,7 +126,6 @@ def build_potential(F: Subequation, pair: PairKh, sched: Schedule,
     Without ``sched.radii`` the exhaustion is ten radii evenly spaced
     strictly inside the grid.
     """
-    t0 = time.perf_counter()
     M = pair.M
     r0, r1 = M.r[0], M.r[-1]
     default = tuple(r0 + (r1 - r0) * j / 11 for j in range(1, 11))
@@ -198,7 +196,6 @@ def build_potential(F: Subequation, pair: PairKh, sched: Schedule,
         pure = verify_subharmonic(eikonal_relaxed(xi, None, m=F.m), wgf, M,
                                   tol=tol_final, region=outside_collar)
         cert.merge_child(pure, "eikonal_exterior")
-    cert.wall_time = time.perf_counter() - t0
     return wgf, cert
 
 
@@ -336,9 +333,8 @@ def ekeland_potential(pair: PairKh, policy: NumericPolicy = DEFAULT_POLICY):
     Refused on incomplete punctured models: the distance to the puncture is
     finite, so no |∇w| <= 1 exhaustion can diverge there.
     """
-    t0 = time.perf_counter()
     M = pair.M
-    if isinstance(M, PuncturedEuclidean) or getattr(M, "kind", "") == "punctured":
+    if isinstance(M, PuncturedEuclidean):
         raise PreconditionError(
             "incomplete model: finite distance to the puncture obstructs "
             "an eikonal Khas'minskii potential")
@@ -358,7 +354,6 @@ def ekeland_potential(pair: PairKh, policy: NumericPolicy = DEFAULT_POLICY):
     slopes[0] = slopes[1]
     w = GridFunction(M, -C)
     tol = policy.membership_tol
-    from .subequations import eikonal, inf_laplacian
     cert = Certificate(name="ekeland_potential", passed=True, tolerance=tol,
                        params={"slope_cap": SLOPE_CAP,
                                "final_slope": float(slopes[-1])})
@@ -371,7 +366,6 @@ def ekeland_potential(pair: PairKh, policy: NumericPolicy = DEFAULT_POLICY):
     cert.passed = cert.passed and above and ce.passed and ci.passed
     if not above:
         cert.notes.append("fitted G dips below h (unexpected: h should admit a majorant)")
-    cert.wall_time = time.perf_counter() - t0
     return w, cert
 
 
@@ -389,7 +383,6 @@ def log_transform(gfun: GridFunction, lam: float, mu: float, tol: float = 1e-6):
     yields.  The Hessian precondition check runs at a discretization-aware
     tolerance (O(h^2) inflation).
     """
-    t0 = time.perf_counter()
     if not (0 < mu < 1):
         raise InputError("mu must lie in (0, 1)")
     if lam <= 0:
@@ -427,7 +420,6 @@ def log_transform(gfun: GridFunction, lam: float, mu: float, tol: float = 1e-6):
         counts={"nodes": wid.size},
         params={"lam": lam, "mu": mu, "precond_tol": precond_tol},
         residuals={"grad_w": grad_w, "hess_min_w": eig_min},
-        wall_time=time.perf_counter() - t0,
     )
     return w, cert
 
@@ -447,7 +439,6 @@ def punctured_example_check(m: int, lam: float, M: PuncturedEuclidean | None = N
     membership fails, which shrinks as lam grows.  Without ``M`` the check
     runs on 600 nodes over [r_min, 4].
     """
-    t0 = time.perf_counter()
     if m < 2:
         raise InputError("need m >= 2")
     if M is None:
@@ -490,7 +481,6 @@ def punctured_example_check(m: int, lam: float, M: PuncturedEuclidean | None = N
                 "ends": [float(r[0]), float(r[-1])],
                 "w_at_ends": [float(w[0]), float(w[-1])]},
         residuals={"membership": res},
-        wall_time=time.perf_counter() - t0,
     )
     cert.notes.append("membership holds outside the reported K interval")
     return cert

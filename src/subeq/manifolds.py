@@ -153,8 +153,6 @@ class ModelManifold:
 
 
 class _RadialBase(ModelManifold):
-    kind = "radial"
-
     def __init__(self, m: int, warp: Warp, r: np.ndarray):
         r = np.asarray(r, dtype=float)
         if r.ndim != 1 or r.size < 3 or np.any(np.diff(r) <= 0):
@@ -199,8 +197,6 @@ class _RadialBase(ModelManifold):
 class RadialModel(_RadialBase):
     """Warped-product model manifold discretized along the radius."""
 
-    kind = "radial"
-
     def __init__(self, m: int, warp, r_grid):
         super().__init__(m, get_warp(warp), np.asarray(r_grid, dtype=float))
 
@@ -216,8 +212,6 @@ class PuncturedEuclidean(_RadialBase):
     the model potentials blow up like |x|^(2-m).
     """
 
-    kind = "punctured"
-
     def __init__(self, m: int, r_min: float, r_max: float, n: int, spacing: str = "log"):
         if not (0 < r_min < r_max):
             raise InputError("need 0 < r_min < r_max")
@@ -230,13 +224,10 @@ class PuncturedEuclidean(_RadialBase):
         else:
             raise InputError("spacing must be 'log' or 'uniform'")
         super().__init__(m, WARPS["euclidean"], r)
-        self.kind = "punctured"
 
 
 class FlatBox(ModelManifold):
     """Axis-aligned lattice in R^m with uniform spacing per axis."""
-
-    kind = "flat_box"
 
     def __init__(self, m: int, bounds, h):
         if m < 1:

@@ -2,8 +2,8 @@
 
 Everything is dependency-free and deterministic: repeated runs with the
 same seed produce byte-identical report.json except for the single
-``timestamp`` field (wall times never enter the JSON payload; they go to
-stderr and a timing sidecar).
+``timestamp`` field (wall times never enter the JSON payload; they go
+only to the timing sidecar).
 """
 from __future__ import annotations
 

@@ -8,8 +8,9 @@ presolve rows all read the grid's one ``LineStencil``.
 Initialization: for linear members (laplace / infinity-Laplacian with
 linear f) a direct tridiagonal presolve is admitted as a warm start after
 an honest verification that it is a discrete subsolution, as is the
-obstacle slack.  The constant min(boundary) - slack subsolution is
-offered too, unless the verified presolve already lies above it.  The
+obstacle slack.  A ladder of constants min(boundary) - slack 2^k is
+offered too, warmest first, until one verifies; a rung that the verified
+presolve lies at or above everywhere ends the ladder unchecked.  The
 pointwise max of all verified candidates is used when it verifies
 itself.  A solve has no setting of its own: a ``ProblemSpec`` is the
 problem (F, grid, boundary data, obstacle) and the run's tolerance.
@@ -39,15 +40,16 @@ after every step whose largest node change is within convergence_tol --
 the only ones that can be accepted -- and accepts within 0.45
 membership_tol: a start that already meets it takes no step.  A failed
 step, a stall (STALL_STEPS steps without a new minimum of the worst
-residual), two steps in a row that change no node or MAX_STEPS steps
-end the solve with ConvergenceError.
+residual), a step that changes no node and is not accepted, or
+MAX_STEPS steps end the solve with ConvergenceError.  No state rides
+from one step to the next: a step is a function of u alone, so one that
+changes no node would repeat forever.
 Iterates started from a verified discrete subsolution increase
 monotonically where the scheme is monotone, mirroring the Perron
 supremum.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,13 +203,13 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
     cmax = np.min(caps[interior], initial=np.inf)
     pre = _try_presolve(F, M, bvals)
     presolved = pre is not None and offer("presolve", pre)
-    # every constant offered is <= the warmest one, so a verified presolve
-    # above it would be the pointwise max anyway
-    if not (presolved and np.all(pre >= min(bmin - slack, cmax))):
-        for k in range(8):
-            if offer("constant", np.full(M.n_nodes, min(bmin - slack * 2.0**k, cmax))):
-                candidates.insert(0, candidates.pop())  # labels list the constant first
-                break
+    for k in range(8):  # the ladder of constants, warmest first
+        c = min(bmin - slack * 2.0**k, cmax)
+        if presolved and np.all(pre >= c):
+            break  # the verified presolve would be the max with this or any later rung
+        if offer("constant", np.full(M.n_nodes, c)):
+            candidates.insert(0, candidates.pop())  # labels list the constant first
+            break
     if spec.obstacle is not None:
         offer("obstacle-slack",
               np.minimum(spec.obstacle.values - 0.45 * M.min_spacing()**2, caps))
@@ -263,13 +265,13 @@ def _iterate(spec: ProblemSpec, u, caps, start_res):
     values ``_residual`` gives: on boxes the G that ``K.step_box`` keeps
     in ``at`` for the current u.  A failed step
     (FloatingPointError), STALL_STEPS steps in a row without a new minimum
-    of the worst residual max |min(G, cap - u)| before a step, a second
-    step in a row that changes no node (u, ``at`` and the floored
-    ``brackets`` stay as they were, so every later step repeats it) or
-    MAX_STEPS steps end the solve with ConvergenceError, whose message
-    gives that worst residual before the last step.  ``brackets`` carries
-    the bracket widths of the line step's weak-row node solves from one
-    step to the next.
+    of the worst residual max |min(G, cap - u)| before a step, a step that
+    changes no node and is not accepted, or MAX_STEPS steps end the solve
+    with ConvergenceError, whose message gives that worst residual before
+    the last step.  No state is carried from one step to the next besides
+    u (on boxes ``at`` is a function of u), so a step that changes no node
+    would be repeated by every later step; the solve ends right after its
+    acceptance check.
     """
     M, F = spec.M, spec.F
     conv_tol = spec.conv_tol()
@@ -295,18 +297,17 @@ def _iterate(spec: ProblemSpec, u, caps, start_res):
             return at[1]
     else:
         engine, g, S = "numpy", _ir.lower(F), M.stencil.at(ids)
-        brackets = np.full(ids.size, 1e-3 * (1.0 + float(np.abs(u).max())))
         gtol, veps = min(band, 1e-9), ROOT_VALUE_TOL
 
         def step():
-            return K.sweep_line_numpy(u, ids, S, caps, g, brackets, res, gtol, veps)
+            return K.sweep_line_numpy(u, ids, S, caps, g, res, gtol, veps)
 
         def scheme():
             return K.residual_line_numpy(u, ids, S, g)
 
     free_band = 10 * conv_tol
     trace, min_signed = [], 0.0
-    steps, best, since, max_ch, unchanged = 0, np.inf, 0, 0.0, 0
+    steps, best, since, max_ch = 0, np.inf, 0, 0.0
     while True:
         if max_ch <= conv_tol:  # the start, and every step that can be accepted
             r = scheme()
@@ -317,6 +318,9 @@ def _iterate(spec: ProblemSpec, u, caps, start_res):
             if worst <= band:
                 return u, r, {"sweeps": steps, "engine": engine, "trace": trace,
                               "min_signed_change": min_signed}
+            if steps and max_ch == 0.0:
+                why = "a step changed no node"
+                break
         if steps >= MAX_STEPS:
             why = f"MAX_STEPS = {MAX_STEPS} steps taken"
             break
@@ -330,10 +334,6 @@ def _iterate(spec: ProblemSpec, u, caps, start_res):
         best, since = (before, 0) if before < best else (best, since + 1)
         if since >= STALL_STEPS:
             why = f"no new minimum of the worst residual in {STALL_STEPS} steps"
-            break
-        unchanged = unchanged + 1 if max_ch == 0.0 else 0
-        if unchanged == 2:
-            why = "two steps in a row changed no node"
             break
         min_signed = min(min_signed, min_ch)
     raise ConvergenceError(
@@ -378,7 +378,6 @@ def _solve(spec: ProblemSpec, caps):
     monotone iteration with node values capped at caps, and the
     certificate of its result.  Returns (u, certificate).
     """
-    t0 = time.perf_counter()
     M = spec.M
     bvals = boundary_values(M, spec.boundary)
     bd = ~M.interior_mask
@@ -393,7 +392,6 @@ def _solve(spec: ProblemSpec, caps):
     else:  # no step: u is the start that the admissibility check verified
         res = start_res
     cert = _certificate(spec, u, caps, res, sres, {**facts, "init": init_label})
-    cert.wall_time = time.perf_counter() - t0
     return GridFunction(M, u), cert
 
 
@@ -486,7 +484,6 @@ def verify_subharmonic(F: Subequation, u: GridFunction, M: ModelManifold | None 
     ``tol`` defaults to the default membership_tol.  Nodes flagged -inf
     are skipped (USC convention); ``region`` restricts to a node mask.
     """
-    t0 = time.perf_counter()
     M = M or u.manifold
     tol = DEFAULT_POLICY.membership_tol if tol is None else tol
     ids = None
@@ -502,7 +499,6 @@ def verify_subharmonic(F: Subequation, u: GridFunction, M: ModelManifold | None 
         counts={"nodes": ids.size, "violations": int((res < -tol).sum())},
         residuals={"membership": res},
         params={"node_ids": ids},
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -516,7 +512,6 @@ def comparison_check(F: Subequation, u: GridFunction, v: GridFunction,
     doubled-variable diagnostic: the penalized pair maxima of
     u(x)+v(y) - alpha ϱ(x,y)^2 for a ladder of alphas.
     """
-    t0 = time.perf_counter()
     M = u.manifold
     tol = DEFAULT_POLICY.membership_tol
     precheck_tol = 100 * tol
@@ -530,7 +525,6 @@ def comparison_check(F: Subequation, u: GridFunction, v: GridFunction,
                    "precondition_v": cv.worst["membership_violation"]},
             params={"kind": "precondition-fail"},
             notes=["precondition-fail: membership check failed, not a comparison failure"],
-            wall_time=time.perf_counter() - t0,
         )
     w = u.values + v.values
     inner = K & M.interior_mask
@@ -545,7 +539,6 @@ def comparison_check(F: Subequation, u: GridFunction, v: GridFunction,
                "interior_max": interior_max, "boundary_max_plus": boundary_plus},
         counts={"K_nodes": int(K.sum())},
         params={"kind": "comparison"},
-        wall_time=time.perf_counter() - t0,
     )
     if not passed:
         node = int(np.where(inner & ~edge)[0][np.argmax(w[inner & ~edge])])
@@ -611,7 +604,6 @@ def make_barrier(F: Subequation, M: ModelManifold, omega_mask, boundary_ids,
     distance < ``margin`` fails it, with the minimum distance up to there.
     The smallest certified (s, t) pair (s first, then t) is returned.
     """
-    t0 = time.perf_counter()
     omega_mask = np.asarray(omega_mask, dtype=bool)
     boundary_ids = np.asarray(boundary_ids, dtype=int)
     rv = rho.values
@@ -662,7 +654,6 @@ def make_barrier(F: Subequation, M: ModelManifold, omega_mask, boundary_ids,
                     counts={"collar_nodes": ids.size},
                     params={"s": s, "t": t, "collar_width": collar_width,
                             "t_ladder": [t, 4 * t, 16 * t, 64 * t]},
-                    wall_time=time.perf_counter() - t0,
                 )
                 return BarrierResult(True, GridFunction(M, t * rs), s, t, worst, cert)
     cert = Certificate(
@@ -671,6 +662,5 @@ def make_barrier(F: Subequation, M: ModelManifold, omega_mask, boundary_ids,
         counts={"collar_nodes": ids.size},
         params={"s_grid": list(s_grid), "t_grid": list(t_grid)},
         notes=["barrier search exhausted: boundary may not be F-convex at these heights"],
-        wall_time=time.perf_counter() - t0,
     )
     return BarrierResult(False, None, np.nan, np.nan, best_margin, cert)

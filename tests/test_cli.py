@@ -1,4 +1,5 @@
 """Scenario runner and audit suite: exit codes, artifacts, determinism."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -21,8 +22,14 @@ from subeq.cli import (
     pn_audit_suite,
     run_audit,
 )
+from subeq.certificates import Certificate
 from subeq.errors import InputError
 from subeq.subequations import audit_PNT
+
+
+def timing_keys(out):
+    """The keys of the timing sidecar in ``out``, in file order."""
+    return [line.split(": ")[0] for line in (out / "timing.txt").read_text().splitlines()]
 
 
 def write_scenario(tmp_path, name, payload):
@@ -100,7 +107,7 @@ class TestRun:
         assert report["oracle_Linf_error"] <= 5e-3
         assert "u.csv" in report["sidecars"]
         assert (out / "solution.svg").exists()
-        assert (out / "timing.txt").exists()
+        assert timing_keys(out) == ["task"]
 
     @pytest.mark.parametrize("subeq", [
         {"kind": "dual", "of": {"kind": "eikonal",
@@ -321,6 +328,16 @@ class TestParsers:
 class TestAudit:
     def test_audit_passes(self, tmp_path):
         assert run_audit(out_dir=str(tmp_path / "a"), seed=0) == 0
+        # the runner times each suite, in suite order
+        assert timing_keys(tmp_path / "a") == ["duality_involution", "garding_identity",
+                                               "pn_audits", "solver_oracles"]
+
+    def test_certificate_holds_no_timing(self):
+        # a certificate holds what can be checked again; wall times go only
+        # to the runner's timing sidecar
+        assert [f.name for f in dataclasses.fields(Certificate)] == [
+            "name", "passed", "tolerance", "worst", "counts", "params", "residuals",
+            "trace", "notes"]
 
     def test_determinism_modulo_timestamp(self, tmp_path):
         run_audit(out_dir=str(tmp_path / "a1"), seed=0)
