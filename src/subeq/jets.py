@@ -13,12 +13,14 @@ roots of the derivative of a polynomial with roots d_1..d_j are the
 eigenvalues of diag(d) compressed to the complement of (1,...,1), so each
 level is one small symmetric eigenvalue problem of the level above.
 
-A jet-batch view owns its spectrum: ``DenseView`` decomposes its stack on
-the first read of ``eigs`` and keeps it, with every Garding level above the
-mean computed from it so far, in its ``levels``, so an F, its dual and the
-members of a suite evaluated on one view decompose it once.  Stored levels
-are read-only, and ``take(mask)`` starts a fresh view.  The spectrum of -A
-is decomposed, never derived from that of A, so duality checks on spectra
+A jet-batch view owns its spectrum and its readings: ``DenseView``
+decomposes its stack on the first read of ``eigs`` and keeps it, with every
+Garding level above the mean computed from it so far, in its ``levels``,
+and keeps each of |p|, the trace and the second derivatives along p in its
+``readings`` once read, so an F, its dual and the members of a suite
+evaluated on one view compute each once.  Stored levels and readings are
+read-only, and ``take(mask)`` starts a fresh view.  The spectrum of -A is
+decomposed, never derived from that of A, so duality checks on spectra
 stay real.
 """
 from __future__ import annotations
@@ -257,6 +259,21 @@ def garding_eigenvalues_batch(A: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _reading(compute):
+    """A view property computed on first access and kept in the view's
+    ``readings``, read-only."""
+    name = compute.__name__
+
+    def get(self):
+        out = self.readings.get(name)
+        if out is None:
+            out = self.readings[name] = compute(self)
+            out.flags.writeable = False
+        return out
+
+    return property(get)
+
+
 class DenseView:
     """Jets (x, r, p, A): node ids x (or None), r (n,), p (n, m), A (n, m, m).
 
@@ -267,17 +284,25 @@ class DenseView:
     ``dir2_unit`` = A(phat, phat): one quantity in two roundings, so the
     infinity Laplacian and the quasilinear family keep their dense values.
     ``take(mask)`` is the sub-batch at a boolean mask.  A dense view keeps
-    its spectrum (level m) and the Garding levels from it in ``levels``.
+    its spectrum (level m) and the Garding levels from it in ``levels``,
+    and its other readings, read-only, in ``readings``.
     """
 
-    __slots__ = ("x", "r", "p", "A", "m", "levels")
+    __slots__ = ("x", "r", "p", "A", "m", "levels", "readings")
 
     def __init__(self, x, r, p, A):
         self.x, self.r, self.p, self.A, self.m = x, r, p, A, A.shape[-1]
-        self.levels = {}
+        self.levels, self.readings = {}, {}
 
-    trace = property(lambda self: np.trace(self.A, axis1=1, axis2=2))
-    grad = grad_up = property(lambda self: np.linalg.norm(self.p, axis=1))
+    @_reading
+    def trace(self):
+        return np.trace(self.A, axis1=1, axis2=2)
+
+    @_reading
+    def grad(self):
+        return np.linalg.norm(self.p, axis=1)
+
+    grad_up = grad
 
     @property
     def eigs(self):
@@ -290,12 +315,12 @@ class DenseView:
         self.eigs  # the top level of the chain
         return _garding_level(self.levels, k)
 
-    @property
+    @_reading
     def dir2(self):
         p = self.p
         return np.einsum("ni,nij,nj->n", p, self.A, p) / np.einsum("ni,ni->n", p, p)
 
-    @property
+    @_reading
     def dir2_unit(self):
         phat = self.p / self.grad[:, None]
         return np.einsum("ni,nij,nj->n", phat, self.A, phat)

@@ -695,7 +695,7 @@ def _random_jets(rng, n, m):
 
 def _pnt_views(m, n, seed):
     """audit_PNT's sample as views: J, J with a random PSD matrix added to A
-    (P), and J with r lowered (N), which shares J's spectrum."""
+    (P), and J with r lowered (N), which shares J's spectrum and readings."""
     rng = np.random.default_rng(seed)
     r, p, A = _random_jets(rng, n, m)
     B = rng.standard_normal((n, m, m))
@@ -703,7 +703,7 @@ def _pnt_views(m, n, seed):
     dr = np.abs(rng.standard_normal(n)) + 1e-3
     J = DenseView(None, r, p, A)
     JN = DenseView(None, r - dr, p, A)
-    JN.levels = J.levels
+    JN.levels, JN.readings = J.levels, J.readings
     return J, DenseView(None, r, p, A + P), JN
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import subeq
 from subeq.cli import (
+    MAX_TOL,
     _catalog,
     duality_involution_suite,
     garding_identity_suite,
@@ -24,6 +25,7 @@ from subeq.cli import (
 )
 from subeq.certificates import Certificate
 from subeq.errors import InputError
+from subeq import subequations as SU
 from subeq.subequations import audit_PNT
 
 
@@ -272,13 +274,15 @@ class TestRun:
         assert seen == [DEFAULT_POLICY]
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "1e300", "0.5"])
     def test_tol_must_be_finite_positive(self, tmp_path, capsys, tol):
+        # a finite but huge tolerance would pass every certificate it bounds
         out = tmp_path / "out"
         path = str(SCENARIO_DIR / "dirichlet_annulus.json")
         assert main(["run", path, "--out", str(out), f"--tol={tol}", "--no-plots"]) == 4
         err = capsys.readouterr().err
         assert "input error" in err and "--tol" in err and str(float(tol)) in err
+        assert f"at most {MAX_TOL:g}" in err
         assert not out.exists()
 
     def test_tol_rejected_where_it_cannot_apply(self, tmp_path):
@@ -348,15 +352,16 @@ class TestAudit:
         r2.pop("timestamp")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
-    def test_injected_sign_bug_caught(self, monkeypatch):
-        # mutate the dual of the hessian-branch member (forget the
-        # k -> m-k+1 remap): the involution suite must fail and name itself
-        from subeq import subequations as SU
-
-        def bad_dual(self):
-            return SU._Hessian(self.m, self.k, self.f.reflect())
-
-        monkeypatch.setattr(SU._Hessian, "dual", bad_dual)
+    @pytest.mark.parametrize("member,bad_dual", [
+        # forget the hessian branch's k -> m-k+1 remap (reads the spectrum)
+        ("_Hessian", lambda self: SU._Hessian(self.m, self.k, self.f.reflect())),
+        # make the eikonal self-dual (reads the kept |p|)
+        ("_Eikonal", lambda self: self),
+    ], ids=["hessian_remap", "eikonal_self_dual"])
+    def test_injected_sign_bug_caught(self, monkeypatch, member, bad_dual):
+        # the members share one sample per m; a mutated dual must still
+        # fail the involution suite, which names itself
+        monkeypatch.setattr(getattr(SU, member), "dual", bad_dual)
         cert = duality_involution_suite(seed=0, n=2000, ms=(2,))
         assert not cert.passed
         assert cert.name == "duality_involution"
@@ -374,8 +379,22 @@ class TestAudit:
             calls.clear()
             assert suite(seed=0).passed
             counts[suite.__name__] = len(calls)
-        assert counts == {"duality_involution_suite": 30, "garding_identity_suite": 45,
+        assert counts == {"duality_involution_suite": 12, "garding_identity_suite": 45,
                           "pn_audit_suite": 6}
+
+    def test_duality_suite_draws_one_sample_per_m(self, monkeypatch):
+        # one draw per m, shared by the nine members and the De Morgan
+        # check; the spectrum of -A is decomposed, not derived from A's
+        draws, decomposed = [], []
+        random_jets, eigvalsh = SU._random_jets, np.linalg.eigvalsh
+        monkeypatch.setattr(SU, "_random_jets",
+                            lambda rng, n, m: draws.append(random_jets(rng, n, m)) or draws[-1])
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: decomposed.append(np.array(a)) or eigvalsh(a))
+        assert duality_involution_suite(seed=0, ms=(2, 3, 4)).passed
+        assert [A.shape[1] for _, _, A in draws] == [2, 3, 4]
+        for _, _, A in draws:
+            assert sum(np.array_equal(a, -A) for a in decomposed) == 1
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_pn_suite_merges_audit_pnt(self, seed):

@@ -257,6 +257,60 @@ class TestDenseViewSpectrum:
                 assert np.array_equal(garding_eigenvalues_batch(A, k), expect), (m, k)
 
 
+class TestDenseViewReadings:
+    READINGS = ("grad", "grad_up", "trace", "dir2", "dir2_unit")
+
+    @staticmethod
+    def view(seed=26, n=30, m=3):
+        rng = np.random.default_rng(seed)
+        return DenseView(None, rng.standard_normal(n), rng.standard_normal((n, m)),
+                         rand_sym(rng, m, n))
+
+    def test_each_reading_computed_once(self):
+        J = self.view()
+        p, A = J.p, J.A
+        expect = {
+            "grad": np.linalg.norm(p, axis=1),
+            "trace": np.trace(A, axis1=1, axis2=2),
+            "dir2": np.einsum("ni,nij,nj->n", p, A, p) / np.einsum("ni,ni->n", p, p),
+        }
+        expect["grad_up"] = expect["grad"]
+        for name in self.READINGS:
+            first = getattr(J, name)
+            assert getattr(J, name) is first, name
+            if name in expect:
+                assert np.array_equal(first, expect[name]), name
+        # |p| is one reading under two names
+        assert J.grad_up is J.grad
+
+    def test_readings_read_only(self):
+        J = self.view()
+        for name in self.READINGS:
+            out = getattr(J, name)
+            assert not out.flags.writeable, name
+            with pytest.raises(ValueError):
+                out[0] = 1.0
+
+    def test_take_starts_fresh_readings(self):
+        J = self.view()
+        mask = np.arange(30) % 3 != 0
+        for name in self.READINGS:
+            whole, part = getattr(J, name), getattr(J.take(mask), name)
+            assert not np.shares_memory(part, whole), name
+            assert part.tobytes() == whole[mask].tobytes(), name
+
+    def test_pnt_views_share_readings_with_n(self):
+        from subeq.subequations import _pnt_views
+
+        J, JP, JN = _pnt_views(3, 50, seed=2)
+        assert JN.readings is J.readings and JN.levels is J.levels
+        for name in self.READINGS:
+            assert getattr(JN, name) is getattr(J, name), name
+        # P adds a matrix to A: its trace is its own
+        assert JP.readings is not J.readings
+        assert not np.array_equal(JP.trace, J.trace)
+
+
 class TestTraceOnFrame:
     def test_full_basis_is_trace(self):
         A = SymMatrix.from_diag([1.0, 2.0, 3.0])
