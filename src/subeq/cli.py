@@ -389,12 +389,18 @@ _FIXED_TOL_TASKS = ("duality_audit", "garding_audit", "log_transform", "stochast
 MAX_TOL = 1e-2
 
 
+def _check_seed(seed):
+    # np.random.default_rng takes non-negative seeds only
+    if seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed}")
+
+
 def run_scenario(path, out_dir=None, tol=None, seed=None, plots=True):
     sc = json.loads(Path(path).read_text(), object_hook=_Spec)
     _validate(sc, _load_schema())
     if seed is not None:
         sc["seed"] = seed
-    sc.setdefault("seed", 0)
+    _check_seed(sc.setdefault("seed", 0))
     policy = DEFAULT_POLICY
     if tol is not None:
         if not 0 < tol <= MAX_TOL:  # also rejects nan
@@ -576,6 +582,7 @@ def solver_oracle_suite(seed=0) -> Certificate:
 
 
 def run_audit(out_dir="out_audit", seed=0):
+    _check_seed(seed)
     suites, timing = [], {}
     for suite in (duality_involution_suite, garding_identity_suite,
                   pn_audit_suite, solver_oracle_suite):

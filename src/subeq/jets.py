@@ -11,7 +11,9 @@ the k real roots of t -> sigma_k(lambda(A) + t*(1,...,1)).  They are the
 roots of the (m-k)-th derivative of the characteristic polynomial, and the
 roots of the derivative of a polynomial with roots d_1..d_j are the
 eigenvalues of diag(d) compressed to the complement of (1,...,1), so each
-level is one small symmetric eigenvalue problem of the level above.
+level is one small symmetric eigenvalue problem of the level above; the
+quadratic level k = 2 has a closed form in the spectrum.  Spectra of 1 x 1
+and 2 x 2 matrices are closed forms too, LAPACK's only above.
 
 A jet-batch view owns its spectrum and its readings: ``DenseView``
 decomposes its stack on the first read of ``eigs`` and keeps it, with every
@@ -142,13 +144,39 @@ class Jet:
 
 
 def eigenvalues_sym(A: SymMatrix) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix."""
-    return np.linalg.eigvalsh(A.full)
+    """Ascending eigenvalues of a symmetric matrix: those of the batch of one."""
+    return eigenvalues_sym_batch(A.full[None])[0]
 
 
 def eigenvalues_sym_batch(A: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a (n, m, m) stack of symmetric matrices."""
-    return np.linalg.eigvalsh(A)
+    """Ascending eigenvalues of a (n, m, m) stack of symmetric matrices.
+
+    Closed forms where one is exact to roundoff, LAPACK (``eigvalsh``)
+    above.  At m = 1 the spectrum is the entry.  At m = 2 it is the
+    symmetric Schur rotation (Golub-Van Loan, Alg. 8.4.2) of [[a, b], [b, d]]:
+    with h = (d - a)/2 and t = b / (h + sign(h) hypot(h, b)) (t = 0 where
+    h = b = 0), the eigenvalues are a - t b and d + t b.  |t| <= 1, so it
+    neither overflows nor divides by zero; a diagonal matrix gives its
+    entries exactly and -A gives exactly the reversed negated spectrum.
+    Like ``eigvalsh`` it reads the lower triangle.
+    """
+    m = A.shape[-1]
+    if m == 1:
+        return np.array(A[..., 0], dtype=float)
+    if m > 2:
+        return np.linalg.eigvalsh(A)
+    a, b, d = (np.asarray(A[..., i, j], dtype=float) for i, j in ((0, 0), (1, 0), (1, 1)))
+    h = 0.5 * (d - a)
+    tb = np.copysign(np.hypot(h, b), h)  # in place: the denominator, t, t b
+    tb += h
+    tb[tb == 0.0] = 1.0  # h = b = 0, so t = 0
+    np.divide(b, tb, out=tb)
+    tb *= b
+    lo, hi = a - tb, d + tb
+    out = np.empty(lo.shape + (2,))
+    np.minimum(lo, hi, out=out[..., 0])
+    np.maximum(lo, hi, out=out[..., 1])
+    return out
 
 
 def sigma_k(lam, k: int) -> float:
@@ -212,7 +240,14 @@ def _helmert(j: int) -> np.ndarray:
     return Q / np.sqrt(np.arange(1, j) * np.arange(2, j + 1))
 
 
-_COMPRESS = {j: _helmert(j) for j in range(2, MAX_DIM + 1)}
+def _compress_table(j: int) -> np.ndarray:
+    """(j, (j-1)^2) table Q[i, a] Q[i, b] of the Helmert basis Q = Q_j: a
+    level mu (n, j) times it is Q^T diag(mu) Q, flattened row-major."""
+    Q = _helmert(j)
+    return (Q[:, :, None] * Q[:, None, :]).reshape(j, (j - 1) ** 2)
+
+
+_COMPRESS = {j: _compress_table(j) for j in range(4, MAX_DIM + 1)}
 
 
 def _garding_from_eigs_batch(lam: np.ndarray, k: int) -> np.ndarray:
@@ -220,9 +255,12 @@ def _garding_from_eigs_batch(lam: np.ndarray, k: int) -> np.ndarray:
 
     Level j-1 holds the zeros of sum_i 1/(t - mu_i) over the j values mu of
     level j: the eigenvalues of Q_j^T diag(mu) Q_j (Cauchy interlacing and
-    the secular equation).  Symmetric eigenvalues are backward stable, so
-    repeated roots come out repeated to roundoff.  Every level keeps the
-    mean, which is level 1.
+    the secular equation), one ``eigenvalues_sym_batch`` of the compression
+    per level.  Symmetric eigenvalues are backward stable, so repeated
+    roots come out repeated to roundoff.  Every level keeps the mean, which
+    is level 1.  Levels 1 and 2 need no chain: the roots of the (m-2)-th
+    derivative of prod (t - mu_i) are mean +- sqrt(sum (mu_i - mean)^2 /
+    (m (m-1))) over the spectrum mu, so level 2 is read from level m.
     """
     mu = np.sort(np.asarray(lam, dtype=float), axis=1)
     return _garding_level({mu.shape[1]: mu}, k)
@@ -231,21 +269,29 @@ def _garding_from_eigs_batch(lam: np.ndarray, k: int) -> np.ndarray:
 def _garding_level(levels: dict, k: int) -> np.ndarray:
     """Level k of the chain whose top level m = max(levels) is sorted.
 
-    Continues from the deepest stored level above k and stores every level
-    it computes in ``levels``, read-only; level 1, the mean of level m, is
+    Level 2 comes in closed form from level m; a level k >= 3 continues
+    the chain from the deepest stored level above k.  Every level computed
+    is stored in ``levels``, read-only; level 1, the mean of level m, is
     not stored.
     """
     m = max(levels)
     if not (1 <= k <= m):
         raise InputError(f"garding order k={k} out of range [1, {m}]")
-    _check_finite(levels[m], "eigenvalues")
+    top = levels[m]
+    _check_finite(top, "eigenvalues")
     if k == 1:
-        return levels[m].sum(axis=1, keepdims=True) / m
+        return top.sum(axis=1, keepdims=True) / m
     if k not in levels:
-        for j in range(min(i for i in levels if i > k), k, -1):
-            Q = _COMPRESS[j]
-            levels[j - 1] = np.linalg.eigvalsh(np.einsum("ia,ni,ib->nab", Q, levels[j], Q))
-            levels[j - 1].flags.writeable = False
+        if k == 2:
+            mean = top.sum(axis=1, keepdims=True) / m
+            half = np.sqrt(np.square(top - mean).sum(axis=1, keepdims=True) / (m * (m - 1)))
+            levels[2] = np.concatenate([mean - half, mean + half], axis=1)
+            levels[2].flags.writeable = False
+        else:
+            for j in range(min(i for i in levels if i > k), k, -1):
+                C = levels[j] @ _COMPRESS[j]
+                levels[j - 1] = eigenvalues_sym_batch(C.reshape(-1, j - 1, j - 1))
+                levels[j - 1].flags.writeable = False
     return levels[k]
 
 

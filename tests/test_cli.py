@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import subeq
+from subeq import jets
 from subeq.cli import (
     MAX_TOL,
     _catalog,
@@ -294,6 +295,23 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["audit", "--tol", "1e-6"])
 
+    @pytest.mark.parametrize("how", ["audit", "run_flag", "scenario_key"])
+    def test_negative_seed_is_input_error(self, tmp_path, capsys, how):
+        out = tmp_path / "out"
+        if how == "audit":
+            argv, seed = ["audit", "--seed", "-1"], -1
+        elif how == "run_flag":
+            sc = write_scenario(tmp_path, "g.json", {"task": "garding_audit", "seed": 0})
+            argv, seed = ["run", sc, "--seed", "-3"], -3
+        else:
+            sc = write_scenario(tmp_path, "d.json", {"task": "duality_audit", "seed": -1})
+            argv, seed = ["run", sc], -1
+        assert main([*argv, "--out", str(out), "--no-plots"]) == 4
+        err = capsys.readouterr().err
+        assert "input error" in err and f"seed must be a non-negative integer, got {seed}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_punctured_scenario(self, tmp_path):
         sc = write_scenario(tmp_path, "p.json", {
             "task": "punctured_check", "seed": 0,
@@ -379,18 +397,21 @@ class TestAudit:
             calls.clear()
             assert suite(seed=0).passed
             counts[suite.__name__] = len(calls)
-        assert counts == {"duality_involution_suite": 12, "garding_identity_suite": 45,
-                          "pn_audit_suite": 6}
+        # LAPACK decomposes only m >= 3 spectra and Garding levels >= 3:
+        # 2 x 2 spectra and level 2 are closed forms, so the duality suite
+        # decomposes just J and -J at m = 3, 4 (its sigma member is sigma_2)
+        assert counts == {"duality_involution_suite": 4, "garding_identity_suite": 30,
+                          "pn_audit_suite": 2}
 
     def test_duality_suite_draws_one_sample_per_m(self, monkeypatch):
         # one draw per m, shared by the nine members and the De Morgan
         # check; the spectrum of -A is decomposed, not derived from A's
         draws, decomposed = [], []
-        random_jets, eigvalsh = SU._random_jets, np.linalg.eigvalsh
+        random_jets, spectrum = SU._random_jets, jets.eigenvalues_sym_batch
         monkeypatch.setattr(SU, "_random_jets",
                             lambda rng, n, m: draws.append(random_jets(rng, n, m)) or draws[-1])
-        monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda a: decomposed.append(np.array(a)) or eigvalsh(a))
+        monkeypatch.setattr(jets, "eigenvalues_sym_batch",
+                            lambda a: decomposed.append(np.array(a)) or spectrum(a))
         assert duality_involution_suite(seed=0, ms=(2, 3, 4)).passed
         assert [A.shape[1] for _, _, A in draws] == [2, 3, 4]
         for _, _, A in draws:

@@ -5,12 +5,19 @@ characteristic-polynomial roots for spectra, brute-force subset sums for
 sigma_k, numpy polynomial roots for the Garding branches.
 """
 import itertools
+import os
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subeq
 from subeq.errors import DomainError, InputError
 from subeq.jets import (
+    GARDING_TOL,
     DenseView,
     Jet,
     SymMatrix,
@@ -132,7 +139,6 @@ class TestGarding:
                 coeffs = np.zeros(k + 1)
                 for j in range(k + 1):
                     # coefficient of t^j in sigma_k(lambda + t)
-                    from math import comb
                     s = sigma_k(lam, k - j) if k - j >= 1 else 1.0
                     coeffs[j] = s * comb(m - (k - j), j)
                 roots = np.sort(np.real(np.roots(coeffs[::-1])))
@@ -193,6 +199,82 @@ class TestGarding:
             garding_eigenvalues(SymMatrix.identity(3), 4)
 
 
+def compression_chain(lam, k):
+    """Level k of the Garding chain by repeated compression to 1-perp,
+    every level decomposed by LAPACK: the oracle of the closed forms."""
+    mu = np.sort(lam, axis=1)
+    for j in range(mu.shape[1], k, -1):
+        Q = np.linalg.qr(np.eye(j) - 1.0 / j)[0][:, : j - 1]  # spans 1-perp
+        mu = eigvalsh_plain(np.einsum("ia,ni,ib->nab", Q, mu, Q))
+    return mu
+
+
+class TestClosedForms:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_two_by_two_near_lapack(self, scale):
+        A = scale * rand_sym(np.random.default_rng(30), 2, 10_000)
+        bound = 8 * self.EPS * np.abs(A).max(axis=(1, 2))
+        assert np.all(np.abs(eigenvalues_sym_batch(A) - eigvalsh_plain(A)).max(axis=1) <= bound)
+
+    def test_two_by_two_exact_on_diagonals_and_negation(self):
+        rng = np.random.default_rng(31)
+        d = rng.standard_normal((1000, 2))
+        d[:100, 1] = d[:100, 0]  # ties
+        d[100:200] = 0.0  # zero matrices
+        D = np.zeros((1000, 2, 2))
+        D[:, [0, 1], [0, 1]] = d
+        assert np.array_equal(eigenvalues_sym_batch(D), np.sort(d, axis=1))
+        A = np.concatenate([D, rand_sym(rng, 2, 1000)])
+        A[-100:, 1, 1] = A[-100:, 0, 0]  # h = 0 with b != 0
+        assert np.array_equal(eigenvalues_sym_batch(-A), -eigenvalues_sym_batch(A)[:, ::-1])
+
+    def test_one_by_one_is_the_entry(self):
+        A = np.random.default_rng(32).standard_normal((50, 1, 1))
+        lam = eigenvalues_sym_batch(A)
+        assert lam.shape == (50, 1) and np.array_equal(lam, A[:, 0])
+        assert not np.shares_memory(lam, A)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_single_jet_is_the_batch_of_one(self, m):
+        A = rand_sym(np.random.default_rng(33), m, 20)
+        batch = eigenvalues_sym_batch(A)
+        for i in range(20):
+            assert eigenvalues_sym(SymMatrix.from_full(A[i])).tobytes() == batch[i].tobytes()
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_level_two_matches_the_chain(self, m):
+        lam = eigvalsh_plain(rand_sym(np.random.default_rng(34 + m), m, 2000))
+        mu = _garding_from_eigs_batch(lam, 2)
+        ref = compression_chain(lam, 2)
+        assert np.all(np.abs(mu - ref) <= 1e-13 * (1 + np.abs(ref)))
+        # the sigma_2 residual bound that garding_eigenvalues enforces
+        scale = (1 + np.abs(lam).max(axis=1) ** 2) * comb(m, 2)
+        for j in range(2):
+            resid = np.array([sigma_k(row - t, 2) for row, t in zip(lam, mu[:, j])])
+            assert np.all(np.abs(resid) <= GARDING_TOL * scale)
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_compressed_levels_match_the_chain(self, m):
+        lam = eigvalsh_plain(rand_sym(np.random.default_rng(40 + m), m, 500))
+        for k in range(3, m):
+            ref = compression_chain(lam, k)
+            assert np.all(np.abs(_garding_from_eigs_batch(lam, k) - ref) <= 1e-13 * (1 + np.abs(ref)))
+
+    def test_audit_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.unique imports numpy.ma (~13 ms); the audit path avoids it
+        env = dict(os.environ, PYTHONPATH=str(Path(subeq.__file__).resolve().parents[1]))
+        if subprocess.run([sys.executable, "-c", "import sys, numpy; "
+                           "sys.exit('numpy.ma' in sys.modules)"], env=env, timeout=60).returncode:
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        code = ("import sys; from subeq.cli import main; "
+                f"code = main(['audit', '--no-plots', '--out', {str(tmp_path / 'a')!r}]); "
+                "sys.exit(code or 10 * ('numpy.ma' in sys.modules))")
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                              capture_output=True).returncode == 0
+
+
 class TestDenseViewSpectrum:
     @pytest.fixture
     def decompositions(self, monkeypatch):
@@ -227,15 +309,27 @@ class TestDenseViewSpectrum:
         rng = np.random.default_rng(24)
         for m in range(2, 7):
             A = rand_sym(rng, m, 100)
-            lam = eigvalsh_plain(A)
+            lam = eigenvalues_sym_batch(A)
+            if m >= 3:  # LAPACK's spectrum, as before the 2 x 2 closed form
+                assert np.array_equal(lam, eigvalsh_plain(A))
             expect = {k: _garding_from_eigs_batch(lam, k) for k in range(1, m + 1)}
             decompositions.clear()
             J = self.view(A)
             for k in [*range(m, 0, -1), *range(1, m + 1)]:
                 assert np.array_equal(J.garding(k), expect[k]), (m, k)
-            # the spectrum and each compressed level m-1, ..., 2 once
-            assert decompositions == [(100, j, j) for j in range(m, 1, -1)]
+            # LAPACK decomposes the spectrum and each compressed level
+            # m-1, ..., 3 once; a 2 x 2 spectrum and level 2 are closed forms
+            assert decompositions == [(100, j, j) for j in range(m, 2, -1)]
             assert sorted(J.levels) == list(range(2, m + 1))
+
+    def test_level_two_skips_the_chain(self, decompositions):
+        rng = np.random.default_rng(27)
+        for m in range(3, 7):
+            decompositions.clear()
+            J = self.view(rand_sym(rng, m, 50))
+            J.garding(2)
+            assert decompositions == [(50, m, m)]
+            assert sorted(J.levels) == [2, m]
 
     def test_stored_levels_read_only(self):
         J = self.view(rand_sym(np.random.default_rng(23), 4, 10))
@@ -252,8 +346,11 @@ class TestDenseViewSpectrum:
         rng = np.random.default_rng(25)
         for m in range(1, 7):
             A = rand_sym(rng, m, 40)
+            lam = eigenvalues_sym_batch(A)
+            if m >= 3:
+                assert np.array_equal(lam, eigvalsh_plain(A))
             for k in range(1, m + 1):
-                expect = _garding_from_eigs_batch(eigvalsh_plain(A), k)
+                expect = _garding_from_eigs_batch(lam, k)
                 assert np.array_equal(garding_eigenvalues_batch(A, k), expect), (m, k)
 
 
