@@ -12,8 +12,8 @@ roots of the (m-k)-th derivative of the characteristic polynomial, and the
 roots of the derivative of a polynomial with roots d_1..d_j are the
 eigenvalues of diag(d) compressed to the complement of (1,...,1), so each
 level is one small symmetric eigenvalue problem of the level above; the
-quadratic level k = 2 has a closed form in the spectrum.  Spectra of 1 x 1
-and 2 x 2 matrices are closed forms too, LAPACK's only above.
+quadratic level k = 2 has a closed form in the spectrum.  Spectra of 2 x 2
+matrices are a closed form too; LAPACK decomposes every other size.
 
 A jet-batch view owns its spectrum and its readings: ``DenseView``
 decomposes its stack on the first read of ``eigs`` and keeps it, with every
@@ -151,8 +151,7 @@ def eigenvalues_sym(A: SymMatrix) -> np.ndarray:
 def eigenvalues_sym_batch(A: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a (n, m, m) stack of symmetric matrices.
 
-    Closed forms where one is exact to roundoff, LAPACK (``eigvalsh``)
-    above.  At m = 1 the spectrum is the entry.  At m = 2 it is the
+    LAPACK (``eigvalsh``) except at m = 2, where the spectrum is the
     symmetric Schur rotation (Golub-Van Loan, Alg. 8.4.2) of [[a, b], [b, d]]:
     with h = (d - a)/2 and t = b / (h + sign(h) hypot(h, b)) (t = 0 where
     h = b = 0), the eigenvalues are a - t b and d + t b.  |t| <= 1, so it
@@ -160,10 +159,7 @@ def eigenvalues_sym_batch(A: np.ndarray) -> np.ndarray:
     entries exactly and -A gives exactly the reversed negated spectrum.
     Like ``eigvalsh`` it reads the lower triangle.
     """
-    m = A.shape[-1]
-    if m == 1:
-        return np.array(A[..., 0], dtype=float)
-    if m > 2:
+    if A.shape[-1] != 2:
         return np.linalg.eigvalsh(A)
     a, b, d = (np.asarray(A[..., i, j], dtype=float) for i, j in ((0, 0), (1, 0), (1, 1)))
     h = 0.5 * (d - a)
@@ -240,14 +236,7 @@ def _helmert(j: int) -> np.ndarray:
     return Q / np.sqrt(np.arange(1, j) * np.arange(2, j + 1))
 
 
-def _compress_table(j: int) -> np.ndarray:
-    """(j, (j-1)^2) table Q[i, a] Q[i, b] of the Helmert basis Q = Q_j: a
-    level mu (n, j) times it is Q^T diag(mu) Q, flattened row-major."""
-    Q = _helmert(j)
-    return (Q[:, :, None] * Q[:, None, :]).reshape(j, (j - 1) ** 2)
-
-
-_COMPRESS = {j: _compress_table(j) for j in range(4, MAX_DIM + 1)}
+_COMPRESS = {j: _helmert(j) for j in range(2, MAX_DIM + 1)}
 
 
 def _garding_from_eigs_batch(lam: np.ndarray, k: int) -> np.ndarray:
@@ -255,10 +244,10 @@ def _garding_from_eigs_batch(lam: np.ndarray, k: int) -> np.ndarray:
 
     Level j-1 holds the zeros of sum_i 1/(t - mu_i) over the j values mu of
     level j: the eigenvalues of Q_j^T diag(mu) Q_j (Cauchy interlacing and
-    the secular equation), one ``eigenvalues_sym_batch`` of the compression
-    per level.  Symmetric eigenvalues are backward stable, so repeated
-    roots come out repeated to roundoff.  Every level keeps the mean, which
-    is level 1.  Levels 1 and 2 need no chain: the roots of the (m-2)-th
+    the secular equation), one ``eigvalsh`` of the compression per level.
+    Symmetric eigenvalues are backward stable, so repeated roots come out
+    repeated to roundoff.  Every level keeps the mean, which is level 1.
+    Levels 1 and 2 need no chain: the roots of the (m-2)-th
     derivative of prod (t - mu_i) are mean +- sqrt(sum (mu_i - mean)^2 /
     (m (m-1))) over the spectrum mu, so level 2 is read from level m.
     """
@@ -289,8 +278,8 @@ def _garding_level(levels: dict, k: int) -> np.ndarray:
             levels[2].flags.writeable = False
         else:
             for j in range(min(i for i in levels if i > k), k, -1):
-                C = levels[j] @ _COMPRESS[j]
-                levels[j - 1] = eigenvalues_sym_batch(C.reshape(-1, j - 1, j - 1))
+                Q = _COMPRESS[j]
+                levels[j - 1] = np.linalg.eigvalsh(np.einsum("ia,ni,ib->nab", Q, levels[j], Q))
                 levels[j - 1].flags.writeable = False
     return levels[k]
 
