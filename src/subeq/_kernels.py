@@ -7,8 +7,10 @@ contact set and the active branches frozen.  On line (radial / 1-D) grids
 grid's ``LineStencil`` rows, solved with ``thomas``; the weak rows, which
 the step cannot linearize at the current iterate, are linearized at their
 node roots, which ``vector_node_solve`` finds for those rows only.  On
-boxes ``step_box`` takes the step with the subequation tree through the
-cross and diagonal stencil, solved slab by slab with ``block_thomas``,
+boxes ``step_box`` takes the step with the subequation tree, read at
+the grid's ``jets.DenseView`` of the centred jets and at bumped dense
+views of it, through the cross and diagonal stencil, solved slab by
+slab with ``block_thomas``,
 and halves its update until the worst residual does not rise.  Both
 steps build their rows from the difference quotients of one rule
 (``_quotient``, through ``_slopes`` and ``_jet_slopes``) and end in one
@@ -20,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
+from .jets import DenseView
 
 
 def vector_node_solve(G, v0, cap, step0, gtol, veps):
@@ -172,28 +175,30 @@ def _slopes(g, jet):
     return _quotient(value, np.array([jet[k] for k in keys]), np.max(np.abs(jet[1:]), axis=0))
 
 
-def _jet_slopes(value, r, p, A):
-    """Difference quotients (``_quotient``) of ``value(r, p, A)`` in r, each
-    p_k and each symmetric A_kl (A_kl and A_lk bumped together), the tree
-    twin of ``_slopes``.  Returns (g_r, g_p, g_A) shaped like (r, p, A).
+def _jet_slopes(value, J):
+    """Difference quotients (``_quotient``) of ``value`` at bumped copies of
+    the dense jet view J in r, each p_k and each symmetric A_kl (A_kl and
+    A_lk bumped together), the tree twin of ``_slopes``.  Returns (g_r,
+    g_p, g_A) shaped like (r, p, A).
     """
+    x, r, p, A = J.x, J.r, J.p, J.A
     size = np.maximum(np.maximum(np.abs(r), np.abs(p).max(axis=1)), np.abs(A).max(axis=(1, 2)))
 
     def with_p(k):
-        def at(x):
+        def at(y):
             q = p.copy()
-            q[:, k] = x
-            return value(r, q, A)
+            q[:, k] = y
+            return value(DenseView(x, r, q, A))
         return at
 
     def with_A(k, l):
-        def at(x):
+        def at(y):
             B = A.copy()
-            B[:, k, l] = B[:, l, k] = x
-            return value(r, p, B)
+            B[:, k, l] = B[:, l, k] = y
+            return value(DenseView(x, r, p, B))
         return at
 
-    g_r = _quotient(lambda x: value(x, p, A), r, size)
+    g_r = _quotient(lambda y: value(DenseView(x, y, p, A)), r, size)
     g_p = np.empty_like(p)
     g_A = np.empty_like(A)
     for k in range(p.shape[1]):
@@ -306,9 +311,9 @@ def step_box(u, ids, M, caps, value, jets, res, at):
     """One Howard / Newton step on R(u) = min(G(u), cap - u) at the interior
     nodes ``ids`` of the box ``M``.
 
-    ``value(r, p, A)`` gives the defining values at ``ids`` and ``jets()``
-    the centred jets of the current u there.  The rows chain the quotients
-    of ``_jet_slopes`` through the stencil weights: the cross for p and
+    ``value(J)`` gives the defining values at a jet view and ``jets()``
+    the centred jet view of the current u at ``ids``.  The rows chain the
+    quotients of ``_jet_slopes`` through the stencil weights: the cross for p and
     the diagonal of A, the four diagonal neighbours +-g_A[:, a, b] /
     (4 h_a h_b) for a mixed entry.  A contact row, where cap - u < G, reads
     delta = cap - u, as in ``sweep_line_numpy``.  Only the pivot of a row
@@ -322,7 +327,7 @@ def step_box(u, ids, M, caps, value, jets, res, at):
     roundoff floor, whose update leaves max |R| where it was, so keeps its
     first trial.
 
-    ``at`` holds [(r, p, A), G] at the current u, filled by the caller
+    ``at`` holds [jet view, G] at the current u, filled by the caller
     before the first step and by each step at the trial it keeps; ``res``
     receives R before the step.  Ends in ``_clamp_write``:
     returns (max |change|, min change).  Raises FloatingPointError naming
@@ -334,10 +339,10 @@ def step_box(u, ids, M, caps, value, jets, res, at):
     if 3 * nb * k * k > MAX_BLOCK_FLOATS:
         raise InputError(f"box too large for the Newton step: {nb} slabs of {k} nodes need "
                          f"{3 * nb * k * k} block floats, over MAX_BLOCK_FLOATS = {MAX_BLOCK_FLOATS}")
-    (r, p, A), G = at
+    J, G = at
     v, cap = u[ids], caps[ids]
     np.minimum(G, cap - v, out=res)
-    g_r, g_p, g_A = _jet_slopes(value, r, p, A)
+    g_r, g_p, g_A = _jet_slopes(value, J)
     h, m = M.h, M.m
     own = g_r - 2.0 * sum(g_A[:, a, a] / h[a] ** 2 for a in range(m))
     # (weight, offset along each axis) of every neighbour
@@ -370,8 +375,8 @@ def step_box(u, ids, M, caps, value, jets, res, at):
     for t in 0.5 ** np.arange(HALVINGS + 1):
         trial = np.minimum(v + t * step, cap)
         u[ids] = trial
-        jet = jets()
-        at[:] = [jet, value(*jet)]
+        J = jets()
+        at[:] = [J, value(J)]
         if np.abs(np.minimum(at[1], cap - trial)).max(initial=0.0) <= worst:
             break
     return _clamp_write(u, ids, v, t * step, cap)

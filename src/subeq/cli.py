@@ -541,6 +541,7 @@ def pn_audit_suite(seed=0) -> Certificate:
         views = SU._pnt_views(m, 20_000, seed)
         for F in _catalog(m):
             cert.merge_child(SU._audit_PNT(F, views, seed), f"{F.meta.tag}[m={m}]")
+        del views  # freed before the next m's sample is drawn
     return cert
 
 

@@ -379,12 +379,15 @@ def _spectrum(a, b, m):
 class RadialView:
     """Radial jets on a line grid, with the fields of ``DenseView``: node ids
     x, values r, the radial differences du and d2, the angular eigenvalue
-    aa = du g'/g, and gdn as ``grad_up`` (upwind in the sweeps).
+    aa = du g'/g, and gdn as ``grad_up``: upwind in the sweeps, the centred
+    |du| at the grid jets of ``manifolds.batch_jets``.
 
     The Hessian is diag(d2, aa, ..., aa) and the gradient (du, 0, ..., 0).
     sigma_k(A + t I) has the root -aa k - 1 times and one linear root.
     The dense jet in the radial frame, ``p`` (n, m) and ``A`` (n, m, m),
-    is built on access; this is the one place it is assembled.
+    is assembled here only, on access by a caller that reads it (a
+    jet-equivalence, ``distance_to_boundary``); no defining value
+    decomposes it again.
     """
 
     __slots__ = ("x", "r", "du", "aa", "d2", "grad_up", "m")

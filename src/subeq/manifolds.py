@@ -12,9 +12,9 @@ On radial kinds a function of r has Hessian eigenvalues phi'' (radial) and
 phi' g'/g with multiplicity m-1 (angular).  Every line grid (the radial
 kinds and 1-D boxes) carries one ``LineStencil``, the non-uniform 3-point
 first and second differences built once from its spacings; the jets, the
-sweep kernels and the presolve all read it, and the jets are assembled by
-``jets.RadialView``.  Boxes of dimension m >= 2 use the centred cross
-stencil.
+sweep kernels and the presolve all read it.  ``batch_jets`` hands each
+grid's jets in one view: a ``jets.RadialView`` on line grids, a
+``jets.DenseView`` on the centred cross stencil of boxes.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .jets import Jet, RadialView, SymMatrix
+from .jets import DenseView, Jet, RadialView, SymMatrix
 
 # ---------------------------------------------------------------------------
 # warps
@@ -408,11 +408,13 @@ def radial_hessian_eigs(phi1: float, phi2: float, r: float, warp, m: int) -> np.
 
 
 def batch_jets(u: GridFunction, ids=None):
-    """Vectorized centred discrete jets: returns (ids, r, p, A) with p (n,m),
-    A (n,m,m), by default at every interior node.
+    """Vectorized centred discrete jets: returns (ids, J), J the grid's jet
+    view at the nodes ids (its ``x``), by default every interior node.
 
-    Line grids read their ``LineStencil`` and take the dense jets of a
-    ``RadialView``; boxes use the cross stencil.  Skips nodes flagged -inf
+    Line grids read their ``LineStencil`` into a ``RadialView`` whose
+    ``grad_up`` is the centred |du|; its dense p and A are built only where
+    a caller reads them, never to evaluate a defining function.  Boxes
+    take the cross stencil into a ``DenseView``.  Skips nodes flagged -inf
     (USC convention).
     """
     M = u.manifold
@@ -425,36 +427,29 @@ def batch_jets(u: GridFunction, ids=None):
         S = M.stencil.at(ids)
         uL, uC, uR = vals[ids - 1], vals[ids], vals[ids + 1]
         du = S.du(uL, uC, uR)
-        aa = du * S.ang if m > 1 else None  # m = 1 has no angular direction
-        J = RadialView(ids, uC, du, aa, S.d2(uL, uC, uR), None, m)
-        return ids, uC, J.p, J.A
+        aa = du * S.ang if m > 1 else np.zeros(n)  # m = 1 has no angular direction
+        return ids, RadialView(ids, uC, du, aa, S.d2(uL, uC, uR), np.abs(du), m)
+    if not isinstance(M, FlatBox):
+        raise InputError(f"unsupported manifold kind {type(M).__name__}")
     p = np.zeros((n, m))
     A = np.zeros((n, m, m))
-    if isinstance(M, FlatBox):
-        for k in range(m):
-            s = M.strides[k]
-            p[:, k] = (vals[ids + s] - vals[ids - s]) / (2 * M.h[k])
-            A[:, k, k] = (vals[ids + s] + vals[ids - s] - 2 * vals[ids]) / M.h[k] ** 2
-        for k in range(m):
-            for l in range(k + 1, m):
-                sk, sl = M.strides[k], M.strides[l]
-                cross = (
-                    vals[ids + sk + sl] + vals[ids - sk - sl]
-                    - vals[ids + sk - sl] - vals[ids - sk + sl]
-                ) / (4 * M.h[k] * M.h[l])
-                A[:, k, l] = cross
-                A[:, l, k] = cross
-    else:
-        raise InputError(f"unsupported manifold kind {type(M).__name__}")
-    return ids, vals[ids].copy(), p, A
+    for k, sk in enumerate(M.strides):
+        p[:, k] = (vals[ids + sk] - vals[ids - sk]) / (2 * M.h[k])
+        A[:, k, k] = (vals[ids + sk] + vals[ids - sk] - 2 * vals[ids]) / M.h[k] ** 2
+        for l in range(k + 1, m):
+            sl = M.strides[l]
+            A[:, k, l] = A[:, l, k] = (vals[ids + sk + sl] + vals[ids - sk - sl]
+                                       - vals[ids + sk - sl] - vals[ids - sk + sl]
+                                       ) / (4 * M.h[k] * M.h[l])
+    return ids, DenseView(ids, vals[ids], p, A)
 
 
 def discrete_jet(u: GridFunction, node: int) -> Jet:
     """The discrete 2-jet of u at one interior node."""
     if not u.manifold.interior_mask[node]:
         raise DomainError("stencil exits the domain at this node")
-    ids, r, p, A = batch_jets(u, np.array([node]))
-    return Jet(float(r[0]), p[0], SymMatrix.from_full(A[0]))
+    _, J = batch_jets(u, np.array([node]))
+    return Jet(float(J.r[0]), J.p[0], SymMatrix.from_full(J.A[0]))
 
 
 # ---------------------------------------------------------------------------

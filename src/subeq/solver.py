@@ -2,8 +2,11 @@
 
 The discrete scheme: at every interior node, G(x, r, p(u), A(u)) = 0,
 with centred jets from ``batch_jets``; obstacle problems solve
-min(G, g - u) = 0.  On line grids the jets, the policy-step rows and the
-presolve rows all read the grid's one ``LineStencil``.
+min(G, g - u) = 0.  Each grid hands its jets in one view, which every
+defining value reads (``F._value(J)``): a ``jets.RadialView`` on line
+grids, whose jets are never re-decomposed densely, and a
+``jets.DenseView`` on boxes.  On line grids the jets, the policy-step
+rows and the presolve rows all read the grid's one ``LineStencil``.
 
 Initialization: for linear members (laplace / infinity-Laplacian with
 linear f) a direct tridiagonal presolve is admitted as a warm start after
@@ -24,29 +27,29 @@ acceptance check, and the centred residual of the start's admissibility
 check (a solve that took no step), of the box check, or evaluated once
 after a line solve's steps.  Recomputing them from the solution
 (_residual, _interior_residual) gives the same bytes.  The Dirichlet
-certificate is the obstacle one with no contact nodes.  The
-grid picks the step of the loop, and the grid's stencil picks the scheme
-residual.  On line (radial / 1-D) grids each step is one Howard policy
-step over the line evaluator of _ir.lower, the tree read through the
-radial jet view ("numpy"): the contact set and the active branches are
-frozen, and one tridiagonal solve gives the update (the first difference
-|du| that profiles read, and any p that a jet-equivalence maps, is
-lagged).  On boxes each step is a Newton (Howard) step with the
-subequation tree ("generic"): rows from difference quotients of the tree
-at the centred jets, mixed-derivative weights included, one
-block-tridiagonal solve, and the update halved until the worst residual
-does not rise.  The loop checks the scheme residual of the start and
-after every step whose largest node change is within convergence_tol --
-the only ones that can be accepted -- and accepts within 0.45
-membership_tol: a start that already meets it takes no step.  A failed
-step, a stall (STALL_STEPS steps without a new minimum of the worst
-residual), a step that changes no node and is not accepted, or
-MAX_STEPS steps end the solve with ConvergenceError.  No state rides
-from one step to the next: a step is a function of u alone, so one that
-changes no node would repeat forever.
-Iterates started from a verified discrete subsolution increase
-monotonically where the scheme is monotone, mirroring the Perron
-supremum.
+certificate is the obstacle one with no contact nodes.  The grid picks
+the step of the loop, and the grid's stencil picks the scheme residual.
+On line (radial / 1-D) grids each step is one Howard policy step over
+the line evaluator of _ir.lower, the tree read through the radial jet
+view ("numpy"): the contact set and the active branches are frozen, and
+one tridiagonal solve gives the update (the first difference |du| that
+profiles read, and any p that a jet-equivalence maps, is lagged).  On
+boxes each step is a Newton (Howard) step with the subequation tree
+("generic"): rows from difference quotients of the tree at the centred
+jet view, mixed-derivative weights included, one block-tridiagonal
+solve, and the update halved until the worst residual does not rise;
+the start's jet view and residual are the first step's, so the loop
+builds no jets of its start.  The loop checks the scheme residual of the
+start and after every step whose largest node change is within
+convergence_tol -- the only ones that can be accepted -- and accepts
+within 0.45 membership_tol: a start that already meets it takes no
+step.  A failed step, a stall (STALL_STEPS steps without a new minimum
+of the worst residual), a step that changes no node and is not
+accepted, or MAX_STEPS steps end the solve with ConvergenceError.  No
+state rides from one step to the next: a step is a function of u alone,
+so one that changes no node would repeat forever.  Iterates started
+from a verified discrete subsolution increase monotonically where the
+scheme is monotone, mirroring the Perron supremum.
 """
 from __future__ import annotations
 
@@ -129,10 +132,10 @@ def boundary_values(M: ModelManifold, boundary: dict) -> np.ndarray:
 
 
 def _interior_residual(F, u: GridFunction, ids=None):
-    """Node ids and the defining values of F at u's centred jets there:
-    every interior node by default, nodes flagged -inf skipped."""
-    ids, r, p, A = batch_jets(u, ids)
-    return ids, F.value(ids, r, p, A)
+    """u's centred jet view J (node ids J.x: every interior node by default,
+    nodes flagged -inf skipped) and the defining values of F there."""
+    _, J = batch_jets(u, ids)
+    return J, F._value(J)
 
 
 def _try_presolve(F, M, bvals):
@@ -176,7 +179,8 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
     Verification tolerates the roundoff floor of the assembled operator
     (~eps * 2/h_min^2 * scale): a candidate is a subsolution up to solver
     roundoff, which the monotone iteration absorbs.  Returns (u0, label,
-    the centred residual of u0 that verified it).
+    start), start = [J, G]: the centred jet view of u0 and the centred
+    residual that verified it.
     """
     M, F = spec.M, spec.F
     interior = M.interior_mask
@@ -185,18 +189,18 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
                       100 * 2.2e-16 * scale * 2.0 / M.min_spacing() ** 2)
     candidates = []
 
-    def admissible(vals):  # the centred residual of vals if it verifies, else None
+    def admissible(vals):  # [jet view, centred residual] of vals if it verifies, else None
         if np.any(vals[interior] > caps[interior] + 1e-14):
             return None
-        _, res = _interior_residual(F, GridFunction(M, vals))
-        return None if res.size and res.min() < -verify_band else res
+        J, res = _interior_residual(F, GridFunction(M, vals))
+        return None if res.size and res.min() < -verify_band else [J, res]
 
     def offer(label, vals):
         vals[~interior] = bvals[~interior]
-        res = admissible(vals)
-        if res is not None:
-            candidates.append((label, vals, res))
-        return res is not None
+        start = admissible(vals)
+        if start is not None:
+            candidates.append((vals, label, start))
+        return start is not None
 
     bmin = np.nanmin(bvals)
     slack = 1e-2 * (1.0 + abs(bmin))
@@ -217,18 +221,17 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
         raise InitializationError(
             "no verified discrete subsolution found (boundary data infeasible for F?)")
     if len(candidates) > 1:
-        merged = np.maximum.reduce([v for _, v, _ in candidates])
+        merged = np.maximum.reduce([v for v, _, _ in candidates])
         # a max with the bytes of a verified candidate needs no check of its own
         key = merged.tobytes()
-        res = next((r for _, v, r in candidates if v.tobytes() == key), None)
-        if res is None:
-            res = admissible(merged)
-        if res is not None:
-            return merged, "max(" + ",".join(c[0] for c in candidates) + ")", res
+        start = next((s for v, _, s in candidates if v.tobytes() == key), None)
+        if start is None:
+            start = admissible(merged)
+        if start is not None:
+            return merged, "max(" + ",".join(c[1] for c in candidates) + ")", start
     # prefer the warmest single verified candidate
     order = ["presolve", "obstacle-slack", "constant"]
-    label, vals, res = min(candidates, key=lambda c: order.index(c[0]))
-    return vals, label, res
+    return min(candidates, key=lambda c: order.index(c[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +252,14 @@ MAX_STEPS = 2_000_000
 ROOT_VALUE_TOL = 1e-15
 
 
-def _iterate(spec: ProblemSpec, u, caps, start_res):
+def _iterate(spec: ProblemSpec, u, caps, start):
     """Newton steps from the subsolution u, updated in place, to the
     discrete fixed point; returns (u, the scheme residual of the check
-    that accepted u, facts).  On boxes ``start_res``, the centred residual
-    that verified the start u, is the G of the first step.
+    that accepted u, facts).  On boxes ``start``, the [centred jet view,
+    residual] that verified the start u, is the jets and G of the first
+    step, replaced in place by each step: the loop builds no jets of its
+    start and holds one jet batch.  Line steps read no jet view, so a
+    line solve drops the start's.
 
     The grid picks the step: line grids take the policy steps of
     ``K.sweep_line_numpy`` over the line evaluator of ``_ir.lower``
@@ -277,27 +283,21 @@ def _iterate(spec: ProblemSpec, u, caps, start_res):
     conv_tol = spec.conv_tol()
     band = 0.45 * spec.membership_tol()
     ids = M.interior_ids
-    gf = GridFunction(M, u)  # shares the array; jets follow in-place updates
     res = np.empty(ids.size)
     if M.stencil is None:
-        engine = "generic"
-
-        def value(r, p, A):
-            return F.value(ids, r, p, A)
-
-        def jets():
-            return batch_jets(gf, ids)[1:]
-
-        at = [jets(), start_res]  # jets and G at the current u, kept by each step
+        engine, at = "generic", start  # jets and G at the current u
+        gf = GridFunction(M, u)  # shares the array; jets follow in-place updates
 
         def step():
-            return K.step_box(u, ids, M, caps, value, jets, res, at)
+            return K.step_box(u, ids, M, caps, F._value, lambda: batch_jets(gf, ids)[1],
+                              res, at)
 
         def scheme():
             return at[1]
     else:
         engine, g, S = "numpy", _ir.lower(F), M.stencil.at(ids)
         gtol, veps = min(band, 1e-9), ROOT_VALUE_TOL
+        start[0] = None  # line steps read no jet view
 
         def step():
             return K.sweep_line_numpy(u, ids, S, caps, g, res, gtol, veps)
@@ -351,7 +351,8 @@ def _residual(spec: ProblemSpec, u: GridFunction):
     check's; recomputing them here gives the same bytes."""
     M = spec.M
     if M.stencil is None:
-        return _interior_residual(spec.F, u)
+        J, res = _interior_residual(spec.F, u)
+        return J.x, res
     ids = M.interior_ids
     return ids, K.residual_line_numpy(u.values, ids, M.stencil.at(ids), _ir.lower(spec.F))
 
@@ -383,14 +384,14 @@ def _solve(spec: ProblemSpec, caps):
     bd = ~M.interior_mask
     if np.any(bvals[bd] > caps[bd] + 1e-12):
         raise PreconditionError("boundary data must satisfy phi <= g on the boundary")
-    u0, init_label, start_res = _initial_subsolution(spec, bvals, caps)
-    u, sres, facts = _iterate(spec, u0.copy(), caps, start_res)
+    u0, init_label, start = _initial_subsolution(spec, bvals, caps)
+    u, sres, facts = _iterate(spec, u0.copy(), caps, start)
     if M.stencil is None:  # the box check's G is the centred residual
         res = sres
     elif facts["sweeps"]:
         res = _interior_residual(spec.F, GridFunction(M, u))[1]
     else:  # no step: u is the start that the admissibility check verified
-        res = start_res
+        res = start[1]
     cert = _certificate(spec, u, caps, res, sres, {**facts, "init": init_label})
     return GridFunction(M, u), cert
 
@@ -489,16 +490,16 @@ def verify_subharmonic(F: Subequation, u: GridFunction, M: ModelManifold | None 
     ids = None
     if region is not None:
         ids = np.where(np.asarray(region, dtype=bool) & M.interior_mask)[0]
-    ids, res = _interior_residual(F, u, ids)
+    J, res = _interior_residual(F, u, ids)
     worst = float(-res.min(initial=0.0))
     return Certificate(
         name=f"verify_subharmonic[{F.meta.tag}]",
         passed=bool(worst <= tol),
         tolerance=tol,
         worst={"membership_violation": worst},
-        counts={"nodes": ids.size, "violations": int((res < -tol).sum())},
+        counts={"nodes": J.x.size, "violations": int((res < -tol).sum())},
         residuals={"membership": res},
-        params={"node_ids": ids},
+        params={"node_ids": J.x},
     )
 
 
@@ -623,12 +624,11 @@ def make_barrier(F: Subequation, M: ModelManifold, omega_mask, boundary_ids,
     best_margin = -np.inf
 
     def certify(vals):
-        beta = GridFunction(M, vals)
-        _, r, p, A = batch_jets(beta, ids)
-        if np.any(np.linalg.norm(p, axis=1) < 1e-12):
+        _, J = batch_jets(GridFunction(M, vals), ids)
+        if np.any(J.grad < 1e-12):
             return False, 0.0
-        k = int(np.argmax(np.append(F.value(ids, r, p, A) <= 0, True)))
-        d = distance_to_boundary(F, ids[:k], r[:k], p[:k], A[:k]).value
+        k = int(np.argmax(np.append(F._value(J) <= 0, True)))
+        d = distance_to_boundary(F, ids[:k], J.r[:k], J.p[:k], J.A[:k]).value
         j = int(np.argmax(np.append(d < margin, True)))
         worst = float(np.min(d[:j + 1], initial=np.inf))
         if j == k < ids.size:

@@ -18,7 +18,8 @@ caps, the collar-relaxed eikonal and its dual, jet-equivalence fields given
 per node), which raise InputError when it is None.  Each member writes its
 defining function once, as ``_value(J)`` over a jet-batch view J:
 ``value`` passes a ``jets.DenseView``, and the line evaluator of
-``_ir.lower`` a ``jets.RadialView`` of the radial differences.
+``_ir.lower`` and ``manifolds.batch_jets`` on line grids a
+``jets.RadialView`` of the radial differences.
 """
 from __future__ import annotations
 

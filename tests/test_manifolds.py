@@ -79,8 +79,8 @@ class TestDiscreteJet:
         # u = 2/r - 1 on the m=3 punctured annulus: discrete trace = O(h^2)
         M = PuncturedEuclidean(3, 1.0, 2.0, 200)
         u = GridFunction(M, 2.0 / M.r - 1.0)
-        _, _, _, A = batch_jets(u)
-        tr = np.trace(A, axis1=1, axis2=2)
+        _, J = batch_jets(u)
+        tr = np.trace(J.A, axis1=1, axis2=2)
         h = np.diff(M.r).max()
         assert np.abs(tr).max() <= 20 * h**2
 
@@ -90,9 +90,9 @@ class TestDiscreteJet:
         for n in (101, 201):
             M = RadialModel.uniform(2, "euclidean", 1.0, 2.0, n)
             u = GridFunction(M, np.sin(2.0 * M.r))
-            ids, _, p, A = batch_jets(u)
+            ids, J = batch_jets(u)
             exact_d2 = -4.0 * np.sin(2.0 * M.r[ids])
-            errs.append(np.abs(A[:, 0, 0] - exact_d2).max())
+            errs.append(np.abs(J.A[:, 0, 0] - exact_d2).max())
         ratio = errs[0] / errs[1]
         assert 3.5 <= ratio <= 4.5
 
@@ -109,8 +109,8 @@ class TestDiscreteJet:
         mask = np.zeros(M.n_nodes, dtype=bool)
         mask[5] = True
         u = GridFunction(M, vals, neg_inf_mask=mask)
-        ids, _, _, _ = batch_jets(u)
-        assert 5 not in ids
+        ids, J = batch_jets(u)
+        assert 5 not in ids and J.x is ids
 
 
 class TestRadialAgainstDiscrete:
@@ -118,13 +118,13 @@ class TestRadialAgainstDiscrete:
         M = RadialModel.uniform(3, "sinh", 0.5, 3.0, 400)
         phi = np.cosh(M.r)
         u = GridFunction(M, phi)
-        ids, _, p, A = batch_jets(u)
+        ids, J = batch_jets(u)
         h = M.min_spacing()
         for k in (10, 200, 380):
             i = ids[k]
             exact = radial_hessian_eigs(np.sinh(M.r[i]), np.cosh(M.r[i]),
                                         M.r[i], "sinh", 3)
-            got = np.sort(np.linalg.eigvalsh(A[k]))
+            got = np.sort(np.linalg.eigvalsh(J.A[k]))
             assert np.abs(got - exact).max() < 30 * h**2
 
 

@@ -7,9 +7,9 @@ import pytest
 
 from subeq import _ir
 from subeq import _kernels as K
-from subeq import solver
+from subeq import cli, solver
 from subeq.errors import ConvergenceError, InitializationError, InputError, PreconditionError
-from subeq.jets import Jet, SymMatrix
+from subeq.jets import Jet, RadialView, SymMatrix
 from subeq.manifolds import FlatBox, GridFunction, PuncturedEuclidean, RadialModel, batch_jets
 from subeq.profiles import AProfile, Profile
 from subeq.solver import (
@@ -23,7 +23,6 @@ from subeq.solver import (
 )
 from subeq.subequations import (
     JetEquivalence,
-    Subequation,
     apply_jet_equivalence,
     below_zero_cap,
     distance_to_boundary,
@@ -710,19 +709,19 @@ class TestBoxNewton:
         F = laplace(ZERO, m=2)
         sol, _ = perron_dirichlet(ProblemSpec(F, M, {"side": _exp_cos}))
         ids, gf = M.interior_ids, GridFunction(M, sol.values.copy())
-        jet = batch_jets(gf, ids)[1:]
+        _, J = batch_jets(gf, ids)
         calls = []
 
-        def value(r, p, A):
+        def value(J):
             calls.append(1)
-            return F.value(ids, r, p, A)
+            return F._value(J)
 
-        K._jet_slopes(value, *jet)
+        K._jet_slopes(value, J)
         quotients = len(calls)
-        at, res = [jet, F.value(ids, *jet)], np.empty(ids.size)
+        at, res = [J, F._value(J)], np.empty(ids.size)
         calls.clear()
         out = K.step_box(gf.values, ids, M, np.full(M.n_nodes, np.inf), value,
-                         lambda: batch_jets(gf, ids)[1:], res, at)
+                         lambda: batch_jets(gf, ids)[1], res, at)
         assert 0.0 < np.abs(res).max() <= 1e-12
         assert out[0] <= 1e-15
         assert len(calls) == quotients + 1
@@ -1073,10 +1072,14 @@ class TestResidualEvaluations:
         assert n["after_loop"] == n["line"] == 0
 
     def test_box_loop_takes_the_start_residual(self, monkeypatch):
-        # the G that verified the start is the first step's G: after the
-        # start is chosen, the first tree evaluation is inside a step
+        # the jets and G that verified the start are the first step's: after
+        # the start is chosen, the first jets and tree evaluation are inside
+        # a step
+        spec = _box_newton()
         events = []
-        value, init, step_box = Subequation.value, solver._initial_subsolution, K.step_box
+        kind = type(spec.F)
+        value, jets = kind._value, solver.batch_jets
+        init, step_box = solver._initial_subsolution, K.step_box
 
         def called(key, f):
             def call(*args):
@@ -1091,13 +1094,38 @@ class TestResidualEvaluations:
                 return out
             return call
 
-        monkeypatch.setattr(Subequation, "value", called("value", value))
+        monkeypatch.setattr(kind, "_value", called("value", value))
+        monkeypatch.setattr(solver, "batch_jets", called("jets", jets))
         monkeypatch.setattr(solver, "_initial_subsolution", returned("start", init))
         monkeypatch.setattr(K, "step_box", called("step", step_box))
-        _, cert = perron_dirichlet(_box_newton())
+        _, cert = perron_dirichlet(spec)
         assert cert.passed and cert.counts["sweeps"] == 2
-        assert events[events.index("start") + 1] == "step"
+        loop = events[events.index("start") + 1:]
+        assert loop[0] == "step"
         assert events.count("value") == 33  # 34 when the loop evaluated its start again
+        # one jet batch per trial, and each step kept its first trial: 3
+        # when the loop built its start's jets again
+        assert loop.count("jets") == cert.counts["sweeps"] == 2
+
+
+class TestCentredResidual:
+    """The centred residual reads the grid's jet view; the dense evaluation
+    of the same jets, through ``Subequation.value``, is its oracle."""
+
+    @pytest.mark.parametrize("grid, m", [("sinh", m) for m in range(1, 6)] + [("box", 1)])
+    def test_view_matches_dense_evaluation(self, grid, m):
+        if grid == "sinh":
+            M = RadialModel.uniform(m, "sinh", 1.0, 3.0, 41)
+        else:
+            M = FlatBox(1, [(0.0, 1.0)], 1 / 40)
+        u = GridFunction(M, np.random.default_rng(m).standard_normal(M.n_nodes))
+        for F in cli._catalog(m):
+            for G in (F, F.dual()):
+                J, res = solver._interior_residual(G, u)
+                assert isinstance(J, RadialView)
+                assert J.x.tobytes() == M.interior_ids.tobytes()
+                dense = G.value(J.x, J.r, J.p, J.A)
+                assert np.all(np.abs(res - dense) <= 1e-12 * (1.0 + np.abs(dense))), G
 
 
 class TestVerifySubharmonic:
@@ -1207,7 +1235,8 @@ def _barrier_reference(F, M, boundary_ids, rho, margin=solver.BARRIER_MARGIN,
     ids = _collar(M, boundary_ids)
 
     def certify(vals):
-        _, r, p, A = batch_jets(GridFunction(M, vals), ids)
+        _, J = batch_jets(GridFunction(M, vals), ids)
+        r, p, A = J.r, J.p, J.A
         if np.any(np.linalg.norm(p, axis=1) < 1e-12):
             return False, 0.0
         worst = np.inf
@@ -1267,8 +1296,8 @@ class TestBarriers:
         M = RadialModel.uniform(3, "euclidean", 1.0, 3.0, 201)
         rho = GridFunction(M, np.exp(-4.0 * M.r) - np.exp(-4.0 * M.r[0]))
         ids = _collar(M, np.array([0]))
-        _, r, p, A = batch_jets(rho, ids)
-        d = distance_to_boundary(F, ids, r, p, A).value
+        _, J = batch_jets(rho, ids)
+        d = distance_to_boundary(F, ids, J.r, J.p, J.A).value
         assert ids.size >= 3 and np.all(np.diff(d) < 0)
         margin = 0.5 * (d[0] + d[1])
         res = make_barrier(F, M, np.ones(M.n_nodes, bool), np.array([0]), rho,
