@@ -1,28 +1,28 @@
 """Newton step kernels for the Perron iteration.
 
 The Newton (Howard) steps linearize R(u) = min(G(u), cap - u) with the
-contact set and the active branches frozen.  On line (radial / 1-D) grids
-``sweep_line_numpy`` takes the policy step over the line evaluator of
-``_ir.lower`` (every subequation tree over ``jets.RadialView``) and the
-grid's ``LineStencil`` rows, solved with ``thomas``; the weak rows, which
-the step cannot linearize at the current iterate, are linearized at their
-node roots, which ``vector_node_solve`` finds for those rows only.  On
-boxes ``step_box`` takes the step with the subequation tree, read at
-the grid's ``jets.DenseView`` of the centred jets and at bumped dense
-views of it, through the cross and diagonal stencil, solved slab by
-slab with ``block_thomas``,
-and halves its update until the worst residual does not rise.  Both
-steps build their rows from the difference quotients of one rule
-(``_quotient``, through ``_slopes`` and ``_jet_slopes``) and end in one
-clamped update (``_clamp_write``).  Neither step carries state to the
-next, so a step is a function of the iterate alone.
+contact set and the active branches frozen.  Every defining value reads
+``value(J)`` (a tree's ``F._value``) at a jet view J.  On line (radial /
+1-D) grids ``sweep_line_numpy`` takes the policy step at the radial views
+that ``LineStencil.view`` writes, through the grid's ``LineStencil`` rows,
+solved with ``thomas``; the weak rows, which the step cannot linearize at
+the current iterate, are linearized at their node roots, which
+``vector_node_solve`` finds for those rows only.  On boxes ``step_box``
+takes the step at the grid's ``jets.DenseView`` of the centred jets and
+at bumped dense views of it, through the cross and diagonal stencil,
+solved slab by slab with ``block_thomas``, and halves its update until
+the worst residual does not rise.  Both steps build their rows from the
+difference quotients of one rule (``_quotient``, through ``_slopes`` and
+``_jet_slopes``) and end in one clamped update (``_clamp_write``).
+Neither step carries state to the next, so a step is a function of the
+iterate alone.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import InputError
-from .jets import DenseView
+from .jets import DenseView, RadialView
 
 
 def vector_node_solve(G, v0, cap, step0, gtol, veps):
@@ -67,16 +67,6 @@ def vector_node_solve(G, v0, cap, step0, gtol, veps):
         if np.all(width_ok | (np.abs(gm) <= gtol)):
             break
     return np.minimum(lo, cap)
-
-
-def _upwind(v, uL, uR, hl, hr):
-    """Godunov upwind gradient max((v-uL)/hl, (v-uR)/hr, 0).
-
-    The gradient-constraint members see it in place of |du|: the monotone
-    evaluation for subsolution sweeps (centred lagged gradients cycle).
-    Certificates are checked elsewhere against centred jets.
-    """
-    return np.maximum(np.maximum((v - uL) / hl, (v - uR) / hr), 0.0)
 
 
 def thomas(lo, di, up, rhs):
@@ -161,18 +151,20 @@ def _quotient(value, x, size):
     return (value(hi) - value(lo)) / (hi - lo)
 
 
-def _slopes(g, jet):
-    """Difference quotients (``_quotient``) of g in v, aa, d2 and gdn at ``jet``.
+def _slopes(value, J):
+    """Difference quotients (``_quotient``) of ``value`` in r, aa, d2 and
+    grad_up at the radial view J, du held, the line twin of ``_jet_slopes``.
 
     At a tie of a min or max each tied branch gets part of the weight, so
     the row keeps a pivot.
     """
-    keys = (1, 3, 4, 5)
+    jet, keys = [J.x, J.r, J.du, J.aa, J.d2, J.grad_up], (1, 3, 4, 5)
 
-    def value(X):  # the four bumped entries at once, one row each
-        return np.array([g(*jet[:k], x, *jet[k + 1:]) for k, x in zip(keys, X)])
+    def at(X):  # the four bumped entries at once, one row each
+        return np.array([value(RadialView(*jet[:k], x, *jet[k + 1:], J.m))
+                         for k, x in zip(keys, X)])
 
-    return _quotient(value, np.array([jet[k] for k in keys]), np.max(np.abs(jet[1:]), axis=0))
+    return _quotient(at, np.array([jet[k] for k in keys]), np.max(np.abs(jet[1:]), axis=0))
 
 
 def _jet_slopes(value, J):
@@ -219,28 +211,30 @@ def _clamp_write(u, ids, v, step, cap):
     return float(np.abs(ch).max(initial=0.0)), float(ch.min(initial=0.0))
 
 
-def sweep_line_numpy(u, order, S, caps, g, res, gtol, veps):
+def sweep_line_numpy(u, order, S, caps, value, res, gtol, veps):
     """One Howard policy step on R(u) = min(G(u), cap - u) at the nodes ``order``.
 
     ``order`` lists the interior nodes of the line in grid order and ``S``
-    holds their stencil rows; the tridiagonal system has one row per
-    interior node (the boundary values enter through G).  The step freezes the policy
-    at the current u: the contact set, where cap - u < G, and the active
-    branch of every min/max of g and of the upwind gradient, read from the
-    difference quotients of ``_slopes``.  du is lagged inside g, and
-    aa = ang * du moves with the first-difference weights.  One
-    tridiagonal solve gives the Newton update, clamped at cap.
+    holds their stencil rows; ``value(J)`` gives the defining values at a
+    radial view J, which ``S.view`` writes with the upwind gradient.  The
+    tridiagonal system has one row per interior node (the boundary values
+    enter through G).  The step freezes the policy at the current u: the
+    contact set, where cap - u < G, and the active branch of every min/max
+    of G and of the upwind gradient, read from the difference quotients of
+    ``_slopes``.  du is lagged, and aa = ang * du moves with the
+    first-difference weights.  One tridiagonal solve gives the Newton
+    update, clamped at cap.
 
     A weak row, whose active branch does not move with the node value (no
     weight through v, d2 or the upwind gradient, as where the angular
     branch of a min is active and f is constant), is linearized at its
     node root instead, where G = 0 puts a branch that does:
     ``vector_node_solve`` finds, for the weak rows only, the largest value
-    <= cap with G >= 0 with the neighbours and du frozen, from the bracket
-    width 1e-3 (1 + |v|) of each row; the roots are not written to u.  A
-    row that has no such weight there either is left out of the step.  A
-    step without a weak row runs no node solve.  The step keeps no state:
-    it is a function of u alone.
+    <= cap with G >= 0 with the neighbours, du and aa of the step's view
+    frozen, from the bracket width 1e-3 (1 + |v|) of each row; the roots
+    are not written to u.  A row that has no such weight there either is
+    left out of the step.  A step without a weak row runs no node solve.
+    The step keeps no state: it is a function of u alone.
 
     ``res`` receives R before the step.  Ends in ``_clamp_write``: returns
     (max |change|, min change); raises FloatingPointError at a zero or
@@ -250,11 +244,10 @@ def sweep_line_numpy(u, order, S, caps, g, res, gtol, veps):
     uL, uR = u[order - 1], u[order + 1]
     cap = caps[order]
 
-    def linearize(o, x, uL, uR, S):  # the rows of the nodes o at the values x
-        d1 = S.du(uL, x, uR)
+    def linearize(o, x, uL, uR, S):  # the view and rows of the nodes o at the values x
+        J = S.view(o, uL, x, uR, upwind=True)
+        g_v, g_aa, g_d2, g_gdn = _slopes(value, J)
         pL, pR = (x - uL) / S.hL, (x - uR) / S.hR
-        jet = [o, x, d1, d1 * S.ang, S.d2(uL, x, uR), np.maximum(np.maximum(pL, pR), 0.0)]
-        g_v, g_aa, g_d2, g_gdn = _slopes(g, jet)
         left = (pL >= pR) & (pL >= 0.0)
         gL = np.where(left, g_gdn / S.hL, 0.0)
         gR = np.where(~left & (pR >= 0.0), g_gdn / S.hR, 0.0)
@@ -262,21 +255,20 @@ def sweep_line_numpy(u, order, S, caps, g, res, gtol, veps):
         own = g_v + g_d2 * S.aC + gL + gR
         lo, up = g_w * S.wL + g_d2 * S.aL - gL, g_w * S.wR + g_d2 * S.aR - gR
         no_own = np.abs(own) <= 1e-9 * (np.abs(lo) + np.abs(up))
-        return g(*jet), lo, own + g_w * S.wC, up, no_own
+        return J, value(J), lo, own + g_w * S.wC, up, no_own
 
-    G, row_lo, row_di, row_up, weak = linearize(order, v, uL, uR, S)
+    J, G, row_lo, row_di, row_up, weak = linearize(order, v, uL, uR, S)
     np.minimum(G, cap - v, out=res)
     if weak.any():
         w = np.flatnonzero(weak)
-        o, x, l, r, s = order[w], v[w], uL[w], uR[w], S.at(w)
-        du = s.du(l, x, r)
-        aa, b0 = du * s.ang, s.d2(l, 0.0, r)
+        o, x, l, r, s, Jw = order[w], v[w], uL[w], uR[w], S.at(w), J.take(w)
+        b0 = s.d2(l, 0.0, r)
 
         def node_G(y):
-            return g(o, y, du, aa, b0 + s.aC * y, _upwind(y, l, r, s.hL, s.hR))
+            return value(RadialView(o, y, Jw.du, Jw.aa, b0 + s.aC * y, s.upwind(y, l, r), s.m))
 
         roots = vector_node_solve(node_G, x, cap[w], 1e-3 * (1.0 + np.abs(x)), gtol, veps)
-        G_r, row_lo[w], row_di[w], row_up[w], weak[w] = linearize(o, roots, l, r, s)
+        _, G_r, row_lo[w], row_di[w], row_up[w], weak[w] = linearize(o, roots, l, r, s)
         G[w] = G_r + row_di[w] * (x - roots)  # that row's value at v
     solved = cap - v >= G
     stepped = solved & ~weak
@@ -291,11 +283,10 @@ def sweep_line_numpy(u, order, S, caps, g, res, gtol, veps):
     return _clamp_write(u, order, v, step, cap)
 
 
-def residual_line_numpy(u, order, S, g):
-    """Defining value at every node of ``order`` (stencil rows S) from the current u."""
-    uL, uR, v0 = u[order - 1], u[order + 1], u[order]
-    du = S.du(uL, v0, uR)
-    return g(order, v0, du, du * S.ang, S.d2(uL, v0, uR), _upwind(v0, uL, uR, S.hL, S.hR))
+def residual_line_numpy(u, order, S, value):
+    """The scheme residual: ``value`` at the upwind view ``S.view`` of the
+    current u at every node of ``order`` (stencil rows S)."""
+    return value(S.view(order, u[order - 1], u[order], u[order + 1], upwind=True))
 
 
 # Largest number of floats the lo, di and up slab blocks of one box step may

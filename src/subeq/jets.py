@@ -379,8 +379,9 @@ def _spectrum(a, b, m):
 class RadialView:
     """Radial jets on a line grid, with the fields of ``DenseView``: node ids
     x, values r, the radial differences du and d2, the angular eigenvalue
-    aa = du g'/g, and gdn as ``grad_up``: upwind in the sweeps, the centred
-    |du| at the grid jets of ``manifolds.batch_jets``.
+    aa = du g'/g, and ``grad_up``: the upwind gradient in the scheme, the
+    centred |du| at the grid jets.  ``manifolds.LineStencil.view`` writes
+    every one on a grid, the Newton step's included.
 
     The Hessian is diag(d2, aa, ..., aa) and the gradient (du, 0, ..., 0).
     sigma_k(A + t I) has the root -aa k - 1 times and one linear root.

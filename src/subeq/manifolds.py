@@ -11,10 +11,10 @@ Three manifold kinds:
 On radial kinds a function of r has Hessian eigenvalues phi'' (radial) and
 phi' g'/g with multiplicity m-1 (angular).  Every line grid (the radial
 kinds and 1-D boxes) carries one ``LineStencil``, the non-uniform 3-point
-first and second differences built once from its spacings; the jets, the
-sweep kernels and the presolve all read it.  ``batch_jets`` hands each
-grid's jets in one view: a ``jets.RadialView`` on line grids, a
-``jets.DenseView`` on the centred cross stencil of boxes.
+first and second differences built once from its spacings, whose ``view``
+writes every line jet.  ``batch_jets`` hands each grid's jets in one view:
+a ``jets.RadialView`` on line grids, a ``jets.DenseView`` on the centred
+cross stencil of boxes.
 """
 from __future__ import annotations
 
@@ -38,12 +38,16 @@ class Warp:
     dg: callable
 
     def ratio(self, r):
-        """g'(r)/g(r), the angular Hessian factor."""
+        """g'(r)/g(r) where g(r) > 0, the angular Hessian factor; a DomainError
+        names the first node where it is not finite (g or g' overflows)."""
         r = np.asarray(r, dtype=float)
-        gv = self.g(r)
-        if np.any(gv <= 0):
-            raise DomainError(f"warp {self.name} non-positive on the requested range")
-        return self.dg(r) / gv
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.dg(r) / self.g(r)
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            raise DomainError(f"warp {self.name}: g'/g is not finite at node {bad[0]} "
+                              f"(r = {r[bad[0]]:.6g})")
+        return out
 
 
 def _warp_table(xs, ys) -> Warp:
@@ -87,7 +91,8 @@ def get_warp(spec) -> Warp:
 
 
 class LineStencil:
-    """The non-uniform 3-point stencil of a line grid, one entry per node.
+    """The non-uniform 3-point stencil of a line grid in dimension m, one
+    entry per node, and the one writer of its jets (``view``).
 
     With hL = x[i] - x[i-1] and hR = x[i+1] - x[i], the differences
 
@@ -95,18 +100,20 @@ class LineStencil:
         d2 = aL u[i-1] + aC u[i] + aR u[i+1]
 
     are exact on quadratics; a radial function has the angular Hessian
-    eigenvalue ang * du (ang = g'/g, zero for m = 1).  The end nodes copy
-    their neighbour's spacing.  The nine per-node quantities are the rows
-    of one array, so ``at(ids)`` gathers the rows of a node set in one step.
+    eigenvalue aa = ang * du (ang = g'/g).  m = 1 has no angular
+    direction: there ang = 0 and aa = 0.  The end nodes copy their
+    neighbour's spacing.  The nine per-node quantities are the rows of
+    one array, so ``at(ids)`` gathers the rows of a node set in one step.
     """
 
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
+    def __init__(self, rows: np.ndarray, m: int):
+        self.rows, self.m = rows, m
         (self.hL, self.hR, self.wL, self.wC, self.wR,
          self.aL, self.aC, self.aR, self.ang) = rows
 
     @staticmethod
-    def on(x: np.ndarray, ang: np.ndarray) -> "LineStencil":
+    def on(x: np.ndarray, m: int, ratio=None) -> "LineStencil":
+        """The stencil of the nodes x; ``ratio(x)`` gives g'/g, read at m > 1."""
         h = np.diff(x)
         hL = np.concatenate([h[:1], h])
         hR = np.concatenate([h, h[-1:]])
@@ -115,16 +122,27 @@ class LineStencil:
             hL, hR,
             -hR**2 / den, (hR**2 - hL**2) / den, hL**2 / den,
             2.0 * hR / den, -2.0 * (hL + hR) / den, 2.0 * hL / den,
-            ang]))
+            ratio(x) if m > 1 else np.zeros_like(x)]), m)
 
     def at(self, ids) -> "LineStencil":
-        return LineStencil(self.rows[:, ids])
-
-    def du(self, uL, uC, uR):
-        return self.wL * uL + self.wC * uC + self.wR * uR
+        return LineStencil(self.rows[:, ids], self.m)
 
     def d2(self, uL, uC, uR):
         return self.aL * uL + self.aC * uC + self.aR * uR
+
+    def upwind(self, v, uL, uR):
+        """Godunov upwind gradient max((v-uL)/hL, (v-uR)/hR, 0), the scheme's
+        reading of the gradient constraints (centred lagged ones cycle)."""
+        return np.maximum(np.maximum((v - uL) / self.hL, (v - uR) / self.hR), 0.0)
+
+    def view(self, x, uL, uC, uR, upwind=False) -> RadialView:
+        """The ``jets.RadialView`` of the values uC at the nodes x, with
+        neighbours uL and uR; its ``grad_up`` is the centred |du|, or the
+        ``upwind`` gradient of the scheme when upwind is set."""
+        du = self.wL * uL + self.wC * uC + self.wR * uR
+        aa = du * self.ang if self.m > 1 else np.zeros_like(du)
+        gu = self.upwind(uC, uL, uR) if upwind else np.abs(du)
+        return RadialView(x, uC, du, aa, self.d2(uL, uC, uR), gu, self.m)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +177,8 @@ class _RadialBase(ModelManifold):
             raise InputError("radial grid must be strictly increasing, >= 3 nodes")
         if m < 1:
             raise InputError("dimension must be >= 1")
-        gv = warp.g(r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gv = warp.g(r)
         if np.any(gv <= 0):
             raise DomainError("warping must be positive on the open range")
         self.m = m
@@ -169,8 +188,7 @@ class _RadialBase(ModelManifold):
         self.interior_mask = np.zeros(r.size, dtype=bool)
         self.interior_mask[1:-1] = True
         self.boundary_tags = {"inner": np.array([0]), "outer": np.array([r.size - 1])}
-        # angular factor g'/g at every node (m = 1 has no angular part)
-        self.stencil = LineStencil.on(r, warp.ratio(r) if m > 1 else np.zeros_like(r))
+        self.stencil = LineStencil.on(r, m, warp.ratio)
 
     @property
     def coords(self) -> np.ndarray:
@@ -257,7 +275,7 @@ class FlatBox(ModelManifold):
         self.interior_mask = np.all((idx > 0) & (idx < np.array(self.shape) - 1), axis=1)
         self.boundary_tags = {"side": np.where(~self.interior_mask)[0]}
         if m == 1:
-            self.stencil = LineStencil.on(self.coords[:, 0], np.zeros(self.n_nodes))
+            self.stencil = LineStencil.on(self.coords[:, 0], 1)
 
     def min_spacing(self) -> float:
         return float(self.h.min())
@@ -411,9 +429,9 @@ def batch_jets(u: GridFunction, ids=None):
     """Vectorized centred discrete jets: returns (ids, J), J the grid's jet
     view at the nodes ids (its ``x``), by default every interior node.
 
-    Line grids read their ``LineStencil`` into a ``RadialView`` whose
-    ``grad_up`` is the centred |du|; its dense p and A are built only where
-    a caller reads them, never to evaluate a defining function.  Boxes
+    Line grids take the centred ``LineStencil.view``, a ``RadialView``
+    whose ``grad_up`` is |du|; its dense p and A are built only where a
+    caller reads them, never to evaluate a defining function.  Boxes
     take the cross stencil into a ``DenseView``.  Skips nodes flagged -inf
     (USC convention).
     """
@@ -424,11 +442,7 @@ def batch_jets(u: GridFunction, ids=None):
     vals = u.values
     n, m = ids.size, M.m
     if M.stencil is not None:
-        S = M.stencil.at(ids)
-        uL, uC, uR = vals[ids - 1], vals[ids], vals[ids + 1]
-        du = S.du(uL, uC, uR)
-        aa = du * S.ang if m > 1 else np.zeros(n)  # m = 1 has no angular direction
-        return ids, RadialView(ids, uC, du, aa, S.d2(uL, uC, uR), np.abs(du), m)
+        return ids, M.stencil.at(ids).view(ids, vals[ids - 1], vals[ids], vals[ids + 1])
     if not isinstance(M, FlatBox):
         raise InputError(f"unsupported manifold kind {type(M).__name__}")
     p = np.zeros((n, m))

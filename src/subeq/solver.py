@@ -2,11 +2,11 @@
 
 The discrete scheme: at every interior node, G(x, r, p(u), A(u)) = 0,
 with centred jets from ``batch_jets``; obstacle problems solve
-min(G, g - u) = 0.  Each grid hands its jets in one view, which every
-defining value reads (``F._value(J)``): a ``jets.RadialView`` on line
-grids, whose jets are never re-decomposed densely, and a
-``jets.DenseView`` on boxes.  On line grids the jets, the policy-step
-rows and the presolve rows all read the grid's one ``LineStencil``.
+min(G, g - u) = 0.  Every defining value, the Newton steps' included,
+reads ``F._value(J)`` at a jet view J: a ``jets.RadialView`` on line
+grids, never re-decomposed densely, and a ``jets.DenseView`` on boxes.
+On line grids the grid's one ``LineStencil`` writes every jet view
+(``LineStencil.view``) and gives the policy-step and presolve rows.
 
 Initialization: for linear members (laplace / infinity-Laplacian with
 linear f) a direct tridiagonal presolve is admitted as a warm start after
@@ -29,9 +29,9 @@ after a line solve's steps.  Recomputing them from the solution
 (_residual, _interior_residual) gives the same bytes.  The Dirichlet
 certificate is the obstacle one with no contact nodes.  The grid picks
 the step of the loop, and the grid's stencil picks the scheme residual.
-On line (radial / 1-D) grids each step is one Howard policy step over
-the line evaluator of _ir.lower, the tree read through the radial jet
-view ("numpy"): the contact set and the active branches are frozen, and
+On line (radial / 1-D) grids each step is one Howard policy step with
+the subequation tree read at the stencil's radial jet views ("numpy"):
+the contact set and the active branches are frozen, and
 one tridiagonal solve gives the update (the first difference |du| that
 profiles read, and any p that a jet-equivalence maps, is lagged).  On
 boxes each step is a Newton (Howard) step with the subequation tree
@@ -258,13 +258,13 @@ def _iterate(spec: ProblemSpec, u, caps, start):
     that accepted u, facts).  On boxes ``start``, the [centred jet view,
     residual] that verified the start u, is the jets and G of the first
     step, replaced in place by each step: the loop builds no jets of its
-    start and holds one jet batch.  Line steps read no jet view, so a
-    line solve drops the start's.
+    start and holds one jet batch.  Each line step writes its own upwind
+    views, so a line solve drops the start's.
 
     The grid picks the step: line grids take the policy steps of
-    ``K.sweep_line_numpy`` over the line evaluator of ``_ir.lower``
-    ("numpy" engine), boxes the Newton steps of ``K.step_box`` with the
-    subequation tree ("generic").  The start, and every step whose
+    ``K.sweep_line_numpy`` ("numpy" engine), boxes the Newton steps of
+    ``K.step_box`` ("generic"), both with the subequation tree's
+    ``F._value``.  The start, and every step whose
     largest node change is within convergence_tol, is accepted when the
     scheme residual is within 0.45 membership_tol; each such check adds
     one trace entry, the start's with sweep 0.  The check reads the
@@ -295,15 +295,15 @@ def _iterate(spec: ProblemSpec, u, caps, start):
         def scheme():
             return at[1]
     else:
-        engine, g, S = "numpy", _ir.lower(F), M.stencil.at(ids)
+        engine, value, S = "numpy", _ir.lower(F), M.stencil.at(ids)
         gtol, veps = min(band, 1e-9), ROOT_VALUE_TOL
-        start[0] = None  # line steps read no jet view
+        start[0] = None  # each line step writes its own views
 
         def step():
-            return K.sweep_line_numpy(u, ids, S, caps, g, res, gtol, veps)
+            return K.sweep_line_numpy(u, ids, S, caps, value, res, gtol, veps)
 
         def scheme():
-            return K.residual_line_numpy(u, ids, S, g)
+            return K.residual_line_numpy(u, ids, S, value)
 
     free_band = 10 * conv_tol
     trace, min_signed = [], 0.0
@@ -344,9 +344,9 @@ def _iterate(spec: ProblemSpec, u, caps, start):
 
 
 def _residual(spec: ProblemSpec, u: GridFunction):
-    """Interior node ids and the scheme residual of u there: the line
-    evaluator of ``_ir.lower`` on grids with a line stencil, the tree at
-    centred jets on boxes.  The loop's acceptance check computes the same
+    """Interior node ids and the scheme residual of u there: the tree at
+    the upwind stencil views on grids with a line stencil, at centred jets
+    on boxes.  The loop's acceptance check computes the same
     values with its step's evaluator, and the certificate reads the
     check's; recomputing them here gives the same bytes."""
     M = spec.M

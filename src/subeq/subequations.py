@@ -16,10 +16,10 @@ Evaluation is vectorized: r (n,), p (n,m), A (n,m,m); x is an optional
 integer node-id array read only by the members with per-node data (obstacle
 caps, the collar-relaxed eikonal and its dual, jet-equivalence fields given
 per node), which raise InputError when it is None.  Each member writes its
-defining function once, as ``_value(J)`` over a jet-batch view J:
-``value`` passes a ``jets.DenseView``, and the line evaluator of
-``_ir.lower`` and ``manifolds.batch_jets`` on line grids a
-``jets.RadialView`` of the radial differences.
+defining function once, as ``_value(J)`` over a jet-batch view J, and
+every defining value reads it, the Newton steps' included: ``value``
+passes a ``jets.DenseView``, and on line grids ``LineStencil.view``
+writes every ``jets.RadialView`` of the radial differences.
 """
 from __future__ import annotations
 

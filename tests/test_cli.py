@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,24 @@ class TestRun:
         })
         code = main(["run", sc, "--out", str(tmp_path / "out"), "--no-plots"])
         assert code == 0
+
+    def test_warp_overflow_exit_4(self, tmp_path, capsys):
+        # g' of exp(r^3) overflows near r = 8.9: an input error naming the
+        # first node where g'/g is not finite, with no RuntimeWarning
+        sc = write_scenario(tmp_path, "w.json", {
+            "task": "dirichlet", "seed": 0,
+            "manifold": {"kind": "radial", "m": 2, "warp": "exp_r3", "r_lo": 1,
+                         "r_hi": 10, "n": 41},
+            "subequation": {"kind": "laplace", "f": {"kind": "linear", "slope": 0.0}},
+            "params": {"boundary": {"inner": 1.0, "outer": 0.0}},
+        })
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", sc, "--out", str(tmp_path / "out"), "--no-plots"])
+        assert code == 4 and not caught
+        err = capsys.readouterr().err
+        assert "warp exp_r3: g'/g is not finite at node 36 (r = 9.1)" in err
+        assert "Traceback" not in err
 
     def test_malformed_task_exit_4(self, tmp_path):
         sc = write_scenario(tmp_path, "bad.json", {"task": "bogus"})

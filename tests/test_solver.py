@@ -5,7 +5,6 @@ import re
 import numpy as np
 import pytest
 
-from subeq import _ir
 from subeq import _kernels as K
 from subeq import cli, solver
 from subeq.errors import ConvergenceError, InitializationError, InputError, PreconditionError
@@ -117,7 +116,7 @@ class TestDirichletOracles:
         import subeq.solver as solver
 
         def nan_lower(F):
-            return lambda nodes, v, du, aa, d2, gdn: np.full_like(v, np.nan)
+            return lambda J: np.full_like(J.r, np.nan)
 
         monkeypatch.setattr(solver._ir, "lower", nan_lower)
         M = RadialModel.uniform(3, "euclidean", 1.0, 2.0, 11)
@@ -315,9 +314,9 @@ class TestEngines:
             perron_dirichlet(ProblemSpec(dual(eikonal(XI1, m=2)), M,
                                          {"inner": 0.0, "outer": -1.0}))
         assert len(calls) == len(node_solves) == 52
-        for u_in, (order, S, caps, g, res, gtol, veps), u_out, res_out, out in calls:
+        for u_in, (order, S, caps, value, res, gtol, veps), u_out, res_out, out in calls:
             u, res = u_in.copy(), np.empty_like(res)
-            assert real(u, order, S, caps, g, res, gtol, veps) == out
+            assert real(u, order, S, caps, value, res, gtol, veps) == out
             assert u.tobytes() == u_out.tobytes() and res.tobytes() == res_out.tobytes()
 
     def test_line_engine_needs_a_lowered_tree(self):
@@ -516,17 +515,14 @@ class TestWeakRowNodeSolves:
         # d2, so a row is weak where the d2 quotient at the step's jets is 0
         F = _min_member(m, member)
         M = RadialModel.uniform(m, "sinh", 1.0, 3.0, 41)
-        g = _ir.lower(F)
         weak, batches = [], []
         sweep, node_solve = K.sweep_line_numpy, K.vector_node_solve
 
-        def counted_sweep(u, order, S, *rest):
-            uL, v, uR = u[order - 1], u[order], u[order + 1]
-            du = S.du(uL, v, uR)
-            gdn = np.maximum(np.maximum((v - uL) / S.hL, (v - uR) / S.hR), 0.0)
-            g_d2 = K._slopes(g, [order, v, du, du * S.ang, S.d2(uL, v, uR), gdn])[2]
+        def counted_sweep(u, order, S, caps, value, *rest):
+            J = S.view(order, u[order - 1], u[order], u[order + 1], upwind=True)
+            g_d2 = K._slopes(value, J)[2]
             weak.append(int(np.count_nonzero(g_d2 == 0.0)))
-            return sweep(u, order, S, *rest)
+            return sweep(u, order, S, caps, value, *rest)
 
         def counted_node_solve(G, v0, *rest):
             batches.append(v0.size)
@@ -635,12 +631,8 @@ class TestSlopes:
         # was off by ~5e-6 there)
         u = np.random.default_rng(0).uniform(-1.0, 1.0, M.n_nodes)
         ids = M.interior_ids
-        S = M.stencil.at(ids)
-        uL, v, uR = u[ids - 1], u[ids], u[ids + 1]
-        du = S.du(uL, v, uR)
-        gdn = np.maximum(np.maximum((v - uL) / S.hL, (v - uR) / S.hR), 0.0)
-        g = _ir.lower(laplace(f, m=M.m))
-        got = K._slopes(g, [ids, v, du, du * S.ang, S.d2(uL, v, uR), gdn])
+        J = M.stencil.at(ids).view(ids, u[ids - 1], u[ids], u[ids + 1], upwind=True)
+        got = K._slopes(laplace(f, m=M.m)._value, J)
         slope = f.slope if f.kind == "linear" else 0.0
         for q, want in zip(got, (-slope, M.m - 1, 1.0, 0.0)):
             assert np.abs(q - want).max() <= 1e-12
@@ -1110,7 +1102,10 @@ class TestResidualEvaluations:
 
 class TestCentredResidual:
     """The centred residual reads the grid's jet view; the dense evaluation
-    of the same jets, through ``Subequation.value``, is its oracle."""
+    of the same jets, through ``Subequation.value``, is its oracle.  The
+    scheme residual reads the same ``LineStencil.view`` with the upwind
+    gradient, so the two are one array for every member but the eikonal,
+    the one reader of ``grad_up``."""
 
     @pytest.mark.parametrize("grid, m", [("sinh", m) for m in range(1, 6)] + [("box", 1)])
     def test_view_matches_dense_evaluation(self, grid, m):
@@ -1126,6 +1121,8 @@ class TestCentredResidual:
                 assert J.x.tobytes() == M.interior_ids.tobytes()
                 dense = G.value(J.x, J.r, J.p, J.A)
                 assert np.all(np.abs(res - dense) <= 1e-12 * (1.0 + np.abs(dense))), G
+                scheme = solver._residual(ProblemSpec(G, M, {}), u)[1]
+                assert (scheme.tobytes() == res.tobytes()) == (G.meta.tag != "eikonal"), G
 
 
 class TestVerifySubharmonic:

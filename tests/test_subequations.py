@@ -523,9 +523,10 @@ class TestProfiles:
 
 
 class TestLineEvaluator:
-    """The lowered line evaluator against the tree evaluator at radial jets
-    p = (du, 0, ...), A = diag(d2, aa, ..., aa), with the gradient-constraint
-    slot gdn = |du| (the centred reading of the upwind gradient)."""
+    """The defining values at a radial view against the tree evaluator at
+    its dense jets p = (du, 0, ...), A = diag(d2, aa, ..., aa), with the
+    gradient-constraint reading grad_up = |du| (the centred reading of the
+    upwind gradient)."""
 
     N = 400
 
@@ -584,15 +585,15 @@ class TestLineEvaluator:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_lowered_matches_tree(self, m):
-        from subeq._ir import lower
+        from subeq.jets import RadialView
         rng = np.random.default_rng(40 + m)
         v, du, aa, d2, p, A = self.radial_jets(rng, m)
         nodes = np.arange(self.N)
+        rad = RadialView(nodes, v, du, aa, d2, np.abs(du), m)
         for F in self.members(m, rng):
             for G in (F, dual(F)):
-                g = lower(G)
                 want = G.value(nodes, v, p, A)
-                got = g(nodes, v, du, aa, d2, np.abs(du))
+                got = G._value(rad)
                 assert np.abs(got - want).max() <= 1e-9, G.meta.tag
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -634,26 +635,28 @@ class TestLineEvaluator:
         # every tree branch mu_j^(k) at radial jets, ties d2 = aa included,
         # against the closed form: the root -aa of sigma_k(A + tI) repeated
         # k - 1 times and one linear root
-        from subeq._ir import lower
+        from subeq.jets import RadialView
         rng = np.random.default_rng(60 + m)
         v, du, aa, d2, p, A = self.radial_jets(rng, m)
         nodes = np.arange(self.N)
+        rad = RadialView(nodes, v, du, aa, d2, np.abs(du), m)
         for k in range(1, m + 1):
             for j in range(1, k + 1):
                 F = sigma_branch(j, k, LIN, m=m)
                 got = F.value(nodes, v, p, A)
-                want = lower(F)(nodes, v, du, aa, d2, np.abs(du))
+                want = F._value(rad)
                 assert np.abs(got - want).max() <= 1e-9, (j, k)
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_sigma_top_order_is_hessian(self, m):
-        # mu_j^(m)(A) = lambda_j(A): the lowered sigma branches of top order
+        # mu_j^(m)(A) = lambda_j(A): the sigma branches of top order at radial views
         # against the tree's symmetric eigenvalues
-        from subeq._ir import lower
+        from subeq.jets import RadialView
         rng = np.random.default_rng(50 + m)
         v, du, aa, d2, p, A = self.radial_jets(rng, m)
         nodes = np.arange(self.N)
+        rad = RadialView(nodes, v, du, aa, d2, np.abs(du), m)
         for j in range(1, m + 1):
-            got = lower(sigma_branch(j, m, LIN, m=m))(nodes, v, du, aa, d2, np.abs(du))
+            got = sigma_branch(j, m, LIN, m=m)._value(rad)
             want = hessian_branch(j, LIN, m=m).value(nodes, v, p, A)
             assert np.abs(got - want).max() <= 1e-9, j
