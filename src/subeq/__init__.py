@@ -9,15 +9,7 @@ properties on desk-scale model manifolds.
 __version__ = "0.1.0"
 
 from .certificates import Certificate
-from .jets import (
-    Jet,
-    SymMatrix,
-    eigenvalues_sym,
-    garding_eigenvalues,
-    quasilinear_T,
-    sigma_k,
-    trace_on_frame,
-)
+from .jets import sigma_k
 from .khasminskii import (
     PairKh,
     Schedule,
@@ -28,13 +20,10 @@ from .khasminskii import (
     radial_khasminskii_test,
 )
 from .manifolds import (
-    Exhaustion,
     FlatBox,
     GridFunction,
     PuncturedEuclidean,
     RadialModel,
-    discrete_jet,
-    make_exhaustion,
     radial_hessian_eigs,
     volume_growth_test,
 )
@@ -59,11 +48,9 @@ from .solver import (
 )
 from .subequations import (
     JetEquivalence,
-    Region,
     Subequation,
     apply_jet_equivalence,
     audit_PNT,
-    contains,
     distance_to_boundary,
     dual,
     eikonal,

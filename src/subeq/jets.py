@@ -1,9 +1,10 @@
-"""2-jet value model and dense small-dimension spectral kernels.
+"""Jet-batch views and dense small-dimension spectral kernels.
 
-Jets are triples (r, p, A) of value, gradient covector and symmetric
-second-derivative matrix in an orthonormal frame.  Dimensions are capped
-at 8: everything downstream is fiberwise low-dimensional, so dense
-kernels are used throughout.
+A 2-jet is a triple (r, p, A) of value, gradient covector and symmetric
+second-derivative matrix in an orthonormal frame, and every caller reads
+jets in batches, through the views below.  Dimensions are capped at 8:
+everything downstream is fiberwise low-dimensional, so dense kernels are
+used throughout.
 
 Besides ordinary eigenvalues this module computes the branch eigenvalues
 mu_j^(k) of the elementary symmetric polynomial sigma_k: the negatives of
@@ -27,17 +28,13 @@ stay real.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericalError
-from .profiles import AProfile
+from .errors import InputError
 
 MAX_DIM = 8
-FRAME_TOL = 1e-10  # orthonormality of trace_on_frame's frames
-GARDING_TOL = 1e-10  # sigma_k residual bound of a Garding root, relative
 
 
 def _check_finite(arr, what: str):
@@ -46,106 +43,8 @@ def _check_finite(arr, what: str):
 
 
 # ---------------------------------------------------------------------------
-# value types
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """Symmetric m x m matrix stored as the packed upper triangle (row-major)."""
-
-    m: int
-    packed: np.ndarray
-
-    def __post_init__(self):
-        if not (1 <= self.m <= MAX_DIM):
-            raise InputError(f"SymMatrix dimension must be in [1, {MAX_DIM}]")
-        packed = np.asarray(self.packed, dtype=float)
-        if packed.shape != (self.m * (self.m + 1) // 2,):
-            raise InputError("packed length must be m(m+1)/2")
-        _check_finite(packed, "SymMatrix entries")
-        object.__setattr__(self, "packed", packed)
-
-    @staticmethod
-    def from_full(mat) -> "SymMatrix":
-        """The symmetric part of a square matrix that is symmetric within
-        1e-9 (1 + max |entry|)."""
-        mat = np.asarray(mat, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InputError("from_full expects a square matrix")
-        _check_finite(mat, "SymMatrix entries")
-        scale = 1.0 + np.abs(mat).max()
-        if np.abs(mat - mat.T).max() > 1e-9 * scale:
-            raise InputError("matrix is not symmetric")
-        m = mat.shape[0]
-        sym = 0.5 * (mat + mat.T)
-        iu = np.triu_indices(m)
-        return SymMatrix(m=m, packed=sym[iu])
-
-    @staticmethod
-    def from_diag(diag) -> "SymMatrix":
-        diag = np.asarray(diag, dtype=float)
-        return SymMatrix.from_full(np.diag(diag))
-
-    @staticmethod
-    def zero(m: int) -> "SymMatrix":
-        return SymMatrix(m=m, packed=np.zeros(m * (m + 1) // 2))
-
-    @staticmethod
-    def identity(m: int) -> "SymMatrix":
-        return SymMatrix.from_full(np.eye(m))
-
-    @property
-    def full(self) -> np.ndarray:
-        out = np.zeros((self.m, self.m))
-        iu = np.triu_indices(self.m)
-        out[iu] = self.packed
-        out = out + out.T - np.diag(np.diag(out))
-        return out
-
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        if other.m != self.m:
-            raise InputError("dimension mismatch")
-        return SymMatrix(self.m, self.packed + other.packed)
-
-    def __neg__(self) -> "SymMatrix":
-        return SymMatrix(self.m, -self.packed)
-
-
-@dataclass(frozen=True)
-class Jet:
-    """A 2-jet (r, p, A) at a node, in an orthonormal frame."""
-
-    r: float
-    p: np.ndarray
-    A: SymMatrix
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.ndim != 1 or p.shape[0] != self.A.m:
-            raise InputError("gradient dimension must match matrix dimension")
-        if not np.isfinite(self.r):
-            raise InputError("jet value must be finite")
-        _check_finite(p, "jet gradient")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "r", float(self.r))
-
-    @property
-    def m(self) -> int:
-        return self.A.m
-
-    def __neg__(self) -> "Jet":
-        return Jet(-self.r, -self.p, -self.A)
-
-
-# ---------------------------------------------------------------------------
 # spectral operations
 # ---------------------------------------------------------------------------
-
-
-def eigenvalues_sym(A: SymMatrix) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix: those of the batch of one."""
-    return eigenvalues_sym_batch(A.full[None])[0]
 
 
 def eigenvalues_sym_batch(A: np.ndarray) -> np.ndarray:
@@ -202,29 +101,6 @@ def _sigma_shifted_batch(lam: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
         for j in range(min(k, i + 1), 0, -1):
             e[:, j] += x * e[:, j - 1]
     return e[:, k]
-
-
-def garding_eigenvalues(A: SymMatrix, k: int) -> np.ndarray:
-    """Ascending branch eigenvalues mu_1^(k) <= ... <= mu_k^(k) of sigma_k at A.
-
-    These are the negatives of the k real roots of t -> sigma_k(lambda(A) + t),
-    real by hyperbolicity in the direction (1,...,1); their sigma_k residual
-    is checked against ``GARDING_TOL``.
-    """
-    m = A.m
-    if not (1 <= k <= m):
-        raise InputError(f"garding order k={k} out of range [1, {m}]")
-    lam = eigenvalues_sym(A)
-    mu = _garding_from_eigs_batch(lam[None, :], k)[0]
-    # residual audit against the declared bound
-    scale = 1.0 + float(np.abs(lam).max()) ** k
-    resid = np.abs(_sigma_shifted_batch(np.repeat(lam[None, :], k, axis=0), -mu, k))
-    if np.any(resid > GARDING_TOL * scale * comb(m, k)):
-        raise NumericalError(
-            "garding root residual above tolerance",
-            diagnostics={"eigenvalues": lam.tolist(), "k": k, "residuals": resid.tolist()},
-        )
-    return mu
 
 
 def _helmert(j: int) -> np.ndarray:
@@ -420,32 +296,3 @@ class RadialView:
         return RadialView(self.x[mask], self.r[mask], self.du[mask], self.aa[mask],
                           self.d2[mask], self.grad_up[mask], self.m)
 
-
-def trace_on_frame(A: SymMatrix, V) -> float:
-    """Sum of A(v_i, v_i) over an orthonormal k-frame V (list of m-vectors)."""
-    V = np.asarray(V, dtype=float)
-    if V.ndim != 2 or V.shape[1] != A.m:
-        raise InputError("frame vectors must be m-vectors")
-    _check_finite(V, "frame")
-    gram = V @ V.T
-    if np.abs(gram - np.eye(V.shape[0])).max() > FRAME_TOL:
-        raise InputError("frame is not orthonormal to tolerance")
-    return float(np.einsum("ki,ij,kj->", V, A.full, V))
-
-
-def quasilinear_T(p, profile: AProfile) -> SymMatrix:
-    """The coefficient matrix T(p) = lam1(|p|) Pi_p + lam2(|p|) Pi_{p-perp}.
-
-    Callers must resolve the p = 0 fiber through the closure convention of
-    the quasilinear subequation; here p = 0 is a domain error.
-    """
-    p = np.asarray(p, dtype=float)
-    _check_finite(p, "gradient")
-    t = float(np.linalg.norm(p))
-    if t == 0.0:
-        raise DomainError("quasilinear_T undefined at p = 0 (use the closure convention)")
-    m = p.size
-    phat = p / t
-    proj = np.outer(phat, phat)
-    T = float(profile.lam1(t)) * proj + float(profile.lam2(t)) * (np.eye(m) - proj)
-    return SymMatrix.from_full(T)

@@ -259,7 +259,9 @@ def radial_khasminskii_test(warp, m: int, lam: float, r_range):
     over the last tenth of the range -- w itself is then a Khas'minskii
     function for {tr A >= lam r}.  Fail: the solution stays bounded with
     vanishing derivative trend.  Returns (verdict, r, w, trace) with verdict
-    in {"Pass", "Fail", "Inconclusive"}, w resampled on 400 nodes.
+    in {"Pass", "Fail", "Inconclusive"}, w resampled on 400 nodes.  A warp
+    whose g'/g is not finite on the range (g or g' overflows) is a
+    DomainError.
     """
     if lam <= 0:
         raise InputError("need lam > 0")
@@ -269,7 +271,7 @@ def radial_khasminskii_test(warp, m: int, lam: float, r_range):
         raise InputError("start the radial ODE at r0 > 0")
 
     def rhs(t, y):
-        ratio = float(warp.dg(t) / warp.g(t)) if m > 1 else 0.0
+        ratio = float(warp.ratio(t)) if m > 1 else 0.0
         return np.array([y[1], lam * y[0] - (m - 1) * ratio * y[1]])
 
     try:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .jets import DenseView, Jet, RadialView, SymMatrix
+from .jets import DenseView, RadialView
 
 # ---------------------------------------------------------------------------
 # warps
@@ -38,15 +38,16 @@ class Warp:
     dg: callable
 
     def ratio(self, r):
-        """g'(r)/g(r) where g(r) > 0, the angular Hessian factor; a DomainError
-        names the first node where it is not finite (g or g' overflows)."""
+        """g'(r)/g(r) where g(r) > 0, the angular Hessian factor, at the nodes
+        r or at one r; a DomainError names the first node (or the r) where it
+        is not finite (g or g' overflows)."""
         r = np.asarray(r, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             out = self.dg(r) / self.g(r)
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
-            raise DomainError(f"warp {self.name}: g'/g is not finite at node {bad[0]} "
-                              f"(r = {r[bad[0]]:.6g})")
+            at = f"node {bad[0]} (r = {r[bad[0]]:.6g})" if r.ndim else f"r = {r:.6g}"
+            raise DomainError(f"warp {self.name}: g'/g is not finite at {at}")
         return out
 
 
@@ -297,7 +298,7 @@ def _grow_mask(M: ModelManifold, mask: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# grid functions and exhaustions
+# grid functions
 # ---------------------------------------------------------------------------
 
 
@@ -332,84 +333,6 @@ class GridFunction:
                             None if self.neg_inf_mask is None else self.neg_inf_mask.copy())
 
 
-@dataclass
-class Exhaustion:
-    """Strictly nested node subsets D_1 c D_2 c ...; the last covers all interior."""
-
-    manifold: ModelManifold
-    masks: list  # list of boolean arrays over nodes
-
-    def __post_init__(self):
-        interior = self.manifold.interior_mask
-        prev = None
-        for j, mk in enumerate(self.masks):
-            mk = np.asarray(mk, dtype=bool)
-            if prev is not None:
-                if not np.all(mk[prev]):
-                    raise InputError(f"exhaustion member {j} does not contain member {j-1}")
-                if not np.any(mk & ~prev):
-                    raise InputError(f"exhaustion members {j-1}, {j} are not strictly nested")
-            prev = mk
-        if not np.all(self.masks[-1][interior]):
-            raise InputError("last exhaustion member must cover all interior nodes")
-
-    def __len__(self):
-        return len(self.masks)
-
-    def __getitem__(self, j):
-        return self.masks[j]
-
-
-def make_exhaustion(M: ModelManifold, j_max: int) -> Exhaustion:
-    """Nested metric balls / sub-boxes; see the manifold kinds for the shapes."""
-    if j_max < 2:
-        raise InputError("need j_max >= 2")
-    if isinstance(M, PuncturedEuclidean):
-        # exhaust from both ends: the puncture and infinity are both "divergent"
-        lo, hi = math.log(M.r[0]), math.log(M.r[-1])
-        masks = []
-        for j in range(1, j_max + 1):
-            pad = 0.5 * (1.0 - j / j_max) * (hi - lo)
-            a, b = lo + pad, hi - pad
-            mask = (np.log(M.r) >= a - 1e-12) & (np.log(M.r) <= b + 1e-12)
-            mask &= M.interior_mask
-            masks.append(mask)
-        return Exhaustion(M, _dedup_strict(masks, M))
-    if isinstance(M, _RadialBase):
-        r0, r1 = M.r[0], M.r[-1]
-        radii = [r0 + (r1 - r0) * j / j_max for j in range(1, j_max + 1)]
-        masks = [(M.r <= rad + 1e-12) & M.interior_mask for rad in radii]
-        masks[-1] = M.interior_mask.copy()
-        return Exhaustion(M, _dedup_strict(masks, M))
-    if isinstance(M, FlatBox):
-        spans = np.array([b - a for a, b in M.bounds])
-        max_margin = 0.5 * spans.min() - M.h.max()
-        if max_margin <= 0:
-            raise InputError("box too small to nest an exhaustion")
-        masks = []
-        for j in range(1, j_max + 1):
-            margin = max_margin * (1.0 - j / j_max)
-            lo = np.array([a for a, _ in M.bounds]) + margin
-            hi = np.array([b for _, b in M.bounds]) - margin
-            mask = np.all((M.coords >= lo - 1e-12) & (M.coords <= hi + 1e-12), axis=1)
-            mask &= M.interior_mask
-            masks.append(mask)
-        masks[-1] = M.interior_mask.copy()
-        return Exhaustion(M, _dedup_strict(masks, M))
-    raise InputError(f"unsupported manifold kind {type(M).__name__}")
-
-
-def _dedup_strict(masks, M):
-    """Drop duplicate members so nesting is strict; fail if too few remain."""
-    out = [masks[0]]
-    for mk in masks[1:]:
-        if np.any(mk & ~out[-1]):
-            out.append(mk)
-    if len(out) < 2:
-        raise InputError("manifold too small to nest the requested exhaustion")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # discrete calculus
 # ---------------------------------------------------------------------------
@@ -418,10 +341,11 @@ def _dedup_strict(masks, M):
 def radial_hessian_eigs(phi1: float, phi2: float, r: float, warp, m: int) -> np.ndarray:
     """Hessian eigenvalues of a radial function: {phi''} + {phi' g'/g} x (m-1)."""
     warp = get_warp(warp)
-    gv = float(warp.g(r))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gv = warp.g(r)
     if gv <= 0:
         raise DomainError("warping must be positive at r")
-    ang = np.array([phi1 * float(warp.dg(r)) / gv])
+    ang = np.array([phi1 * warp.ratio(r)])
     return RadialView(None, None, None, ang, np.array([phi2], dtype=float), None, m).eigs[0]
 
 
@@ -458,14 +382,6 @@ def batch_jets(u: GridFunction, ids=None):
     return ids, DenseView(ids, vals[ids], p, A)
 
 
-def discrete_jet(u: GridFunction, node: int) -> Jet:
-    """The discrete 2-jet of u at one interior node."""
-    if not u.manifold.interior_mask[node]:
-        raise DomainError("stencil exits the domain at this node")
-    _, J = batch_jets(u, np.array([node]))
-    return Jet(float(J.r[0]), J.p[0], SymMatrix.from_full(J.A[0]))
-
-
 # ---------------------------------------------------------------------------
 # volume growth
 # ---------------------------------------------------------------------------
@@ -482,7 +398,8 @@ def volume_growth_test(warp, m: int, r_max: float) -> tuple:
     warp = get_warp(warp)
     step = 1e-2
     r = np.arange(step, r_max + step / 2, step)
-    gv = warp.g(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gv = warp.g(r)
     if np.any(~np.isfinite(gv)) or np.any(gv <= 0):
         raise DomainError("warping must be positive and finite on (0, r_max]")
     surf = 2 * np.pi ** (m / 2) / math.gamma(m / 2)

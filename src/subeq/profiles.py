@@ -78,10 +78,6 @@ class Profile:
     def nondecreasing(self) -> bool:
         return self.flags["nondecreasing"]
 
-    @property
-    def nonincreasing(self) -> bool:
-        return self.flags["nonincreasing"]
-
     def require_f(self) -> "Profile":
         if not self.nondecreasing:
             raise ConstructionError("profile f must be non-decreasing")

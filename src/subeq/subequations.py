@@ -23,7 +23,6 @@ writes every ``jets.RadialView`` of the radial differences.
 """
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,15 +31,9 @@ import numpy as np
 
 from .certificates import Certificate
 from .errors import ConstructionError, InputError
-from .jets import MAX_DIM, DenseView, Jet
+from .jets import MAX_DIM, DenseView
 from .policy import DEFAULT_POLICY
 from .profiles import AProfile, Profile
-
-
-class Region(enum.Enum):
-    INTERIOR = "interior"
-    BOUNDARY = "boundary"
-    EXTERIOR = "exterior"
 
 
 @dataclass(frozen=True)
@@ -108,9 +101,6 @@ class Subequation:
         r, p, A = _as_batch(r, p, A, self.m)
         return self._value(DenseView(x, r, p, A))
 
-    def value_jet(self, x, jet: Jet) -> float:
-        return float(self.value(x, jet.r, jet.p, jet.A.full)[0])
-
     def _value(self, J) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -120,20 +110,6 @@ class Subequation:
 
     def __repr__(self):
         return f"<Subequation {self.meta.tag} m={self.m}>"
-
-
-def contains(F: Subequation, x, jet: Jet) -> Region:
-    """Classify a jet against F_x: Interior (G > tol), Boundary, Exterior,
-    tol the default membership_tol."""
-    if jet.m != F.m:
-        raise InputError("jet dimension does not match subequation")
-    tol = DEFAULT_POLICY.membership_tol
-    g = F.value_jet(x, jet)
-    if g > tol:
-        return Region.INTERIOR
-    if g < -tol:
-        return Region.EXTERIOR
-    return Region.BOUNDARY
 
 
 # ---------------------------------------------------------------------------
@@ -401,26 +377,6 @@ class JetEquivalence:
         return JetEquivalence(self.m, self.g, self.h, self.L,
                               (-r0, -np.asarray(p0), -np.asarray(A0)))
 
-    def inverse_apply(self, x, r, p, A):
-        """Inverse transform, used to audit invertibility by round-trip."""
-        n = r.size
-        if self.J0 is not None:
-            r0, p0, A0 = self.J0
-            r = r - r0
-            p = p - np.asarray(p0, dtype=float)
-            A = A - np.asarray(A0, dtype=float)
-        g = self._field(self.g, x, n, 2)
-        h = self._field(self.h, x, n, 2)
-        ginv = np.linalg.inv(g)
-        hinv = np.linalg.inv(h)
-        p1 = np.einsum("nij,nj->ni", ginv, p)
-        if self.L is not None:
-            L = self._field(self.L, x, n, 3)
-            A = A - np.einsum("nk,nkij->nij", p1, L)
-        A1 = np.einsum("nik,nkl,njl->nij", hinv, A, hinv)
-        return r, p1, A1
-
-
 class _JetEquiv(Subequation):
     """Membership J in F_x  <=>  Psi(J) in model: defining G_model o Psi."""
 
@@ -562,8 +518,8 @@ def linear_jetequiv(T, W=None, B: float = 0.0, b: float = 1.0,
 
 
 class BoundaryDistance(NamedTuple):
-    value: float | np.ndarray
-    found: bool | np.ndarray
+    value: np.ndarray
+    found: np.ndarray
 
 
 @functools.lru_cache(maxsize=MAX_DIM)
@@ -599,11 +555,10 @@ def _norms(X):
 ABS_TOL = 1e-10
 
 
-def distance_to_boundary(F: Subequation, x, r, p=None, A=None) -> BoundaryDistance:
+def distance_to_boundary(F: Subequation, x, r, p, A) -> BoundaryDistance:
     """Fiber distance from each jet to the boundary of F_x (flat fiber metric).
 
-    Jets come as in `Subequation.value`; a `Jet` passed as ``r`` is a batch
-    of one and gives a float and a bool.  |G| <= ``ABS_TOL`` is 0.
+    Jets come as in `Subequation.value`.  |G| <= ``ABS_TOL`` is 0.
     Else up to five rays towards the other sign of G are searched: steepest
     G-change (central differences), the r-shift, the trace shift and
     +-p/|p|.  Each ray encloses its crossing at t = 1, 2, 4, ... <= 64 and
@@ -612,9 +567,6 @@ def distance_to_boundary(F: Subequation, x, r, p=None, A=None) -> BoundaryDistan
     serves the open rays of the whole batch per stage, and a done ray is
     frozen, so no distance depends on its batch.
     """
-    single = isinstance(r, Jet)
-    if single:
-        r, p, A = r.r, r.p, r.A.full
     r, p, A = _as_batch(r, p, A, F.m)
     m, n = F.m, r.size
     xs = None if x is None else np.broadcast_to(np.asarray(x), (n,))
@@ -668,8 +620,6 @@ def distance_to_boundary(F: Subequation, x, r, p=None, A=None) -> BoundaryDistan
             live = live[hi[live] - lo[live] > 1e-9 * (1.0 + hi[live])]
         dist[todo] = np.inf
         np.minimum.at(dist, todo[own], 0.5 * (lo + hi))
-    if single:
-        return BoundaryDistance(float(dist[0]), bool(np.isfinite(dist[0])))
     return BoundaryDistance(dist, np.isfinite(dist))
 
 

@@ -1,4 +1,4 @@
-"""Spectral kernel tests: eigenvalues, sigma_k, Garding branches, frames.
+"""Spectral kernel tests: eigenvalues, sigma_k, Garding branches, jet views.
 
 Derived expectations are computed by independent oracles inside the tests:
 characteristic-polynomial roots for spectra, brute-force subset sums for
@@ -15,22 +15,14 @@ import numpy as np
 import pytest
 
 import subeq
-from subeq.errors import DomainError, InputError
+from subeq.errors import InputError
 from subeq.jets import (
-    GARDING_TOL,
     DenseView,
-    Jet,
-    SymMatrix,
-    eigenvalues_sym,
     eigenvalues_sym_batch,
-    garding_eigenvalues,
     garding_eigenvalues_batch,
-    quasilinear_T,
     sigma_k,
     _garding_from_eigs_batch,
-    trace_on_frame,
 )
-from subeq.profiles import AProfile
 
 
 eigvalsh_plain = np.linalg.eigvalsh
@@ -44,10 +36,10 @@ def rand_sym(rng, m, n=None):
 
 class TestEigenvalues:
     def test_identity(self):
-        assert np.allclose(eigenvalues_sym(SymMatrix.identity(3)), [1, 1, 1])
+        assert np.allclose(eigenvalues_sym_batch(np.eye(3)[None])[0], [1, 1, 1])
 
     def test_diagonal_sorted(self):
-        ev = eigenvalues_sym(SymMatrix.from_diag([3.0, 1.0, 2.0]))
+        ev = eigenvalues_sym_batch(np.diag([3.0, 1.0, 2.0])[None])[0]
         assert np.allclose(ev, [1, 2, 3])
 
     def test_against_charpoly_roots(self):
@@ -58,7 +50,7 @@ class TestEigenvalues:
             A = rand_sym(rng, 4)
             coeffs = np.poly(A)
             roots = np.sort(np.real(np.roots(coeffs)))
-            ev = eigenvalues_sym(SymMatrix.from_full(A))
+            ev = eigenvalues_sym_batch(A[None])[0]
             assert np.abs(ev - roots).max() < 1e-9
 
     def test_reconstruction_residual(self):
@@ -76,16 +68,6 @@ class TestEigenvalues:
             B = rng.standard_normal((64, m, m))
             P = np.einsum("nik,njk->nij", B, B)
             assert np.all(eigenvalues_sym_batch(A + P) >= eigenvalues_sym_batch(A) - 1e-9)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(InputError):
-            SymMatrix.from_full(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-        with pytest.raises(InputError):
-            SymMatrix.from_full(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_dimension_cap(self):
-        with pytest.raises(InputError):
-            SymMatrix.from_full(np.eye(9))
 
 
 class TestSigmaK:
@@ -113,22 +95,22 @@ class TestSigmaK:
 class TestGarding:
     def test_k1_is_mean(self):
         # sigma_1(lambda + t) = 6 + 3t: single root at -2
-        mu = garding_eigenvalues(SymMatrix.from_diag([1.0, 2.0, 3.0]), 1)
+        mu = garding_eigenvalues_batch(np.diag([1.0, 2.0, 3.0])[None], 1)[0]
         assert np.allclose(mu, [2.0])
 
     def test_k2_quadratic_oracle(self):
         # 3t^2 + 12t + 11 = 0 solved exactly
         roots = np.roots([3.0, 12.0, 11.0])
         expect = np.sort(-roots)
-        mu = garding_eigenvalues(SymMatrix.from_diag([1.0, 2.0, 3.0]), 2)
+        mu = garding_eigenvalues_batch(np.diag([1.0, 2.0, 3.0])[None], 2)[0]
         assert np.abs(mu - expect).max() < 1e-12
         assert np.allclose(mu, [2 - 1 / np.sqrt(3), 2 + 1 / np.sqrt(3)])
 
     def test_k_equals_m_is_spectrum(self):
         rng = np.random.default_rng(1)
         for m in (2, 3, 5):
-            A = SymMatrix.from_full(rand_sym(rng, m))
-            assert np.abs(garding_eigenvalues(A, m) - eigenvalues_sym(A)).max() < 1e-9
+            A = rand_sym(rng, m)[None]
+            assert np.abs(garding_eigenvalues_batch(A, m) - eigenvalues_sym_batch(A)).max() < 1e-9
 
     def test_polyroot_oracle_random(self):
         # oracle: numpy.roots on the coefficients of sigma_k(lambda + t)
@@ -143,8 +125,7 @@ class TestGarding:
                     coeffs[j] = s * comb(m - (k - j), j)
                 roots = np.sort(np.real(np.roots(coeffs[::-1])))
                 expect = -roots[::-1]
-                A = SymMatrix.from_diag(lam)
-                mu = garding_eigenvalues(A, k)
+                mu = garding_eigenvalues_batch(np.diag(lam)[None], k)[0]
                 assert np.abs(mu - expect).max() < 1e-8 * (1 + np.abs(lam).max() ** k)
 
     def test_duality_identity(self):
@@ -183,20 +164,20 @@ class TestGarding:
         # diag(d2, aa, aa): sigma_k(A + tI) has the root -aa (k - 1 times) and
         # -(C(2,k) aa + C(2,k-1) d2) / C(3,k)
         d2, aa = 2.8509, -2.8626
-        A = SymMatrix.from_diag([d2, aa, aa])
+        A = np.diag([d2, aa, aa])[None]
         expect = {1: [(2 * aa + d2) / 3], 2: [aa, (aa + 2 * d2) / 3], 3: [aa, aa, d2]}
         for k, mu in expect.items():
-            assert np.abs(garding_eigenvalues(A, k) - mu).max() < 1e-12, k
+            assert np.abs(garding_eigenvalues_batch(A, k)[0] - mu).max() < 1e-12, k
 
     def test_two_roots_in_one_gap(self):
         # sigma_2((0, 0, 1, 1) + t) = 6t^2 + 6t + 1: both roots lie in (-1, 0)
-        mu = garding_eigenvalues(SymMatrix.from_diag([0.0, 0.0, 1.0, 1.0]), 2)
+        mu = garding_eigenvalues_batch(np.diag([0.0, 0.0, 1.0, 1.0])[None], 2)[0]
         expect = [(3 - np.sqrt(3)) / 6, (3 + np.sqrt(3)) / 6]
         assert np.abs(mu - expect).max() < 1e-12
 
     def test_out_of_range(self):
         with pytest.raises(InputError):
-            garding_eigenvalues(SymMatrix.identity(3), 4)
+            garding_eigenvalues_batch(np.eye(3)[None], 4)
 
 
 def compression_chain(lam, k):
@@ -207,6 +188,16 @@ def compression_chain(lam, k):
         Q = np.linalg.qr(np.eye(j) - 1.0 / j)[0][:, : j - 1]  # spans 1-perp
         mu = eigvalsh_plain(np.einsum("ia,ni,ib->nab", Q, mu, Q))
     return mu
+
+
+def assert_sigma_residuals(lam, mu):
+    """Each Garding root mu[:, j] of level k zeroes sigma_k(lam - mu[:, j])
+    within 1e-10 (1 + max |lam|^k) C(m, k)."""
+    m, k = lam.shape[1], mu.shape[1]
+    scale = (1 + np.abs(lam).max(axis=1) ** k) * comb(m, k)
+    for j in range(k):
+        resid = np.array([sigma_k(row - t, k) for row, t in zip(lam, mu[:, j])])
+        assert np.all(np.abs(resid) <= 1e-10 * scale), (m, k, j)
 
 
 class TestClosedForms:
@@ -236,31 +227,22 @@ class TestClosedForms:
         assert lam.shape == (50, 1) and np.array_equal(lam, A[:, 0])
         assert not np.shares_memory(lam, A)
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_single_jet_is_the_batch_of_one(self, m):
-        A = rand_sym(np.random.default_rng(33), m, 20)
-        batch = eigenvalues_sym_batch(A)
-        for i in range(20):
-            assert eigenvalues_sym(SymMatrix.from_full(A[i])).tobytes() == batch[i].tobytes()
-
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_level_two_matches_the_chain(self, m):
         lam = eigvalsh_plain(rand_sym(np.random.default_rng(34 + m), m, 2000))
         mu = _garding_from_eigs_batch(lam, 2)
         ref = compression_chain(lam, 2)
         assert np.all(np.abs(mu - ref) <= 1e-13 * (1 + np.abs(ref)))
-        # the sigma_2 residual bound that garding_eigenvalues enforces
-        scale = (1 + np.abs(lam).max(axis=1) ** 2) * comb(m, 2)
-        for j in range(2):
-            resid = np.array([sigma_k(row - t, 2) for row, t in zip(lam, mu[:, j])])
-            assert np.all(np.abs(resid) <= GARDING_TOL * scale)
+        assert_sigma_residuals(lam, mu)
 
-    @pytest.mark.parametrize("m", [4, 5, 6])
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
     def test_compressed_levels_match_the_chain(self, m):
         lam = eigvalsh_plain(rand_sym(np.random.default_rng(40 + m), m, 500))
         for k in range(3, m):
+            mu = _garding_from_eigs_batch(lam, k)
             ref = compression_chain(lam, k)
-            assert np.all(np.abs(_garding_from_eigs_batch(lam, k) - ref) <= 1e-13 * (1 + np.abs(ref)))
+            assert np.all(np.abs(mu - ref) <= 1e-13 * (1 + np.abs(ref)))
+            assert_sigma_residuals(lam, mu)
 
     def test_audit_leaves_numpy_ma_unloaded(self, tmp_path):
         # np.unique imports numpy.ma (~13 ms); the audit path avoids it
@@ -406,85 +388,3 @@ class TestDenseViewReadings:
         # P adds a matrix to A: its trace is its own
         assert JP.readings is not J.readings
         assert not np.array_equal(JP.trace, J.trace)
-
-
-class TestTraceOnFrame:
-    def test_full_basis_is_trace(self):
-        A = SymMatrix.from_diag([1.0, 2.0, 3.0])
-        assert trace_on_frame(A, np.eye(3)) == pytest.approx(6.0)
-
-    def test_coordinate_plane(self):
-        A = SymMatrix.from_diag([1.0, 2.0, 3.0])
-        assert trace_on_frame(A, np.eye(3)[:2]) == pytest.approx(3.0)
-
-    def test_minmax_characterization_sampled(self):
-        # min over 10^4 random k-frames approaches the sum of the k smallest
-        # eigenvalues; the random search keeps half its budget for gaussian
-        # jitters of the incumbent (still random frames, Gram-Schmidt applied)
-        rng = np.random.default_rng(12)
-        A = SymMatrix.from_full(rand_sym(rng, 4))
-        ev = eigenvalues_sym(A)
-        k = 2
-        best = np.inf
-        best_Q = None
-        for it in range(10_000):
-            seed = rng.standard_normal((4, k))
-            if best_Q is not None and it % 2:
-                seed = best_Q + 0.05 * seed
-            Q, _ = np.linalg.qr(seed)
-            val = trace_on_frame(A, Q.T)
-            if val < best:
-                best, best_Q = val, Q
-        assert best >= ev[:k].sum() - 1e-9
-        assert best - ev[:k].sum() <= 1e-2
-
-    def test_nonorthonormal_rejected(self):
-        A = SymMatrix.identity(2)
-        with pytest.raises(InputError):
-            trace_on_frame(A, np.array([[1.0, 1.0]]))
-
-
-class TestQuasilinearT:
-    def test_laplacian_profile_identity(self):
-        T = quasilinear_T(np.array([0.3, -0.4]), AProfile.constant(1.0))
-        assert np.abs(T.full - np.eye(2)).max() < 1e-14
-
-    def test_mean_curvature_eigenvalues(self):
-        # direct differentiation: lam1 = a + t a' at t=1, lam2 = a(1)
-        a = lambda t: (1 + t**2) ** -0.5
-        da = lambda t: -t * (1 + t**2) ** -1.5
-        expect = sorted([a(1.0) + da(1.0), a(1.0)])
-        T = quasilinear_T(np.array([1.0, 0.0]), AProfile.mean_curvature())
-        assert np.allclose(np.linalg.eigvalsh(T.full), expect)
-        assert np.allclose(expect, [2**-1.5, 2**-0.5])
-
-    def test_k_laplacian_eigenvalues(self):
-        # lam1 = (k-1) t^{k-2}, lam2 = t^{k-2} at k=3, t=2
-        T = quasilinear_T(np.array([0.0, 2.0]), AProfile.k_laplacian(3))
-        assert np.allclose(sorted(np.linalg.eigvalsh(T.full)), [2.0, 4.0])
-
-    def test_eigenvector_structure(self):
-        rng = np.random.default_rng(8)
-        p = rng.standard_normal(3)
-        prof = AProfile.mean_curvature()
-        T = quasilinear_T(p, prof).full
-        t = np.linalg.norm(p)
-        assert np.abs(T @ p - float(prof.lam1(t)) * p).max() < 1e-12
-        q = np.array([p[1], -p[0], 0.0])
-        assert np.abs(T @ q - float(prof.lam2(t)) * q).max() < 1e-12
-
-    def test_zero_gradient_domain_error(self):
-        with pytest.raises(DomainError):
-            quasilinear_T(np.zeros(2), AProfile.constant(1.0))
-
-
-class TestJetType:
-    def test_dimension_agreement(self):
-        with pytest.raises(InputError):
-            Jet(0.0, np.zeros(3), SymMatrix.identity(2))
-
-    def test_negation(self):
-        j = Jet(1.0, np.array([1.0, 0.0]), SymMatrix.identity(2))
-        nj = -j
-        assert nj.r == -1.0 and np.all(nj.p == -j.p)
-        assert np.allclose(nj.A.full, -np.eye(2))

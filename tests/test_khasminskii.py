@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import subeq.khasminskii as KH
-from subeq.errors import ConstructionError, InputError, PreconditionError, ScheduleError
+from subeq.errors import (ConstructionError, DomainError, InputError, PreconditionError,
+                          ScheduleError)
 from subeq.khasminskii import (
     PairKh,
     Schedule,
@@ -170,6 +171,11 @@ class TestRadialODE:
         v, r, w, tr = radial_khasminskii_test("exp_r3", 2, 1.0, (0.1, 8.0))
         assert v == "Fail"
         assert tr["status"] == "done" and tr["rel_growth"] <= 0.05
+
+    def test_warp_overflow_is_a_domain_error(self):
+        # g'/g of exp(r^3) is not finite past r ~ 8.9, inside the range
+        with pytest.raises(DomainError, match="exp_r3: g'/g is not finite"):
+            radial_khasminskii_test("exp_r3", 2, 1.0, (0.1, 10.0))
 
     def test_bad_inputs(self):
         with pytest.raises(InputError):

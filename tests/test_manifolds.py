@@ -1,17 +1,15 @@
-"""Model geometry, discrete jets, exhaustions and the volume-growth test."""
+"""Model geometry, warps, discrete jets and the volume-growth test."""
 import numpy as np
 import pytest
 
 from subeq.errors import DomainError, InputError
 from subeq.manifolds import (
-    Exhaustion,
     FlatBox,
     GridFunction,
     PuncturedEuclidean,
     RadialModel,
     batch_jets,
-    discrete_jet,
-    make_exhaustion,
+    get_warp,
     radial_hessian_eigs,
     volume_growth_test,
 )
@@ -60,20 +58,32 @@ class TestRadialHessian:
         with pytest.raises(DomainError):
             radial_hessian_eigs(1.0, 0.0, -1.0, "euclidean", 2)
 
+    def test_warp_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="exp_r3: g'/g is not finite"):
+            radial_hessian_eigs(1.0, 0.0, 10.0, "exp_r3", 2)
+
+
+class TestWarp:
+    def test_ratio_of_a_scalar(self):
+        warp = get_warp("exp_r3")
+        assert float(warp.ratio(2.0)) == pytest.approx(12.0)
+        with pytest.raises(DomainError, match=r"not finite at r = 10$"):
+            warp.ratio(10.0)
+
 
 class TestDiscreteJet:
     def test_affine_exact(self):
         M = FlatBox(2, [(0.0, 1.0), (0.0, 1.0)], 0.1)
         u = GridFunction.from_callable(M, lambda c: c[:, 0])
-        j = discrete_jet(u, M.interior_ids[7])
-        assert np.allclose(j.p, [1.0, 0.0])
-        assert np.abs(j.A.full).max() <= 1e-8
+        J = batch_jets(u, M.interior_ids[[7]])[1]
+        assert np.allclose(J.p[0], [1.0, 0.0])
+        assert np.abs(J.A[0]).max() <= 1e-8
 
     def test_quadratic_exact(self):
         M = FlatBox(2, [(0.0, 1.0), (0.0, 1.0)], 0.05)
         u = GridFunction.from_callable(M, lambda c: 0.5 * (c**2).sum(axis=1))
-        j = discrete_jet(u, M.interior_ids[11])
-        assert np.abs(j.A.full - np.eye(2)).max() < 1e-9
+        J = batch_jets(u, M.interior_ids[[11]])[1]
+        assert np.abs(J.A[0] - np.eye(2)).max() < 1e-9
 
     def test_harmonic_oracle_punctured(self):
         # u = 2/r - 1 on the m=3 punctured annulus: discrete trace = O(h^2)
@@ -95,12 +105,6 @@ class TestDiscreteJet:
             errs.append(np.abs(J.A[:, 0, 0] - exact_d2).max())
         ratio = errs[0] / errs[1]
         assert 3.5 <= ratio <= 4.5
-
-    def test_boundary_proximity_error(self):
-        M = FlatBox(1, [(0.0, 1.0)], 0.1)
-        u = GridFunction(M, np.zeros(M.n_nodes))
-        with pytest.raises(DomainError):
-            discrete_jet(u, 0)
 
     def test_usc_flagged_nodes_skipped(self):
         M = FlatBox(1, [(0.0, 1.0)], 0.1)
@@ -147,42 +151,10 @@ class TestVolumeGrowth:
         with pytest.raises((DomainError, InputError)):
             volume_growth_test({"r": [0.0, 1.0], "g": [1.0, -1.0]}, 2, 10.0)
 
-
-class TestExhaustion:
-    def test_flat_box_nested(self):
-        M = FlatBox(2, [(0.0, 1.0), (0.0, 1.0)], 0.05)
-        ex = make_exhaustion(M, 3)
-        assert len(ex) >= 2
-        for j in range(1, len(ex)):
-            assert np.all(ex[j][ex[j - 1]])
-            assert np.any(ex[j] & ~ex[j - 1])
-        assert np.all(ex[-1][M.interior_mask])
-
-    def test_radial_schedule(self):
-        M = RadialModel.uniform(2, "euclidean", 0.1, 10.0, 101)
-        ex = make_exhaustion(M, 4)
-        assert np.all(ex[-1] == M.interior_mask)
-
-    def test_punctured_two_sided(self):
-        # members shrink toward both the puncture and the outer end
-        M = PuncturedEuclidean(3, 0.1, 10.0, 201)
-        ex = make_exhaustion(M, 4)
-        first, last = ex[0], ex[-1]
-        r_first = M.r[first]
-        r_last = M.r[last]
-        assert r_first.min() > r_last.min()
-        assert r_first.max() < r_last.max()
-
-    def test_too_small_rejected(self):
-        M = FlatBox(1, [(0.0, 0.2)], 0.1)
-        with pytest.raises(InputError):
-            make_exhaustion(M, 5)
-
-    def test_strict_nesting_enforced(self):
-        M = RadialModel.uniform(2, "euclidean", 0.1, 10.0, 51)
-        good = make_exhaustion(M, 3)
-        with pytest.raises(InputError):
-            Exhaustion(M, [good[1], good[0]])
+    def test_warp_overflow_is_a_domain_error(self):
+        # exp(r^3) overflows past r ~ 8.9: the check names it, with no warning
+        with pytest.raises(DomainError, match="positive and finite"):
+            volume_growth_test("exp_r3", 2, 10.0)
 
 
 class TestGridFunction:

@@ -8,7 +8,7 @@ import pytest
 from subeq import _kernels as K
 from subeq import cli, solver
 from subeq.errors import ConvergenceError, InitializationError, InputError, PreconditionError
-from subeq.jets import Jet, RadialView, SymMatrix
+from subeq.jets import RadialView
 from subeq.manifolds import FlatBox, GridFunction, PuncturedEuclidean, RadialModel, batch_jets
 from subeq.profiles import AProfile, Profile
 from subeq.solver import (
@@ -1238,12 +1238,12 @@ def _barrier_reference(F, M, boundary_ids, rho, margin=solver.BARRIER_MARGIN,
             return False, 0.0
         worst = np.inf
         for i in range(ids.size):
-            jet = Jet(float(r[i]), p[i], SymMatrix.from_full(A[i]))
-            if F.value_jet(int(ids[i]), jet) <= 0:
+            jet = (int(ids[i]), r[i], p[i], A[i])
+            if F.value(*jet)[0] <= 0:
                 return False, min(worst, 0.0)
-            d = distance_to_boundary(F, int(ids[i]), jet)
-            worst = min(worst, d.value)
-            if d.value < margin:
+            d = distance_to_boundary(F, *jet).value[0]
+            worst = min(worst, d)
+            if d < margin:
                 return False, worst
         return True, worst
 
