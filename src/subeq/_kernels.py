@@ -69,33 +69,54 @@ def vector_node_solve(G, v0, cap, step0, gtol, veps):
     return np.minimum(lo, cap)
 
 
-def thomas(lo, di, up, rhs):
-    """Solve the tridiagonal system lo x[i-1] + di x[i] + up x[i+1] = rhs.
+def eliminate(lo, di, up, rhs, cs, ds):
+    """Thomas's forward elimination of the rows lo x[i-1] + di x[i] + up
+    x[i+1] = rhs, appended to the coefficient lists cs and ds.
 
-    ``lo[0]`` and ``up[-1]`` are ignored.  The recurrences run over Python
-    floats, which is several times faster than indexing numpy arrays
-    element by element: one forward pass over the zipped rows, one
-    backward pass over the reversed lists.  A zero pivot raises
-    ZeroDivisionError.
+    Empty lists start at the first row, which reads no lo; otherwise the
+    rows continue the system whose eliminated rows cs and ds hold.  Row i
+    reads only rows up to i, so one elimination serves every leading
+    block of its rows.  The recurrence runs over Python floats, which is
+    several times faster than indexing numpy arrays element by element.
+    A zero pivot raises ZeroDivisionError, with the rows before it kept.
     """
     rows = zip(lo.tolist(), di.tolist(), up.tolist(), rhs.tolist())
-    _, b, a, r = next(rows)
-    c, d = a / b, r / b  # the first row reads no lo
-    cs, ds = [c], [d]
+    if not cs:
+        _, b, a, r = next(rows)
+        cs.append(a / b)
+        ds.append(r / b)
+    c, d = cs[-1], ds[-1]
     for l, b, a, r in rows:
         denom = b - l * c
         c = a / denom
         d = (r - l * d) / denom
         cs.append(c)
         ds.append(d)
-    cs.pop()
-    x = ds.pop()
+
+
+def back_substitute(cs, ds):
+    """The solution x[i] = d[i] - c[i] x[i+1] of the eliminated rows cs,
+    ds, from x[-1] = d[-1] (the last c is not read)."""
+    rows = zip(reversed(cs), reversed(ds))
+    _, x = next(rows)
     xs = [x]
-    for c, d in zip(reversed(cs), reversed(ds)):
+    for c, d in rows:
         x = d - c * x
         xs.append(x)
     xs.reverse()
     return np.array(xs)
+
+
+def thomas(lo, di, up, rhs):
+    """Solve the tridiagonal system lo x[i-1] + di x[i] + up x[i+1] = rhs:
+    ``eliminate``, then ``back_substitute``.
+
+    ``lo[0]`` and ``up[-1]`` are ignored.  A zero pivot raises
+    ZeroDivisionError.
+    """
+    cs, ds = [], []
+    eliminate(lo, di, up, rhs, cs, ds)
+    return back_substitute(cs, ds)
 
 
 def block_thomas(lo, di, up, rhs):

@@ -12,9 +12,9 @@ On radial kinds a function of r has Hessian eigenvalues phi'' (radial) and
 phi' g'/g with multiplicity m-1 (angular).  Every line grid (the radial
 kinds and 1-D boxes) carries one ``LineStencil``, the non-uniform 3-point
 first and second differences built once from its spacings, whose ``view``
-writes every line jet.  ``batch_jets`` hands each grid's jets in one view:
-a ``jets.RadialView`` on line grids, a ``jets.DenseView`` on the centred
-cross stencil of boxes.
+writes every line jet; a ``sub_range`` slices its root grid's rows.
+``batch_jets`` hands each grid's jets in one view: a ``jets.RadialView``
+on line grids, a ``jets.DenseView`` on the centred cross stencil of boxes.
 """
 from __future__ import annotations
 
@@ -113,17 +113,30 @@ class LineStencil:
          self.aL, self.aC, self.aR, self.ang) = rows
 
     @staticmethod
+    def _spacing_rows(hL, hR):
+        """The eight rows of the nodes with spacings hL and hR (all but ang)."""
+        den = hL * hR * (hL + hR)
+        return [hL, hR,
+                -hR**2 / den, (hR**2 - hL**2) / den, hL**2 / den,
+                2.0 * hR / den, -2.0 * (hL + hR) / den, 2.0 * hL / den]
+
+    @staticmethod
     def on(x: np.ndarray, m: int, ratio=None) -> "LineStencil":
         """The stencil of the nodes x; ``ratio(x)`` gives g'/g, read at m > 1."""
         h = np.diff(x)
-        hL = np.concatenate([h[:1], h])
-        hR = np.concatenate([h, h[-1:]])
-        den = hL * hR * (hL + hR)
-        return LineStencil(np.stack([
-            hL, hR,
-            -hR**2 / den, (hR**2 - hL**2) / den, hL**2 / den,
-            2.0 * hR / den, -2.0 * (hL + hR) / den, 2.0 * hL / den,
-            ratio(x) if m > 1 else np.zeros_like(x)]), m)
+        rows = LineStencil._spacing_rows(np.concatenate([h[:1], h]), np.concatenate([h, h[-1:]]))
+        return LineStencil(np.stack(rows + [ratio(x) if m > 1 else np.zeros_like(x)]), m)
+
+    def sub(self, ids: np.ndarray) -> "LineStencil":
+        """The stencil of the nodes X[ids], ids contiguous (at least 3), of
+        the grid X whose stencil this is: ``on(X[ids], m, ratio)`` byte for
+        byte, with no ratio read.  An inner node has the same neighbours in
+        both grids, so its rows are this stencil's; the two end nodes copy
+        their neighbour's spacing, as ``on`` writes them."""
+        rows = self.rows[:, ids]
+        h = rows[[1, 0], [0, -1]]  # the spacings next to the two ends: hR, hL
+        rows[:8, [0, -1]] = LineStencil._spacing_rows(h, h)
+        return LineStencil(rows, self.m)
 
     def at(self, ids) -> "LineStencil":
         return LineStencil(self.rows[:, ids], self.m)
@@ -157,6 +170,10 @@ class ModelManifold:
     m: int
     n_nodes: int
     stencil: LineStencil | None = None  # set on line grids: radial kinds, 1-D boxes
+    # on line grids: the grid whose stencil rows this one's are (itself
+    # unless a sub-range), and the root index of node 0
+    root: "ModelManifold"
+    offset: int
 
     @property
     def interior_ids(self) -> np.ndarray:
@@ -182,6 +199,9 @@ class _RadialBase(ModelManifold):
             gv = warp.g(r)
         if np.any(gv <= 0):
             raise DomainError("warping must be positive on the open range")
+        self._nodes(m, warp, r, LineStencil.on(r, m, warp.ratio), self, 0)
+
+    def _nodes(self, m, warp, r, stencil, root, offset):
         self.m = m
         self.warp = warp
         self.r = r
@@ -189,7 +209,8 @@ class _RadialBase(ModelManifold):
         self.interior_mask = np.zeros(r.size, dtype=bool)
         self.interior_mask[1:-1] = True
         self.boundary_tags = {"inner": np.array([0]), "outer": np.array([r.size - 1])}
-        self.stencil = LineStencil.on(r, m, warp.ratio)
+        self.stencil = stencil
+        self.root, self.offset = root, offset
 
     @property
     def coords(self) -> np.ndarray:
@@ -199,7 +220,17 @@ class _RadialBase(ModelManifold):
         return float(np.diff(self.r).min())
 
     def sub_range(self, r_lo: float | None = None, r_hi: float | None = None):
-        """A new radial manifold restricted to grid nodes in [r_lo, r_hi]."""
+        """A new radial manifold restricted to grid nodes in [r_lo, r_hi]
+        (within 1e-12), and the ids of its nodes in this grid.
+
+        The sub-grid shares this grid's root (the grid that no sub-range
+        made) and records the root index of its first node (``offset``).
+        Its stencil is the root's rows at its nodes, with the two end
+        nodes copying their neighbour's spacing (``LineStencil.sub``):
+        the rows ``LineStencil.on`` would build, with no warp read.  So
+        nested solves on sub-ranges of one root read one set of rows, and
+        their presolves one forward elimination (``solver._try_presolve``).
+        """
         mask = np.ones_like(self.r, dtype=bool)
         if r_lo is not None:
             mask &= self.r >= r_lo - 1e-12
@@ -208,8 +239,10 @@ class _RadialBase(ModelManifold):
         ids = np.where(mask)[0]
         if ids.size < 3:
             raise InputError("sub-range keeps fewer than 3 nodes")
+        r, offset = self.r[ids], self.offset + int(ids[0])
         sub = object.__new__(type(self))
-        _RadialBase.__init__(sub, self.m, self.warp, self.r[ids])
+        sub._nodes(self.m, self.warp, r, self.root.stencil.sub(ids + self.offset),
+                   self.root, offset)
         return sub, ids
 
 
@@ -277,6 +310,7 @@ class FlatBox(ModelManifold):
         self.boundary_tags = {"side": np.where(~self.interior_mask)[0]}
         if m == 1:
             self.stencil = LineStencil.on(self.coords[:, 0], 1)
+            self.root, self.offset = self, 0
 
     def min_spacing(self) -> float:
         return float(self.h.min())

@@ -149,13 +149,33 @@ def inf_capacity(r_K: float, exhaustion_radii, M: _RadialBase,
 
     Solves u_j = 0 on ∂K, 1 on ∂D_j for each exhaustion radius, records the
     discrete Lipschitz constants |du_j| (non-increasing in j), and returns
-    (last value, trace).  K covering the whole grid returns 0 by convention.
-    A capacitor whose certificate fails, or a Lipschitz trace that
-    increases, is a numerical failure (ConvergenceError).
+    (last value, trace).  Radii within two grid spacings of r_K are
+    dropped, and K covering the whole grid returns 0 by convention.
+    A non-finite r_K or radius, an r_K below the grid's first radius, a
+    radius beyond its last one, or radii that decrease is an InputError
+    (the grid's ends are read within the 1e-12 of ``sub_range``).  The
+    capacitors are nested sub-ranges of M, so their presolves share one
+    forward elimination.  A capacitor whose certificate fails, or a
+    Lipschitz trace that increases, is a numerical failure
+    (ConvergenceError).
     """
     if not isinstance(M, _RadialBase):
         raise InputError("capacity estimates run on radial models")
-    radii = [R for R in np.asarray(exhaustion_radii, dtype=float) if R > r_K + 2 * M.min_spacing()]
+    r_K, given = float(r_K), np.asarray(exhaustion_radii, dtype=float).ravel().tolist()
+    first, last = float(M.r[0]), float(M.r[-1])
+    for name, v in [("r_K", r_K)] + [("radius", R) for R in given]:
+        if not np.isfinite(v):
+            raise InputError(f"capacity: {name} {v!r} is not finite")
+    if r_K < first - 1e-12:
+        raise InputError(f"capacity: r_K {r_K!r} is below the grid's first radius {first!r}")
+    for R in given:
+        if R > last + 1e-12:
+            raise InputError(f"capacity: radius {R!r} is beyond the grid's last radius {last!r}")
+    for R, R_next in zip(given, given[1:]):
+        if R_next < R:
+            raise InputError(f"capacity: radii decrease from {R!r} to {R_next!r}; "
+                             "an exhaustion does not decrease")
+    radii = [R for R in given if R > r_K + 2 * M.min_spacing()]
     if not radii:
         return 0.0, {"lipschitz": [], "radii": [], "note": "no exterior: cap 0 by convention"}
     F = inf_laplacian(0.0, m=M.m)

@@ -11,7 +11,12 @@ On line grids the grid's one ``LineStencil`` writes every jet view
 Initialization: for linear members (laplace / infinity-Laplacian with
 linear f) a direct tridiagonal presolve is admitted as a warm start after
 an honest verification that it is a discrete subsolution, as is the
-obstacle slack.  A ladder of constants min(boundary) - slack 2^k is
+obstacle slack.  A sub-range grid reads its root grid's stencil rows
+(``sub_range``), and the root holds one forward elimination of the
+presolve rows, extended on demand: the presolves of nested sub-ranges
+(the capacitors of ``inf_capacity``, the stage solves of
+``build_potential``) run one forward sweep, and each its own outer row
+and back substitution, with the bytes of a fresh ``thomas``.  A ladder of constants min(boundary) - slack 2^k is
 offered too, warmest first, until one verifies; a rung that the verified
 presolve lies at or above everywhere ends the ladder unchecked.  The
 pointwise max of all verified candidates is used when it verifies
@@ -139,7 +144,19 @@ def _interior_residual(F, u: GridFunction, ids=None):
 
 
 def _try_presolve(F, M, bvals):
-    """Direct tridiagonal solve for linear line members; None when inapplicable."""
+    """Direct tridiagonal solve for linear line members; None when inapplicable.
+
+    The rows are the inner boundary row, the rows of d2 + w du = f(u) at
+    the interior nodes and the outer boundary row.  The forward
+    elimination of all but the last row reads only the root grid's
+    stencil rows (``sub_range``) and five scalars: the root index of the
+    inner node, the inner value, whether the angular weight is read, the
+    slope of f and its constant.  The root holds that elimination for one
+    such key, extended on demand to the deepest row asked for, so the
+    presolves of nested sub-ranges run one forward sweep; each runs its
+    own outer row and back substitution.  The result is ``K.thomas`` on
+    the grid's own rows, byte for byte.
+    """
     if M.stencil is None:
         return None
     core = F
@@ -156,21 +173,28 @@ def _try_presolve(F, M, bvals):
         return None
     lam = core.f.slope if core.f.kind == "linear" else 0.0
     rhs_c = core.f.value if core.f.kind == "constant" else 0.0
+    # the bytes of the scalars, so that -0.0 and 0.0 are two keys
+    key = (M.offset, use_angular, np.array([bvals[0], lam, rhs_c], dtype=float).tobytes())
+    memo = getattr(M.root, "_elimination", None)
+    if memo is None or memo[0] != key:
+        memo = M.root._elimination = (key, [], [])
+    _, cs, ds = memo
     n = M.n_nodes
-    lo = np.zeros(n)
-    di = np.ones(n)
-    up = np.zeros(n)
-    rhs = np.zeros(n)
-    rhs[0], rhs[-1] = bvals[0], bvals[-1]
-    i = np.arange(1, n - 1)
-    # rows of d2 + w du = f(u), w the angular weight (m - 1) g'/g
-    S = M.stencil.at(i)
-    w = (M.m - 1) * S.ang if use_angular else 0.0
-    lo[i] = S.aL + w * S.wL
-    di[i] = S.aC + w * S.wC - lam
-    up[i] = S.aR + w * S.wR
-    rhs[i] = rhs_c
-    return K.thomas(lo, di, up, rhs)
+    if len(cs) < n - 1:  # extend the elimination to this grid's last interior row
+        j = np.arange(M.offset + len(cs), M.offset + n - 1)
+        # rows of d2 + w du = f(u), w the angular weight (m - 1) g'/g
+        S = M.root.stencil.at(j)
+        w = (M.m - 1) * S.ang if use_angular else 0.0
+        lo = S.aL + w * S.wL
+        di = S.aC + w * S.wC - lam
+        up = S.aR + w * S.wR
+        rhs = np.full(j.size, float(rhs_c))
+        if not cs:  # the inner boundary row
+            lo[0], di[0], up[0], rhs[0] = 0.0, 1.0, 0.0, bvals[0]
+        K.eliminate(lo, di, up, rhs, cs, ds)
+    cs, ds = cs[:n - 1], ds[:n - 1]
+    K.eliminate(np.zeros(1), np.ones(1), np.zeros(1), bvals[-1:], cs, ds)  # the outer row
+    return K.back_substitute(cs, ds)
 
 
 def _initial_subsolution(spec: ProblemSpec, bvals, caps):

@@ -239,6 +239,22 @@ class TestRun:
         err = capsys.readouterr().err
         assert "input error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("params,named", [
+        ({"radii": [500.0]}, "radius 500.0 is beyond the grid's last radius 102.0"),
+        ({"r_K": 0.5}, "r_K 0.5 is below the grid's first radius 1.0"),
+        ({"radii": [float("nan")]}, "radius nan is not finite"),
+        ({"radii": [5.0, 3.0]}, "radii decrease from 5.0 to 3.0"),
+    ], ids=["radius-beyond-grid", "r_K-below-grid", "radius-nan", "radii-decrease"])
+    def test_capacity_radii_outside_grid_exit_4(self, tmp_path, capsys, params, named):
+        # each ran a capacitor on other radii than asked, reported a
+        # convention or exited 3 before these were input errors
+        sc = json.loads(SCENARIO_DIR.joinpath("capacity_sinh.json").read_text())
+        sc["params"].update(params)
+        path = write_scenario(tmp_path, "bad.json", sc)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--no-plots"]) == 4
+        err = capsys.readouterr().err
+        assert "input error" in err and named in err and "Traceback" not in err
+
     def test_capacity_scenario(self, tmp_path):
         sc = write_scenario(tmp_path, "c.json", {
             "task": "capacity", "seed": 0,

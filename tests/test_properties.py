@@ -139,6 +139,36 @@ class TestCapacity:
         expect = 1.0 / (np.array(tr["radii"]) - 1.0)
         assert np.abs(lips - expect).max() < 1e-6
 
+    def test_capacitors_share_one_forward_elimination(self, monkeypatch):
+        # the committed capacity grid: 101 nested capacitors, each its own
+        # perron_dirichlet call and certificate, whose presolves run one
+        # forward sweep over the grid's rows and one outer row each
+        from subeq import _kernels as K
+
+        starts, rows, thomas_calls, certs = [], [], [], []
+        real_eliminate, real_solve = K.eliminate, subeq.properties.perron_dirichlet
+
+        def eliminate(lo, di, up, rhs, cs, ds):
+            starts.append(not cs)
+            rows.append(di.size)
+            return real_eliminate(lo, di, up, rhs, cs, ds)
+
+        def solve(spec):
+            u, cert = real_solve(spec)
+            certs.append(cert)
+            return u, cert
+
+        monkeypatch.setattr(K, "eliminate", eliminate)
+        monkeypatch.setattr(K, "thomas", lambda *a: thomas_calls.append(a))
+        monkeypatch.setattr(subeq.properties, "perron_dirichlet", solve)
+        M = RadialModel.uniform(2, "sinh", 1.0, 102.0, 2021)
+        cap, tr = inf_capacity(1.0, [2.0 + j for j in range(101)], M)
+        assert sum(starts) == 1 and sum(rows) == (M.n_nodes - 1) + 101
+        assert not thomas_calls  # every capacitor is accepted at its presolve
+        assert len(certs) == 101 and all(c.passed for c in certs)
+        assert all(c.params["init"] == "presolve" and c.counts["sweeps"] == 0 for c in certs)
+        assert abs(cap - 1.0 / 101.0) < 1e-8
+
     def test_truncated_ball_cap_positive(self):
         M = RadialModel.uniform(3, "euclidean", 1.0, 3.0, 201)
         cap, tr = inf_capacity(1.0, [1.5, 2.0, 2.5, 3.0], M)

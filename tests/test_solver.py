@@ -9,7 +9,14 @@ from subeq import _kernels as K
 from subeq import cli, solver
 from subeq.errors import ConvergenceError, InitializationError, InputError, PreconditionError
 from subeq.jets import RadialView
-from subeq.manifolds import FlatBox, GridFunction, PuncturedEuclidean, RadialModel, batch_jets
+from subeq.manifolds import (
+    FlatBox,
+    GridFunction,
+    LineStencil,
+    PuncturedEuclidean,
+    RadialModel,
+    batch_jets,
+)
 from subeq.profiles import AProfile, Profile
 from subeq.solver import (
     ProblemSpec,
@@ -586,6 +593,134 @@ class TestThomas:
             di[0] = 0.0
         with pytest.raises(ZeroDivisionError):
             K.thomas(lo, di, up, np.ones(3))
+
+    @pytest.mark.parametrize("cut", [1, 2, 57, 199])
+    def test_elimination_continues_across_calls(self, cut):
+        lo, di, up, rhs = _tridiagonal(200, cut)
+        cs, ds = [], []
+        K.eliminate(lo[:cut], di[:cut], up[:cut], rhs[:cut], cs, ds)
+        K.eliminate(lo[cut:], di[cut:], up[cut:], rhs[cut:], cs, ds)
+        assert K.back_substitute(cs, ds).tobytes() == K.thomas(lo, di, up, rhs).tobytes()
+
+
+def _own_presolve(F, S, bvals):
+    """``K.thomas`` on the presolve rows of F (laplace or inf_laplacian)
+    that the stencil S of a grid gives: the rows ``_try_presolve`` solves,
+    built on that grid alone."""
+    n = S.hL.size
+    lo, di, up, rhs = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)
+    rhs[0], rhs[-1] = bvals[0], bvals[-1]
+    w = (S.m - 1) * S.ang[1:-1] if F.meta.tag.startswith("laplace") else 0.0
+    lam = F.f.slope if F.f.kind == "linear" else 0.0
+    lo[1:-1] = S.aL[1:-1] + w * S.wL[1:-1]
+    di[1:-1] = S.aC[1:-1] + w * S.wC[1:-1] - lam
+    up[1:-1] = S.aR[1:-1] + w * S.wR[1:-1]
+    rhs[1:-1] = F.f.value if F.f.kind == "constant" else 0.0
+    return K.thomas(lo, di, up, rhs)
+
+
+def _line_grid(warp, m):
+    if warp == "punctured":  # the log grid
+        return PuncturedEuclidean(m, 0.5, 4.0, 301)
+    return RadialModel.uniform(m, warp, *{"exp_r3": (0.5, 2.0)}.get(warp, (1.0, 6.0)), 301)
+
+
+# the punctured model needs m >= 2
+LINE_GRIDS = [(w, m) for w in ("sinh", "euclidean", "exp_r3", "punctured") for m in (1, 2, 3)
+              if (w, m) != ("punctured", 1)]
+
+
+class TestSharedPresolve:
+    """Nested sub-ranges of one grid read its stencil rows and one forward
+    elimination of their presolve; each presolve is ``K.thomas`` on the
+    sub-grid's own freshly built rows, byte for byte."""
+
+    @pytest.mark.parametrize("warp,m", LINE_GRIDS)
+    @pytest.mark.parametrize("member", ["laplace-linear", "laplace-constant", "inf_laplacian"])
+    def test_nested_presolves_match_thomas_on_own_rows(self, member, warp, m):
+        M = _line_grid(warp, m)
+        F = {"laplace-linear": laplace(Profile.linear(0.5), m=M.m),
+             "laplace-constant": laplace(Profile.constant(-1.0), m=M.m),
+             "inf_laplacian": inf_laplacian(0.0, m=M.m)}[member]
+        rng = np.random.default_rng(M.m)
+        r = M.r
+        # radii in random order with repeats, the inner rim at the first node
+        # and at a later one, and two inner values on one rim
+        for lo_id, inner in [(0, 0.25), (0, -0.5), (7, -0.5)]:
+            outer = rng.choice(np.arange(lo_id + 3, r.size), 12)
+            for R in np.concatenate([outer, outer[:3]]):
+                sub, ids = M.sub_range(r[lo_id], r[R])
+                assert sub.root is M and sub.offset == lo_id
+                own = LineStencil.on(sub.r, sub.m, sub.warp.ratio)
+                assert sub.stencil.rows.tobytes() == own.rows.tobytes()
+                bvals = solver.boundary_values(sub, {"inner": inner, "outer": 1.0})
+                pre = solver._try_presolve(F, sub, bvals)
+                assert pre.tobytes() == _own_presolve(F, own, bvals).tobytes()
+
+    @pytest.mark.parametrize("lo_id,hi_id", [(5, 200), (0, 240), (5, 100), (30, 140)])
+    def test_sub_range_of_a_sub_range(self, lo_id, hi_id):
+        # members that differ in one scalar of the presolve each, in turn on one root
+        M = RadialModel.uniform(2, "sinh", 1.0, 6.0, 301)
+        mid, _ = M.sub_range(M.r[10], M.r[250])
+        for F in (laplace(Profile.linear(0.5), m=2), laplace(Profile.linear(0.25), m=2),
+                  laplace(Profile.constant(-1.0), m=2), laplace(Profile.constant(-2.0), m=2),
+                  inf_laplacian(-2.0, m=2)):
+            sub, ids = mid.sub_range(mid.r[lo_id], mid.r[hi_id])
+            assert sub.root is M and sub.offset == 10 + lo_id
+            assert np.array_equal(sub.r, mid.r[ids]) and np.array_equal(sub.r, M.r[10 + ids])
+            own = LineStencil.on(sub.r, 2, sub.warp.ratio)
+            assert sub.stencil.rows.tobytes() == own.rows.tobytes()
+            bvals = solver.boundary_values(sub, {"inner": -1.0, "outer": 2.0})
+            pre = solver._try_presolve(F, sub, bvals)
+            assert pre.tobytes() == _own_presolve(F, own, bvals).tobytes()
+
+    def test_one_forward_sweep_serves_every_sub_range(self, monkeypatch):
+        M = RadialModel.uniform(2, "sinh", 1.0, 6.0, 301)
+        F = inf_laplacian(0.0, m=2)
+        rows = []
+        real = K.eliminate
+
+        def counting(lo, di, up, rhs, cs, ds):
+            rows.append(di.size)
+            return real(lo, di, up, rhs, cs, ds)
+
+        monkeypatch.setattr(K, "eliminate", counting)
+        for R in (3.0, 6.0, 2.0, 4.5, 6.0):
+            sub, _ = M.sub_range(None, R)
+            solver._try_presolve(F, sub, solver.boundary_values(sub, {"inner": 0.0, "outer": 1.0}))
+        # the root's rows 0..299 once, and each presolve's own outer row
+        assert sum(rows) == 300 + 5
+
+    @pytest.mark.parametrize("fault", ["zero-pivot", "non-finite"])
+    def test_faults_pass_through_as_in_thomas(self, fault):
+        M = RadialModel.uniform(2, "sinh", 1.0, 3.0, 41)
+        F = inf_laplacian(0.0, m=2)
+        bc = {"inner": 0.0, "outer": 1.0}
+        S = M.stencil
+        k = 20  # the faulty root row
+        if fault == "zero-pivot":  # aC[k] - aL[k] c[k - 1] = 0
+            short, _ = M.sub_range(None, M.r[k])
+            cs, ds = [], []
+            b = solver.boundary_values(short, bc)
+            lo, di, up = S.aL[:k].copy(), S.aC[:k].copy(), S.aR[:k].copy()
+            lo[0], di[0], up[0] = 0.0, 1.0, 0.0
+            K.eliminate(lo, di, up, np.r_[b[0], np.zeros(k - 1)], cs, ds)
+            S.aC[k] = S.aL[k] * cs[-1]
+        else:
+            S.aL[k] = np.inf
+        for R in (M.r[30], M.r[k + 1], M.r[10], M.r[40]):
+            sub, _ = M.sub_range(None, R)
+            bvals = solver.boundary_values(sub, bc)
+            own = sub.stencil  # the faulty rows, sliced from the root
+            try:
+                want = _own_presolve(F, own, bvals)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    solver._try_presolve(F, sub, bvals)
+                continue
+            assert solver._try_presolve(F, sub, bvals).tobytes() == want.tobytes()
+        if fault == "non-finite":
+            assert not np.all(np.isfinite(want))
 
 
 class TestBlockThomas:
