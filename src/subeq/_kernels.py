@@ -11,7 +11,10 @@ the current iterate, are linearized at their node roots, which
 takes the step at the grid's ``jets.DenseView`` of the centred jets and
 at bumped dense views of it, through the cross and diagonal stencil,
 solved slab by slab with ``block_thomas``, and halves its update until
-the worst residual does not rise.  Both steps build their rows from the
+the worst residual does not rise.  ``slab_blocks`` places box rows into
+the slab blocks, for the step and for the direct solve of an affine
+member (``solver._try_presolve``), under one size limit,
+MAX_BLOCK_FLOATS.  Both steps build their rows from the
 difference quotients of one rule (``_quotient``, through ``_slopes`` and
 ``_jet_slopes``) and end in one clamped update (``_clamp_write``).
 Neither step carries state to the next, so a step is a function of the
@@ -310,13 +313,49 @@ def residual_line_numpy(u, order, S, value):
     return value(S.view(order, u[order - 1], u[order], u[order + 1], upwind=True))
 
 
-# Largest number of floats the lo, di and up slab blocks of one box step may
-# hold together (64 MiB): the slabs of a 2-D box up to ~140 nodes a side,
-# of a 3-D box up to ~19.  A larger box is an input error.
+# Largest number of floats the lo, di and up slab blocks of one box system
+# may hold together (64 MiB): the slabs of a 2-D box up to ~140 nodes a
+# side, of a 3-D box up to ~19.  A larger box is an input error.
 MAX_BLOCK_FLOATS = 2**23
 
 # Halvings of a box step's update before the last, shortest trial is kept.
 HALVINGS = 8
+
+
+def slab_blocks(M, ids, diag, W, offsets, take):
+    """The block-tridiagonal form of a linear system with one row per
+    interior node ``ids`` of the box M, in grid order: the lo, di and up
+    blocks, (3, nb, k, k), over the nb slabs of k nodes with one index
+    along axis 0.
+
+    Row q holds ``diag[q]`` on the diagonal and, where ``take[q]``, the
+    weight ``W[j, q]`` at the node ``ids[q] + sum_a s_a strides[a]`` of
+    each offset ``{a: s_a}`` in ``offsets``; a neighbour on the boundary
+    has no column.  The cross and diagonal neighbours couple a slab only
+    to the slabs next to it.  Returns (blocks, nodes), ``nodes[j]`` the
+    node ids of the neighbours at ``offsets[j]``, from which a caller
+    moves the boundary neighbours to its right-hand side.  Raises
+    InputError, before any block is built, when the blocks exceed
+    MAX_BLOCK_FLOATS.
+    """
+    inner = [s - 2 for s in M.shape]
+    nb, k = inner[0], ids.size // inner[0]
+    if 3 * nb * k * k > MAX_BLOCK_FLOATS:
+        raise InputError(f"box too large for the block solve: {nb} slabs of {k} nodes need "
+                         f"{3 * nb * k * k} block floats, over MAX_BLOCK_FLOATS = {MAX_BLOCK_FLOATS}")
+    # row q, column c of block (t, q // k) is entry t N k + q k + c: the
+    # diagonal at t = 1, the neighbour in row nq at t = nq // k - q // k + 1
+    N, q = ids.size, np.arange(ids.size)
+    blocks = np.zeros((3, nb, k, k))  # lo, di, up
+    np.put(blocks, N * k + q * k + q % k, diag)
+    where = np.full(M.n_nodes, -1)  # row of each interior node
+    where[ids] = q
+    nodes = np.array([ids + sum(s * M.strides[a] for a, s in e.items()) for e in offsets])
+    nq = where[nodes]
+    o, q = np.nonzero((W != 0.0) & take & (nq >= 0))
+    nq = nq[o, q]
+    np.put(blocks, (nq // k - q // k + 1) * N * k + q * k + nq % k, W[o, q])
+    return blocks, nodes
 
 
 def step_box(u, ids, M, caps, value, jets, res, at):
@@ -331,9 +370,8 @@ def step_box(u, ids, M, caps, value, jets, res, at):
     delta = cap - u, as in ``sweep_line_numpy``.  Only the pivot of a row
     is checked: a row whose pivot is not negative (to roundoff), as at a
     triple tie of the eigenvalues under a middle branch, is left out of the
-    step (delta = 0), as a weak line row is.  ``block_thomas`` solves
-    the system over the slabs of nodes with one index along axis 0; the
-    mixed differences couple a slab only to the slabs next to it.  The
+    step (delta = 0), as a weak line row is.  ``slab_blocks`` places the
+    rows into the slab blocks that ``block_thomas`` solves.  The
     update is halved until max |R| is at most its value before the step,
     at most HALVINGS times; the last trial is kept.  A step at the
     roundoff floor, whose update leaves max |R| where it was, so keeps its
@@ -344,13 +382,8 @@ def step_box(u, ids, M, caps, value, jets, res, at):
     receives R before the step.  Ends in ``_clamp_write``:
     returns (max |change|, min change).  Raises FloatingPointError naming
     a singular block or a non-finite step, with u unchanged, and
-    InputError when the blocks exceed MAX_BLOCK_FLOATS.
+    (``slab_blocks``) InputError when the blocks exceed MAX_BLOCK_FLOATS.
     """
-    inner = [s - 2 for s in M.shape]
-    nb, k = inner[0], ids.size // inner[0]
-    if 3 * nb * k * k > MAX_BLOCK_FLOATS:
-        raise InputError(f"box too large for the Newton step: {nb} slabs of {k} nodes need "
-                         f"{3 * nb * k * k} block floats, over MAX_BLOCK_FLOATS = {MAX_BLOCK_FLOATS}")
     J, G = at
     v, cap = u[ids], caps[ids]
     np.minimum(G, cap - v, out=res)
@@ -365,18 +398,8 @@ def step_box(u, ids, M, caps, value, jets, res, at):
     W = np.array([w for w, _ in nbrs])
     solved = cap - v >= G  # not a contact row
     newton = solved & (own < -1e-9 * (np.abs(own) + np.abs(W).sum(axis=0)))
-    # row q, column c of block (t, q // k) is entry t N k + q k + c: the
-    # diagonal at t = 1, the neighbour in row nq at t = nq // k - q // k + 1
-    N, q = ids.size, np.arange(ids.size)
-    blocks = np.zeros((3, nb, k, k))  # lo, di, up
-    np.put(blocks, N * k + q * k + q % k, np.where(newton, own, 1.0))
-    where = np.full(M.n_nodes, -1)  # row of each interior node
-    where[ids] = q
-    nq = np.array([where[ids + sum(s * M.strides[a] for a, s in e.items())] for _, e in nbrs])
-    o, q = np.nonzero((W != 0.0) & newton & (nq >= 0))  # a boundary neighbour enters through G
-    nq = nq[o, q]
-    np.put(blocks, (nq // k - q // k + 1) * N * k + q * k + nq % k, W[o, q])
-    rhs = np.where(newton, -G, np.where(solved, 0.0, cap - v)).reshape(nb, k)
+    blocks, _ = slab_blocks(M, ids, np.where(newton, own, 1.0), W, [e for _, e in nbrs], newton)
+    rhs = np.where(newton, -G, np.where(solved, 0.0, cap - v)).reshape(blocks.shape[1:3])
     try:
         step = block_thomas(*blocks, rhs).ravel()
     except np.linalg.LinAlgError:

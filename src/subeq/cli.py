@@ -223,10 +223,16 @@ def parse_subequation(spec, m: int, M=None) -> SU.Subequation:
 
 
 def _boundary_from(spec):
+    """Boundary data by tag: a number, or a function spec (``parse_fn``)
+    read at the first coordinate on every grid."""
     out = {}
     for tag, val in _object(spec, "boundary").items():
         try:
-            out[tag] = parse_fn(val) if isinstance(val, dict) else float(val)
+            if isinstance(val, dict):
+                fn = parse_fn(val)
+                out[tag] = lambda c, fn=fn: fn(c if c.ndim == 1 else c[:, 0])
+            else:
+                out[tag] = float(val)
         except (TypeError, ValueError):
             raise InputError(f"boundary value on '{tag}' must be a number or an "
                              f"object, got {val!r}") from None

@@ -151,9 +151,11 @@ def inf_capacity(r_K: float, exhaustion_radii, M: _RadialBase,
     discrete Lipschitz constants |du_j| (non-increasing in j), and returns
     (last value, trace).  Radii within two grid spacings of r_K are
     dropped, and K covering the whole grid returns 0 by convention.
-    A non-finite r_K or radius, an r_K below the grid's first radius, a
-    radius beyond its last one, or radii that decrease is an InputError
-    (the grid's ends are read within the 1e-12 of ``sub_range``).  The
+    An outer radius rounds down to the grid node below it; r_K is not
+    rounded.  A non-finite r_K or radius, an r_K below the grid's first
+    radius or inside the grid between two nodes, a radius beyond its last
+    one, or radii that decrease is an InputError (nodes and the grid's
+    ends are read within the 1e-12 of ``sub_range``).  The
     capacitors are nested sub-ranges of M, so their presolves share one
     forward elimination.  A capacitor whose certificate fails, or a
     Lipschitz trace that increases, is a numerical failure
@@ -168,6 +170,10 @@ def inf_capacity(r_K: float, exhaustion_radii, M: _RadialBase,
             raise InputError(f"capacity: {name} {v!r} is not finite")
     if r_K < first - 1e-12:
         raise InputError(f"capacity: r_K {r_K!r} is below the grid's first radius {first!r}")
+    j = int(np.searchsorted(M.r, r_K))
+    if 0 < j < M.r.size and min(r_K - M.r[j - 1], M.r[j] - r_K) > 1e-12:
+        raise InputError(f"capacity: r_K {r_K!r} is not a grid node: it lies between "
+                         f"the nodes {float(M.r[j - 1])!r} and {float(M.r[j])!r}")
     for R in given:
         if R > last + 1e-12:
             raise InputError(f"capacity: radius {R!r} is beyond the grid's last radius {last!r}")

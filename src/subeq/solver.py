@@ -8,20 +8,26 @@ grids, never re-decomposed densely, and a ``jets.DenseView`` on boxes.
 On line grids the grid's one ``LineStencil`` writes every jet view
 (``LineStencil.view``) and gives the policy-step and presolve rows.
 
-Initialization: for linear members (laplace / infinity-Laplacian with
-linear f) a direct tridiagonal presolve is admitted as a warm start after
-an honest verification that it is a discrete subsolution, as is the
-obstacle slack.  A sub-range grid reads its root grid's stencil rows
-(``sub_range``), and the root holds one forward elimination of the
-presolve rows, extended on demand: the presolves of nested sub-ranges
-(the capacitors of ``inf_capacity``, the stage solves of
-``build_potential``) run one forward sweep, and each its own outer row
-and back substitution, with the bytes of a fresh ``thomas``.  A ladder of constants min(boundary) - slack 2^k is
-offered too, warmest first, until one verifies; a rung that the verified
-presolve lies at or above everywhere ends the ladder unchecked.  The
-pointwise max of all verified candidates is used when it verifies
-itself.  A solve has no setting of its own: a ``ProblemSpec`` is the
-problem (F, grid, boundary data, obstacle) and the run's tolerance.
+Initialization: for affine members (laplace with linear or constant f
+on every grid; on line grids also the infinity-Laplacian, and in 1-D
+every eigenvalue member) a direct presolve is admitted as a warm start
+after an honest verification that it is a discrete subsolution, as is
+the obstacle slack.  On line grids the presolve is tridiagonal.  A
+sub-range grid reads its root grid's stencil rows (``sub_range``), and
+the root holds one forward elimination of the presolve rows, extended on
+demand: the presolves of nested sub-ranges (the capacitors of
+``inf_capacity``, the stage solves of ``build_potential``) run one
+forward sweep, and each its own outer row and back substitution, with
+the bytes of a fresh ``thomas``.  On boxes the presolve solves the
+Laplacian's cross-stencil rows in one ``block_thomas`` call, with the
+slab blocks the box step assembles (``_kernels.slab_blocks``); the loop
+accepts it at its start check, so an affine box solve takes no Newton
+step.  A ladder of constants min(boundary) - slack 2^k is offered too,
+warmest first, until one verifies; a rung that the verified presolve
+lies at or above everywhere ends the ladder unchecked.  The pointwise
+max of all verified candidates is used when it verifies itself.  A
+solve has no setting of its own: a ``ProblemSpec`` is the problem (F,
+grid, boundary data, obstacle) and the run's tolerance.
 
 Solve core: perron_dirichlet and solve_obstacle are one solve (_solve)
 that differs only in its caps: +inf, or the obstacle g.  One set-up, one
@@ -30,10 +36,10 @@ returned solution.  The certificate reads the residuals of that solution
 which the solve computed: the scheme residual of the loop's last
 acceptance check, and the centred residual of the start's admissibility
 check (a solve that took no step), of the box check, or evaluated once
-after a line solve's steps.  Recomputing them from the solution
-(_residual, _interior_residual) gives the same bytes.  The Dirichlet
-certificate is the obstacle one with no contact nodes.  The grid picks
-the step of the loop, and the grid's stencil picks the scheme residual.
+after a line solve's steps.  Recomputing them from the solution gives
+the same bytes.  The Dirichlet certificate is the obstacle one with no
+contact nodes.  The grid picks the step of the loop, and the grid's
+stencil picks the scheme residual.
 On line (radial / 1-D) grids each step is one Howard policy step with
 the subequation tree read at the stencil's radial jet views ("numpy"):
 the contact set and the active branches are frozen, and
@@ -144,10 +150,13 @@ def _interior_residual(F, u: GridFunction, ids=None):
 
 
 def _try_presolve(F, M, bvals):
-    """Direct tridiagonal solve for linear line members; None when inapplicable.
+    """Direct solve of an affine member; None when F is not affine on M.
 
-    The rows are the inner boundary row, the rows of d2 + w du = f(u) at
-    the interior nodes and the outer boundary row.  The forward
+    F is affine when f is linear or constant and F is the Laplacian, or
+    on line grids the infinity-Laplacian, or in 1-D any eigenvalue
+    member (each is u'' >= f there).  On line grids the rows are the
+    inner boundary row, the rows of d2 + w du = f(u) at the interior nodes
+    and the outer boundary row.  The forward
     elimination of all but the last row reads only the root grid's
     stencil rows (``sub_range``) and five scalars: the root index of the
     inner node, the inner value, whether the angular weight is read, the
@@ -155,24 +164,25 @@ def _try_presolve(F, M, bvals):
     such key, extended on demand to the deepest row asked for, so the
     presolves of nested sub-ranges run one forward sweep; each runs its
     own outer row and back substitution.  The result is ``K.thomas`` on
-    the grid's own rows, byte for byte.
+    the grid's own rows, byte for byte.  On boxes (``_box_presolve``) the
+    rows are those of the Laplacian's cross stencil, solved in one
+    ``K.block_thomas`` call.
     """
-    if M.stencil is None:
+    f = getattr(F, "f", None)
+    if f is None or f.kind not in ("linear", "constant"):
         return None
-    core = F
-    f = getattr(core, "f", None)
-    linear_f = f is not None and f.kind in ("linear", "constant")
-    if isinstance(core, _Laplace) and linear_f:
+    if isinstance(F, _Laplace):
         use_angular = True
-    elif isinstance(core, _InfLaplacian) and linear_f:
-        use_angular = False
-    elif M.m == 1 and linear_f and isinstance(
-            core, (_Hessian, _Plurisub, _Sigma)):
+    elif M.stencil is not None and isinstance(F, _InfLaplacian):
+        use_angular = False  # affine along a line only
+    elif M.m == 1 and isinstance(F, (_Hessian, _Plurisub, _Sigma)):
         use_angular = False  # every eigenvalue member is u'' >= f in 1-D
     else:
         return None
-    lam = core.f.slope if core.f.kind == "linear" else 0.0
-    rhs_c = core.f.value if core.f.kind == "constant" else 0.0
+    lam = f.slope if f.kind == "linear" else 0.0
+    rhs_c = f.value if f.kind == "constant" else 0.0
+    if M.stencil is None:
+        return _box_presolve(M, bvals, lam, rhs_c)
     # the bytes of the scalars, so that -0.0 and 0.0 are two keys
     key = (M.offset, use_angular, np.array([bvals[0], lam, rhs_c], dtype=float).tobytes())
     memo = getattr(M.root, "_elimination", None)
@@ -195,6 +205,27 @@ def _try_presolve(F, M, bvals):
     cs, ds = cs[:n - 1], ds[:n - 1]
     K.eliminate(np.zeros(1), np.ones(1), np.zeros(1), bvals[-1:], cs, ds)  # the outer row
     return K.back_substitute(cs, ds)
+
+
+def _box_presolve(M, bvals, lam, rhs_c):
+    """The solution of the Laplacian's rows on the box M: at each interior
+    node x, sum_a (u(x + h_a e_a) - 2 u(x) + u(x - h_a e_a)) / h_a^2 -
+    lam u(x) = rhs_c, with the boundary neighbours on the right-hand side.
+    With lam >= 0 (f is non-decreasing) the rows are irreducibly
+    diagonally dominant with negative pivots, so every block that
+    ``K.block_thomas`` factors is nonsingular.  Boundary nodes keep bvals.
+    """
+    ids = M.interior_ids
+    inv = 1.0 / M.h ** 2
+    W = np.repeat(inv, 2)[:, None] * np.ones(ids.size)
+    offsets = [{a: s} for a in range(M.m) for s in (1, -1)]
+    diag = np.full(ids.size, -2.0 * inv.sum() - lam)
+    blocks, nodes = K.slab_blocks(M, ids, diag, W, offsets, True)
+    outside = np.where(M.interior_mask, 0.0, bvals)
+    rhs = rhs_c - (W * outside[nodes]).sum(axis=0)
+    u = bvals.copy()
+    u[ids] = K.block_thomas(*blocks, rhs.reshape(blocks.shape[1:3])).ravel()
+    return u
 
 
 def _initial_subsolution(spec: ProblemSpec, bvals, caps):
@@ -291,9 +322,10 @@ def _iterate(spec: ProblemSpec, u, caps, start):
     ``F._value``.  The start, and every step whose
     largest node change is within convergence_tol, is accepted when the
     scheme residual is within 0.45 membership_tol; each such check adds
-    one trace entry, the start's with sweep 0.  The check reads the
-    values ``_residual`` gives: on boxes the G that ``K.step_box`` keeps
-    in ``at`` for the current u.  A failed step
+    one trace entry, the start's with sweep 0.  The check reads the tree
+    at the upwind stencil views of the current u on line grids
+    (``K.residual_line_numpy``) and, on boxes, the centred G that
+    ``K.step_box`` keeps in ``at`` for the current u.  A failed step
     (FloatingPointError), STALL_STEPS steps in a row without a new minimum
     of the worst residual max |min(G, cap - u)| before a step, a step that
     changes no node and is not accepted, or MAX_STEPS steps end the solve
@@ -367,20 +399,6 @@ def _iterate(spec: ProblemSpec, u, caps, start):
     )
 
 
-def _residual(spec: ProblemSpec, u: GridFunction):
-    """Interior node ids and the scheme residual of u there: the tree at
-    the upwind stencil views on grids with a line stencil, at centred jets
-    on boxes.  The loop's acceptance check computes the same
-    values with its step's evaluator, and the certificate reads the
-    check's; recomputing them here gives the same bytes."""
-    M = spec.M
-    if M.stencil is None:
-        J, res = _interior_residual(spec.F, u)
-        return J.x, res
-    ids = M.interior_ids
-    return ids, K.residual_line_numpy(u.values, ids, M.stencil.at(ids), _ir.lower(spec.F))
-
-
 # ---------------------------------------------------------------------------
 # public solver operations
 # ---------------------------------------------------------------------------
@@ -425,9 +443,10 @@ def _certificate(spec: ProblemSpec, u, caps, res, sres, facts) -> Certificate:
     the interior nodes that the solve computed, and the facts the
     iteration reports of itself: sweeps, engine, init, trace and
     min_signed_change.  ``res`` is the centred residual
-    (``_interior_residual``) and ``sres`` the scheme residual
-    (``_residual``); recomputing them from u gives the same bytes, so the
-    certificate is a function of (spec, u, caps) and the facts.
+    (``_interior_residual``) and ``sres`` the scheme residual of the
+    loop's acceptance check; recomputing them from u gives the same
+    bytes, so the certificate is a function of (spec, u, caps) and the
+    facts.
 
     It checks F^g = F ∩ {r <= caps} at the scheme and the centred jets
     of u.  Nodes one stencil width from the contact set

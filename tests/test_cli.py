@@ -255,6 +255,35 @@ class TestRun:
         err = capsys.readouterr().err
         assert "input error" in err and named in err and "Traceback" not in err
 
+    def test_capacity_r_K_between_nodes_exit_4(self, tmp_path, capsys):
+        # r_K = 1.02 lies between the sinh grid's nodes 1.0 and 1.05: it
+        # was rounded up to 1.05 and reported as the capacity of {r <= 1.02}
+        sc = json.loads(SCENARIO_DIR.joinpath("capacity_sinh.json").read_text())
+        sc["params"]["r_K"] = 1.02
+        path = write_scenario(tmp_path, "bad.json", sc)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--no-plots"]) == 4
+        err = capsys.readouterr().err
+        assert "input error" in err and "Traceback" not in err
+        assert "r_K 1.02 is not a grid node: it lies between the nodes 1.0 and 1.05" in err
+
+    def test_box_dirichlet_with_function_data(self, tmp_path):
+        # du = 2 on the unit square with data x^2: the function spec reads
+        # the first coordinate on a box too, and the presolve is the
+        # quadratic itself, accepted with no step
+        sc = write_scenario(tmp_path, "box.json", {
+            "task": "dirichlet", "seed": 0,
+            "manifold": {"kind": "flat_box", "m": 2, "bounds": [[0.0, 1.0], [0.0, 1.0]],
+                         "h": 1 / 16},
+            "subequation": {"kind": "laplace", "f": {"kind": "constant", "value": 2.0}},
+            "params": {"boundary": {"side": {"kind": "poly", "coeffs": [0, 0, 1]}}},
+        })
+        out = tmp_path / "out"
+        assert main(["run", sc, "--out", str(out), "--no-plots"]) == 0
+        [cert] = json.loads((out / "report.json").read_text())["certificates"]
+        assert cert["passed"]
+        assert cert["params"]["init"] == "presolve"
+        assert cert["counts"]["sweeps"] == 0
+
     def test_capacity_scenario(self, tmp_path):
         sc = write_scenario(tmp_path, "c.json", {
             "task": "capacity", "seed": 0,

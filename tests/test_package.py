@@ -19,7 +19,6 @@ ALLOWED = {
     "jets.sigma_k": "test oracle of the Garding roots and their residuals",
     "manifolds.radial_hessian_eigs": "test oracle of radial batch_jets",
     "subequations.audit_PNT": "test oracle of the audit's P/N suite",
-    "solver._residual": "test oracle of the loop's acceptance residual",
     "solver.comparison_check": "acceptance criterion 5; ROADMAP item 6 decides it",
     "jets.garding_eigenvalues_batch": "perfbench hook, ROADMAP item 4",
     "manifolds.GridFunction.from_callable": "test fixture",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from subeq import _kernels as K
-from subeq import cli, solver
+from subeq import _ir, cli, solver
 from subeq.errors import ConvergenceError, InitializationError, InputError, PreconditionError
 from subeq.jets import RadialView
 from subeq.manifolds import (
@@ -884,6 +884,54 @@ class TestBoxNewton:
         assert _trace_keys_documented(cert)
 
 
+class TestBoxPresolve:
+    """The Laplacian with linear or constant f on a box is solved directly
+    from its cross-stencil rows, verified as the presolve and accepted at
+    the loop's start check: the solve takes no Newton step."""
+
+    @staticmethod
+    def _both_starts(monkeypatch, spec):
+        """The presolved solve and the Newton solve from the constant start."""
+        u, cert = perron_dirichlet(spec)
+        assert cert.passed and cert.params["engine"] == "generic"
+        assert cert.params["init"] == "presolve" and cert.counts["sweeps"] == 0
+        assert _trace_keys_documented(cert)
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_try_presolve", lambda *a: None)
+            newton, c2 = perron_dirichlet(spec)
+        assert c2.passed and c2.params["init"] == "constant" and c2.counts["sweeps"] > 0
+        assert np.abs(u.values - newton.values).max() <= 1e-12 * (1.0 + np.abs(u.values).max())
+        return u, cert
+
+    @pytest.mark.parametrize("f", [ZERO, LIN, Profile.constant(-1.0)],
+                             ids=["slope-0", "slope-1", "constant"])
+    @pytest.mark.parametrize("m, n", [(2, 16), (3, 8)], ids=["2d", "3d"])
+    def test_affine_members_take_no_step(self, monkeypatch, f, m, n):
+        M = FlatBox(m, [(0.0, 1.0)] * m, 1 / n)
+        self._both_starts(monkeypatch, ProblemSpec(laplace(f, m=m), M, {"side": _exp_cos}))
+
+    @pytest.mark.parametrize("a", [1.0, 0.8, 1.2])
+    def test_harmonic_exponential_on_the_unit_square(self, monkeypatch, a):
+        # Laplace with f = 0 on [0, 1]^2 at h = 1/32 with data e^{ax} cos(ay),
+        # within the discrete maximum principle's bound of the exact solution
+        M = FlatBox(2, [(0.0, 1.0), (0.0, 1.0)], 1 / 32)
+
+        def exact(c):
+            return np.exp(a * c[:, 0]) * np.cos(a * c[:, 1])
+
+        spec = ProblemSpec(laplace(ZERO, m=2), M, {"side": exact})
+        u, _ = self._both_starts(monkeypatch, spec)
+        bound = M.h.max() ** 2 * a**4 * np.exp(a) / 48 + 10 * spec.membership_tol()
+        assert np.abs(u.values - exact(M.coords)).max() <= bound
+
+    @pytest.mark.parametrize("F", [hessian_branch(2, ZERO, m=2), inf_laplacian(0.0, m=2),
+                                   sigma_branch(2, 2, ZERO, m=2),
+                                   laplace(Profile.table([0.0, 1.0], [0.0, 1.0]), m=2)],
+                             ids=["lambda_max", "inf_laplacian", "sigma_2", "laplace-table"])
+    def test_other_members_get_no_presolve(self, F):
+        assert solver._try_presolve(F, BOX_8, solver.boundary_values(BOX_8, {"side": _xy})) is None
+
+
 class TestObstacle:
     def setup_method(self):
         self.M = FlatBox(1, [(0.0, 1.0)], 1 / 400)
@@ -982,6 +1030,20 @@ CERT_CASES = {
 }
 
 
+def _residual(spec, u):
+    """Interior node ids and the scheme residual of the grid function u
+    there, computed afresh: the tree at the upwind stencil views on grids
+    with a line stencil, at centred jets on boxes.  The oracle of the
+    residual that the loop's acceptance check computes with its step's
+    evaluator and that the certificate reads."""
+    M = spec.M
+    if M.stencil is None:
+        J, res = solver._interior_residual(spec.F, u)
+        return J.x, res
+    ids = M.interior_ids
+    return ids, K.residual_line_numpy(u.values, ids, M.stencil.at(ids), _ir.lower(spec.F))
+
+
 def _recertify(spec, u, cert):
     """The certificate of u alone, both residuals computed afresh, with the
     iteration facts the solve reported."""
@@ -992,7 +1054,7 @@ def _recertify(spec, u, cert):
              "min_signed_change": 0.0 if cert.params["monotone_iterates"] else -1.0}
     gf = GridFunction(M, u)
     return solver._certificate(spec, u, caps, solver._interior_residual(spec.F, gf)[1],
-                               solver._residual(spec, gf)[1], facts)
+                               _residual(spec, gf)[1], facts)
 
 
 class TestCertificate:
@@ -1123,13 +1185,15 @@ class TestVerifiedStart:
 
     def test_box_check_reads_the_scheme_residual(self, monkeypatch):
         # the check reads the G that the box step keeps for the current u:
-        # at the start, and at the trial each step keeps
+        # at the start, and at the trial each step keeps; from the constant
+        # start, as the presolve would be accepted with no step
+        monkeypatch.setattr(solver, "_try_presolve", lambda *a: None)
         spec = _box_newton()
         step_box, steps = K.step_box, []
 
         def checked(u, ids, M, caps, value, jets, res, at):
             def current():
-                S = solver._residual(spec, GridFunction(M, u.copy()))[1]
+                S = _residual(spec, GridFunction(M, u.copy()))[1]
                 return at[1].tobytes() == S.tobytes()
 
             assert current()
@@ -1194,6 +1258,8 @@ class TestResidualEvaluations:
         assert n["centred"] == n["start"] + 1
 
     def test_box_solve_evaluates_nothing_after_the_loop(self, monkeypatch):
+        # from the constant start: the presolve would be accepted with no step
+        monkeypatch.setattr(solver, "_try_presolve", lambda *a: None)
         cert, n = _residual_calls(monkeypatch, _box_newton())
         assert cert.counts["sweeps"] > 0
         assert n["after_loop"] == n["line"] == 0
@@ -1201,7 +1267,9 @@ class TestResidualEvaluations:
     def test_box_loop_takes_the_start_residual(self, monkeypatch):
         # the jets and G that verified the start are the first step's: after
         # the start is chosen, the first jets and tree evaluation are inside
-        # a step
+        # a step.  From the constant start: the presolve would be accepted
+        # with no step
+        monkeypatch.setattr(solver, "_try_presolve", lambda *a: None)
         spec = _box_newton()
         events = []
         kind = type(spec.F)
@@ -1256,7 +1324,7 @@ class TestCentredResidual:
                 assert J.x.tobytes() == M.interior_ids.tobytes()
                 dense = G.value(J.x, J.r, J.p, J.A)
                 assert np.all(np.abs(res - dense) <= 1e-12 * (1.0 + np.abs(dense))), G
-                scheme = solver._residual(ProblemSpec(G, M, {}), u)[1]
+                scheme = _residual(ProblemSpec(G, M, {}), u)[1]
                 assert (scheme.tobytes() == res.tobytes()) == (G.meta.tag != "eikonal"), G
 
 
