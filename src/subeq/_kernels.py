@@ -1,24 +1,21 @@
 """Newton step kernels for the Perron iteration.
 
 The Newton (Howard) steps linearize R(u) = min(G(u), cap - u) with the
-contact set and the active branches frozen.  Every defining value reads
-``value(J)`` (a tree's ``F._value``) at a jet view J.  On line (radial /
-1-D) grids ``sweep_line_numpy`` takes the policy step at the radial views
-that ``LineStencil.view`` writes, through the grid's ``LineStencil`` rows,
-solved with ``thomas``; the weak rows, which the step cannot linearize at
-the current iterate, are linearized at their node roots, which
+contact set and the active branches frozen, from the difference
+quotients of one rule (``_quotient``, through ``_slopes`` and
+``_jet_slopes``) of ``value(J)`` (a tree's ``F._value``) at a jet view J.
+On line (radial / 1-D) grids ``sweep_line_numpy`` takes the policy step
+at the radial views that ``LineStencil.view`` writes, solved with
+``thomas``; its weak rows are linearized at the node roots that
 ``vector_node_solve`` finds for those rows only.  On boxes ``step_box``
-takes the step at the grid's ``jets.DenseView`` of the centred jets and
-at bumped dense views of it, through the cross and diagonal stencil,
-solved slab by slab with ``block_thomas``, and halves its update until
-the worst residual does not rise.  ``slab_blocks`` places box rows into
-the slab blocks, for the step and for the direct solve of an affine
-member (``solver._try_presolve``), under one size limit,
-MAX_BLOCK_FLOATS.  Both steps build their rows from the
-difference quotients of one rule (``_quotient``, through ``_slopes`` and
-``_jet_slopes``) and end in one clamped update (``_clamp_write``).
-Neither step carries state to the next, so a step is a function of the
-iterate alone.
+takes the step at the grid's ``jets.DenseView`` of the centred jets,
+solved slab by slab with ``block_thomas`` on the blocks of
+``slab_blocks`` (one size limit, MAX_BLOCK_FLOATS).  ``line_rows`` and
+``box_rows`` make the rows of partials, for the steps and for the
+presolve of an affine member (``solver._try_presolve``).  Both steps take
+the loop state ``at`` = [J, G] at the current iterate and end in one
+update rule (``_update``), which leaves ``at`` at the iterate it writes
+and halves only on boxes: a step is a function of the iterate alone.
 """
 from __future__ import annotations
 
@@ -224,30 +221,48 @@ def _jet_slopes(value, J):
     return g_r, g_p, g_A
 
 
-def _clamp_write(u, ids, v, step, cap):
-    """Write the update min(v + step, cap) of the values v = u[ids] into u.
+def line_rows(S, g_v, g_aa, g_d2, gL, gR):
+    """The tridiagonal rows (lo, di, up) on the line stencil rows S of the
+    partials g_v (node value), g_aa (aa = ang du), g_d2 (d2) and gL, gR
+    (upwind gradient through the left and the right difference), and
+    ``no_own``: the rows whose own weight, du's aside, is nil (1e-9)."""
+    g_w = g_aa * S.ang
+    own = g_v + g_d2 * S.aC + gL + gR
+    lo, up = g_w * S.wL + g_d2 * S.aL - gL, g_w * S.wR + g_d2 * S.aR - gR
+    no_own = np.abs(own) <= 1e-9 * (np.abs(lo) + np.abs(up))
+    return lo, own + g_w * S.wC, up, no_own
 
-    Returns (max |change|, min change).
+
+def _update(u, ids, step, cap, res, at, value, jets, halvings):
+    """The update rule of both steps: write min(v + t step, cap), v = u[ids]
+    before the step, and refresh ``at`` from ``jets()``, for t = 1, halved
+    at most ``halvings`` times while max |min(G, cap - u)| exceeds max
+    |res|, its value before the step.  Returns (max |change|, min change).
     """
-    new = np.minimum(v + step, cap)
+    v = u[ids]
+    worst = float(np.abs(res).max(initial=0.0))
+    for k in range(halvings + 1):
+        u[ids] = new = np.minimum(v + 0.5 ** k * step, cap)
+        J = jets()
+        at[:] = [J, value(J)]
+        if k == halvings or np.abs(np.minimum(at[1], cap - new)).max(initial=0.0) <= worst:
+            break
     ch = new - v
-    u[ids] = new
     return float(np.abs(ch).max(initial=0.0)), float(ch.min(initial=0.0))
 
 
-def sweep_line_numpy(u, order, S, caps, value, res, gtol, veps):
+def sweep_line_numpy(u, order, S, caps, value, jets, res, at, gtol, veps):
     """One Howard policy step on R(u) = min(G(u), cap - u) at the nodes ``order``.
 
     ``order`` lists the interior nodes of the line in grid order and ``S``
     holds their stencil rows; ``value(J)`` gives the defining values at a
-    radial view J, which ``S.view`` writes with the upwind gradient.  The
-    tridiagonal system has one row per interior node (the boundary values
-    enter through G).  The step freezes the policy at the current u: the
-    contact set, where cap - u < G, and the active branch of every min/max
-    of G and of the upwind gradient, read from the difference quotients of
-    ``_slopes``.  du is lagged, and aa = ang * du moves with the
-    first-difference weights.  One tridiagonal solve gives the Newton
-    update, clamped at cap.
+    radial view J, and the rows read the view that ``S.view`` writes with
+    the upwind gradient.  The tridiagonal system has one row per interior
+    node (the boundary values enter through G).  The step freezes the
+    policy at the current u: the contact set, where cap - u < G, and the
+    active branch of every min/max of G and of the upwind gradient, read
+    from the difference quotients of ``_slopes``.  du is lagged, and aa =
+    ang * du moves with the first-difference weights.
 
     A weak row, whose active branch does not move with the node value (no
     weight through v, d2 or the upwind gradient, as where the angular
@@ -258,30 +273,26 @@ def sweep_line_numpy(u, order, S, caps, value, res, gtol, veps):
     frozen, from the bracket width 1e-3 (1 + |v|) of each row; the roots
     are not written to u.  A row that has no such weight there either is
     left out of the step.  A step without a weak row runs no node solve.
-    The step keeps no state: it is a function of u alone.
 
-    ``res`` receives R before the step.  Ends in ``_clamp_write``: returns
-    (max |change|, min change); raises FloatingPointError at a zero or
-    non-finite pivot.
+    ``at`` holds [the scheme's jet view, G] at the current u, which
+    ``jets()`` writes; ``res`` receives R before the step.  Ends in
+    ``_update``, with no halving: returns (max |change|, min change);
+    raises FloatingPointError at a zero or non-finite pivot, u unchanged.
     """
-    v = u[order]
+    v, cap = u[order], caps[order]
     uL, uR = u[order - 1], u[order + 1]
-    cap = caps[order]
 
-    def linearize(o, x, uL, uR, S):  # the view and rows of the nodes o at the values x
+    def linearize(o, x, uL, uR, S):  # the upwind view and rows of the nodes o at the values x
         J = S.view(o, uL, x, uR, upwind=True)
         g_v, g_aa, g_d2, g_gdn = _slopes(value, J)
         pL, pR = (x - uL) / S.hL, (x - uR) / S.hR
         left = (pL >= pR) & (pL >= 0.0)
         gL = np.where(left, g_gdn / S.hL, 0.0)
         gR = np.where(~left & (pR >= 0.0), g_gdn / S.hR, 0.0)
-        g_w = g_aa * S.ang
-        own = g_v + g_d2 * S.aC + gL + gR
-        lo, up = g_w * S.wL + g_d2 * S.aL - gL, g_w * S.wR + g_d2 * S.aR - gR
-        no_own = np.abs(own) <= 1e-9 * (np.abs(lo) + np.abs(up))
-        return J, value(J), lo, own + g_w * S.wC, up, no_own
+        return (J, *line_rows(S, g_v, g_aa, g_d2, gL, gR))
 
-    J, G, row_lo, row_di, row_up, weak = linearize(order, v, uL, uR, S)
+    J, row_lo, row_di, row_up, weak = linearize(order, v, uL, uR, S)
+    G = at[1]
     np.minimum(G, cap - v, out=res)
     if weak.any():
         w = np.flatnonzero(weak)
@@ -292,8 +303,9 @@ def sweep_line_numpy(u, order, S, caps, value, res, gtol, veps):
             return value(RadialView(o, y, Jw.du, Jw.aa, b0 + s.aC * y, s.upwind(y, l, r), s.m))
 
         roots = vector_node_solve(node_G, x, cap[w], 1e-3 * (1.0 + np.abs(x)), gtol, veps)
-        _, G_r, row_lo[w], row_di[w], row_up[w], weak[w] = linearize(o, roots, l, r, s)
-        G[w] = G_r + row_di[w] * (x - roots)  # that row's value at v
+        Jr, row_lo[w], row_di[w], row_up[w], weak[w] = linearize(o, roots, l, r, s)
+        G = G.copy()
+        G[w] = value(Jr) + row_di[w] * (x - roots)  # that row's value at v
     solved = cap - v >= G
     stepped = solved & ~weak
     di = np.where(stepped, row_di, 1.0)
@@ -304,13 +316,7 @@ def sweep_line_numpy(u, order, S, caps, value, res, gtol, veps):
         raise FloatingPointError("zero pivot") from None
     if not np.all(np.isfinite(step)) or not np.all(np.isfinite(di)):
         raise FloatingPointError("non-finite pivot or step")
-    return _clamp_write(u, order, v, step, cap)
-
-
-def residual_line_numpy(u, order, S, value):
-    """The scheme residual: ``value`` at the upwind view ``S.view`` of the
-    current u at every node of ``order`` (stencil rows S)."""
-    return value(S.view(order, u[order - 1], u[order], u[order + 1], upwind=True))
+    return _update(u, order, step, cap, res, at, value, jets, 0)
 
 
 # Largest number of floats the lo, di and up slab blocks of one box system
@@ -358,47 +364,54 @@ def slab_blocks(M, ids, diag, W, offsets, take):
     return blocks, nodes
 
 
+def box_rows(M, g_r, g_p, g_A):
+    """The rows on the box M of the partials g_r, g_p and g_A: the node's
+    own weight and the weights ``W[j]`` of its neighbours at
+    ``offsets[j]`` (``slab_blocks``), the cross stencil for p and the
+    diagonal of A, the four diagonal neighbours +-g_A[:, a, b] /
+    (4 h_a h_b) for a mixed entry that is not 0 at every node.  Returns
+    (own, W, offsets)."""
+    h, m = M.h, M.m
+    own = g_r - 2.0 * sum(g_A[:, a, a] / h[a] ** 2 for a in range(m))
+    nbrs = [(g_A[:, a, a] / h[a] ** 2 + s * g_p[:, a] / (2 * h[a]), {a: s})
+            for a in range(m) for s in (1, -1)]
+    nbrs += [(sa * sb * g_A[:, a, b] / (4 * h[a] * h[b]), {a: sa, b: sb})
+             for a in range(m) for b in range(a + 1, m) if g_A[:, a, b].any()
+             for sa in (1, -1) for sb in (1, -1)]
+    return own, np.array([w for w, _ in nbrs]), [e for _, e in nbrs]
+
+
 def step_box(u, ids, M, caps, value, jets, res, at):
     """One Howard / Newton step on R(u) = min(G(u), cap - u) at the interior
     nodes ``ids`` of the box ``M``.
 
     ``value(J)`` gives the defining values at a jet view and ``jets()``
-    the centred jet view of the current u at ``ids``.  The rows chain the
-    quotients of ``_jet_slopes`` through the stencil weights: the cross for p and
-    the diagonal of A, the four diagonal neighbours +-g_A[:, a, b] /
-    (4 h_a h_b) for a mixed entry.  A contact row, where cap - u < G, reads
+    the centred jet view of the current u at ``ids``.  The rows are
+    ``box_rows`` of the quotients of ``_jet_slopes``.  A contact row, where cap - u < G, reads
     delta = cap - u, as in ``sweep_line_numpy``.  Only the pivot of a row
     is checked: a row whose pivot is not negative (to roundoff), as at a
     triple tie of the eigenvalues under a middle branch, is left out of the
     step (delta = 0), as a weak line row is.  ``slab_blocks`` places the
-    rows into the slab blocks that ``block_thomas`` solves.  The
-    update is halved until max |R| is at most its value before the step,
-    at most HALVINGS times; the last trial is kept.  A step at the
+    rows into the slab blocks that ``block_thomas`` solves.  The update
+    (``_update``) is halved at most HALVINGS times, until max |R| is at
+    most its value before the step; the last trial is kept.  A step at the
     roundoff floor, whose update leaves max |R| where it was, so keeps its
     first trial.
 
     ``at`` holds [jet view, G] at the current u, filled by the caller
     before the first step and by each step at the trial it keeps; ``res``
-    receives R before the step.  Ends in ``_clamp_write``:
-    returns (max |change|, min change).  Raises FloatingPointError naming
-    a singular block or a non-finite step, with u unchanged, and
-    (``slab_blocks``) InputError when the blocks exceed MAX_BLOCK_FLOATS.
+    receives R before the step.  Returns (max |change|, min change).
+    Raises FloatingPointError naming a singular block or a non-finite
+    step, with u unchanged, and (``slab_blocks``) InputError when the
+    blocks exceed MAX_BLOCK_FLOATS.
     """
     J, G = at
     v, cap = u[ids], caps[ids]
     np.minimum(G, cap - v, out=res)
-    g_r, g_p, g_A = _jet_slopes(value, J)
-    h, m = M.h, M.m
-    own = g_r - 2.0 * sum(g_A[:, a, a] / h[a] ** 2 for a in range(m))
-    # (weight, offset along each axis) of every neighbour
-    nbrs = [(g_A[:, a, a] / h[a] ** 2 + s * g_p[:, a] / (2 * h[a]), {a: s})
-            for a in range(m) for s in (1, -1)]
-    nbrs += [(sa * sb * g_A[:, a, b] / (4 * h[a] * h[b]), {a: sa, b: sb})
-             for a in range(m) for b in range(a + 1, m) for sa in (1, -1) for sb in (1, -1)]
-    W = np.array([w for w, _ in nbrs])
+    own, W, offsets = box_rows(M, *_jet_slopes(value, J))
     solved = cap - v >= G  # not a contact row
     newton = solved & (own < -1e-9 * (np.abs(own) + np.abs(W).sum(axis=0)))
-    blocks, _ = slab_blocks(M, ids, np.where(newton, own, 1.0), W, [e for _, e in nbrs], newton)
+    blocks, _ = slab_blocks(M, ids, np.where(newton, own, 1.0), W, offsets, newton)
     rhs = np.where(newton, -G, np.where(solved, 0.0, cap - v)).reshape(blocks.shape[1:3])
     try:
         step = block_thomas(*blocks, rhs).ravel()
@@ -406,12 +419,4 @@ def step_box(u, ids, M, caps, value, jets, res, at):
         raise FloatingPointError("singular block") from None
     if not np.all(np.isfinite(step)):
         raise FloatingPointError("non-finite step")
-    worst = float(np.abs(res).max(initial=0.0))
-    for t in 0.5 ** np.arange(HALVINGS + 1):
-        trial = np.minimum(v + t * step, cap)
-        u[ids] = trial
-        J = jets()
-        at[:] = [J, value(J)]
-        if np.abs(np.minimum(at[1], cap - trial)).max(initial=0.0) <= worst:
-            break
-    return _clamp_write(u, ids, v, t * step, cap)
+    return _update(u, ids, step, cap, res, at, value, jets, HALVINGS)

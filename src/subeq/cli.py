@@ -239,11 +239,18 @@ def _boundary_from(spec):
     return out
 
 
+def _node_columns(M):
+    """The CSV columns that place each node of M: ``coord`` on a grid with
+    one coordinate, ``x0`` ... ``x{m-1}`` on a box with m >= 2."""
+    c = M.coords
+    return {"coord": c[:, 0]} if c.shape[1] == 1 else {f"x{a}": x for a, x in enumerate(c.T)}
+
+
 def _task_dirichlet(sc, M, F, params, policy):
     spec = ProblemSpec(F, M, _boundary_from(params["boundary"]), policy=policy)
     u, cert = perron_dirichlet(spec)
     payload = {"task": "dirichlet", "passed": cert.passed}
-    arrays = {"u": {"coord": M.coords[:, 0], "u": u.values}}
+    arrays = {"u": {**_node_columns(M), "u": u.values}}
     if "oracle" in params:
         ref = parse_fn(params["oracle"])(M.coords[:, 0])
         err = float(np.abs(u.values - ref).max())
@@ -260,7 +267,7 @@ def _task_obstacle(sc, M, F, params, policy):
                        obstacle=GridFunction(M, g), policy=policy)
     u, cert = solve_obstacle(spec)
     payload = {"task": "obstacle", "passed": cert.passed}
-    arrays = {"u": {"coord": M.coords[:, 0], "u": u.values, "g": g}}
+    arrays = {"u": {**_node_columns(M), "u": u.values, "g": g}}
     plot = [{"name": "solution", "series": [("u", M.coords[:, 0], u.values),
                                             ("g", M.coords[:, 0], g)],
              "title": "Obstacle problem", "xlabel": "x", "ylabel": "u"}]

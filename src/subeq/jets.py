@@ -115,29 +115,16 @@ def _helmert(j: int) -> np.ndarray:
 _COMPRESS = {j: _helmert(j) for j in range(2, MAX_DIM + 1)}
 
 
-def _garding_from_eigs_batch(lam: np.ndarray, k: int) -> np.ndarray:
-    """Branch eigenvalues for a batch of eigenvalue lists: (n, m) -> (n, k).
+def _garding_level(levels: dict, k: int) -> np.ndarray:
+    """Level k of the chain whose top level m = max(levels) is sorted:
+    the branch eigenvalues, (n, k) ascending, of the spectra in level m.
 
     Level j-1 holds the zeros of sum_i 1/(t - mu_i) over the j values mu of
     level j: the eigenvalues of Q_j^T diag(mu) Q_j (Cauchy interlacing and
-    the secular equation), one ``eigvalsh`` of the compression per level.
-    Symmetric eigenvalues are backward stable, so repeated roots come out
-    repeated to roundoff.  Every level keeps the mean, which is level 1.
-    Levels 1 and 2 need no chain: the roots of the (m-2)-th
-    derivative of prod (t - mu_i) are mean +- sqrt(sum (mu_i - mean)^2 /
-    (m (m-1))) over the spectrum mu, so level 2 is read from level m.
-    """
-    mu = np.sort(np.asarray(lam, dtype=float), axis=1)
-    return _garding_level({mu.shape[1]: mu}, k)
-
-
-def _garding_level(levels: dict, k: int) -> np.ndarray:
-    """Level k of the chain whose top level m = max(levels) is sorted.
-
-    Level 2 comes in closed form from level m; a level k >= 3 continues
-    the chain from the deepest stored level above k.  Every level computed
-    is stored in ``levels``, read-only; level 1, the mean of level m, is
-    not stored.
+    the secular equation).  Level 2 comes in closed form from level m; a
+    level k >= 3 continues the chain from the deepest stored level above
+    k.  Every level computed is stored in ``levels``, read-only; level 1,
+    the mean of level m, is not stored.
     """
     m = max(levels)
     if not (1 <= k <= m):
@@ -158,11 +145,6 @@ def _garding_level(levels: dict, k: int) -> np.ndarray:
                 levels[j - 1] = np.linalg.eigvalsh(np.einsum("ia,ni,ib->nab", Q, levels[j], Q))
                 levels[j - 1].flags.writeable = False
     return levels[k]
-
-
-def garding_eigenvalues_batch(A: np.ndarray, k: int) -> np.ndarray:
-    """Branch eigenvalues for a (n, m, m) stack -> (n, k), ascending."""
-    return _garding_from_eigs_batch(eigenvalues_sym_batch(A), k)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ min(G, g - u) = 0.  Every defining value, the Newton steps' included,
 reads ``F._value(J)`` at a jet view J: a ``jets.RadialView`` on line
 grids, never re-decomposed densely, and a ``jets.DenseView`` on boxes.
 On line grids the grid's one ``LineStencil`` writes every jet view
-(``LineStencil.view``) and gives the policy-step and presolve rows.
+(``LineStencil.view``), and ``_kernels.line_rows`` gives the policy-step
+and presolve rows; on boxes ``_kernels.box_rows`` gives both.
 
 Initialization: for affine members (laplace with linear or constant f
 on every grid; on line grids also the infinity-Laplacian, and in 1-D
@@ -19,8 +20,8 @@ demand: the presolves of nested sub-ranges (the capacitors of
 ``inf_capacity``, the stage solves of ``build_potential``) run one
 forward sweep, and each its own outer row and back substitution, with
 the bytes of a fresh ``thomas``.  On boxes the presolve solves the
-Laplacian's cross-stencil rows in one ``block_thomas`` call, with the
-slab blocks the box step assembles (``_kernels.slab_blocks``); the loop
+Laplacian's rows in one ``block_thomas`` call, with the slab blocks the
+box step assembles (``_kernels.slab_blocks``); the loop
 accepts it at its start check, so an affine box solve takes no Newton
 step.  A ladder of constants min(boundary) - slack 2^k is offered too,
 warmest first, until one verifies; a rung that the verified presolve
@@ -32,14 +33,14 @@ grid, boundary data, obstacle) and the run's tolerance.
 Solve core: perron_dirichlet and solve_obstacle are one solve (_solve)
 that differs only in its caps: +inf, or the obstacle g.  One set-up, one
 iteration loop (_iterate) and one certificate (_certificate) of the
-returned solution.  The certificate reads the residuals of that solution
-which the solve computed: the scheme residual of the loop's last
-acceptance check, and the centred residual of the start's admissibility
-check (a solve that took no step), of the box check, or evaluated once
-after a line solve's steps.  Recomputing them from the solution gives
-the same bytes.  The Dirichlet certificate is the obstacle one with no
-contact nodes.  The grid picks the step of the loop, and the grid's
-stencil picks the scheme residual.
+returned solution.  The loop's state is the scheme's jet view of the
+iterate and its G; the view is the centred one that verified the start,
+except on a line grid whose member reads the upwind gradient.  The
+certificate reads the residuals that the solve computed: the scheme one
+of the loop's last check, which is also the centred one where the view
+is centred, else the start's (no step) or one evaluated after the
+steps.  Recomputing them from the solution gives the same bytes.  The
+Dirichlet certificate is the obstacle one with no contact nodes.
 On line (radial / 1-D) grids each step is one Howard policy step with
 the subequation tree read at the stencil's radial jet views ("numpy"):
 the contact set and the active branches are frozen, and
@@ -48,13 +49,12 @@ profiles read, and any p that a jet-equivalence maps, is lagged).  On
 boxes each step is a Newton (Howard) step with the subequation tree
 ("generic"): rows from difference quotients of the tree at the centred
 jet view, mixed-derivative weights included, one block-tridiagonal
-solve, and the update halved until the worst residual does not rise;
-the start's jet view and residual are the first step's, so the loop
-builds no jets of its start.  The loop checks the scheme residual of the
-start and after every step whose largest node change is within
-convergence_tol -- the only ones that can be accepted -- and accepts
-within 0.45 membership_tol: a start that already meets it takes no
-step.  A failed step, a stall (STALL_STEPS steps without a new minimum
+solve, and the update halved until the worst residual does not rise.
+Every step takes the loop's state and leaves it.  The loop checks the
+scheme residual of the start and after every step whose largest node
+change is within convergence_tol -- the only ones that can be accepted --
+and accepts within 0.45 membership_tol: a start that already meets it
+takes no step.  A failed step, a stall (STALL_STEPS steps without a new minimum
 of the worst residual), a step that changes no node and is not
 accepted, or MAX_STEPS steps end the solve with ConvergenceError.  No
 state rides from one step to the next: a step is a function of u alone,
@@ -192,12 +192,9 @@ def _try_presolve(F, M, bvals):
     n = M.n_nodes
     if len(cs) < n - 1:  # extend the elimination to this grid's last interior row
         j = np.arange(M.offset + len(cs), M.offset + n - 1)
-        # rows of d2 + w du = f(u), w the angular weight (m - 1) g'/g
-        S = M.root.stencil.at(j)
-        w = (M.m - 1) * S.ang if use_angular else 0.0
-        lo = S.aL + w * S.wL
-        di = S.aC + w * S.wC - lam
-        up = S.aR + w * S.wR
+        # rows of d2 + (m - 1) aa = f(u), aa = ang du, with or without aa
+        g_aa = M.m - 1 if use_angular else 0.0
+        lo, di, up, _ = K.line_rows(M.root.stencil.at(j), -lam, g_aa, 1.0, 0.0, 0.0)
         rhs = np.full(j.size, float(rhs_c))
         if not cs:  # the inner boundary row
             lo[0], di[0], up[0], rhs[0] = 0.0, 1.0, 0.0, bvals[0]
@@ -216,10 +213,9 @@ def _box_presolve(M, bvals, lam, rhs_c):
     ``K.block_thomas`` factors is nonsingular.  Boundary nodes keep bvals.
     """
     ids = M.interior_ids
-    inv = 1.0 / M.h ** 2
-    W = np.repeat(inv, 2)[:, None] * np.ones(ids.size)
-    offsets = [{a: s} for a in range(M.m) for s in (1, -1)]
-    diag = np.full(ids.size, -2.0 * inv.sum() - lam)
+    n, m = ids.size, M.m
+    diag, W, offsets = K.box_rows(M, np.full(n, -lam), np.zeros((n, m)),
+                                  np.broadcast_to(np.eye(m), (n, m, m)))
     blocks, nodes = K.slab_blocks(M, ids, diag, W, offsets, True)
     outside = np.where(M.interior_mask, 0.0, bvals)
     rhs = rhs_c - (W * outside[nodes]).sum(axis=0)
@@ -310,29 +306,31 @@ ROOT_VALUE_TOL = 1e-15
 def _iterate(spec: ProblemSpec, u, caps, start):
     """Newton steps from the subsolution u, updated in place, to the
     discrete fixed point; returns (u, the scheme residual of the check
-    that accepted u, facts).  On boxes ``start``, the [centred jet view,
-    residual] that verified the start u, is the jets and G of the first
-    step, replaced in place by each step: the loop builds no jets of its
-    start and holds one jet batch.  Each line step writes its own upwind
-    views, so a line solve drops the start's.
+    that accepted u, the centred residual at u, facts).
+
+    The loop state ``at`` = [J, G], the scheme's jet view of the current
+    u and its defining values, is what the check reads and what every
+    step takes and refreshes (``K._update``).  The view is the centred
+    one, except on a line grid whose member reads the upwind gradient
+    (``F.reads_grad_up``), the one place that picks it.  A centred ``at``
+    starts as ``start``, the [view, residual] that verified the start u,
+    and its G is the centred residual.  An upwind one is evaluated at the
+    start; the centred residual is then ``start``'s after no step, and
+    evaluated once after steps.
 
     The grid picks the step: line grids take the policy steps of
     ``K.sweep_line_numpy`` ("numpy" engine), boxes the Newton steps of
-    ``K.step_box`` ("generic"), both with the subequation tree's
-    ``F._value``.  The start, and every step whose
-    largest node change is within convergence_tol, is accepted when the
-    scheme residual is within 0.45 membership_tol; each such check adds
-    one trace entry, the start's with sweep 0.  The check reads the tree
-    at the upwind stencil views of the current u on line grids
-    (``K.residual_line_numpy``) and, on boxes, the centred G that
-    ``K.step_box`` keeps in ``at`` for the current u.  A failed step
-    (FloatingPointError), STALL_STEPS steps in a row without a new minimum
-    of the worst residual max |min(G, cap - u)| before a step, a step that
-    changes no node and is not accepted, or MAX_STEPS steps end the solve
-    with ConvergenceError, whose message gives that worst residual before
-    the last step.  No state is carried from one step to the next besides
-    u (on boxes ``at`` is a function of u), so a step that changes no node
-    would be repeated by every later step; the solve ends right after its
+    ``K.step_box`` ("generic"), both with ``_ir.lower(F)``.  The start,
+    and every step whose largest node change is within convergence_tol,
+    is accepted when the scheme residual is within 0.45 membership_tol;
+    each such check adds one trace entry, the start's with sweep 0.  A
+    failed step (FloatingPointError), STALL_STEPS steps in a row without a
+    new minimum of the worst residual max |min(G, cap - u)| before a step,
+    a step that changes no node and is not accepted, or MAX_STEPS steps
+    end the solve with ConvergenceError, whose message gives that worst
+    residual before the last step.  No state is carried from one step to the next besides
+    u (``at`` is a function of u), so a step that changes no node would be
+    repeated by every later step; the solve ends right after its
     acceptance check.
     """
     M, F = spec.M, spec.F
@@ -340,40 +338,42 @@ def _iterate(spec: ProblemSpec, u, caps, start):
     band = 0.45 * spec.membership_tol()
     ids = M.interior_ids
     res = np.empty(ids.size)
+    value = _ir.lower(F)
     if M.stencil is None:
-        engine, at = "generic", start  # jets and G at the current u
-        gf = GridFunction(M, u)  # shares the array; jets follow in-place updates
+        engine, upwind, gf = "generic", False, GridFunction(M, u)  # jets follow u in place
+
+        def jets():
+            return batch_jets(gf, ids)[1]
 
         def step():
-            return K.step_box(u, ids, M, caps, F._value, lambda: batch_jets(gf, ids)[1],
-                              res, at)
-
-        def scheme():
-            return at[1]
+            return K.step_box(u, ids, M, caps, value, jets, res, at)
     else:
-        engine, value, S = "numpy", _ir.lower(F), M.stencil.at(ids)
+        engine, upwind, S = "numpy", F.reads_grad_up, M.stencil.at(ids)
         gtol, veps = min(band, 1e-9), ROOT_VALUE_TOL
-        start[0] = None  # each line step writes its own views
+
+        def jets():
+            return S.view(ids, u[ids - 1], u[ids], u[ids + 1], upwind=upwind)
 
         def step():
-            return K.sweep_line_numpy(u, ids, S, caps, value, res, gtol, veps)
-
-        def scheme():
-            return K.residual_line_numpy(u, ids, S, value)
+            return K.sweep_line_numpy(u, ids, S, caps, value, jets, res, at, gtol, veps)
+    J = jets() if upwind else None  # a centred loop starts from the start's view and G
+    at = [J, value(J)] if upwind else start
 
     free_band = 10 * conv_tol
     trace, min_signed = [], 0.0
     steps, best, since, max_ch = 0, np.inf, 0, 0.0
     while True:
         if max_ch <= conv_tol:  # the start, and every step that can be accepted
-            r = scheme()
+            r = at[1]
             free = u[ids] < caps[ids] - free_band
             worst = max(float(np.abs(r[free]).max(initial=0.0)),
                         float(np.maximum(-r[~free], 0.0).max(initial=0.0)))
             trace.append({"sweep": steps, "max_change": max_ch, "residual": worst})
             if worst <= band:
-                return u, r, {"sweeps": steps, "engine": engine, "trace": trace,
-                              "min_signed_change": min_signed}
+                centred = r if not upwind else (
+                    _interior_residual(F, GridFunction(M, u))[1] if steps else start[1])
+                return u, r, centred, {"sweeps": steps, "engine": engine, "trace": trace,
+                                       "min_signed_change": min_signed}
             if steps and max_ch == 0.0:
                 why = "a step changed no node"
                 break
@@ -427,13 +427,7 @@ def _solve(spec: ProblemSpec, caps):
     if np.any(bvals[bd] > caps[bd] + 1e-12):
         raise PreconditionError("boundary data must satisfy phi <= g on the boundary")
     u0, init_label, start = _initial_subsolution(spec, bvals, caps)
-    u, sres, facts = _iterate(spec, u0.copy(), caps, start)
-    if M.stencil is None:  # the box check's G is the centred residual
-        res = sres
-    elif facts["sweeps"]:
-        res = _interior_residual(spec.F, GridFunction(M, u))[1]
-    else:  # no step: u is the start that the admissibility check verified
-        res = start[1]
+    u, sres, res, facts = _iterate(spec, u0.copy(), caps, start)
     cert = _certificate(spec, u, caps, res, sres, {**facts, "init": init_label})
     return GridFunction(M, u), cert
 

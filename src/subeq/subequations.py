@@ -85,9 +85,12 @@ def _by_fiber(J, moving, at_rest):
 
 class Subequation:
     """Base class; concrete members implement `_value(J)` and `dual`, and
-    keep their per-node data, read at ``J.x``, in ``rows`` (else None)."""
+    keep their per-node data, read at ``J.x``, in ``rows`` (else None).
+    ``reads_grad_up`` tells whether `_value` reads the jet view's
+    ``grad_up``, which the scheme of a line grid takes upwind."""
 
     rows = None
+    reads_grad_up = False
 
     def __init__(self, m: int, meta: SubeqMeta):
         if not (1 <= m <= MAX_DIM):
@@ -120,6 +123,8 @@ class Subequation:
 class _Eikonal(Subequation):
     """E_xi = closure{|p| < xi(r)}; with per-node rows eta >= 0 the
     collar-relaxed E_xi^eta = closure{|p| < xi(r) + eta(x)}."""
+
+    reads_grad_up = True
 
     def __init__(self, m, xi: Profile, eta_vals=None):
         tag = "eikonal" if eta_vals is None else "eikonal_relaxed"
@@ -302,6 +307,7 @@ class _MinMax(Subequation):
             f=next((q.meta.f for q in parts if q.meta.f is not None), None)))
         self.parts = tuple(parts)
         self.union = union
+        self.reads_grad_up = any(q.reads_grad_up for q in parts)
         self.reduce = np.maximum.reduce if union else np.minimum.reduce
 
     def _value(self, J):

@@ -284,6 +284,25 @@ class TestRun:
         assert cert["params"]["init"] == "presolve"
         assert cert["counts"]["sweeps"] == 0
 
+    def test_box_csv_places_every_node(self, tmp_path):
+        # on a 2-D box u.csv has one coordinate column per axis: its 25
+        # rows are 25 distinct nodes, where u is the solution x0^2
+        sc = write_scenario(tmp_path, "box.json", {
+            "task": "dirichlet", "seed": 0,
+            "manifold": {"kind": "flat_box", "m": 2, "bounds": [[0.0, 1.0], [0.0, 1.0]],
+                         "h": 1 / 4},
+            "subequation": {"kind": "laplace", "f": {"kind": "constant", "value": 2.0}},
+            "params": {"boundary": {"side": {"kind": "poly", "coeffs": [0, 0, 1]}}},
+        })
+        out = tmp_path / "out"
+        assert main(["run", sc, "--out", str(out), "--no-plots"]) == 0
+        lines = (out / "u.csv").read_text().splitlines()
+        assert lines[0] == "x0,x1,u"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert rows.shape == (25, 3)
+        assert len({(x0, x1) for x0, x1, _ in rows}) == 25
+        assert np.abs(rows[:, 2] - rows[:, 0] ** 2).max() <= 1e-12
+
     def test_capacity_scenario(self, tmp_path):
         sc = write_scenario(tmp_path, "c.json", {
             "task": "capacity", "seed": 0,

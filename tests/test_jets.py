@@ -19,13 +19,18 @@ from subeq.errors import InputError
 from subeq.jets import (
     DenseView,
     eigenvalues_sym_batch,
-    garding_eigenvalues_batch,
     sigma_k,
-    _garding_from_eigs_batch,
+    _garding_level,
 )
 
 
 eigvalsh_plain = np.linalg.eigvalsh
+
+
+def garding(A, k):
+    """Level k of the Garding chain of the (n, m, m) stack A, read from a
+    fresh view of it, as every task reads it."""
+    return DenseView(None, None, None, A).garding(k)
 
 
 def rand_sym(rng, m, n=None):
@@ -95,14 +100,14 @@ class TestSigmaK:
 class TestGarding:
     def test_k1_is_mean(self):
         # sigma_1(lambda + t) = 6 + 3t: single root at -2
-        mu = garding_eigenvalues_batch(np.diag([1.0, 2.0, 3.0])[None], 1)[0]
+        mu = garding(np.diag([1.0, 2.0, 3.0])[None], 1)[0]
         assert np.allclose(mu, [2.0])
 
     def test_k2_quadratic_oracle(self):
         # 3t^2 + 12t + 11 = 0 solved exactly
         roots = np.roots([3.0, 12.0, 11.0])
         expect = np.sort(-roots)
-        mu = garding_eigenvalues_batch(np.diag([1.0, 2.0, 3.0])[None], 2)[0]
+        mu = garding(np.diag([1.0, 2.0, 3.0])[None], 2)[0]
         assert np.abs(mu - expect).max() < 1e-12
         assert np.allclose(mu, [2 - 1 / np.sqrt(3), 2 + 1 / np.sqrt(3)])
 
@@ -110,7 +115,7 @@ class TestGarding:
         rng = np.random.default_rng(1)
         for m in (2, 3, 5):
             A = rand_sym(rng, m)[None]
-            assert np.abs(garding_eigenvalues_batch(A, m) - eigenvalues_sym_batch(A)).max() < 1e-9
+            assert np.abs(garding(A, m) - eigenvalues_sym_batch(A)).max() < 1e-9
 
     def test_polyroot_oracle_random(self):
         # oracle: numpy.roots on the coefficients of sigma_k(lambda + t)
@@ -125,7 +130,7 @@ class TestGarding:
                     coeffs[j] = s * comb(m - (k - j), j)
                 roots = np.sort(np.real(np.roots(coeffs[::-1])))
                 expect = -roots[::-1]
-                mu = garding_eigenvalues_batch(np.diag(lam)[None], k)[0]
+                mu = garding(np.diag(lam)[None], k)[0]
                 assert np.abs(mu - expect).max() < 1e-8 * (1 + np.abs(lam).max() ** k)
 
     def test_duality_identity(self):
@@ -134,8 +139,8 @@ class TestGarding:
         for m in range(2, 7):
             A = rand_sym(rng, m, 200)
             for k in range(1, m + 1):
-                mu = garding_eigenvalues_batch(A, k)
-                mun = garding_eigenvalues_batch(-A, k)
+                mu = garding(A, k)
+                mun = garding(-A, k)
                 assert np.abs(mun + mu[:, ::-1]).max() <= 1e-9
 
     def test_psd_monotonicity(self):
@@ -145,19 +150,19 @@ class TestGarding:
             B = rng.standard_normal((200, m, m))
             P = np.einsum("nik,njk->nij", B, B) / m
             for k in range(1, m + 1):
-                mu = garding_eigenvalues_batch(A, k)
-                mup = garding_eigenvalues_batch(A + P, k)
+                mu = garding(A, k)
+                mup = garding(A + P, k)
                 assert np.all(mup >= mu - 1e-9)
 
     def test_shift_equivariance_and_permutation(self):
         rng = np.random.default_rng(6)
         lam = rng.standard_normal(5)
         for k in (1, 3, 5):
-            mu = _garding_from_eigs_batch(lam[None], k)[0]
-            mu_s = _garding_from_eigs_batch((lam + 0.7)[None], k)[0]
+            mu = garding(np.diag(lam)[None], k)[0]
+            mu_s = garding(np.diag(lam + 0.7)[None], k)[0]
             assert np.abs(mu_s - (mu + 0.7)).max() < 1e-9
             perm = rng.permutation(5)
-            mu_p = _garding_from_eigs_batch(lam[perm][None], k)[0]
+            mu_p = garding(np.diag(lam[perm])[None], k)[0]
             assert np.abs(mu_p - mu).max() < 1e-9
 
     def test_repeated_eigenvalue_branches(self):
@@ -167,17 +172,17 @@ class TestGarding:
         A = np.diag([d2, aa, aa])[None]
         expect = {1: [(2 * aa + d2) / 3], 2: [aa, (aa + 2 * d2) / 3], 3: [aa, aa, d2]}
         for k, mu in expect.items():
-            assert np.abs(garding_eigenvalues_batch(A, k)[0] - mu).max() < 1e-12, k
+            assert np.abs(garding(A, k)[0] - mu).max() < 1e-12, k
 
     def test_two_roots_in_one_gap(self):
         # sigma_2((0, 0, 1, 1) + t) = 6t^2 + 6t + 1: both roots lie in (-1, 0)
-        mu = garding_eigenvalues_batch(np.diag([0.0, 0.0, 1.0, 1.0])[None], 2)[0]
+        mu = garding(np.diag([0.0, 0.0, 1.0, 1.0])[None], 2)[0]
         expect = [(3 - np.sqrt(3)) / 6, (3 + np.sqrt(3)) / 6]
         assert np.abs(mu - expect).max() < 1e-12
 
     def test_out_of_range(self):
         with pytest.raises(InputError):
-            garding_eigenvalues_batch(np.eye(3)[None], 4)
+            garding(np.eye(3)[None], 4)
 
 
 def compression_chain(lam, k):
@@ -229,17 +234,19 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_level_two_matches_the_chain(self, m):
-        lam = eigvalsh_plain(rand_sym(np.random.default_rng(34 + m), m, 2000))
-        mu = _garding_from_eigs_batch(lam, 2)
+        A = rand_sym(np.random.default_rng(34 + m), m, 2000)
+        lam = eigvalsh_plain(A)
+        mu = garding(A, 2)
         ref = compression_chain(lam, 2)
         assert np.all(np.abs(mu - ref) <= 1e-13 * (1 + np.abs(ref)))
         assert_sigma_residuals(lam, mu)
 
     @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
     def test_compressed_levels_match_the_chain(self, m):
-        lam = eigvalsh_plain(rand_sym(np.random.default_rng(40 + m), m, 500))
+        A = rand_sym(np.random.default_rng(40 + m), m, 500)
+        lam = eigvalsh_plain(A)
         for k in range(3, m):
-            mu = _garding_from_eigs_batch(lam, k)
+            mu = garding(A, k)
             ref = compression_chain(lam, k)
             assert np.all(np.abs(mu - ref) <= 1e-13 * (1 + np.abs(ref)))
             assert_sigma_residuals(lam, mu)
@@ -294,7 +301,7 @@ class TestDenseViewSpectrum:
             lam = eigenvalues_sym_batch(A)
             if m >= 3:  # LAPACK's spectrum, as before the 2 x 2 closed form
                 assert np.array_equal(lam, eigvalsh_plain(A))
-            expect = {k: _garding_from_eigs_batch(lam, k) for k in range(1, m + 1)}
+            expect = {k: garding(A, k) for k in range(1, m + 1)}  # a fresh view each
             decompositions.clear()
             J = self.view(A)
             for k in [*range(m, 0, -1), *range(1, m + 1)]:
@@ -325,6 +332,7 @@ class TestDenseViewSpectrum:
                 out[0, 0] = 1.0
 
     def test_garding_batch_is_one_chain(self):
+        # a fresh view's level k is the chain from the stack's spectrum
         rng = np.random.default_rng(25)
         for m in range(1, 7):
             A = rand_sym(rng, m, 40)
@@ -332,8 +340,8 @@ class TestDenseViewSpectrum:
             if m >= 3:
                 assert np.array_equal(lam, eigvalsh_plain(A))
             for k in range(1, m + 1):
-                expect = _garding_from_eigs_batch(lam, k)
-                assert np.array_equal(garding_eigenvalues_batch(A, k), expect), (m, k)
+                expect = _garding_level({m: lam}, k)
+                assert np.array_equal(garding(A, k), expect), (m, k)
 
 
 class TestDenseViewReadings:

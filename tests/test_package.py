@@ -20,7 +20,6 @@ ALLOWED = {
     "manifolds.radial_hessian_eigs": "test oracle of radial batch_jets",
     "subequations.audit_PNT": "test oracle of the audit's P/N suite",
     "solver.comparison_check": "acceptance criterion 5; ROADMAP item 6 decides it",
-    "jets.garding_eigenvalues_batch": "perfbench hook, ROADMAP item 4",
     "manifolds.GridFunction.from_callable": "test fixture",
     "properties.truncate_shift": "test fixture",
     "subequations.whole_space": "test fixture",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from subeq import _kernels as K
-from subeq import _ir, cli, solver
+from subeq import cli, solver
 from subeq.errors import ConvergenceError, InitializationError, InputError, PreconditionError
 from subeq.jets import RadialView
 from subeq.manifolds import (
@@ -118,17 +118,14 @@ class TestDirichletOracles:
             perron_dirichlet(ProblemSpec(F, M, {"side": lambda x: 5.0 * x}))
 
     def test_nan_fixed_point_not_accepted(self, monkeypatch):
-        # a line evaluator that returns NaN must end in ConvergenceError,
-        # never in a certificate
-        import subeq.solver as solver
-
-        def nan_lower(F):
-            return lambda J: np.full_like(J.r, np.nan)
-
-        monkeypatch.setattr(solver._ir, "lower", nan_lower)
+        # a defining function that returns NaN, at the start check and in
+        # the steps alike, must end in ConvergenceError, never in a
+        # certificate
+        F = laplace(LIN, m=3)
+        monkeypatch.setattr(type(F), "_value", lambda self, J: np.full_like(J.r, np.nan))
         M = RadialModel.uniform(3, "euclidean", 1.0, 2.0, 11)
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="residual=nan"):
-            perron_dirichlet(ProblemSpec(laplace(LIN, m=3), M, {"inner": 1.0, "outer": 0.0}))
+            perron_dirichlet(ProblemSpec(F, M, {"inner": 1.0, "outer": 0.0}))
 
     @pytest.mark.parametrize("n", [11, 41])
     def test_lambda_max_branches_certified(self, n):
@@ -300,14 +297,15 @@ class TestEngines:
     def test_line_step_is_a_function_of_u(self, monkeypatch):
         # no bracket widths or other state ride from one step to the next:
         # each policy step of a solve with weak rows, rerun from a copy of
-        # the u it read, writes the same bytes.  This solve stalls after 52
-        # steps, each with node solves
+        # the u it read with the loop state rebuilt from that copy, writes
+        # the same bytes.  This solve stalls after 52 steps, each with node
+        # solves
         real, node_solve, calls, node_solves = K.sweep_line_numpy, K.vector_node_solve, [], []
 
         def logged(u, *rest):
             u_in = u.copy()
             out = real(u, *rest)
-            calls.append((u_in, rest, u.copy(), rest[4].copy(), out))
+            calls.append((u_in, rest, u.copy(), rest[5].copy(), rest[6][1].copy(), out))
             return out
 
         def counted(*args):
@@ -317,14 +315,23 @@ class TestEngines:
         monkeypatch.setattr(K, "sweep_line_numpy", logged)
         monkeypatch.setattr(K, "vector_node_solve", counted)
         M = RadialModel.uniform(2, "sinh", 1.0, 6.0, 401)
+        F = dual(eikonal(XI1, m=2))
+        assert not F.reads_grad_up  # the loop state holds the centred view
         with pytest.raises(ConvergenceError, match="at step 52 "):
-            perron_dirichlet(ProblemSpec(dual(eikonal(XI1, m=2)), M,
-                                         {"inner": 0.0, "outer": -1.0}))
+            perron_dirichlet(ProblemSpec(F, M, {"inner": 0.0, "outer": -1.0}))
         assert len(calls) == len(node_solves) == 52
-        for u_in, (order, S, caps, value, res, gtol, veps), u_out, res_out, out in calls:
+        for u_in, rest, u_out, res_out, G_out, out in calls:
+            order, S, caps, value, _, res, _, gtol, veps = rest
             u, res = u_in.copy(), np.empty_like(res)
-            assert real(u, order, S, caps, value, res, gtol, veps) == out
+
+            def jets():
+                return S.view(order, u[order - 1], u[order], u[order + 1])
+
+            J = jets()
+            at = [J, value(J)]
+            assert real(u, order, S, caps, value, jets, res, at, gtol, veps) == out
             assert u.tobytes() == u_out.tobytes() and res.tobytes() == res_out.tobytes()
+            assert at[1].tobytes() == G_out.tobytes()
 
     def test_line_engine_needs_a_lowered_tree(self):
         # every tree lowers: a jet-equivalence runs the line engine
@@ -1034,14 +1041,15 @@ def _residual(spec, u):
     """Interior node ids and the scheme residual of the grid function u
     there, computed afresh: the tree at the upwind stencil views on grids
     with a line stencil, at centred jets on boxes.  The oracle of the
-    residual that the loop's acceptance check computes with its step's
-    evaluator and that the certificate reads."""
+    residual that the loop's acceptance check reads and the certificate
+    takes."""
     M = spec.M
     if M.stencil is None:
         J, res = solver._interior_residual(spec.F, u)
         return J.x, res
-    ids = M.interior_ids
-    return ids, K.residual_line_numpy(u.values, ids, M.stencil.at(ids), _ir.lower(spec.F))
+    ids, v = M.interior_ids, u.values
+    J = M.stencil.at(ids).view(ids, v[ids - 1], v[ids], v[ids + 1], upwind=True)
+    return ids, spec.F._value(J)
 
 
 def _recertify(spec, u, cert):
@@ -1208,61 +1216,83 @@ class TestVerifiedStart:
         assert len(steps) == cert.counts["sweeps"] > 0
 
 
-def _residual_calls(monkeypatch, spec):
-    """Solve spec, counting the centred (``solver._interior_residual``) and
-    line scheme (``K.residual_line_numpy``) residual evaluations.  Returns
-    the certificate and the counts: "start", the centred ones made while
-    the start is chosen, "after_loop", those made after the Newton loop,
-    and the totals "centred" and "line"."""
-    n = {"centred": 0, "line": 0}
-    centred, line = solver._interior_residual, K.residual_line_numpy
-    init, iterate = solver._initial_subsolution, solver._iterate
+def _value_calls(monkeypatch, spec):
+    """Solve spec, counting the evaluations of its defining function (the
+    member's ``_value``, the quotients of the steps included).  Returns
+    the certificate and the counts: "all"; "start", those made while the
+    start is chosen; "between", those made in the loop but in no step
+    (its start check and the checks after steps); and "after_loop",
+    those made after the last step."""
+    n = {"all": 0, "between": 0}
+    kind = type(spec.F)
+    value, init = kind._value, solver._initial_subsolution
 
-    def counted(key, f):
-        def call(*args):
-            n[key] += 1
-            return f(*args)
-        return call
+    def counted(self, J):
+        n["all"] += 1
+        return value(self, J)
 
     def marked(key, f):
         def call(*args):
+            if key == "step":  # made since the start or the last step
+                n["between"] += n["all"] - n["mark"]
             out = f(*args)
-            n[key] = n["centred"]
+            n[key] = n["mark"] = n["all"]
             return out
         return call
 
-    monkeypatch.setattr(solver, "_interior_residual", counted("centred", centred))
-    monkeypatch.setattr(K, "residual_line_numpy", counted("line", line))
+    monkeypatch.setattr(kind, "_value", counted)
     monkeypatch.setattr(solver, "_initial_subsolution", marked("start", init))
-    monkeypatch.setattr(solver, "_iterate", marked("loop", iterate))
+    for name in ("sweep_line_numpy", "step_box"):
+        monkeypatch.setattr(K, name, marked("step", getattr(K, name)))
     _, cert = perron_dirichlet(spec)
     assert cert.passed
-    n["after_loop"] = n["centred"] - n.pop("loop")
+    n["after_loop"] = n["all"] - n["mark"]
     return cert, n
 
 
+def _eikonal_union():
+    # a member whose scheme reads the upwind gradient, certified in 16 steps
+    M = RadialModel.uniform(2, "euclidean", 1.0, 2.0, 41)
+    return ProblemSpec(union(laplace(LIN, m=2), eikonal(3.0, m=2)), M,
+                       {"inner": 0.0, "outer": 1.0})
+
+
 class TestResidualEvaluations:
-    """The certificate reads the residuals the solve computed."""
+    """One evaluation per iterate: the loop's check reads the G that the
+    start's verification or the last step computed, and the certificate
+    reads the residuals the solve computed."""
 
-    def test_zero_step_solve_evaluates_each_residual_once(self, monkeypatch):
-        cert, n = _residual_calls(monkeypatch, _capacitor())
+    def test_zero_step_solve_evaluates_once(self, monkeypatch):
+        # the admissibility check of the start is the only evaluation
+        cert, n = _value_calls(monkeypatch, _capacitor())
         assert cert.counts["sweeps"] == 0
-        assert n["centred"] == n["line"] == 1
+        assert n["all"] == n["start"] == 1
 
-    def test_stepped_line_solve_adds_one_centred_evaluation(self, monkeypatch):
+    def test_stepped_line_solve_evaluates_nothing_outside_its_steps(self, monkeypatch):
         # from the constant start: the presolve would be accepted with no step
         monkeypatch.setattr(solver, "_try_presolve", lambda *a: None)
-        cert, n = _residual_calls(monkeypatch, _line_dirichlet())
+        spec = _line_dirichlet()
+        assert not spec.F.reads_grad_up
+        cert, n = _value_calls(monkeypatch, spec)
+        assert cert.counts["sweeps"] > 0 and len(cert.trace) > 1
+        assert n["between"] == n["after_loop"] == 0
+
+    def test_eikonal_line_solve_adds_one_centred_evaluation(self, monkeypatch):
+        # the scheme reads the upwind gradient: the loop evaluates its start
+        # at the upwind view once, and the centred residual of the returned
+        # u once after the loop
+        spec = _eikonal_union()
+        assert spec.F.reads_grad_up
+        cert, n = _value_calls(monkeypatch, spec)
         assert cert.counts["sweeps"] > 0
-        assert n["line"] == len(cert.trace)  # one per acceptance check
-        assert n["centred"] == n["start"] + 1
+        assert n["between"] == n["after_loop"] == 1
 
     def test_box_solve_evaluates_nothing_after_the_loop(self, monkeypatch):
         # from the constant start: the presolve would be accepted with no step
         monkeypatch.setattr(solver, "_try_presolve", lambda *a: None)
-        cert, n = _residual_calls(monkeypatch, _box_newton())
+        cert, n = _value_calls(monkeypatch, _box_newton())
         assert cert.counts["sweeps"] > 0
-        assert n["after_loop"] == n["line"] == 0
+        assert n["between"] == n["after_loop"] == 0
 
     def test_box_loop_takes_the_start_residual(self, monkeypatch):
         # the jets and G that verified the start are the first step's: after
@@ -1307,8 +1337,8 @@ class TestCentredResidual:
     """The centred residual reads the grid's jet view; the dense evaluation
     of the same jets, through ``Subequation.value``, is its oracle.  The
     scheme residual reads the same ``LineStencil.view`` with the upwind
-    gradient, so the two are one array for every member but the eikonal,
-    the one reader of ``grad_up``."""
+    gradient, so the two are one array for every member that does not
+    read ``grad_up`` (``Subequation.reads_grad_up``)."""
 
     @pytest.mark.parametrize("grid, m", [("sinh", m) for m in range(1, 6)] + [("box", 1)])
     def test_view_matches_dense_evaluation(self, grid, m):
@@ -1317,7 +1347,8 @@ class TestCentredResidual:
         else:
             M = FlatBox(1, [(0.0, 1.0)], 1 / 40)
         u = GridFunction(M, np.random.default_rng(m).standard_normal(M.n_nodes))
-        for F in cli._catalog(m):
+        lap, eik = laplace(LIN, m=m), eikonal(XI1, m=m)
+        for F in cli._catalog(m) + [intersect(lap, eik), union(lap, eik), _jetequiv(eik)]:
             for G in (F, F.dual()):
                 J, res = solver._interior_residual(G, u)
                 assert isinstance(J, RadialView)
@@ -1325,7 +1356,7 @@ class TestCentredResidual:
                 dense = G.value(J.x, J.r, J.p, J.A)
                 assert np.all(np.abs(res - dense) <= 1e-12 * (1.0 + np.abs(dense))), G
                 scheme = _residual(ProblemSpec(G, M, {}), u)[1]
-                assert (scheme.tobytes() == res.tobytes()) == (G.meta.tag != "eikonal"), G
+                assert (scheme.tobytes() == res.tobytes()) == (not G.reads_grad_up), G
 
 
 class TestVerifySubharmonic:
