@@ -1,28 +1,28 @@
 """Newton step kernels for the Perron iteration.
 
 The Newton (Howard) steps linearize R(u) = min(G(u), cap - u) with the
-contact set and the active branches frozen, from the difference
-quotients of one rule (``_quotient``, through ``_slopes`` and
-``_jet_slopes``) of ``value(J)`` (a tree's ``F._value``) at a jet view J.
-On line (radial / 1-D) grids ``sweep_line_numpy`` takes the policy step
-at the radial views that ``LineStencil.view`` writes, solved with
-``thomas``; its weak rows are linearized at the node roots that
-``vector_node_solve`` finds for those rows only.  On boxes ``step_box``
-takes the step at the grid's ``jets.DenseView`` of the centred jets,
-solved slab by slab with ``block_thomas`` on the blocks of
-``slab_blocks`` (one size limit, MAX_BLOCK_FLOATS).  ``line_rows`` and
-``box_rows`` make the rows of partials, for the steps and for the
-presolve of an affine member (``solver._try_presolve``).  Both steps take
-the loop state ``at`` = [J, G] at the current iterate and end in one
-update rule (``_update``), which leaves ``at`` at the iterate it writes
-and halves only on boxes: a step is a function of the iterate alone.
+contact set and the active branches frozen.  ``_partials`` gives the
+partials of ``value(J)`` (a tree's ``F._value``) in the entries of a jet
+view J, from one ``_quotient`` call, and ``rows`` chains partials through
+the grid's stencil table, the weight of each neighbour in each entry:
+``LineStencil.table`` on line grids, ``FlatBox.table`` on boxes.  The
+presolves of affine members (``solver._try_presolve``) pass their exact
+partials to ``rows``.  On line (radial / 1-D) grids ``sweep_line_numpy``
+takes the policy step at the radial views that ``LineStencil.view``
+writes, solved with ``thomas``; its weak rows are linearized at the node
+roots that ``vector_node_solve`` finds for those rows only.  On boxes
+``step_box`` takes the step at the centred ``jets.DenseView``, solved
+slab by slab with ``block_thomas`` on the blocks of ``slab_blocks`` (one
+size limit, MAX_BLOCK_FLOATS).  Both steps take the loop state ``at`` =
+[J, G] at the current iterate and end in one update rule (``_update``),
+which leaves ``at`` at the iterate it writes and halves only on boxes: a
+step is a function of the iterate alone.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import InputError
-from .jets import DenseView, RadialView
 
 
 def vector_node_solve(G, v0, cap, step0, gtol, veps):
@@ -172,65 +172,22 @@ def _quotient(value, x, size):
     return (value(hi) - value(lo)) / (hi - lo)
 
 
-def _slopes(value, J):
-    """Difference quotients (``_quotient``) of ``value`` in r, aa, d2 and
-    grad_up at the radial view J, du held, the line twin of ``_jet_slopes``.
-
-    At a tie of a min or max each tied branch gets part of the weight, so
-    the row keeps a pivot.
-    """
-    jet, keys = [J.x, J.r, J.du, J.aa, J.d2, J.grad_up], (1, 3, 4, 5)
-
-    def at(X):  # the four bumped entries at once, one row each
-        return np.array([value(RadialView(*jet[:k], x, *jet[k + 1:], J.m))
-                         for k, x in zip(keys, X)])
-
-    return _quotient(at, np.array([jet[k] for k in keys]), np.max(np.abs(jet[1:]), axis=0))
+def _partials(value, J):
+    """The partials of ``value`` in the entries of the jet view J
+    (``J.entries()``: r, aa, d2 and grad_up of a radial view, du held; r,
+    each p_a and each A_ab, a <= b, of a dense one), stacked (E, n), from
+    one ``_quotient`` call.  At a tie of a min or max each tied branch
+    gets part of the weight, so the row keeps a pivot."""
+    X, size = J.entries()
+    f = list(X)  # each value call bumps one entry k to Y[k]
+    return _quotient(lambda Y: np.array([value(J.with_entries(f[:k] + [y] + f[k + 1:]))
+                                         for k, y in enumerate(Y)]), X, size)
 
 
-def _jet_slopes(value, J):
-    """Difference quotients (``_quotient``) of ``value`` at bumped copies of
-    the dense jet view J in r, each p_k and each symmetric A_kl (A_kl and
-    A_lk bumped together), the tree twin of ``_slopes``.  Returns (g_r,
-    g_p, g_A) shaped like (r, p, A).
-    """
-    x, r, p, A = J.x, J.r, J.p, J.A
-    size = np.maximum(np.maximum(np.abs(r), np.abs(p).max(axis=1)), np.abs(A).max(axis=(1, 2)))
-
-    def with_p(k):
-        def at(y):
-            q = p.copy()
-            q[:, k] = y
-            return value(DenseView(x, r, q, A))
-        return at
-
-    def with_A(k, l):
-        def at(y):
-            B = A.copy()
-            B[:, k, l] = B[:, l, k] = y
-            return value(DenseView(x, r, p, B))
-        return at
-
-    g_r = _quotient(lambda y: value(DenseView(x, y, p, A)), r, size)
-    g_p = np.empty_like(p)
-    g_A = np.empty_like(A)
-    for k in range(p.shape[1]):
-        g_p[:, k] = _quotient(with_p(k), p[:, k], size)
-        for l in range(k, p.shape[1]):
-            g_A[:, k, l] = g_A[:, l, k] = _quotient(with_A(k, l), A[:, k, l], size)
-    return g_r, g_p, g_A
-
-
-def line_rows(S, g_v, g_aa, g_d2, gL, gR):
-    """The tridiagonal rows (lo, di, up) on the line stencil rows S of the
-    partials g_v (node value), g_aa (aa = ang du), g_d2 (d2) and gL, gR
-    (upwind gradient through the left and the right difference), and
-    ``no_own``: the rows whose own weight, du's aside, is nil (1e-9)."""
-    g_w = g_aa * S.ang
-    own = g_v + g_d2 * S.aC + gL + gR
-    lo, up = g_w * S.wL + g_d2 * S.aL - gL, g_w * S.wR + g_d2 * S.aR - gR
-    no_own = np.abs(own) <= 1e-9 * (np.abs(lo) + np.abs(up))
-    return lo, own + g_w * S.wC, up, no_own
+def rows(g, T):
+    """sum_e g[e] T[e]: the weights (O, n) of a row in its O stencil nodes, of the
+    partials g, (E, n) or (E,), in the grid's table T, (E, O, n) or (E, O, 1)."""
+    return np.einsum("eo...,e...->o...", T, g)
 
 
 def _update(u, ids, step, cap, res, at, value, jets, halvings):
@@ -260,9 +217,9 @@ def sweep_line_numpy(u, order, S, caps, value, jets, res, at, gtol, veps):
     the upwind gradient.  The tridiagonal system has one row per interior
     node (the boundary values enter through G).  The step freezes the
     policy at the current u: the contact set, where cap - u < G, and the
-    active branch of every min/max of G and of the upwind gradient, read
-    from the difference quotients of ``_slopes``.  du is lagged, and aa =
-    ang * du moves with the first-difference weights.
+    active branch of every min/max of G and of the upwind gradient: the
+    rows are ``rows`` of ``_partials`` at that view in ``S.table``.  du is
+    lagged, and aa = ang * du moves with the first-difference weights.
 
     A weak row, whose active branch does not move with the node value (no
     weight through v, d2 or the upwind gradient, as where the angular
@@ -279,19 +236,15 @@ def sweep_line_numpy(u, order, S, caps, value, jets, res, at, gtol, veps):
     ``_update``, with no halving: returns (max |change|, min change);
     raises FloatingPointError at a zero or non-finite pivot, u unchanged.
     """
-    v, cap = u[order], caps[order]
-    uL, uR = u[order - 1], u[order + 1]
+    v, cap, uL, uR = u[order], caps[order], u[order - 1], u[order + 1]
 
-    def linearize(o, x, uL, uR, S):  # the upwind view and rows of the nodes o at the values x
-        J = S.view(o, uL, x, uR, upwind=True)
-        g_v, g_aa, g_d2, g_gdn = _slopes(value, J)
-        pL, pR = (x - uL) / S.hL, (x - uR) / S.hR
-        left = (pL >= pR) & (pL >= 0.0)
-        gL = np.where(left, g_gdn / S.hL, 0.0)
-        gR = np.where(~left & (pR >= 0.0), g_gdn / S.hR, 0.0)
-        return (J, *line_rows(S, g_v, g_aa, g_d2, gL, gR))
+    def linearize(o, x, uL, uR, S):  # the upwind view, rows (lo, di, up) and weak rows at x
+        J, T = S.view(o, uL, x, uR, upwind=True), S.table(x, uL, uR)
+        g = _partials(value, J)
+        W = rows(g, T)
+        return J, W, np.abs(W[1] - g[1] * T[1, 1]) <= 1e-9 * (np.abs(W[0]) + np.abs(W[2]))
 
-    J, row_lo, row_di, row_up, weak = linearize(order, v, uL, uR, S)
+    J, W, weak = linearize(order, v, uL, uR, S)
     G = at[1]
     np.minimum(G, cap - v, out=res)
     if weak.any():
@@ -300,17 +253,17 @@ def sweep_line_numpy(u, order, S, caps, value, jets, res, at, gtol, veps):
         b0 = s.d2(l, 0.0, r)
 
         def node_G(y):
-            return value(RadialView(o, y, Jw.du, Jw.aa, b0 + s.aC * y, s.upwind(y, l, r), s.m))
+            return value(Jw.with_entries([y, Jw.aa, b0 + s.aC * y, s.upwind(y, l, r)]))
 
         roots = vector_node_solve(node_G, x, cap[w], 1e-3 * (1.0 + np.abs(x)), gtol, veps)
-        Jr, row_lo[w], row_di[w], row_up[w], weak[w] = linearize(o, roots, l, r, s)
+        Jr, W[:, w], weak[w] = linearize(o, roots, l, r, s)
         G = G.copy()
-        G[w] = value(Jr) + row_di[w] * (x - roots)  # that row's value at v
+        G[w] = value(Jr) + W[1, w] * (x - roots)  # that row's value at v
     solved = cap - v >= G
     stepped = solved & ~weak
-    di = np.where(stepped, row_di, 1.0)
+    di = np.where(stepped, W[1], 1.0)
     try:
-        step = thomas(np.where(stepped, row_lo, 0.0), di, np.where(stepped, row_up, 0.0),
+        step = thomas(np.where(stepped, W[0], 0.0), di, np.where(stepped, W[2], 0.0),
                       np.where(stepped, -G, np.where(solved, 0.0, cap - v)))
     except ZeroDivisionError:
         raise FloatingPointError("zero pivot") from None
@@ -328,21 +281,18 @@ MAX_BLOCK_FLOATS = 2**23
 HALVINGS = 8
 
 
-def slab_blocks(M, ids, diag, W, offsets, take):
+def slab_blocks(M, ids, W):
     """The block-tridiagonal form of a linear system with one row per
     interior node ``ids`` of the box M, in grid order: the lo, di and up
     blocks, (3, nb, k, k), over the nb slabs of k nodes with one index
     along axis 0.
 
-    Row q holds ``diag[q]`` on the diagonal and, where ``take[q]``, the
-    weight ``W[j, q]`` at the node ``ids[q] + sum_a s_a strides[a]`` of
-    each offset ``{a: s_a}`` in ``offsets``; a neighbour on the boundary
-    has no column.  The cross and diagonal neighbours couple a slab only
-    to the slabs next to it.  Returns (blocks, nodes), ``nodes[j]`` the
-    node ids of the neighbours at ``offsets[j]``, from which a caller
-    moves the boundary neighbours to its right-hand side.  Raises
-    InputError, before any block is built, when the blocks exceed
-    MAX_BLOCK_FLOATS.
+    Row q holds the weight ``W[o, q]`` at the node ``ids[q] +
+    M.shifts[o]`` (``rows`` of the box table; the last o is the node
+    itself); a neighbour on the boundary has no column, a caller moves it
+    to its right-hand side.  The cross and diagonal neighbours couple a
+    slab only to the slabs next to it.  Raises InputError, before any
+    block is built, when the blocks exceed MAX_BLOCK_FLOATS.
     """
     inner = [s - 2 for s in M.shape]
     nb, k = inner[0], ids.size // inner[0]
@@ -350,35 +300,17 @@ def slab_blocks(M, ids, diag, W, offsets, take):
         raise InputError(f"box too large for the block solve: {nb} slabs of {k} nodes need "
                          f"{3 * nb * k * k} block floats, over MAX_BLOCK_FLOATS = {MAX_BLOCK_FLOATS}")
     # row q, column c of block (t, q // k) is entry t N k + q k + c: the
-    # diagonal at t = 1, the neighbour in row nq at t = nq // k - q // k + 1
-    N, q = ids.size, np.arange(ids.size)
+    # node in row nq at t = nq // k - q // k + 1
+    N = ids.size
     blocks = np.zeros((3, nb, k, k))  # lo, di, up
-    np.put(blocks, N * k + q * k + q % k, diag)
     where = np.full(M.n_nodes, -1)  # row of each interior node
-    where[ids] = q
-    nodes = np.array([ids + sum(s * M.strides[a] for a, s in e.items()) for e in offsets])
-    nq = where[nodes]
-    o, q = np.nonzero((W != 0.0) & take & (nq >= 0))
+    where[ids] = np.arange(N)
+    live = (W != 0.0).any(axis=1)  # the stencil nodes that some row weighs
+    W, nq = W[live], where[ids + M.shifts[live, None]]
+    o, q = np.nonzero((W != 0.0) & (nq >= 0))
     nq = nq[o, q]
     np.put(blocks, (nq // k - q // k + 1) * N * k + q * k + nq % k, W[o, q])
-    return blocks, nodes
-
-
-def box_rows(M, g_r, g_p, g_A):
-    """The rows on the box M of the partials g_r, g_p and g_A: the node's
-    own weight and the weights ``W[j]`` of its neighbours at
-    ``offsets[j]`` (``slab_blocks``), the cross stencil for p and the
-    diagonal of A, the four diagonal neighbours +-g_A[:, a, b] /
-    (4 h_a h_b) for a mixed entry that is not 0 at every node.  Returns
-    (own, W, offsets)."""
-    h, m = M.h, M.m
-    own = g_r - 2.0 * sum(g_A[:, a, a] / h[a] ** 2 for a in range(m))
-    nbrs = [(g_A[:, a, a] / h[a] ** 2 + s * g_p[:, a] / (2 * h[a]), {a: s})
-            for a in range(m) for s in (1, -1)]
-    nbrs += [(sa * sb * g_A[:, a, b] / (4 * h[a] * h[b]), {a: sa, b: sb})
-             for a in range(m) for b in range(a + 1, m) if g_A[:, a, b].any()
-             for sa in (1, -1) for sb in (1, -1)]
-    return own, np.array([w for w, _ in nbrs]), [e for _, e in nbrs]
+    return blocks
 
 
 def step_box(u, ids, M, caps, value, jets, res, at):
@@ -387,12 +319,13 @@ def step_box(u, ids, M, caps, value, jets, res, at):
 
     ``value(J)`` gives the defining values at a jet view and ``jets()``
     the centred jet view of the current u at ``ids``.  The rows are
-    ``box_rows`` of the quotients of ``_jet_slopes``.  A contact row, where cap - u < G, reads
-    delta = cap - u, as in ``sweep_line_numpy``.  Only the pivot of a row
-    is checked: a row whose pivot is not negative (to roundoff), as at a
-    triple tie of the eigenvalues under a middle branch, is left out of the
-    step (delta = 0), as a weak line row is.  ``slab_blocks`` places the
-    rows into the slab blocks that ``block_thomas`` solves.  The update
+    ``rows`` of ``_partials`` in the box's ``table``.  A contact row, where
+    cap - u < G, reads delta = cap - u, as in ``sweep_line_numpy``.  Only
+    the pivot of a row is checked: a row whose pivot is not negative (to
+    roundoff), as at a triple tie of the eigenvalues under a middle branch,
+    is left out of the step (delta = 0), as a weak line row is.
+    ``slab_blocks`` places the rows into the slab blocks that
+    ``block_thomas`` solves.  The update
     (``_update``) is halved at most HALVINGS times, until max |R| is at
     most its value before the step; the last trial is kept.  A step at the
     roundoff floor, whose update leaves max |R| where it was, so keeps its
@@ -408,10 +341,11 @@ def step_box(u, ids, M, caps, value, jets, res, at):
     J, G = at
     v, cap = u[ids], caps[ids]
     np.minimum(G, cap - v, out=res)
-    own, W, offsets = box_rows(M, *_jet_slopes(value, J))
+    W = rows(_partials(value, J), M.table)
     solved = cap - v >= G  # not a contact row
-    newton = solved & (own < -1e-9 * (np.abs(own) + np.abs(W).sum(axis=0)))
-    blocks, _ = slab_blocks(M, ids, np.where(newton, own, 1.0), W, offsets, newton)
+    newton = solved & (W[-1] < -1e-9 * np.abs(W).sum(axis=0))
+    W[:, ~newton] = np.eye(len(W))[:, -1:]  # the other rows read delta alone
+    blocks = slab_blocks(M, ids, W)
     rhs = np.where(newton, -G, np.where(solved, 0.0, cap - v)).reshape(blocks.shape[1:3])
     try:
         step = block_thomas(*blocks, rhs).ravel()

@@ -222,6 +222,24 @@ class DenseView:
         x = self.x if self.x is None or np.ndim(self.x) == 0 else self.x[mask]
         return DenseView(x, self.r[mask], self.p[mask], self.A[mask])
 
+    def entries(self):
+        """The entries a Newton row weighs, stacked (E, n): r, each p_a, each
+        A_ab with a <= b (``np.triu_indices`` order); each node's largest |entry|."""
+        a, b = np.triu_indices(self.m)
+        X = np.concatenate([self.r[None], self.p.T, self.A[:, a, b].T])
+        return X, np.abs(X).max(axis=0)
+
+    def with_entries(self, X):
+        return DenseView.of_entries(self.x, X, self.m)
+
+    @staticmethod
+    def of_entries(x, X, m):
+        """The view at the nodes x whose ``entries`` are X (A_ab = A_ba)."""
+        X, (a, b) = np.asarray(X), np.triu_indices(m)
+        A = np.empty((X.shape[1], m, m))
+        A[:, a, b] = A[:, b, a] = X[1 + m:].T
+        return DenseView(x, X[0], X[1:1 + m].T.copy(), A)
+
 
 def _spectrum(a, b, m):
     """Sorted (n, m) spectrum {a} + {b} x (m - 1) of a batch."""
@@ -277,4 +295,14 @@ class RadialView:
     def take(self, mask):
         return RadialView(self.x[mask], self.r[mask], self.du[mask], self.aa[mask],
                           self.d2[mask], self.grad_up[mask], self.m)
+
+    def entries(self):
+        """The entries a Newton row weighs, stacked (4, n): r, aa, d2 and
+        grad_up (du is held: its weight rides on aa, and ``with_entries``
+        keeps it), and each node's largest |jet entry|, du's included."""
+        X = np.array([self.r, self.aa, self.d2, self.grad_up])
+        return X, np.maximum(np.abs(X).max(axis=0), np.abs(self.du))
+
+    def with_entries(self, X):
+        return RadialView(self.x, X[0], self.du, *X[1:], self.m)
 

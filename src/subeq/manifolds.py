@@ -158,6 +158,20 @@ class LineStencil:
         gu = self.upwind(uC, uL, uR) if upwind else np.abs(du)
         return RadialView(x, uC, du, aa, self.d2(uL, uC, uR), gu, self.m)
 
+    def table(self, v, uL, uR):
+        """The weights (4, 3, n) of the entries of ``view`` (r, aa, d2 and
+        grad_up, ``RadialView.entries``) in the neighbours (L, C, R), at the
+        node values v with neighbours uL and uR: grad_up weighs the active
+        branch of ``upwind``, the left one at a tie, or none."""
+        pL, pR = (v - uL) / self.hL, (v - uR) / self.hR
+        left = (pL >= pR) & (pL >= 0.0)
+        iL, iR = left / self.hL, (~left & (pR >= 0.0)) / self.hR
+        T = np.zeros((4, 3, self.hL.size))
+        T[0, 1] = 1.0
+        np.multiply(self.ang, self.rows[2:5], out=T[1])
+        T[2], T[3] = self.rows[5:8], (-iL, iL + iR, -iR)
+        return T
+
 
 # ---------------------------------------------------------------------------
 # manifolds
@@ -279,7 +293,17 @@ class PuncturedEuclidean(_RadialBase):
 
 
 class FlatBox(ModelManifold):
-    """Axis-aligned lattice in R^m with uniform spacing per axis."""
+    """Axis-aligned lattice in R^m with uniform spacing per axis.
+
+    At m >= 2 it states its cross stencil once: ``shifts``, the node-id
+    offsets of x +- h_a e_a, of x + s_a h_a e_a + s_b h_b e_b for a < b
+    and, last, of x; ``numer`` and ``scale``, each entry of a
+    ``jets.DenseView`` (``DenseView.entries``) as a small-integer sum over
+    those nodes and its scale, which ``batch_jets`` reads in the rounding
+    of p_a = (u(+a) - u(-a)) / (2 h_a), A_aa = (u(+a) + u(-a) - 2 u) / h_a^2
+    and A_ab = (u(++) + u(--) - u(+-) - u(-+)) / (4 h_a h_b); and ``table``
+    = numer / scale, (E, O, 1), the weight of each node in each entry.
+    """
 
     def __init__(self, m: int, bounds, h):
         if m < 1:
@@ -311,9 +335,30 @@ class FlatBox(ModelManifold):
         if m == 1:
             self.stencil = LineStencil.on(self.coords[:, 0], 1)
             self.root, self.offset = self, 0
+            return
+        self.shifts, self.numer, self.scale = _cross_stencil(self.h, self.strides)
+        self.table = (self.numer / self.scale[:, None])[:, :, None]
 
     def min_spacing(self) -> float:
         return float(self.h.min())
+
+
+def _cross_stencil(h, strides):
+    """``FlatBox.shifts``, ``numer`` and ``scale`` of a box's spacings h and
+    node-id strides, its nodes in the order its formulas add them."""
+    m = len(h)
+    pairs = [(c, d) for c in range(m) for d in range(c, m)]  # A's entries, a <= b
+    steps = [{c: s} for c in range(m) for s in (1, -1)]  # each node's lattice step
+    steps += [{c: s, d: t} for c, d in pairs if c < d
+              for s, t in ((1, 1), (-1, -1), (1, -1), (-1, 1))] + [{}]
+    N = [[float(not st) for st in steps]]
+    N += [[float(st.get(c, 0) * (len(st) == 1)) for st in steps] for c in range(m)]
+    N += [[(float(len(st) == 1 and c in st) if st else -2.0) if c == d
+           else float(st.get(c, 0) * st.get(d, 0)) for st in steps] for c, d in pairs]
+    S = [1.0] + [2 * h[c] for c in range(m)] + [h[c] ** 2 if c == d else 4 * h[c] * h[d]
+                                                 for c, d in pairs]
+    shifts = [sum(s * int(strides[c]) for c, s in st.items()) for st in steps]
+    return np.array(shifts), np.array(N), np.array(S)
 
 
 def _grow_mask(M: ModelManifold, mask: np.ndarray) -> np.ndarray:
@@ -390,7 +435,7 @@ def batch_jets(u: GridFunction, ids=None):
     Line grids take the centred ``LineStencil.view``, a ``RadialView``
     whose ``grad_up`` is |du|; its dense p and A are built only where a
     caller reads them, never to evaluate a defining function.  Boxes
-    take the cross stencil into a ``DenseView``.  Skips nodes flagged -inf
+    read their cross-stencil ``table`` into a ``DenseView``.  Skips nodes flagged -inf
     (USC convention).
     """
     M = u.manifold
@@ -398,22 +443,12 @@ def batch_jets(u: GridFunction, ids=None):
     if u.neg_inf_mask is not None:
         ids = ids[~u.neg_inf_mask[ids]]
     vals = u.values
-    n, m = ids.size, M.m
     if M.stencil is not None:
         return ids, M.stencil.at(ids).view(ids, vals[ids - 1], vals[ids], vals[ids + 1])
     if not isinstance(M, FlatBox):
         raise InputError(f"unsupported manifold kind {type(M).__name__}")
-    p = np.zeros((n, m))
-    A = np.zeros((n, m, m))
-    for k, sk in enumerate(M.strides):
-        p[:, k] = (vals[ids + sk] - vals[ids - sk]) / (2 * M.h[k])
-        A[:, k, k] = (vals[ids + sk] + vals[ids - sk] - 2 * vals[ids]) / M.h[k] ** 2
-        for l in range(k + 1, m):
-            sl = M.strides[l]
-            A[:, k, l] = A[:, l, k] = (vals[ids + sk + sl] + vals[ids - sk - sl]
-                                       - vals[ids + sk - sl] - vals[ids - sk + sl]
-                                       ) / (4 * M.h[k] * M.h[l])
-    return ids, DenseView(ids, vals[ids], p, A)
+    X = np.einsum("eo,on->en", M.numer, vals[ids + M.shifts[:, None]])  # numer sums, in order
+    return ids, DenseView.of_entries(ids, X / M.scale[:, None], M.m)
 
 
 # ---------------------------------------------------------------------------

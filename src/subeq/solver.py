@@ -6,8 +6,9 @@ min(G, g - u) = 0.  Every defining value, the Newton steps' included,
 reads ``F._value(J)`` at a jet view J: a ``jets.RadialView`` on line
 grids, never re-decomposed densely, and a ``jets.DenseView`` on boxes.
 On line grids the grid's one ``LineStencil`` writes every jet view
-(``LineStencil.view``), and ``_kernels.line_rows`` gives the policy-step
-and presolve rows; on boxes ``_kernels.box_rows`` gives both.
+(``LineStencil.view``).  On both grids the rows of the Newton steps and
+of the presolves are ``_kernels.rows``: partials chained through the
+grid's stencil table (``LineStencil.table``, ``FlatBox.table``).
 
 Initialization: for affine members (laplace with linear or constant f
 on every grid; on line grids also the infinity-Laplacian, and in 1-D
@@ -192,9 +193,9 @@ def _try_presolve(F, M, bvals):
     n = M.n_nodes
     if len(cs) < n - 1:  # extend the elimination to this grid's last interior row
         j = np.arange(M.offset + len(cs), M.offset + n - 1)
-        # rows of d2 + (m - 1) aa = f(u), aa = ang du, with or without aa
-        g_aa = M.m - 1 if use_angular else 0.0
-        lo, di, up, _ = K.line_rows(M.root.stencil.at(j), -lam, g_aa, 1.0, 0.0, 0.0)
+        # rows of d2 + (m - 1) aa = f(u), with or without aa: partials in r, aa, d2, grad_up
+        g = np.array([-lam, M.m - 1 if use_angular else 0.0, 1.0, 0.0])
+        lo, di, up = K.rows(g, M.root.stencil.at(j).table(0.0, 0.0, 0.0))
         rhs = np.full(j.size, float(rhs_c))
         if not cs:  # the inner boundary row
             lo[0], di[0], up[0], rhs[0] = 0.0, 1.0, 0.0, bvals[0]
@@ -212,13 +213,12 @@ def _box_presolve(M, bvals, lam, rhs_c):
     diagonally dominant with negative pivots, so every block that
     ``K.block_thomas`` factors is nonsingular.  Boundary nodes keep bvals.
     """
-    ids = M.interior_ids
-    n, m = ids.size, M.m
-    diag, W, offsets = K.box_rows(M, np.full(n, -lam), np.zeros((n, m)),
-                                  np.broadcast_to(np.eye(m), (n, m, m)))
-    blocks, nodes = K.slab_blocks(M, ids, diag, W, offsets, True)
+    ids, m = M.interior_ids, M.m
+    # the Laplacian's partials in r, p and A (``DenseView.entries``): -lam, 0, I
+    w = K.rows(np.concatenate([[-lam], np.zeros(m), np.eye(m)[np.triu_indices(m)]]), M.table)
+    blocks = K.slab_blocks(M, ids, np.broadcast_to(w, (w.size, ids.size)))
     outside = np.where(M.interior_mask, 0.0, bvals)
-    rhs = rhs_c - (W * outside[nodes]).sum(axis=0)
+    rhs = rhs_c - sum(c * outside[ids + s] for c, s in zip(w[:, 0], M.shifts) if c)
     u = bvals.copy()
     u[ids] = K.block_thomas(*blocks, rhs.reshape(blocks.shape[1:3])).ravel()
     return u
@@ -243,8 +243,8 @@ def _initial_subsolution(spec: ProblemSpec, bvals, caps):
     def admissible(vals):  # [jet view, centred residual] of vals if it verifies, else None
         if np.any(vals[interior] > caps[interior] + 1e-14):
             return None
-        J, res = _interior_residual(F, GridFunction(M, vals))
-        return None if res.size and res.min() < -verify_band else [J, res]
+        J, res = _interior_residual(F, GridFunction(M, vals))  # NaN and inf fail
+        return [J, res] if np.all(np.isfinite(res) & (res >= -verify_band)) else None
 
     def offer(label, vals):
         vals[~interior] = bvals[~interior]

@@ -57,6 +57,11 @@ SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
 # the exit codes the README documents: a certified property failure exits 2
 SCENARIO_EXIT = {"stochastic_exp_r3": 2}
+# each solve's init label and most Newton steps, and the most sweeps of
+# each Khas'minskii stage
+SCENARIO_STEPS = {"dirichlet_annulus": ("presolve", 0), "jetequiv_sinh": ("constant", 8),
+                  "obstacle_1d": ("max(constant,obstacle-slack)", 2)}
+STAGE_SWEEPS = {"khasminskii_sinh": [9, 5, 3]}
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])
@@ -67,6 +72,14 @@ def test_committed_scenario_exit_code(path, tmp_path):
     # jet-equivalence of jetequiv_sinh too) takes the policy steps
     certs = json.loads((tmp_path / "out" / "report.json").read_text())["certificates"]
     assert all(c.get("params", {}).get("engine", "numpy") == "numpy" for c in certs)
+    if path.stem in SCENARIO_STEPS:
+        init, steps = SCENARIO_STEPS[path.stem]
+        (cert,) = certs
+        assert cert["params"]["init"] == init and cert["counts"]["sweeps"] <= steps
+    if path.stem in STAGE_SWEEPS:
+        sweeps = [t["sweeps"] for t in certs[0]["trace"]]
+        bound = STAGE_SWEEPS[path.stem]
+        assert len(sweeps) == len(bound) and all(s <= b for s, b in zip(sweeps, bound))
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=[p.stem for p in SCENARIOS])

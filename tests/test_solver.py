@@ -1,5 +1,6 @@
 """Perron solver tests: analytic oracles, invariants, obstacle problems,
 comparison checks, barriers, and engine equivalence."""
+import json
 import re
 
 import numpy as np
@@ -117,15 +118,41 @@ class TestDirichletOracles:
         with pytest.raises(InitializationError):
             perron_dirichlet(ProblemSpec(F, M, {"side": lambda x: 5.0 * x}))
 
-    def test_nan_fixed_point_not_accepted(self, monkeypatch):
-        # a defining function that returns NaN, at the start check and in
-        # the steps alike, must end in ConvergenceError, never in a
-        # certificate
+    def test_nan_fixed_point_not_accepted(self, monkeypatch, tmp_path):
+        # a defining function that returns NaN verifies no start: an
+        # InitializationError, exit 3 from the CLI and no certificate
         F = laplace(LIN, m=3)
         monkeypatch.setattr(type(F), "_value", lambda self, J: np.full_like(J.r, np.nan))
         M = RadialModel.uniform(3, "euclidean", 1.0, 2.0, 11)
-        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="residual=nan"):
+        with np.errstate(all="ignore"), pytest.raises(InitializationError):
             perron_dirichlet(ProblemSpec(F, M, {"inner": 1.0, "outer": 0.0}))
+        scenario = tmp_path / "nan.json"
+        scenario.write_text(json.dumps({
+            "task": "dirichlet", "seed": 0,
+            "manifold": {"kind": "radial", "m": 3, "warp": "euclidean", "r_lo": 1.0,
+                         "r_hi": 2.0, "n": 11},
+            "subequation": {"kind": "laplace", "f": {"kind": "linear", "slope": 1.0}},
+            "params": {"boundary": {"inner": 1.0, "outer": 0.0}}}))
+        with np.errstate(all="ignore"):
+            code = cli.main(["run", str(scenario), "--out", str(tmp_path / "out"), "--no-plots"])
+        assert code == 3 and not (tmp_path / "out" / "report.json").exists()
+
+    def test_nan_after_a_finite_start_is_a_convergence_error(self, monkeypatch):
+        # the start verifies with finite residuals, then every evaluation
+        # in the steps is NaN: the solve ends in ConvergenceError
+        F = laplace(LIN, m=3)
+        value, calls = type(F)._value, []
+
+        def nan_after_start(self, J):
+            calls.append(1)
+            return value(self, J) if len(calls) == 1 else np.full_like(J.r, np.nan)
+
+        monkeypatch.setattr(type(F), "_value", nan_after_start)
+        monkeypatch.setattr(solver, "_try_presolve", lambda *a: None)
+        M = RadialModel.uniform(3, "euclidean", 1.0, 2.0, 11)
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+            perron_dirichlet(ProblemSpec(F, M, {"inner": 1.0, "outer": 0.0}))
+        assert len(calls) > 1
 
     @pytest.mark.parametrize("n", [11, 41])
     def test_lambda_max_branches_certified(self, n):
@@ -534,7 +561,7 @@ class TestWeakRowNodeSolves:
 
         def counted_sweep(u, order, S, caps, value, *rest):
             J = S.view(order, u[order - 1], u[order], u[order + 1], upwind=True)
-            g_d2 = K._slopes(value, J)[2]
+            g_d2 = K._partials(value, J)[2]
             weak.append(int(np.count_nonzero(g_d2 == 0.0)))
             return sweep(u, order, S, caps, value, *rest)
 
@@ -759,25 +786,73 @@ class TestBlockThomas:
         assert np.allclose(x[:, 0], K.thomas(lo, di, up, rhs), rtol=1e-13, atol=1e-15)
 
 
+def _table_grids():
+    return [RadialModel.uniform(2, "sinh", 1.0, 6.0, 201),
+            PuncturedEuclidean(3, 0.01, 2.0, 201, spacing="log"),
+            FlatBox(2, [(0.0, 1.0)] * 2, 1 / 8), FlatBox(2, [(0.0, 1.0)] * 2, 1 / 64),
+            FlatBox(3, [(0.0, 1.0)] * 3, 1 / 8)]
+
+
+TABLE_GRID_IDS = ["sinh", "log", "box2d-8", "box2d-64", "box3d-8"]
+
+
+def _step_jets(M, u):
+    """The Newton step's jet view of u on M and the table of its rows:
+    the upwind line view and ``LineStencil.table``, or the centred box
+    view and ``FlatBox.table``, with the node-id shifts of the table's
+    columns."""
+    ids = M.interior_ids
+    if M.stencil is None:
+        return batch_jets(GridFunction(M, u), ids)[1], M.table, M.shifts
+    S = M.stencil.at(ids)
+    J = S.view(ids, u[ids - 1], u[ids], u[ids + 1], upwind=True)
+    return J, S.table(u[ids], u[ids - 1], u[ids + 1]), np.array([-1, 0, 1])
+
+
 class TestSlopes:
-    @pytest.mark.parametrize("M", [
-        RadialModel.uniform(2, "sinh", 1.0, 6.0, 201),
-        PuncturedEuclidean(3, 0.01, 2.0, 201, spacing="log"),
-    ], ids=["sinh", "log"])
+    @pytest.mark.parametrize("M", _table_grids(), ids=TABLE_GRID_IDS)
     @pytest.mark.parametrize("f", [Profile.linear(1.0), Profile.constant(-1.0)],
                              ids=["linear", "constant"])
     def test_lowered_laplace_coefficients(self, M, f):
-        # d2 + (m - 1) aa - f(v) is affine in the jet: the quotients in
-        # (v, aa, d2, gdn) are its coefficients, at seeded jets whose second
+        # the Laplacian is affine in the jet: its partials in the view's
+        # entries, (v, aa, d2, grad_up) on lines and (r, p, A_ab, a <= b) on
+        # boxes, are its coefficients, at seeded jets whose second
         # differences reach ~3e7 on the log grid (a plain bump 1e-4 (1 + |x|)
         # was off by ~5e-6 there)
         u = np.random.default_rng(0).uniform(-1.0, 1.0, M.n_nodes)
-        ids = M.interior_ids
-        J = M.stencil.at(ids).view(ids, u[ids - 1], u[ids], u[ids + 1], upwind=True)
-        got = K._slopes(laplace(f, m=M.m)._value, J)
+        J, _, _ = _step_jets(M, u)
+        got = K._partials(laplace(f, m=M.m)._value, J)
         slope = f.slope if f.kind == "linear" else 0.0
-        for q, want in zip(got, (-slope, M.m - 1, 1.0, 0.0)):
-            assert np.abs(q - want).max() <= 1e-12
+        a, b = np.triu_indices(M.m)
+        want = ([-slope, M.m - 1, 1.0, 0.0] if M.stencil is not None
+                else [-slope] + [0.0] * M.m + list(np.where(a == b, 1.0, 0.0)))
+        assert got.shape == (len(want), M.interior_ids.size)
+        for q, w in zip(got, want):
+            assert np.abs(q - w).max() <= 1e-12
+
+
+class TestStencilTables:
+    @pytest.mark.parametrize("M", [g for g, i in zip(_table_grids(), TABLE_GRID_IDS)
+                                   if i != "box2d-64"],
+                             ids=[i for i in TABLE_GRID_IDS if i != "box2d-64"])
+    def test_table_is_the_derivative_of_the_jet_writer(self, M):
+        # rows(g, T) weighs each stencil node so that the row applied to u
+        # is sum_e g_e entry_e(J): the table and the view state one
+        # stencil, the upwind entry at its active branch
+        rng = np.random.default_rng(3)
+        u = rng.uniform(-1.0, 1.0, M.n_nodes)
+        J, T, shifts = _step_jets(M, u)
+        X, _ = J.entries()
+        g = rng.normal(size=X.shape)
+        W = K.rows(g, T)
+        nbrs = u[M.interior_ids + shifts[:, None]]
+        scale = (np.abs(W) * np.abs(nbrs)).sum(axis=0)
+        assert np.all(np.abs((W * nbrs).sum(axis=0) - (g * X).sum(axis=0)) <= 1e-13 * scale)
+        if M.stencil is not None:  # every branch of the upwind gradient is reached
+            up = T[3]
+            assert (up[0] != 0).any() and (up[2] != 0).any() and (up == 0).all(axis=0).any()
+        else:  # the mixed entries weigh every diagonal neighbour
+            assert (W[2 * M.m:-1] != 0).all()
 
 
 class TestBoxNewton:
@@ -850,7 +925,7 @@ class TestBoxNewton:
             calls.append(1)
             return F._value(J)
 
-        K._jet_slopes(value, J)
+        K._partials(value, J)
         quotients = len(calls)
         at, res = [J, F._value(J)], np.empty(ids.size)
         calls.clear()
