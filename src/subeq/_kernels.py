@@ -7,16 +7,17 @@ view J, from one ``_quotient`` call, and ``rows`` chains partials through
 the grid's stencil table, the weight of each neighbour in each entry:
 ``LineStencil.table`` on line grids, ``FlatBox.table`` on boxes.  The
 presolves of affine members (``solver._try_presolve``) pass their exact
-partials to ``rows``.  On line (radial / 1-D) grids ``sweep_line_numpy``
-takes the policy step at the radial views that ``LineStencil.view``
-writes, solved with ``thomas``; its weak rows are linearized at the node
-roots that ``vector_node_solve`` finds for those rows only.  On boxes
-``step_box`` takes the step at the centred ``jets.DenseView``, solved
-slab by slab with ``block_thomas`` on the blocks of ``slab_blocks`` (one
-size limit, MAX_BLOCK_FLOATS).  Both steps take the loop state ``at`` =
-[J, G] at the current iterate and end in one update rule (``_update``),
-which leaves ``at`` at the iterate it writes and halves only on boxes: a
-step is a function of the iterate alone.
+partials to ``rows``, on line grids in the rows of the table that do not
+depend on u (``LineStencil.fixed``).  On line (radial / 1-D) grids
+``sweep_line_numpy`` takes the policy step at the radial views that
+``LineStencil.view`` writes, solved with ``thomas``; its weak rows are
+linearized at the node roots that ``vector_node_solve`` finds for those
+rows only.  On boxes ``step_box`` takes the step at the centred
+``jets.DenseView``, solved slab by slab with ``block_thomas`` on the
+blocks of ``slab_blocks`` (one size limit, MAX_BLOCK_FLOATS).  Both steps
+take the loop state ``at`` = [J, G] at the current iterate and end in one
+update rule (``_update``), which leaves ``at`` at the iterate it writes
+and halves only on boxes: a step is a function of the iterate alone.
 """
 from __future__ import annotations
 
@@ -185,9 +186,13 @@ def _partials(value, J):
 
 
 def rows(g, T):
-    """sum_e g[e] T[e]: the weights (O, n) of a row in its O stencil nodes, of the
-    partials g, (E, n) or (E,), in the grid's table T, (E, O, n) or (E, O, 1)."""
-    return np.einsum("eo...,e...->o...", T, g)
+    """sum_e g[e] T[e], added in e order: the weights (O, n) of a row in its
+    O stencil nodes, of the partials g, (E, n) or (E,), in the grid's
+    table T, (E, O, n) or (E, O, 1)."""
+    W = T[0] * g[0]
+    for t, ge in zip(T[1:], g[1:]):
+        W += t * ge
+    return W
 
 
 def _update(u, ids, step, cap, res, at, value, jets, halvings):
@@ -288,11 +293,12 @@ def slab_blocks(M, ids, W):
     along axis 0.
 
     Row q holds the weight ``W[o, q]`` at the node ``ids[q] +
-    M.shifts[o]`` (``rows`` of the box table; the last o is the node
-    itself); a neighbour on the boundary has no column, a caller moves it
-    to its right-hand side.  The cross and diagonal neighbours couple a
-    slab only to the slabs next to it.  Raises InputError, before any
-    block is built, when the blocks exceed MAX_BLOCK_FLOATS.
+    M.shifts[o]`` (``rows`` of the box table, (O, N), or (O, 1) for rows
+    alike; the last o is the node itself); a neighbour on the boundary has
+    no column, a caller moves it to its right-hand side.  The cross and
+    diagonal neighbours couple a slab only to the slabs next to it.
+    Raises InputError, before any block is built, when the blocks exceed
+    MAX_BLOCK_FLOATS.
     """
     inner = [s - 2 for s in M.shape]
     nb, k = inner[0], ids.size // inner[0]
@@ -306,7 +312,8 @@ def slab_blocks(M, ids, W):
     where = np.full(M.n_nodes, -1)  # row of each interior node
     where[ids] = np.arange(N)
     live = (W != 0.0).any(axis=1)  # the stencil nodes that some row weighs
-    W, nq = W[live], where[ids + M.shifts[live, None]]
+    nq = where[ids + M.shifts[live, None]]
+    W = np.broadcast_to(W[live], nq.shape)
     o, q = np.nonzero((W != 0.0) & (nq >= 0))
     nq = nq[o, q]
     np.put(blocks, (nq // k - q // k + 1) * N * k + q * k + nq % k, W[o, q])

@@ -224,8 +224,8 @@ class DenseView:
 
     def entries(self):
         """The entries a Newton row weighs, stacked (E, n): r, each p_a, each
-        A_ab with a <= b (``np.triu_indices`` order); each node's largest |entry|."""
-        a, b = np.triu_indices(self.m)
+        A_ab with a <= b (``upper_pairs`` order); each node's largest |entry|."""
+        a, b = upper_pairs(self.m)
         X = np.concatenate([self.r[None], self.p.T, self.A[:, a, b].T])
         return X, np.abs(X).max(axis=0)
 
@@ -235,10 +235,18 @@ class DenseView:
     @staticmethod
     def of_entries(x, X, m):
         """The view at the nodes x whose ``entries`` are X (A_ab = A_ba)."""
-        X, (a, b) = np.asarray(X), np.triu_indices(m)
+        X, (a, b) = np.asarray(X), upper_pairs(m)
         A = np.empty((X.shape[1], m, m))
         A[:, a, b] = A[:, b, a] = X[1 + m:].T
         return DenseView(x, X[0], X[1:1 + m].T.copy(), A)
+
+
+def upper_pairs(m):
+    """The indices (a, b) of the entries A_ab with a <= b, row by row, as
+    ``np.triu_indices(m)`` lists them, without the mask array it builds,
+    a cost that a cold solve pays in full."""
+    return ([a for a in range(m) for b in range(a, m)],
+            [b for a in range(m) for b in range(a, m)])
 
 
 def _spectrum(a, b, m):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -158,18 +159,27 @@ class LineStencil:
         gu = self.upwind(uC, uL, uR) if upwind else np.abs(du)
         return RadialView(x, uC, du, aa, self.d2(uL, uC, uR), gu, self.m)
 
+    @cached_property
+    def fixed(self):
+        """The weights (3, 3, n) of r, aa and d2 in the neighbours (L, C,
+        R): the rows of ``table`` that do not depend on u, built once."""
+        T = np.zeros((3, 3, self.hL.size))
+        T[0, 1] = 1.0
+        np.multiply(self.ang, self.rows[2:5], out=T[1])
+        T[2] = self.rows[5:8]
+        return T
+
     def table(self, v, uL, uR):
         """The weights (4, 3, n) of the entries of ``view`` (r, aa, d2 and
-        grad_up, ``RadialView.entries``) in the neighbours (L, C, R), at the
-        node values v with neighbours uL and uR: grad_up weighs the active
-        branch of ``upwind``, the left one at a tie, or none."""
+        grad_up, ``RadialView.entries``) in the neighbours (L, C, R): the
+        ``fixed`` rows and, at the node values v with neighbours uL and uR,
+        those of the active branch of ``upwind``, the left one at a tie, or
+        none."""
         pL, pR = (v - uL) / self.hL, (v - uR) / self.hR
         left = (pL >= pR) & (pL >= 0.0)
         iL, iR = left / self.hL, (~left & (pR >= 0.0)) / self.hR
-        T = np.zeros((4, 3, self.hL.size))
-        T[0, 1] = 1.0
-        np.multiply(self.ang, self.rows[2:5], out=T[1])
-        T[2], T[3] = self.rows[5:8], (-iL, iL + iR, -iR)
+        T = np.empty((4, 3, self.hL.size))
+        T[:3], T[3] = self.fixed, (-iL, iL + iR, -iR)
         return T
 
 
@@ -295,14 +305,11 @@ class PuncturedEuclidean(_RadialBase):
 class FlatBox(ModelManifold):
     """Axis-aligned lattice in R^m with uniform spacing per axis.
 
-    At m >= 2 it states its cross stencil once: ``shifts``, the node-id
-    offsets of x +- h_a e_a, of x + s_a h_a e_a + s_b h_b e_b for a < b
-    and, last, of x; ``numer`` and ``scale``, each entry of a
-    ``jets.DenseView`` (``DenseView.entries``) as a small-integer sum over
-    those nodes and its scale, which ``batch_jets`` reads in the rounding
-    of p_a = (u(+a) - u(-a)) / (2 h_a), A_aa = (u(+a) + u(-a) - 2 u) / h_a^2
-    and A_ab = (u(++) + u(--) - u(+-) - u(-+)) / (4 h_a h_b); and ``table``
-    = numer / scale, (E, O, 1), the weight of each node in each entry.
+    At m >= 2 it states its cross stencil once (``_cross_stencil``): the
+    node-id ``shifts`` of the stencil's O nodes, ``sums``, each entry of a
+    ``jets.DenseView`` (``DenseView.entries``) as integer multiples of
+    node values over a divisor, which ``batch_jets`` adds, and ``table``,
+    (E, O, 1), the weight of each node in each entry.
     """
 
     def __init__(self, m: int, bounds, h):
@@ -336,29 +343,42 @@ class FlatBox(ModelManifold):
             self.stencil = LineStencil.on(self.coords[:, 0], 1)
             self.root, self.offset = self, 0
             return
-        self.shifts, self.numer, self.scale = _cross_stencil(self.h, self.strides)
-        self.table = (self.numer / self.scale[:, None])[:, :, None]
+        self.shifts, self.sums = _cross_stencil(self.h, self.strides)
+        self.table = np.zeros((len(self.sums), self.shifts.size, 1))
+        for T, (terms, d) in zip(self.table, self.sums):
+            for w, o in terms:
+                T[o] = w / d
 
     def min_spacing(self) -> float:
         return float(self.h.min())
 
 
 def _cross_stencil(h, strides):
-    """``FlatBox.shifts``, ``numer`` and ``scale`` of a box's spacings h and
-    node-id strides, its nodes in the order its formulas add them."""
+    """``FlatBox.shifts`` and ``sums`` of a box with spacings h and node-id
+    strides.  The nodes are x + h_a e_a and x - h_a e_a for each a, then
+    x + s h_a e_a + t h_b e_b for each a < b at (s, t) = (+, +), (-, -),
+    (+, -), (-, +), and x last.  sums[e] = ([(weight, node), ...], divisor)
+    lists the nodes of entry e (r, each p_a, each A_ab with a <= b) in the
+    order its formula adds them:
+
+        p_a  = (u(+a) - u(-a)) / (2 h_a)
+        A_aa = (u(+a) + u(-a) - 2 u) / h_a^2
+        A_ab = (u(++) + u(--) - u(+-) - u(-+)) / (4 h_a h_b)
+    """
     m = len(h)
-    pairs = [(c, d) for c in range(m) for d in range(c, m)]  # A's entries, a <= b
-    steps = [{c: s} for c in range(m) for s in (1, -1)]  # each node's lattice step
-    steps += [{c: s, d: t} for c, d in pairs if c < d
-              for s, t in ((1, 1), (-1, -1), (1, -1), (-1, 1))] + [{}]
-    N = [[float(not st) for st in steps]]
-    N += [[float(st.get(c, 0) * (len(st) == 1)) for st in steps] for c in range(m)]
-    N += [[(float(len(st) == 1 and c in st) if st else -2.0) if c == d
-           else float(st.get(c, 0) * st.get(d, 0)) for st in steps] for c, d in pairs]
-    S = [1.0] + [2 * h[c] for c in range(m)] + [h[c] ** 2 if c == d else 4 * h[c] * h[d]
-                                                 for c, d in pairs]
-    shifts = [sum(s * int(strides[c]) for c, s in st.items()) for st in steps]
-    return np.array(shifts), np.array(N), np.array(S)
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    shifts = [s * strides[a] for a in range(m) for s in (1, -1)]
+    shifts += [s * strides[a] + t * strides[b] for a, b in pairs
+               for s, t in ((1, 1), (-1, -1), (1, -1), (-1, 1))] + [0]
+    x, k = len(shifts) - 1, 2 * m  # the node x; the node (++) of the first pair
+    sums = [([(1.0, x)], 1.0)] + [([(1.0, 2 * a), (-1.0, 2 * a + 1)], 2 * h[a]) for a in range(m)]
+    for a in range(m):
+        sums.append(([(1.0, 2 * a), (1.0, 2 * a + 1), (-2.0, x)], h[a] ** 2))
+        for b in range(a + 1, m):
+            sums.append(([(1.0, k), (1.0, k + 1), (-1.0, k + 2), (-1.0, k + 3)],
+                         4 * h[a] * h[b]))
+            k += 4
+    return np.array(shifts), sums
 
 
 def _grow_mask(M: ModelManifold, mask: np.ndarray) -> np.ndarray:
@@ -435,8 +455,9 @@ def batch_jets(u: GridFunction, ids=None):
     Line grids take the centred ``LineStencil.view``, a ``RadialView``
     whose ``grad_up`` is |du|; its dense p and A are built only where a
     caller reads them, never to evaluate a defining function.  Boxes
-    read their cross-stencil ``table`` into a ``DenseView``.  Skips nodes flagged -inf
-    (USC convention).
+    add the node values of each entry of their cross stencil
+    (``FlatBox.sums``) into a ``DenseView``, each node only in the entries
+    that read it.  Skips nodes flagged -inf (USC convention).
     """
     M = u.manifold
     ids = M.interior_ids if ids is None else np.asarray(ids, dtype=int)
@@ -447,8 +468,15 @@ def batch_jets(u: GridFunction, ids=None):
         return ids, M.stencil.at(ids).view(ids, vals[ids - 1], vals[ids], vals[ids + 1])
     if not isinstance(M, FlatBox):
         raise InputError(f"unsupported manifold kind {type(M).__name__}")
-    X = np.einsum("eo,on->en", M.numer, vals[ids + M.shifts[:, None]])  # numer sums, in order
-    return ids, DenseView.of_entries(ids, X / M.scale[:, None], M.m)
+    V = vals[ids + M.shifts[:, None]]
+    X = np.empty((len(M.sums), ids.size))
+    for x, (terms, d) in zip(X, M.sums):
+        (w, o), *rest = terms
+        np.multiply(V[o], w, out=x)
+        for w, o in rest:  # only the nodes the entry reads, in order
+            x += w * V[o]
+        x /= d
+    return ids, DenseView.of_entries(ids, X, M.m)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ grids, never re-decomposed densely, and a ``jets.DenseView`` on boxes.
 On line grids the grid's one ``LineStencil`` writes every jet view
 (``LineStencil.view``).  On both grids the rows of the Newton steps and
 of the presolves are ``_kernels.rows``: partials chained through the
-grid's stencil table (``LineStencil.table``, ``FlatBox.table``).
+grid's stencil table (``LineStencil.table``, whose u-independent rows
+``LineStencil.fixed`` the line presolve reads, and ``FlatBox.table``).
 
 Initialization: for affine members (laplace with linear or constant f
 on every grid; on line grids also the infinity-Laplacian, and in 1-D
@@ -78,6 +79,7 @@ from .errors import (
     InputError,
     PreconditionError,
 )
+from .jets import upper_pairs
 from .manifolds import (
     GridFunction,
     ModelManifold,
@@ -193,9 +195,9 @@ def _try_presolve(F, M, bvals):
     n = M.n_nodes
     if len(cs) < n - 1:  # extend the elimination to this grid's last interior row
         j = np.arange(M.offset + len(cs), M.offset + n - 1)
-        # rows of d2 + (m - 1) aa = f(u), with or without aa: partials in r, aa, d2, grad_up
-        g = np.array([-lam, M.m - 1 if use_angular else 0.0, 1.0, 0.0])
-        lo, di, up = K.rows(g, M.root.stencil.at(j).table(0.0, 0.0, 0.0))
+        # rows of d2 + (m - 1) aa = f(u), with or without aa: partials in r, aa, d2
+        g = np.array([-lam, M.m - 1 if use_angular else 0.0, 1.0])
+        lo, di, up = K.rows(g, M.root.stencil.at(j).fixed)
         rhs = np.full(j.size, float(rhs_c))
         if not cs:  # the inner boundary row
             lo[0], di[0], up[0], rhs[0] = 0.0, 1.0, 0.0, bvals[0]
@@ -215,8 +217,8 @@ def _box_presolve(M, bvals, lam, rhs_c):
     """
     ids, m = M.interior_ids, M.m
     # the Laplacian's partials in r, p and A (``DenseView.entries``): -lam, 0, I
-    w = K.rows(np.concatenate([[-lam], np.zeros(m), np.eye(m)[np.triu_indices(m)]]), M.table)
-    blocks = K.slab_blocks(M, ids, np.broadcast_to(w, (w.size, ids.size)))
+    w = K.rows(np.concatenate([[-lam], np.zeros(m), np.eye(m)[upper_pairs(m)]]), M.table)
+    blocks = K.slab_blocks(M, ids, w)
     outside = np.where(M.interior_mask, 0.0, bvals)
     rhs = rhs_c - sum(c * outside[ids + s] for c, s in zip(w[:, 0], M.shifts) if c)
     u = bvals.copy()

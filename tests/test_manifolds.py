@@ -116,6 +116,46 @@ class TestDiscreteJet:
         ids, J = batch_jets(u)
         assert 5 not in ids and J.x is ids
 
+    def test_usc_flagged_node_spoils_only_the_entries_that_read_it(self):
+        # on a 2-D box a -inf node next to interior nodes: r and every
+        # entry whose formula does not read that node stay finite
+        M = FlatBox(2, [(0.0, 1.0), (0.0, 1.0)], 1 / 8)
+        flagged = M.interior_ids[30]
+        vals = np.random.default_rng(5).uniform(-1.0, 1.0, M.n_nodes)
+        vals[flagged] = -np.inf
+        mask = np.zeros(M.n_nodes, dtype=bool)
+        mask[flagged] = True
+        ids, J = batch_jets(GridFunction(M, vals, neg_inf_mask=mask))
+        assert flagged not in ids
+        X, _ = J.entries()
+        reads = ((M.table != 0)
+                 & (ids + M.shifts[:, None] == flagged)).any(axis=1)  # (E, n)
+        assert reads.any(axis=0).sum() == 8  # its eight stencil neighbours
+        assert np.isfinite(J.r).all()
+        assert np.isfinite(X[~reads]).all() and not np.isfinite(X[reads]).any()
+
+    @pytest.mark.parametrize("m, h", [(2, [1 / 8, 1 / 16]), (3, [1 / 4, 1 / 8, 1 / 6])],
+                             ids=["2d", "3d"])
+    def test_box_jets_are_the_formulas_byte_for_byte(self, m, h):
+        # the cross-stencil table sums in the order and rounding of
+        # p_a = (u(+a) - u(-a)) / (2 h_a), A_aa = (u(+a) + u(-a) - 2u) / h_a^2
+        # and A_ab = (u(++) + u(--) - u(+-) - u(-+)) / (4 h_a h_b)
+        M = FlatBox(m, [(0.0, 1.0)] * m, h)
+        u = np.random.default_rng(7).normal(size=M.n_nodes)
+        ids, J = batch_jets(GridFunction(M, u))
+        s, h = M.strides, M.h
+        p = np.empty((ids.size, m))
+        A = np.empty((ids.size, m, m))
+        for a in range(m):
+            p[:, a] = (u[ids + s[a]] - u[ids - s[a]]) / (2 * h[a])
+            A[:, a, a] = (u[ids + s[a]] + u[ids - s[a]] - 2 * u[ids]) / h[a] ** 2
+            for b in range(a + 1, m):
+                A[:, a, b] = A[:, b, a] = (
+                    u[ids + s[a] + s[b]] + u[ids - s[a] - s[b]]
+                    - u[ids + s[a] - s[b]] - u[ids - s[a] + s[b]]) / (4 * h[a] * h[b])
+        assert J.r.tobytes() == u[ids].tobytes()
+        assert J.p.tobytes() == p.tobytes() and J.A.tobytes() == A.tobytes()
+
 
 class TestRadialAgainstDiscrete:
     def test_radial_formula_matches_discrete(self):
