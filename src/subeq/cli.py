@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .certificates import Certificate
 from .errors import (
+    ConstructionError,
     ConvergenceError,
     DomainError,
     InputError,
@@ -117,6 +118,12 @@ def _validate(obj, schema, where="scenario"):
 # ---------------------------------------------------------------------------
 
 
+def _given(spec, *keys):
+    """The keys of spec that the scenario gives: the operation fed them
+    holds the default of every key left out."""
+    return {k: spec[k] for k in keys if k in spec}
+
+
 def parse_profile(spec) -> Profile:
     if isinstance(spec, (int, float)):
         return Profile.constant(float(spec))
@@ -130,6 +137,11 @@ def parse_profile(spec) -> Profile:
     raise InputError(f"unknown profile kind '{kind}'")
 
 
+def _given_profiles(spec, *keys):
+    """``_given`` with each value parsed as a profile."""
+    return {k: parse_profile(v) for k, v in _given(spec, *keys).items()}
+
+
 def parse_aprofile(spec) -> AProfile:
     kind = _object(spec, "quasilinear coefficient").get("kind")
     if kind == "k_laplacian":
@@ -137,7 +149,7 @@ def parse_aprofile(spec) -> AProfile:
     if kind == "mean_curvature":
         return AProfile.mean_curvature()
     if kind == "constant":
-        return AProfile.constant(spec.get("c", 1.0))
+        return AProfile.constant(**_given(spec, "c"))
     raise InputError(f"unknown quasilinear coefficient kind '{kind}'")
 
 
@@ -178,14 +190,14 @@ def parse_manifold(spec):
                                    spec["r_hi"], spec["n"])
     if kind == "punctured":
         return PuncturedEuclidean(spec["m"], spec["r_min"], spec["r_max"],
-                                  spec["n"], spec.get("spacing", "log"))
+                                  spec["n"], **_given(spec, "spacing"))
     raise InputError(f"unknown manifold kind '{kind}'")
 
 
 def parse_subequation(spec, m: int, M=None) -> SU.Subequation:
     kind = _object(spec, "subequation")["kind"]
     if kind == "eikonal":
-        return SU.eikonal(parse_profile(spec.get("xi", 1.0)), m=m)
+        return SU.eikonal(m=m, **_given_profiles(spec, "xi"))
     if kind == "laplace":
         return SU.laplace(parse_profile(spec["f"]), m=m)
     if kind == "hessian_branch":
@@ -197,13 +209,10 @@ def parse_subequation(spec, m: int, M=None) -> SU.Subequation:
     if kind == "quasilinear":
         return SU.quasilinear(parse_aprofile(spec["a"]), parse_profile(spec["f"]), m=m)
     if kind == "inf_laplacian":
-        return SU.inf_laplacian(parse_profile(spec.get("f", 0.0)), m=m)
+        return SU.inf_laplacian(m=m, **_given_profiles(spec, "f"))
     if kind == "linear_jetequiv":
-        return SU.linear_jetequiv(np.asarray(spec["T"], float),
-                                  None if "W" not in spec else np.asarray(spec["W"], float),
-                                  spec.get("B", 0.0), spec.get("b", 1.0),
-                                  parse_profile(spec.get("f", {"kind": "linear", "slope": 0.0})),
-                                  m=m)
+        return SU.linear_jetequiv(spec["T"], m=m, **_given(spec, "W", "B", "b"),
+                                  **_given_profiles(spec, "f"))
     if kind in ("intersect", "union"):
         parts = [parse_subequation(s, m, M) for s in _object(spec["parts"], f"{kind} parts", list)]
         return (SU.intersect if kind == "intersect" else SU.union)(*parts)
@@ -274,13 +283,17 @@ def _task_obstacle(sc, M, F, params, policy):
     return payload, [cert], arrays, plot, 0 if cert.passed else 3
 
 
-def _task_khasminskii(sc, M, F, params, policy):
+def _envelope(M, params):
+    """A task's envelope h at the radii of M (-log(1 + r) unless given), and its pair (K, h)."""
     h = parse_fn(params.get("h", {"kind": "named", "name": "neg_log1p"}))(M.r)
-    pair = PairKh(M, GridFunction(M, h))
-    sched = Schedule(eps=params.get("eps", 0.5), i_max=params.get("i_max", 3),
-                     radii=tuple(params["radii"]) if "radii" in params else ())
-    xi = parse_profile(params["xi"]) if "xi" in params else None
-    w, cert = build_potential(F, pair, sched, xi=xi, policy=policy)
+    return h, PairKh(M, GridFunction(M, h))
+
+
+def _task_khasminskii(sc, M, F, params, policy):
+    h, pair = _envelope(M, params)
+    sched = Schedule(**_given(params, "eps", "i_max", "radii"))
+    w, cert = build_potential(F, pair, sched, policy=policy,
+                              **_given_profiles(params, "xi"))
     payload = {"task": "khasminskii", "passed": cert.passed,
                "stages": cert.trace}
     arrays = {"w": {"r": M.r, "w": w.values, "h": h}}
@@ -292,7 +305,7 @@ def _task_khasminskii(sc, M, F, params, policy):
 def _task_ahlfors(sc, M, F, params, policy):
     verdicts, summary = ahlfors_falsification_suite(
         F, M, params.get("r_K", float(M.r[1])),
-        seed=sc.get("seed", 0), policy=policy)
+        seed=sc["seed"], policy=policy)
     payload = {"task": "ahlfors", "summary": summary,
                "verdicts": [v.to_json_dict() for v in verdicts],
                "passed": summary["fails"] == 0}
@@ -320,8 +333,7 @@ def _task_capacity(sc, M, F, params, policy):
 
 def _task_stochastic(sc, M, F, params, policy):
     v = stochastic_completeness(params["warp"], params["m"],
-                                params.get("lam", 1.0),
-                                tuple(params.get("r_range", (0.1, 30.0))))
+                                **_given(params, "lam", "r_range"))
     payload = {"task": "stochastic", "verdict": v.to_json_dict(),
                "passed": v.result is not Outcome.INCONCLUSIVE}
     arrays = {}
@@ -335,24 +347,19 @@ def _task_stochastic(sc, M, F, params, policy):
 
 
 def _task_duality_audit(sc, M, F, params, policy):
-    cert = duality_involution_suite(seed=sc.get("seed", 0),
-                                    n=params.get("n", 10_000),
-                                    ms=tuple(params.get("ms", (2, 3, 4))))
+    cert = duality_involution_suite(seed=sc["seed"], **_given(params, "n", "ms"))
     return ({"task": "duality_audit", "passed": cert.passed}, [cert], {}, [],
             0 if cert.passed else 1)
 
 
 def _task_garding_audit(sc, M, F, params, policy):
-    cert = garding_identity_suite(seed=sc.get("seed", 0),
-                                  n=params.get("n", 1000),
-                                  m_max=params.get("m_max", 6))
+    cert = garding_identity_suite(seed=sc["seed"], **_given(params, "n", "m_max"))
     return ({"task": "garding_audit", "passed": cert.passed}, [cert], {}, [],
             0 if cert.passed else 1)
 
 
 def _task_ekeland(sc, M, F, params, policy):
-    h = parse_fn(params.get("h", {"kind": "named", "name": "neg_log1p"}))(M.r)
-    pair = PairKh(M, GridFunction(M, h))
+    h, pair = _envelope(M, params)
     w, cert = ekeland_potential(pair, policy=policy)
     payload = {"task": "ekeland", "passed": cert.passed}
     arrays = {"w": {"r": M.r, "w": w.values, "h": h}}
@@ -371,9 +378,9 @@ def _task_log_transform(sc, M, F, params, policy):
 
 
 def _task_punctured(sc, M, F, params, policy):
+    grid = {"M": M} if isinstance(M, PuncturedEuclidean) else {}
     cert = punctured_example_check(params["m"], params.get("lam", 1.0),
-                                   M=M if isinstance(M, PuncturedEuclidean) else None,
-                                   tol=policy.membership_tol)
+                                   tol=policy.membership_tol, **grid)
     payload = {"task": "punctured_check", "passed": cert.passed,
                "K_interval": cert.params["K_interval"]}
     return payload, [cert], {}, [], 0 if cert.passed else 3
@@ -465,15 +472,20 @@ def _catalog(m):
     return cat
 
 
+# the bound of the duality and Garding identities the audit suites check
+IDENTITY_TOL = 1e-9
+
+
 def duality_involution_suite(seed=0, n=10_000, ms=(2, 3, 4)) -> Certificate:
     """For every catalog member: dual values satisfy G~(J) = -G(-J) within
-    1e-9, dual(dual F) classifies like F off the band |G| <= 1e-9, and
-    intersections dualize to unions (sampled).  One sample of n jets per m
-    is shared by the nine members and the De Morgan check."""
+    ``IDENTITY_TOL``, dual(dual F) classifies like F off the band
+    |G| <= ``IDENTITY_TOL``, and intersections dualize to unions (sampled).
+    One sample of n jets per m is shared by the nine members and the De
+    Morgan check."""
     if n < 1 or not ms:
         raise InputError("duality audit needs n >= 1 jets and a non-empty 'ms', "
                          f"got n={n}, ms={list(ms)}")
-    tol = 1e-9
+    tol = IDENTITY_TOL
     rng = np.random.default_rng(seed)
     worst_ident = 0.0
     worst_invol = 0
@@ -519,8 +531,10 @@ def _duality_checks(rng, n, m, tol):
     return ident, invol, int((np.abs(lhs - rhs) > tol).sum()), len(catalog)
 
 
-def garding_identity_suite(seed=0, n=1000, m_max=6, tol=1e-9) -> Certificate:
-    """mu_j^(k)(-A) = -mu_{k-j+1}^(k)(A) and PSD monotonicity on random data."""
+def garding_identity_suite(seed=0, n=1000, m_max=6) -> Certificate:
+    """mu_j^(k)(-A) = -mu_{k-j+1}^(k)(A) and PSD monotonicity on random
+    data, within ``IDENTITY_TOL``."""
+    tol = IDENTITY_TOL
     if n < 1 or not (2 <= m_max <= MAX_DIM):
         raise InputError(f"Garding audit needs n >= 1 and 2 <= m_max <= {MAX_DIM}, "
                          f"got n={n}, m_max={m_max}")
@@ -623,19 +637,21 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="cmd", required=True)
     runp = sub.add_parser("run", help="run a scenario file")
     runp.add_argument("scenario")
-    runp.add_argument("--tol", type=float, default=None)
+    runp.add_argument("--tol", type=float)
     auditp = sub.add_parser("audit", help="run the built-in audit suites")
     for p in (runp, auditp):
-        p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out")
+        p.add_argument("--seed", type=int)
         p.add_argument("--no-plots", action="store_true")
     args = ap.parse_args(argv)
     try:
         if args.cmd == "run":
             return run_scenario(args.scenario, args.out, args.tol, args.seed,
                                 not args.no_plots)
-        return run_audit(args.out or "out_audit", args.seed or 0)
-    except (InputError, DomainError, FileNotFoundError, json.JSONDecodeError) as e:
+        return run_audit(**{k: v for k, v in (("out_dir", args.out), ("seed", args.seed))
+                            if v is not None})
+    except (InputError, DomainError, ConstructionError, FileNotFoundError,
+            json.JSONDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 4
     except (ConvergenceError, NumericalError) as e:

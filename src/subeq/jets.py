@@ -175,7 +175,8 @@ class DenseView:
     ``grad`` and ``grad_up`` (the gradient constraints' reading) and, where
     p != 0, the second derivative along p as ``dir2`` = A(p, p) / |p|^2 and
     ``dir2_unit`` = A(phat, phat): one quantity in two roundings, so the
-    infinity Laplacian and the quasilinear family keep their dense values.
+    infinity Laplacian and the quasilinear family keep their dense values;
+    neither depends on the batch a jet sits in.
     ``take(mask)`` is the sub-batch at a boolean mask.  A dense view keeps
     its spectrum (level m) and the Garding levels from it in ``levels``,
     and its other readings, read-only, in ``readings``.
@@ -211,12 +212,11 @@ class DenseView:
     @_reading
     def dir2(self):
         p = self.p
-        return np.einsum("ni,nij,nj->n", p, self.A, p) / np.einsum("ni,ni->n", p, p)
+        return _quadratic(self.A, p) / np.einsum("ni,ni->n", p, p)
 
     @_reading
     def dir2_unit(self):
-        phat = self.p / self.grad[:, None]
-        return np.einsum("ni,nij,nj->n", phat, self.A, phat)
+        return _quadratic(self.A, self.p / self.grad[:, None])
 
     def take(self, mask):
         x = self.x if self.x is None or np.ndim(self.x) == 0 else self.x[mask]
@@ -239,6 +239,18 @@ class DenseView:
         A = np.empty((X.shape[1], m, m))
         A[:, a, b] = A[:, b, a] = X[1 + m:].T
         return DenseView(x, X[0], X[1:1 + m].T.copy(), A)
+
+
+def _quadratic(A, v):
+    """A(v, v) per jet, sum_i v_i (sum_j A_ij v_j) a row i at a time, with
+    no (n, m) temporary: unlike one three-operand einsum, whose rounding
+    follows the batch size, a jet gets the same bytes alone and in any batch."""
+    out, row = np.zeros(len(v)), np.empty(len(v))
+    for i in range(v.shape[1]):
+        np.einsum("nj,nj->n", A[:, i], v, out=row)
+        row *= v[:, i]
+        out += row
+    return out
 
 
 def upper_pairs(m):

@@ -61,6 +61,10 @@ MIN_DROP = 0.5
 ODE_THRESHOLD = 1e6
 # the slope cap below 1 of the Ekeland distance potential
 SLOPE_CAP = 0.99
+# the slack of log_transform's derived bounds
+LOG_TRANSFORM_TOL = 1e-6
+# the inner radius of punctured_example_check's own grid
+PUNCTURED_R_MIN = 0.05
 
 
 @dataclass
@@ -137,8 +141,7 @@ def build_potential(F: Subequation, pair: PairKh, sched: Schedule,
     # barrier precondition on ∂K (replaces the gluing surgery: metric balls
     # in these models are F-convex at height 0)
     rho = GridFunction(M, M.r[0] - M.r)
-    barrier = make_barrier(F, M, np.ones(M.n_nodes, dtype=bool),
-                           np.array([0]), rho)
+    barrier = make_barrier(F, M, np.array([0]), rho)
     if not barrier.ok:
         raise PreconditionError(
             "no F-barrier at height 0 on the inner boundary ∂K",
@@ -147,7 +150,7 @@ def build_potential(F: Subequation, pair: PairKh, sched: Schedule,
     eta_vals = None
     xi_solve = xi
     if xi is not None:
-        eta_peak = float(batch_jets(barrier.beta)[1].grad.max()) + 1.0  # centred |d beta|
+        eta_peak = float(batch_jets(barrier.beta).grad.max()) + 1.0  # centred |d beta|
         collar_width = max(collar_width, 0.75)
         eta_vals = eta_peak * np.clip(1.0 - (M.r - M.r[0]) / collar_width, 0.0, 1.0)
         # solve against xi tightened by one grid spacing: the sweeps use the
@@ -182,7 +185,7 @@ def build_potential(F: Subequation, pair: PairKh, sched: Schedule,
     cert.counts = {"stages": sched.i_max, "nodes": M.n_nodes}
     # final certificates
     tol_final = 1e-6
-    sub = verify_subharmonic(F, wgf, M, tol=tol_final)
+    sub = verify_subharmonic(F, wgf, tol=tol_final)
     cert.merge_child(sub, "subharmonic")
     ok_range = bool(np.all(w >= hv - 1e-12) and np.all(w <= 1e-12))
     cert.worst["min_w_minus_h"] = float((w - hv).min())
@@ -190,7 +193,7 @@ def build_potential(F: Subequation, pair: PairKh, sched: Schedule,
     cert.passed = cert.passed and ok_range and sub.passed and abs(w[0]) <= 1e-12
     if xi is not None:
         outside_collar = M.r > M.r[0] + collar_width
-        pure = verify_subharmonic(eikonal_relaxed(xi, None, m=F.m), wgf, M,
+        pure = verify_subharmonic(eikonal_relaxed(xi, None, m=F.m), wgf,
                                   tol=tol_final, region=outside_collar)
         cert.merge_child(pure, "eikonal_exterior")
     return wgf, cert
@@ -356,8 +359,8 @@ def ekeland_potential(pair: PairKh, policy: NumericPolicy = DEFAULT_POLICY):
     cert = Certificate(name="ekeland_potential", passed=True, tolerance=tol,
                        params={"slope_cap": SLOPE_CAP,
                                "final_slope": float(slopes[-1])})
-    ce = verify_subharmonic(eikonal(1.0, m=M.m), w, M, tol=tol)
-    ci = verify_subharmonic(inf_laplacian(0.0, m=M.m), w, M, tol=tol)
+    ce = verify_subharmonic(eikonal(1.0, m=M.m), w, tol=tol)
+    ci = verify_subharmonic(inf_laplacian(0.0, m=M.m), w, tol=tol)
     cert.merge_child(ce, "eikonal")
     cert.merge_child(ci, "inf_laplacian")
     above = bool(np.all(-C >= hv - 1e-12))
@@ -373,15 +376,16 @@ def ekeland_potential(pair: PairKh, policy: NumericPolicy = DEFAULT_POLICY):
 # ---------------------------------------------------------------------------
 
 
-def log_transform(gfun: GridFunction, lam: float, mu: float, tol: float = 1e-6):
+def log_transform(gfun: GridFunction, lam: float, mu: float):
     """w = -mu log g for 1 <= g with ∇dg <= lam^2 g <,>: returns (w, certificate).
 
     Verifies the derived bounds |∇w| <= mu lam + tol and
     lambda_min(∇dw) >= -mu lam^2 - tol, plus the intermediate gradient
     bound |∇g| <= lam g + tol that the flow-line comparison argument
-    yields.  The Hessian precondition check runs at a discretization-aware
-    tolerance (O(h^2) inflation).
+    yields, tol = ``LOG_TRANSFORM_TOL``.  The Hessian precondition check
+    runs at a discretization-aware tolerance (O(h^2) inflation).
     """
+    tol = LOG_TRANSFORM_TOL
     if not (0 < mu < 1):
         raise InputError("mu must lie in (0, 1)")
     if lam <= 0:
@@ -390,7 +394,8 @@ def log_transform(gfun: GridFunction, lam: float, mu: float, tol: float = 1e-6):
     if np.any(gv < 1.0 - 1e-12):
         raise PreconditionError("need gfun >= 1 everywhere")
     M = gfun.manifold
-    ids, G = batch_jets(gfun)
+    G = batch_jets(gfun)
+    ids = G.x
     gmax = float(gv.max())
     precond_tol = max(tol, 0.5 * M.min_spacing()**2 * lam**2 * gmax)
     bad = G.eigs[:, -1] - lam**2 * gv[ids]
@@ -402,7 +407,7 @@ def log_transform(gfun: GridFunction, lam: float, mu: float, tol: float = 1e-6):
                     "tolerance": precond_tol,
                     "worst_nodes": worst_nodes.tolist()})
     w = GridFunction(M, -mu * np.log(gv))
-    wid, W = batch_jets(w)
+    W = batch_jets(w)
     grad_w = W.grad
     eig_min = W.eigs[:, 0]
     worst = {
@@ -414,7 +419,7 @@ def log_transform(gfun: GridFunction, lam: float, mu: float, tol: float = 1e-6):
     cert = Certificate(
         name="log_transform", passed=bool(passed), tolerance=tol,
         worst=worst,
-        counts={"nodes": wid.size},
+        counts={"nodes": W.x.size},
         params={"lam": lam, "mu": mu, "precond_tol": precond_tol},
         residuals={"grad_w": grad_w, "hess_min_w": eig_min},
     )
@@ -427,19 +432,19 @@ def log_transform(gfun: GridFunction, lam: float, mu: float, tol: float = 1e-6):
 
 
 def punctured_example_check(m: int, lam: float, M: PuncturedEuclidean | None = None,
-                            r_min: float = 0.05, tol: float = 1e-8):
+                            tol: float = DEFAULT_POLICY.membership_tol):
     """Membership of the explicit punctured-space potential in {tr A >= lam r}.
 
     w = -|x|^2 - |x|^(2-m) for m >= 3, and -|x|^2 + log|x| for m = 2;
     evaluated with exact radial derivatives, so the residual tr A - lam w
     is roundoff-accurate.  Reports the empirical compact K where
     membership fails, which shrinks as lam grows.  Without ``M`` the check
-    runs on 600 nodes over [r_min, 4].
+    runs on 600 nodes over [``PUNCTURED_R_MIN``, 4].
     """
     if m < 2:
         raise InputError("need m >= 2")
     if M is None:
-        M = PuncturedEuclidean(m, r_min, 4.0, 600)
+        M = PuncturedEuclidean(m, PUNCTURED_R_MIN, 4.0, 600)
     r = M.r
     if m == 2:
         w = -(r**2) + np.log(r)

@@ -405,17 +405,13 @@ def _grow_mask(M: ModelManifold, mask: np.ndarray) -> np.ndarray:
 class GridFunction:
     manifold: ModelManifold
     values: np.ndarray
-    neg_inf_mask: np.ndarray | None = None  # USC convention: -inf allowed if flagged
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.manifold.n_nodes,):
             raise InputError("grid function length must match the node count")
-        bad = ~np.isfinite(self.values)
-        if self.neg_inf_mask is not None:
-            bad &= ~(self.neg_inf_mask & (self.values == -np.inf))
-        if np.any(bad & self.manifold.interior_mask):
-            raise InputError("grid function must be finite on unflagged interior nodes")
+        if np.any(~np.isfinite(self.values) & self.manifold.interior_mask):
+            raise InputError("grid function must be finite on interior nodes")
 
     @staticmethod
     def from_callable(M: ModelManifold, fn) -> "GridFunction":
@@ -426,10 +422,6 @@ class GridFunction:
     @staticmethod
     def constant(M: ModelManifold, c: float) -> "GridFunction":
         return GridFunction(M, np.full(M.n_nodes, float(c)))
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.manifold, self.values.copy(),
-                            None if self.neg_inf_mask is None else self.neg_inf_mask.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -449,23 +441,21 @@ def radial_hessian_eigs(phi1: float, phi2: float, r: float, warp, m: int) -> np.
 
 
 def batch_jets(u: GridFunction, ids=None):
-    """Vectorized centred discrete jets: returns (ids, J), J the grid's jet
-    view at the nodes ids (its ``x``), by default every interior node.
+    """Vectorized centred discrete jets: the grid's jet view J at the
+    nodes ids (its ``x``), by default every interior node.
 
     Line grids take the centred ``LineStencil.view``, a ``RadialView``
     whose ``grad_up`` is |du|; its dense p and A are built only where a
     caller reads them, never to evaluate a defining function.  Boxes
     add the node values of each entry of their cross stencil
     (``FlatBox.sums``) into a ``DenseView``, each node only in the entries
-    that read it.  Skips nodes flagged -inf (USC convention).
+    that read it.
     """
     M = u.manifold
     ids = M.interior_ids if ids is None else np.asarray(ids, dtype=int)
-    if u.neg_inf_mask is not None:
-        ids = ids[~u.neg_inf_mask[ids]]
     vals = u.values
     if M.stencil is not None:
-        return ids, M.stencil.at(ids).view(ids, vals[ids - 1], vals[ids], vals[ids + 1])
+        return M.stencil.at(ids).view(ids, vals[ids - 1], vals[ids], vals[ids + 1])
     if not isinstance(M, FlatBox):
         raise InputError(f"unsupported manifold kind {type(M).__name__}")
     V = vals[ids + M.shifts[:, None]]
@@ -476,7 +466,7 @@ def batch_jets(u: GridFunction, ids=None):
         for w, o in rest:  # only the nodes the entry reads, in order
             x += w * V[o]
         x /= d
-    return ids, DenseView.of_entries(ids, X, M.m)
+    return DenseView.of_entries(ids, X, M.m)
 
 
 # ---------------------------------------------------------------------------

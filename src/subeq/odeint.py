@@ -31,9 +31,8 @@ ATOL = 1e-10
 MAX_STEPS = 200_000
 
 
-def integrate(f, t0: float, y0, t1: float, max_step: float | None = None,
-              stop_above: float | None = None):
-    """Integrate y' = f(t, y) from t0 to t1 > t0.
+def integrate(f, t0: float, y0, t1: float, max_step: float, stop_above: float):
+    """Integrate y' = f(t, y) from t0 to t1 > t0 in steps of at most max_step.
 
     Steps are accepted at the RMS error within ATOL + RTOL |y|, and at most
     MAX_STEPS are taken.  Returns (ts, ys, status) with status 'done' or
@@ -41,7 +40,7 @@ def integrate(f, t0: float, y0, t1: float, max_step: float | None = None,
     """
     y = np.asarray(y0, dtype=float).copy()
     t = float(t0)
-    h = min((t1 - t0) / 100.0, max_step or np.inf)
+    h = min((t1 - t0) / 100.0, max_step)
     ts, ys = [t], [y.copy()]
     ks = [None] * 7
     for _ in range(MAX_STEPS):
@@ -71,12 +70,10 @@ def integrate(f, t0: float, y0, t1: float, max_step: float | None = None,
             y = y5
             ts.append(t)
             ys.append(y.copy())
-            if stop_above is not None and abs(y[0]) > stop_above:
+            if abs(y[0]) > stop_above:
                 return np.array(ts), np.array(ys), "threshold"
         fac = 0.9 * err ** -0.2 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, fac))
-        if max_step is not None:
-            h = min(h, max_step)
+        h = min(h * min(5.0, max(0.2, fac)), max_step)
         if h < 1e-14 * (1 + abs(t)):
             raise NumericalError("step size underflow (stiff blow-up?)",
                                  diagnostics={"t": t, "y": y.tolist()})

@@ -3,9 +3,9 @@
 A ``Profile`` is the 1-D monotone function that enters a subequation
 (``tr A >= f(r)``, ``|p| <= xi(r)``, ...).  Three kinds are supported:
 linear through the origin, constant, and a tabulated monotone linear
-spline with flat extension beyond the table.  Monotonicity and the sign
-flags (f1), (f1'), (xi1), (xi0) are verified by sampling at construction
-time and cached on the instance.
+spline with flat extension beyond the table.  Monotonicity of f and the
+xi classes (xi1), (xi0) are verified by sampling at construction time and
+cached on the instance.
 """
 from __future__ import annotations
 
@@ -74,12 +74,8 @@ class Profile:
         return out if out.ndim else float(out)
 
     # -- monotonicity --------------------------------------------------
-    @property
-    def nondecreasing(self) -> bool:
-        return self.flags["nondecreasing"]
-
     def require_f(self) -> "Profile":
-        if not self.nondecreasing:
+        if not self.flags["nondecreasing"]:
             raise ConstructionError("profile f must be non-decreasing")
         return self
 
@@ -117,26 +113,17 @@ def _profile_flags(p: Profile) -> dict:
         grid = _SAMPLE_GRID
     v = np.asarray(p(grid))
     dv = np.diff(v)
-    nondec = bool(np.all(dv >= -1e-14))
     noninc = bool(np.all(dv <= 1e-14))
-    at0 = float(p(0.0))
-    neg = grid < 0
-    f1 = nondec and abs(at0) <= 1e-12 and bool(np.all(v[neg] < 0))
-    f1p = nondec and abs(at0) <= 1e-12 and abs(float(p(-1e-3))) <= 1e-12
     xi1 = (
         noninc
-        and abs(at0) <= 1e-12
+        and abs(float(p(0.0))) <= 1e-12
         and bool(np.all(v >= -1e-14))
-        and bool(np.all(v[neg] > 0))
+        and bool(np.all(v[grid < 0] > 0))
     )
-    xi0 = noninc and bool(np.all(v > 0))
     return {
-        "nondecreasing": nondec,
-        "nonincreasing": noninc,
-        "f1": f1,
-        "f1_prime": f1p,
+        "nondecreasing": bool(np.all(dv >= -1e-14)),
         "xi1": xi1,
-        "xi0": xi0,
+        "xi0": noninc and bool(np.all(v > 0)),
     }
 
 

@@ -100,7 +100,7 @@ def ahlfors_violation_check(F_dual: Subequation, U, u: GridFunction,
                            notes=["candidate nowhere positive: not in scope"]))
     H = union(F_dual, below_zero_cap(F_dual.m))
     inner = U & M.interior_mask
-    cert = verify_subharmonic(H, u, M, tol=membership_tol, region=inner)
+    cert = verify_subharmonic(H, u, tol=membership_tol, region=inner)
     bd = _boundary_of(M, U) if boundary_mask is None else np.asarray(boundary_mask, dtype=bool)
     sup_boundary_plus = float(np.maximum(uv[bd], 0.0).max(initial=0.0))
     sup_all = float(uv[U | bd].max(initial=-np.inf))
@@ -122,15 +122,13 @@ def ahlfors_violation_check(F_dual: Subequation, U, u: GridFunction,
 
 
 def liouville_check(F_dual: Subequation, u: GridFunction,
-                    M: ModelManifold | None = None,
                     membership_tol: float | None = None) -> Verdict:
     """Fails iff u >= 0 is bounded, dual-membership holds everywhere, and u
     is nonconstant beyond 1e-8 (a Liouville witness)."""
-    M = M or u.manifold
     uv = u.values
     if np.any(uv < -1e-12):
         raise InputError("liouville candidates must be non-negative")
-    cert = verify_subharmonic(F_dual, u, M, tol=membership_tol)
+    cert = verify_subharmonic(F_dual, u, tol=membership_tol)
     spread = float(uv.max() - uv.min())
     cert.worst["spread"] = spread
     if cert.passed and spread > 1e-8:
@@ -261,7 +259,7 @@ def stochastic_completeness(warp, m: int, lam: float = 1.0,
         witness = GridFunction(M, w_ode / np.abs(w_ode).max())
         F = laplace(Profile.linear(lam), m=m)
         htol = 10.0 * float(np.diff(r_grid).max()) ** 2 * max(1.0, lam)
-        check = liouville_check(F.dual(), witness, M, membership_tol=htol)
+        check = liouville_check(F.dual(), witness, membership_tol=htol)
         v = Verdict("stochastic_completeness", Outcome.FAILS, provenance,
                     witness=witness, certificate=check.certificate, notes=notes)
         v.notes.append(f"witness re-verified at O(h^2) tolerance {htol:.2e}: "

@@ -146,9 +146,9 @@ def boundary_values(M: ModelManifold, boundary: dict) -> np.ndarray:
 
 
 def _interior_residual(F, u: GridFunction, ids=None):
-    """u's centred jet view J (node ids J.x: every interior node by default,
-    nodes flagged -inf skipped) and the defining values of F there."""
-    _, J = batch_jets(u, ids)
+    """u's centred jet view J (node ids J.x: every interior node by default)
+    and the defining values of F there."""
+    J = batch_jets(u, ids)
     return J, F._value(J)
 
 
@@ -345,7 +345,7 @@ def _iterate(spec: ProblemSpec, u, caps, start):
         engine, upwind, gf = "generic", False, GridFunction(M, u)  # jets follow u in place
 
         def jets():
-            return batch_jets(gf, ids)[1]
+            return batch_jets(gf, ids)
 
         def step():
             return K.step_box(u, ids, M, caps, value, jets, res, at)
@@ -517,14 +517,15 @@ def solve_obstacle(spec: ProblemSpec):
     return _solve(spec, spec.obstacle.values.copy())
 
 
-def verify_subharmonic(F: Subequation, u: GridFunction, M: ModelManifold | None = None,
-                       tol: float | None = None, region=None) -> Certificate:
-    """Discrete F-subharmonicity: jets at interior nodes classify inside F.
+def verify_subharmonic(F: Subequation, u: GridFunction, tol: float | None = None,
+                       region=None) -> Certificate:
+    """Discrete F-subharmonicity: jets at interior nodes of u's grid
+    classify inside F.
 
-    ``tol`` defaults to the default membership_tol.  Nodes flagged -inf
-    are skipped (USC convention); ``region`` restricts to a node mask.
+    ``tol`` defaults to the default membership_tol; ``region`` restricts
+    to a node mask.
     """
-    M = M or u.manifold
+    M = u.manifold
     tol = DEFAULT_POLICY.membership_tol if tol is None else tol
     ids = None
     if region is not None:
@@ -556,8 +557,8 @@ def comparison_check(F: Subequation, u: GridFunction, v: GridFunction,
     tol = DEFAULT_POLICY.membership_tol
     precheck_tol = 100 * tol
     K = np.ones(M.n_nodes, dtype=bool) if K is None else np.asarray(K, dtype=bool)
-    cu = verify_subharmonic(F, u, M, tol=precheck_tol, region=K & M.interior_mask)
-    cv = verify_subharmonic(dual_of(F), v, M, tol=precheck_tol, region=K & M.interior_mask)
+    cu = verify_subharmonic(F, u, tol=precheck_tol, region=K & M.interior_mask)
+    cv = verify_subharmonic(dual_of(F), v, tol=precheck_tol, region=K & M.interior_mask)
     if not (cu.passed and cv.passed):
         return Certificate(
             name="comparison_check", passed=False, tolerance=tol,
@@ -607,7 +608,10 @@ def _doubled_variable_diag(M, uv, vv, K):
     return out
 
 
-# The fiber distance make_barrier asks of every collar jet by default.
+# make_barrier's search: heights s (tried first) and scales t of the barriers
+# beta = t (rho + s rho^2), and the fiber distance it asks of every collar jet.
+BARRIER_S = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+BARRIER_T = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 BARRIER_MARGIN = 1e-6
 # The collar of a boundary piece: the interior nodes within this many
 # smallest grid spacings of it.  ``make_barrier`` certifies its barrier
@@ -625,26 +629,26 @@ class BarrierResult:
     certificate: Certificate
 
 
-def make_barrier(F: Subequation, M: ModelManifold, omega_mask, boundary_ids,
-                 rho: GridFunction, s_grid=(0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
-                 t_grid=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
-                 margin: float = BARRIER_MARGIN) -> BarrierResult:
-    """Search beta = t (rho + s rho^2) for a strictly F-subharmonic barrier.
+def make_barrier(F: Subequation, M: ModelManifold, boundary_ids,
+                 rho: GridFunction) -> BarrierResult:
+    """Search beta = t (rho + s rho^2), s in ``BARRIER_S`` and t in
+    ``BARRIER_T``, read at each call, for a strictly F-subharmonic barrier.
 
-    rho must be a defining function: zero on the boundary piece, negative on
-    the omega side near it, with non-vanishing discrete gradient there.
-    The collar is the interior omega nodes within
-    ``COLLAR_SPACINGS * M.min_spacing()`` of the boundary piece.
-    Certification asks the fiber distance from each collar jet to the
-    boundary of F to stay above ``margin`` -- not only at t but along an
-    escalating t-ladder (t, 4t, 16t, 64t), the desk-scale rendering of the
-    barrier family {t rho_s : t >= t_0}: members with empty asymptotic
-    interior (the eikonal) correctly fail.  A rung is one batched search
-    over the collar; its first node (in collar order) with G <= 0 or
-    distance < ``margin`` fails it, with the minimum distance up to there.
-    The smallest certified (s, t) pair (s first, then t) is returned.
+    rho must be a defining function: zero on the boundary piece, negative
+    near it, with non-vanishing discrete gradient there.  The collar is
+    the interior nodes within ``COLLAR_SPACINGS * M.min_spacing()`` of the
+    boundary piece.  Certification asks the fiber distance from each
+    collar jet to the boundary of F to stay above ``BARRIER_MARGIN`` --
+    not only at t but along an escalating t-ladder (t, 4t, 16t, 64t), the
+    desk-scale rendering of the barrier family {t rho_s : t >= t_0}:
+    members with empty asymptotic interior (the eikonal) correctly fail.
+    A rung is one batched search over the collar; its first node (in
+    collar order) with G <= 0 or distance < ``BARRIER_MARGIN`` fails it,
+    with the minimum distance up to there, and only the jets before its
+    first node with G <= 0 are asked their distance.  The smallest
+    certified (s, t) pair is returned.
     """
-    omega_mask = np.asarray(omega_mask, dtype=bool)
+    margin = BARRIER_MARGIN
     boundary_ids = np.asarray(boundary_ids, dtype=int)
     rv = rho.values
     scale = 1.0 + float(np.abs(rv).max())
@@ -653,30 +657,32 @@ def make_barrier(F: Subequation, M: ModelManifold, omega_mask, boundary_ids,
     bc = M.coords[boundary_ids]
     dist = np.min(np.linalg.norm(M.coords[:, None, :] - bc[None, :, :], axis=2), axis=1)
     collar_width = COLLAR_SPACINGS * M.min_spacing()
-    collar = omega_mask & M.interior_mask & (dist <= collar_width)
+    collar = M.interior_mask & (dist <= collar_width)
     if not np.any(collar):
-        raise PreconditionError("empty collar: no interior omega node within "
+        raise PreconditionError("empty collar: no interior node within "
                                 f"{COLLAR_SPACINGS:g} grid spacings of the boundary piece")
     if np.any(rv[collar] >= 0):
-        raise PreconditionError("rho must be negative inside omega near the boundary")
+        raise PreconditionError("rho must be negative near the boundary piece")
     ids = np.where(collar)[0]
     best_margin = -np.inf
 
     def certify(vals):
-        _, J = batch_jets(GridFunction(M, vals), ids)
+        J = batch_jets(GridFunction(M, vals), ids)
         if np.any(J.grad < 1e-12):
             return False, 0.0
         k = int(np.argmax(np.append(F._value(J) <= 0, True)))
-        d = distance_to_boundary(F, ids[:k], J.r[:k], J.p[:k], J.A[:k]).value
+        d = np.empty(0)
+        if k:
+            d = distance_to_boundary(F, ids[:k], J.r[:k], J.p[:k], J.A[:k]).value
         j = int(np.argmax(np.append(d < margin, True)))
         worst = float(np.min(d[:j + 1], initial=np.inf))
         if j == k < ids.size:
             worst = min(worst, 0.0)
         return j == ids.size, worst
 
-    for s in s_grid:
+    for s in BARRIER_S:
         rs = rv + s * rv**2
-        for t in t_grid:
+        for t in BARRIER_T:
             ok = True
             worst = np.inf
             for scale in (1.0, 4.0, 16.0, 64.0):
@@ -699,7 +705,7 @@ def make_barrier(F: Subequation, M: ModelManifold, omega_mask, boundary_ids,
         name="make_barrier", passed=False, tolerance=margin,
         worst={"best_margin": best_margin},
         counts={"collar_nodes": ids.size},
-        params={"s_grid": list(s_grid), "t_grid": list(t_grid)},
+        params={"s_grid": list(BARRIER_S), "t_grid": list(BARRIER_T)},
         notes=["barrier search exhausted: boundary may not be F-convex at these heights"],
     )
     return BarrierResult(False, None, np.nan, np.nan, best_margin, cert)

@@ -23,7 +23,6 @@ writes every ``jets.RadialView`` of the radial differences.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .certificates import Certificate
 from .errors import ConstructionError, InputError
-from .jets import MAX_DIM, DenseView
+from .jets import MAX_DIM, DenseView, upper_pairs
 from .policy import DEFAULT_POLICY
 from .profiles import AProfile, Profile
 
@@ -528,30 +527,6 @@ class BoundaryDistance(NamedTuple):
     found: np.ndarray
 
 
-@functools.lru_cache(maxsize=MAX_DIM)
-def _packing(m):
-    """Upper-triangle indices of A and their weights in the fiber coordinates."""
-    iu = np.triu_indices(m)
-    return iu, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-
-
-def _jet_coords(r, p, A):
-    """Orthonormal flat-fiber (Sasaki) coordinates of one jet or a batch."""
-    iu, w = _packing(p.shape[-1])
-    r = np.asarray(r, dtype=float)[..., None]
-    return np.concatenate([r, p, A[..., iu[0], iu[1]] * w], axis=-1)
-
-
-def _coords_to_jet(c, m):
-    iu, w = _packing(m)
-    A = np.zeros(c.shape[:-1] + (m, m))
-    A[..., iu[0], iu[1]] = c[..., 1 + m:] / w
-    diag = np.diagonal(A, axis1=-2, axis2=-1).copy()
-    A = A + np.swapaxes(A, -1, -2)
-    A[..., range(m), range(m)] -= diag
-    return c[..., 0], c[..., 1:1 + m], A
-
-
 def _norms(X):
     """Row norms by one dot product per row, as np.linalg.norm of one vector."""
     return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
@@ -564,27 +539,37 @@ ABS_TOL = 1e-10
 def distance_to_boundary(F: Subequation, x, r, p, A) -> BoundaryDistance:
     """Fiber distance from each jet to the boundary of F_x (flat fiber metric).
 
-    Jets come as in `Subequation.value`.  |G| <= ``ABS_TOL`` is 0.
+    Jets come as in `Subequation.value`.  The orthonormal flat-fiber
+    (Sasaki) coordinates of a jet are its ``DenseView.entries`` times one
+    weight row, sqrt(2) on each A_ab with a < b and 1 elsewhere; a point
+    on a ray maps back through ``DenseView.of_entries`` and is read by
+    ``F._value``.  |G| <= ``ABS_TOL`` is 0.
     Else up to five rays towards the other sign of G are searched: steepest
     G-change (central differences), the r-shift, the trace shift and
     +-p/|p|.  Each ray encloses its crossing at t = 1, 2, 4, ... <= 64 and
     halves to t_hi - t_lo <= 1e-9 (1 + t_hi), at most 60 times; the
-    nearest crossing wins (+inf, found=False, if none).  One F.value call
+    nearest crossing wins (+inf, found=False, if none).  One evaluation
     serves the open rays of the whole batch per stage, and a done ray is
     frozen, so no distance depends on its batch.
     """
     r, p, A = _as_batch(r, p, A, F.m)
     m, n = F.m, r.size
     xs = None if x is None else np.broadcast_to(np.asarray(x), (n,))
+    a, b = upper_pairs(m)
+    w = np.concatenate([np.ones(1 + m), np.where(np.equal(a, b), 1.0, np.sqrt(2.0))])
+
+    def coords(J):
+        return J.entries()[0].T * w
 
     def G(c, jets):
-        return F.value(None if xs is None else xs[jets], *_coords_to_jet(c, m))
+        return F._value(DenseView.of_entries(None if xs is None else xs[jets], (c / w).T, m))
 
-    g0 = F.value(xs, r, p, A)
+    J = DenseView(xs, r, p, A)
+    g0 = F._value(J)
     dist = np.zeros(n)
     todo = np.flatnonzero(~(np.abs(g0) <= ABS_TOL))
     if todo.size:
-        c0 = _jet_coords(r[todo], p[todo], A[todo])
+        c0 = coords(J)[todo]
         k, K = c0.shape
         s0 = np.sign(g0[todo])
         eps = 1e-6 * (1.0 + _norms(c0))
@@ -593,8 +578,8 @@ def distance_to_boundary(F: Subequation, x, r, p, A) -> BoundaryDistance:
         gb = G(bumps.reshape(-1, K), np.repeat(todo, 2 * K)).reshape(k, 2, K)
         grad = (gb[:, 0] - gb[:, 1]) / (2 * eps[:, None])
         gn, pn = _norms(grad), _norms(c0[:, 1:1 + m])
-        e_r = _jet_coords(1.0, np.zeros(m), np.zeros((m, m)))
-        e_A = _jet_coords(0.0, np.zeros(m), np.eye(m) / np.sqrt(m))
+        e_r, e_A = coords(DenseView(None, np.array([1.0, 0.0]), np.zeros((2, m)),
+                                    np.array([np.zeros((m, m)), np.eye(m) / np.sqrt(m)])))
         e_p = np.zeros_like(c0)
         e_p[:, 1:1 + m] = c0[:, 1:1 + m] / np.where(pn > 1e-12, pn, 1.0)[:, None]
         D = np.concatenate([-s0[:, None] * grad / np.where(gn > 1e-12, gn, 1.0)[:, None],

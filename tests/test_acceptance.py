@@ -196,9 +196,9 @@ def test_criterion_6_punctured_certificates():
     M3 = PuncturedEuclidean(3, 0.05, 4.0, 600)
     zone3 = (M3.r <= 0.16) | (M3.r >= 2.4)
     ok3 = bool(np.all(res3[zone3] >= -1e-8)) and c3.passed
-    c2 = punctured_example_check(2, 1.0, r_min=0.005)
-    res2 = c2.residuals["membership"]
     M2 = PuncturedEuclidean(2, 0.005, 4.0, 600)
+    c2 = punctured_example_check(2, 1.0, M=M2)
+    res2 = c2.residuals["membership"]
     zone2 = (M2.r <= 0.018) | (M2.r >= 2.19)
     ok2 = bool(np.all(res2[zone2] >= -1e-8)) and c2.passed
     dt = time.perf_counter() - t0
@@ -235,7 +235,7 @@ def test_criterion_8_khasminskii_end_to_end():
     stage_ok = all(
         e["gap"] <= e["gap_target"] and e["pinch_margin"] > 0 and e["monotone"]
         for e in cert.trace)
-    sub = verify_subharmonic(F, w, M, tol=1e-6)
+    sub = verify_subharmonic(F, w, tol=1e-6)
     dt = time.perf_counter() - t0
     report(8, "Khas'minskii construction end-to-end (sinh, i_max=3)",
            ok and stage_ok and sub.passed and dt < 60.0, dt,
@@ -266,7 +266,7 @@ def test_criterion_10_log_transform():
     t0 = time.perf_counter()
     M = RadialModel(2, "sinh", np.linspace(0.0125, 5.0, 400))
     g = GridFunction(M, np.cosh(M.r))
-    w, cert = log_transform(g, lam=1.0, mu=0.5, tol=1e-6)
+    w, cert = log_transform(g, lam=1.0, mu=0.5)
     ok = (cert.worst["grad_w_excess"] <= 1e-6
           and cert.worst["hessian_w_deficit"] <= 1e-6
           and cert.worst["grad_g_excess"] <= 1e-6)

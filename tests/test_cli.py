@@ -268,6 +268,31 @@ class TestRun:
         err = capsys.readouterr().err
         assert "input error" in err and named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("stem,edit,named", [
+        ("dirichlet_annulus",
+         lambda sc: sc["subequation"].update(f={"kind": "table", "r": [0.0, 1.0], "v": [1.0, 0.0]}),
+         "profile f must be non-decreasing"),
+        ("dirichlet_annulus",
+         lambda sc: sc["subequation"].update(
+             f={"kind": "table", "r": [0.0, 1.0, 2.0], "v": [0.0, 1.0, 0.5]}),
+         "table profile values must be monotone"),
+        ("jetequiv_sinh", lambda sc: sc["subequation"].update(T=[[1.0, 0.0], [0.0, -1.0]]),
+         "coefficient field T must be positive definite"),
+        ("jetequiv_sinh", lambda sc: sc["subequation"].update(b=0.0),
+         "normalizer b must be positive"),
+        ("khasminskii_sinh", lambda sc: sc["params"].update(h={"kind": "constant", "value": -0.5}),
+         "h does not diverge along the exhaustion"),
+    ], ids=["f-decreasing", "f-not-monotone", "T-not-positive", "b-zero", "h-bounded"])
+    def test_invalid_construction_exit_4(self, tmp_path, capsys, stem, edit, named):
+        # a ConstructionError is raised for an invalid input, not for
+        # numerics that failed to converge: it exited 3
+        sc = json.loads(SCENARIO_DIR.joinpath(f"{stem}.json").read_text())
+        edit(sc)
+        path = write_scenario(tmp_path, "bad.json", sc)
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--no-plots"]) == 4
+        err = capsys.readouterr().err
+        assert f"input error: {named}" in err and "Traceback" not in err
+
     def test_capacity_r_K_between_nodes_exit_4(self, tmp_path, capsys):
         # r_K = 1.02 lies between the sinh grid's nodes 1.0 and 1.05: it
         # was rounded up to 1.05 and reported as the capacity of {r <= 1.02}
@@ -524,10 +549,11 @@ class TestAudit:
                 assert alone.worst == {k: suite.worst[prefix + k] for k in alone.worst}
                 assert alone.counts == {k: suite.counts[prefix + k] for k in alone.counts}
 
-    def test_tightened_tolerance_fails_documented(self):
+    def test_tightened_tolerance_fails_documented(self, monkeypatch):
         # tightening below the measured floating-point floor produces the
         # documented tolerance-bound failure
         base = garding_identity_suite(seed=0, n=200, m_max=4)
         floor = max(base.worst["duality_identity"], 1e-300)
-        cert = garding_identity_suite(seed=0, n=200, m_max=4, tol=floor / 10)
+        monkeypatch.setattr(subeq.cli, "IDENTITY_TOL", floor / 10)
+        cert = garding_identity_suite(seed=0, n=200, m_max=4)
         assert not cert.passed

@@ -359,7 +359,8 @@ class TestDenseViewReadings:
         expect = {
             "grad": np.linalg.norm(p, axis=1),
             "trace": np.trace(A, axis1=1, axis2=2),
-            "dir2": np.einsum("ni,nij,nj->n", p, A, p) / np.einsum("ni,ni->n", p, p),
+            "dir2": (sum(p[:, i] * np.einsum("nj,nj->n", A[:, i], p) for i in range(3))
+                     / np.einsum("ni,ni->n", p, p)),
         }
         expect["grad_up"] = expect["grad"]
         for name in self.READINGS:
@@ -396,3 +397,19 @@ class TestDenseViewReadings:
         # P adds a matrix to A: its trace is its own
         assert JP.readings is not J.readings
         assert not np.array_equal(JP.trace, J.trace)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_catalog_values_do_not_depend_on_the_batch(self, m):
+        # every catalog member and its dual reads each jet to the same bytes
+        # alone and inside a batch of 500; dir2 and dir2_unit once rounded
+        # by the batch size at m = 2 (inf_laplacian and mean curvature)
+        from subeq.cli import _catalog
+        from subeq.subequations import _random_jets
+
+        r, p, A = _random_jets(np.random.default_rng(1), 500, m)
+        J = DenseView(None, r, p, A)
+        members = _catalog(m)
+        for F in members + [F.dual() for F in members]:
+            alone = [F._value(DenseView(None, r[i:i + 1], p[i:i + 1], A[i:i + 1]))[0]
+                     for i in range(r.size)]
+            assert F._value(J).tobytes() == np.array(alone).tobytes(), F.meta.tag

@@ -50,7 +50,7 @@ class TestBuildPotential:
             if i == len(cert.trace) - 1 and beyond.any():
                 assert np.all(wv[beyond] <= -(i + 1) + 1e-9)
         # final subharmonicity at 1e-6
-        sub = verify_subharmonic(laplace(LIN, m=2), w, M, tol=1e-6)
+        sub = verify_subharmonic(laplace(LIN, m=2), w, tol=1e-6)
         assert sub.passed
 
     def test_stage_monotone_sequence(self):
@@ -210,7 +210,7 @@ class TestLogTransform:
     def test_hyperbolic_cosh(self):
         M = RadialModel(2, "sinh", np.linspace(0.0125, 5.0, 400))
         g = GridFunction(M, np.cosh(M.r))
-        w, cert = log_transform(g, 1.0, 0.5, tol=1e-6)
+        w, cert = log_transform(g, 1.0, 0.5)
         assert cert.passed
         assert cert.worst["grad_w_excess"] <= 1e-6
         assert cert.worst["hessian_w_deficit"] <= 1e-6
@@ -247,7 +247,7 @@ class TestPuncturedExample:
         assert abs(k_hi - 2.3811) < 5e-2
 
     def test_m2_interval(self):
-        cert = punctured_example_check(2, 1.0, r_min=0.005)
+        cert = punctured_example_check(2, 1.0, M=PuncturedEuclidean(2, 0.005, 4.0, 600))
         assert cert.passed
         k_lo, k_hi = cert.params["K_interval"]
         # oracle: residual = -4 + r^2 - log r

@@ -75,21 +75,21 @@ class TestDiscreteJet:
     def test_affine_exact(self):
         M = FlatBox(2, [(0.0, 1.0), (0.0, 1.0)], 0.1)
         u = GridFunction.from_callable(M, lambda c: c[:, 0])
-        J = batch_jets(u, M.interior_ids[[7]])[1]
+        J = batch_jets(u, M.interior_ids[[7]])
         assert np.allclose(J.p[0], [1.0, 0.0])
         assert np.abs(J.A[0]).max() <= 1e-8
 
     def test_quadratic_exact(self):
         M = FlatBox(2, [(0.0, 1.0), (0.0, 1.0)], 0.05)
         u = GridFunction.from_callable(M, lambda c: 0.5 * (c**2).sum(axis=1))
-        J = batch_jets(u, M.interior_ids[[11]])[1]
+        J = batch_jets(u, M.interior_ids[[11]])
         assert np.abs(J.A[0] - np.eye(2)).max() < 1e-9
 
     def test_harmonic_oracle_punctured(self):
         # u = 2/r - 1 on the m=3 punctured annulus: discrete trace = O(h^2)
         M = PuncturedEuclidean(3, 1.0, 2.0, 200)
         u = GridFunction(M, 2.0 / M.r - 1.0)
-        _, J = batch_jets(u)
+        J = batch_jets(u)
         tr = np.trace(J.A, axis1=1, axis2=2)
         h = np.diff(M.r).max()
         assert np.abs(tr).max() <= 20 * h**2
@@ -100,37 +100,27 @@ class TestDiscreteJet:
         for n in (101, 201):
             M = RadialModel.uniform(2, "euclidean", 1.0, 2.0, n)
             u = GridFunction(M, np.sin(2.0 * M.r))
-            ids, J = batch_jets(u)
+            J = batch_jets(u)
+            ids = J.x
             exact_d2 = -4.0 * np.sin(2.0 * M.r[ids])
             errs.append(np.abs(J.A[:, 0, 0] - exact_d2).max())
         ratio = errs[0] / errs[1]
         assert 3.5 <= ratio <= 4.5
 
-    def test_usc_flagged_nodes_skipped(self):
-        M = FlatBox(1, [(0.0, 1.0)], 0.1)
-        vals = np.zeros(M.n_nodes)
-        vals[5] = -np.inf
-        mask = np.zeros(M.n_nodes, dtype=bool)
-        mask[5] = True
-        u = GridFunction(M, vals, neg_inf_mask=mask)
-        ids, J = batch_jets(u)
-        assert 5 not in ids and J.x is ids
-
-    def test_usc_flagged_node_spoils_only_the_entries_that_read_it(self):
-        # on a 2-D box a -inf node next to interior nodes: r and every
-        # entry whose formula does not read that node stay finite
+    def test_nonfinite_boundary_value_spoils_only_the_entries_that_read_it(self):
+        # on a 2-D box a -inf value on an edge node next to interior nodes:
+        # r and every entry whose formula does not read that node stay finite
         M = FlatBox(2, [(0.0, 1.0), (0.0, 1.0)], 1 / 8)
-        flagged = M.interior_ids[30]
+        edge = 4  # the node (0, 4): read by (1, 3), (1, 4) and (1, 5)
+        assert not M.interior_mask[edge]
         vals = np.random.default_rng(5).uniform(-1.0, 1.0, M.n_nodes)
-        vals[flagged] = -np.inf
-        mask = np.zeros(M.n_nodes, dtype=bool)
-        mask[flagged] = True
-        ids, J = batch_jets(GridFunction(M, vals, neg_inf_mask=mask))
-        assert flagged not in ids
+        vals[edge] = -np.inf
+        J = batch_jets(GridFunction(M, vals))
+        ids = J.x
         X, _ = J.entries()
         reads = ((M.table != 0)
-                 & (ids + M.shifts[:, None] == flagged)).any(axis=1)  # (E, n)
-        assert reads.any(axis=0).sum() == 8  # its eight stencil neighbours
+                 & (ids + M.shifts[:, None] == edge)).any(axis=1)  # (E, n)
+        assert reads.any(axis=0).sum() == 3
         assert np.isfinite(J.r).all()
         assert np.isfinite(X[~reads]).all() and not np.isfinite(X[reads]).any()
 
@@ -142,7 +132,8 @@ class TestDiscreteJet:
         # and A_ab = (u(++) + u(--) - u(+-) - u(-+)) / (4 h_a h_b)
         M = FlatBox(m, [(0.0, 1.0)] * m, h)
         u = np.random.default_rng(7).normal(size=M.n_nodes)
-        ids, J = batch_jets(GridFunction(M, u))
+        J = batch_jets(GridFunction(M, u))
+        ids = J.x
         s, h = M.strides, M.h
         p = np.empty((ids.size, m))
         A = np.empty((ids.size, m, m))
@@ -162,7 +153,8 @@ class TestRadialAgainstDiscrete:
         M = RadialModel.uniform(3, "sinh", 0.5, 3.0, 400)
         phi = np.cosh(M.r)
         u = GridFunction(M, phi)
-        ids, J = batch_jets(u)
+        J = batch_jets(u)
+        ids = J.x
         h = M.min_spacing()
         for k in (10, 200, 380):
             i = ids[k]
@@ -205,15 +197,14 @@ class TestGridFunction:
         with pytest.raises(InputError):
             GridFunction(M, vals)
 
-    def test_neg_inf_requires_flag(self):
+    def test_neg_inf_rejected_inside_accepted_on_the_boundary(self):
         M = FlatBox(1, [(0.0, 1.0)], 0.1)
         vals = np.zeros(M.n_nodes)
         vals[3] = -np.inf
         with pytest.raises(InputError):
             GridFunction(M, vals)
-        mask = np.zeros(M.n_nodes, dtype=bool)
-        mask[3] = True
-        GridFunction(M, vals, neg_inf_mask=mask)  # flagged: accepted
+        vals[3], vals[0] = 0.0, -np.inf
+        GridFunction(M, vals)  # a boundary node: accepted
 
     def test_length_checked(self):
         M = FlatBox(1, [(0.0, 1.0)], 0.1)

@@ -98,7 +98,7 @@ class TestLiouville:
     def test_constant_holds(self):
         M, x, _ = box_setup()
         Fd = dual(laplace(ZERO, m=1))
-        v = liouville_check(Fd, GridFunction(M, np.full(M.n_nodes, 2.0)), M)
+        v = liouville_check(Fd, GridFunction(M, np.full(M.n_nodes, 2.0)))
         assert v.result is Outcome.HOLDS
 
     def test_solver_outputs_constant_on_hyperbolic(self):
@@ -117,14 +117,13 @@ class TestLiouville:
         assert 0 <= w.values.min() and w.values.max() == pytest.approx(1.0)
         assert w.values.max() - w.values.min() > 1e-3
         h = np.diff(w.manifold.r).max()
-        check = liouville_check(dual(laplace(LIN, m=2)), w, w.manifold,
-                                membership_tol=10 * h**2)
+        check = liouville_check(dual(laplace(LIN, m=2)), w, membership_tol=10 * h**2)
         assert check.result is Outcome.FAILS
 
     def test_negative_candidate_rejected(self):
         M, x, _ = box_setup()
         with pytest.raises(InputError):
-            liouville_check(dual(laplace(ZERO, m=1)), GridFunction(M, -x), M)
+            liouville_check(dual(laplace(ZERO, m=1)), GridFunction(M, -x))
 
 
 class TestCapacity:
@@ -278,7 +277,7 @@ class TestTruncateShift:
         H = union(dual(Fbar), below_zero_cap(2))
         # exclude a stencil width around the free boundary
         off = np.abs(u.values - c) > 3 * np.diff(u.values).max()
-        cert = verify_subharmonic(H, w, M, region=off)
+        cert = verify_subharmonic(H, w, region=off)
         assert cert.passed, cert.worst
 
 

@@ -803,7 +803,7 @@ def _step_jets(M, u):
     columns."""
     ids = M.interior_ids
     if M.stencil is None:
-        return batch_jets(GridFunction(M, u), ids)[1], M.table, M.shifts
+        return batch_jets(GridFunction(M, u), ids), M.table, M.shifts
     S = M.stencil.at(ids)
     J = S.view(ids, u[ids - 1], u[ids], u[ids + 1], upwind=True)
     return J, S.table(u[ids], u[ids - 1], u[ids + 1]), np.array([-1, 0, 1])
@@ -918,7 +918,7 @@ class TestBoxNewton:
         F = laplace(ZERO, m=2)
         sol, _ = perron_dirichlet(ProblemSpec(F, M, {"side": _exp_cos}))
         ids, gf = M.interior_ids, GridFunction(M, sol.values.copy())
-        _, J = batch_jets(gf, ids)
+        J = batch_jets(gf, ids)
         calls = []
 
         def value(J):
@@ -930,7 +930,7 @@ class TestBoxNewton:
         at, res = [J, F._value(J)], np.empty(ids.size)
         calls.clear()
         out = K.step_box(gf.values, ids, M, np.full(M.n_nodes, np.inf), value,
-                         lambda: batch_jets(gf, ids)[1], res, at)
+                         lambda: batch_jets(gf, ids), res, at)
         assert 0.0 < np.abs(res).max() <= 1e-12
         assert out[0] <= 1e-15
         assert len(calls) == quotients + 1
@@ -1440,8 +1440,8 @@ class TestVerifySubharmonic:
         u = GridFunction.from_callable(M, lambda c: -(c**2).sum(axis=1))
         F_ok = hessian_branch(1, Profile.constant(-3.0), m=2)
         F_bad = hessian_branch(1, Profile.constant(-1.0), m=2)
-        assert verify_subharmonic(F_ok, u, M).passed       # lambda_1 = -2 >= -3
-        cert = verify_subharmonic(F_bad, u, M)
+        assert verify_subharmonic(F_ok, u).passed          # lambda_1 = -2 >= -3
+        cert = verify_subharmonic(F_bad, u)
         assert not cert.passed                              # -2 < -1
         assert cert.counts["violations"] == cert.counts["nodes"]
 
@@ -1458,7 +1458,7 @@ class TestVerifySubharmonic:
         contact = np.abs(v - c) <= 2 * np.diff(v).max()
         region = ~contact
         region &= np.roll(~contact, 1) & np.roll(~contact, -1)
-        cert = verify_subharmonic(H, w, M, region=region)
+        cert = verify_subharmonic(H, w, region=region)
         assert cert.passed, cert.worst
 
 
@@ -1533,15 +1533,15 @@ def _collar(M, boundary_ids):
     return np.where(M.interior_mask & (dist <= 4.0 * M.min_spacing()))[0]
 
 
-def _barrier_reference(F, M, boundary_ids, rho, margin=solver.BARRIER_MARGIN,
-                       s_grid=(0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
-                       t_grid=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)):
-    """make_barrier's search with one-jet calls, node by node along the collar;
+def _barrier_reference(F, M, boundary_ids, rho):
+    """make_barrier's search with one-jet calls, node by node along the collar,
+    over the solver's BARRIER_S, BARRIER_T and BARRIER_MARGIN as they stand;
     returns (ok, s, t, margin, certificate worst)."""
     ids = _collar(M, boundary_ids)
+    margin = solver.BARRIER_MARGIN
 
     def certify(vals):
-        _, J = batch_jets(GridFunction(M, vals), ids)
+        J = batch_jets(GridFunction(M, vals), ids)
         r, p, A = J.r, J.p, J.A
         if np.any(np.linalg.norm(p, axis=1) < 1e-12):
             return False, 0.0
@@ -1558,9 +1558,9 @@ def _barrier_reference(F, M, boundary_ids, rho, margin=solver.BARRIER_MARGIN,
 
     rv = rho.values
     best = -np.inf
-    for s in s_grid:
+    for s in solver.BARRIER_S:
         rs = rv + s * rv**2
-        for t in t_grid:
+        for t in solver.BARRIER_T:
             ok, worst = True, np.inf
             for scale in (1.0, 4.0, 16.0, 64.0):
                 ok_t, w_t = certify(t * scale * rs)
@@ -1582,19 +1582,19 @@ class TestBarriers:
     def test_batched_certificate_matches_node_loop(self):
         M = RadialModel.uniform(3, "euclidean", 1.0, 3.0, 201)
         rho = GridFunction(M, np.exp(-4.0 * M.r) - np.exp(-4.0 * M.r[0]))
-        res = make_barrier(laplace(ZERO, m=3), M, np.ones(M.n_nodes, bool), np.array([0]), rho)
+        res = make_barrier(laplace(ZERO, m=3), M, np.array([0]), rho)
         assert res.ok
         np.testing.assert_equal(_barrier_summary(res),
                                 _barrier_reference(laplace(ZERO, m=3), M, np.array([0]), rho))
 
         M = RadialModel.uniform(3, "euclidean", 1.0, 3.0, 121)
         rho = GridFunction(M, M.r[0] - M.r)
-        res = make_barrier(eikonal(1.0, m=3), M, np.ones(M.n_nodes, bool), np.array([0]), rho)
+        res = make_barrier(eikonal(1.0, m=3), M, np.array([0]), rho)
         assert not res.ok
         np.testing.assert_equal(_barrier_summary(res),
                                 _barrier_reference(eikonal(1.0, m=3), M, np.array([0]), rho))
 
-    def test_first_failing_node_bounds_the_worst_distance(self):
+    def test_first_failing_node_bounds_the_worst_distance(self, monkeypatch):
         # the collar distances fall with r, so a margin between those of the
         # first two collar nodes fails the scan at the second, and the
         # rung's worst is its distance, not the smaller ones beyond it
@@ -1602,24 +1602,23 @@ class TestBarriers:
         M = RadialModel.uniform(3, "euclidean", 1.0, 3.0, 201)
         rho = GridFunction(M, np.exp(-4.0 * M.r) - np.exp(-4.0 * M.r[0]))
         ids = _collar(M, np.array([0]))
-        _, J = batch_jets(rho, ids)
+        J = batch_jets(rho, ids)
         d = distance_to_boundary(F, ids, J.r, J.p, J.A).value
         assert ids.size >= 3 and np.all(np.diff(d) < 0)
-        margin = 0.5 * (d[0] + d[1])
-        res = make_barrier(F, M, np.ones(M.n_nodes, bool), np.array([0]), rho,
-                           s_grid=(0.0,), t_grid=(1.0,), margin=margin)
+        monkeypatch.setattr(solver, "BARRIER_MARGIN", 0.5 * (d[0] + d[1]))
+        monkeypatch.setattr(solver, "BARRIER_S", (0.0,))
+        monkeypatch.setattr(solver, "BARRIER_T", (1.0,))
+        res = make_barrier(F, M, np.array([0]), rho)
         assert not res.ok and res.margin == d[1] > d[-1]
-        np.testing.assert_equal(_barrier_summary(res), _barrier_reference(
-            F, M, np.array([0]), rho, margin=margin, s_grid=(0.0,), t_grid=(1.0,)))
+        np.testing.assert_equal(_barrier_summary(res),
+                                _barrier_reference(F, M, np.array([0]), rho))
 
     def test_euclidean_ball_hessian_branch(self):
         # Prop: Euclidean balls are F-convex at non-positive heights;
         # rho = r^2 - R^2 certifies from inside
         M = RadialModel.uniform(3, "euclidean", 0.2, 2.0, 181)
         rho = GridFunction(M, M.r**2 - 4.0)
-        res = make_barrier(hessian_branch(1, LIN, m=3), M,
-                           np.ones(M.n_nodes, bool),
-                           np.array([M.n_nodes - 1]), rho)
+        res = make_barrier(hessian_branch(1, LIN, m=3), M, np.array([M.n_nodes - 1]), rho)
         assert res.ok
         assert res.margin >= res.certificate.tolerance
 
@@ -1627,8 +1626,7 @@ class TestBarriers:
         # empty asymptotic interior: no barrier family exists
         M = RadialModel.uniform(3, "euclidean", 1.0, 3.0, 121)
         rho = GridFunction(M, M.r[0] - M.r)
-        res = make_barrier(eikonal(1.0, m=3), M, np.ones(M.n_nodes, bool),
-                           np.array([0]), rho)
+        res = make_barrier(eikonal(1.0, m=3), M, np.array([0]), rho)
         assert not res.ok
         assert any("exhausted" in n for n in res.certificate.notes)
 
@@ -1636,8 +1634,7 @@ class TestBarriers:
         # strictly subharmonic defining function: exp(-kr) type, s = 0 certifies
         M = RadialModel.uniform(3, "euclidean", 1.0, 3.0, 201)
         rho = GridFunction(M, np.exp(-4.0 * M.r) - np.exp(-4.0 * M.r[0]))
-        res = make_barrier(laplace(ZERO, m=3), M, np.ones(M.n_nodes, bool),
-                           np.array([0]), rho)
+        res = make_barrier(laplace(ZERO, m=3), M, np.array([0]), rho)
         assert res.ok
         assert res.s == 0.0
 
@@ -1645,5 +1642,4 @@ class TestBarriers:
         M = RadialModel.uniform(3, "euclidean", 1.0, 3.0, 51)
         bad = GridFunction(M, M.r - M.r[0] + 1.0)  # nonzero at the boundary
         with pytest.raises(PreconditionError):
-            make_barrier(laplace(ZERO, m=3), M, np.ones(M.n_nodes, bool),
-                         np.array([0]), bad)
+            make_barrier(laplace(ZERO, m=3), M, np.array([0]), bad)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from subeq.errors import ConstructionError, InputError
-from subeq.jets import MAX_DIM
+from subeq.jets import MAX_DIM, DenseView
 from subeq.policy import DEFAULT_POLICY
 from subeq.profiles import AProfile, Profile
 from subeq.subequations import (
@@ -378,17 +378,20 @@ class TestDistanceToBoundary:
 
     def test_laplace_ray_oracle(self):
         # dense-ray oracle: minimum crossing distance over many random fiber
-        # rays, all rays bracketed and bisected together, one F.value per stage
+        # rays, all rays bracketed and bisected together, one evaluation per
+        # stage; the flat-fiber coordinates are the jet's entries (r, p_1,
+        # p_2, A_11, A_12, A_22) with A_12 weighed by sqrt(2)
         F = laplace(ZERO, m=2)
         d = distance_to_boundary(F, None, 0.0, np.zeros(2), np.eye(2)).value[0]
         rng = np.random.default_rng(17)
-        from subeq.subequations import _jet_coords, _coords_to_jet
-        c0 = _jet_coords(0.0, np.zeros(2), np.eye(2))
+        w = np.array([1.0, 1.0, 1.0, 1.0, np.sqrt(2.0), 1.0])
+        c0 = DenseView(None, np.zeros(1), np.zeros((1, 2)), np.eye(2)[None]).entries()[0][:, 0] * w
         rays = rng.standard_normal((4000, c0.size))
         rays /= np.linalg.norm(rays, axis=1)[:, None]
 
         def outside(t, live):
-            return F.value(None, *_coords_to_jet(c0 + t[:, None] * rays[live], 2)) < 0
+            X = ((c0 + t[:, None] * rays[live]) / w).T
+            return F._value(DenseView.of_entries(None, X, 2)) < 0
 
         lo, hi = np.zeros(len(rays)), np.full(len(rays), np.inf)
         live = np.arange(len(rays))
@@ -479,12 +482,9 @@ class TestAuditPNT:
 
 class TestProfiles:
     def test_flags(self):
-        assert Profile.linear(1.0).flags["f1"]
-        assert not Profile.linear(1.0).flags["f1_prime"]
+        assert Profile.linear(1.0).flags == {"nondecreasing": True, "xi1": False, "xi0": False}
         assert Profile.constant(1.0).flags["xi0"]
         assert XI1.flags["xi1"]
-        f1p = Profile.table([-2.0, -1.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 1.0])
-        assert f1p.flags["f1_prime"] and not f1p.flags["f1"]
 
     def test_monotone_required(self):
         with pytest.raises(ConstructionError):
